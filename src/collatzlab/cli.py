@@ -25,6 +25,7 @@ from .framework import ConditionId, ConditionParams, LambdaSpec
 from .verifier import (
     DEFAULT_SEARCH_BUDGET,
     ConditionCoverageReport,
+    EngineRangeError,
     LambdaSearchResult,
     RangeSpec,
     VerificationReport,
@@ -155,8 +156,7 @@ def _range_doc(rng: RangeSpec) -> dict:
 
 
 def _verification_doc(command: str, report: VerificationReport,
-                      cap: int, timings: bool) -> dict:
-    shown = report.violations[:max(0, cap)]
+                      timings: bool) -> dict:
     return {
         "command": command,
         "engine": report.engine,
@@ -171,10 +171,10 @@ def _verification_doc(command: str, report: VerificationReport,
         "violations": [
             {"x": v.x, "y": v.y, "z": v.z, "case": v.case,
              "quantity": v.quantity, "value": v.value}
-            for v in shown
+            for v in report.violations
         ],
         "violations_total": report.violations_total,
-        "violations_shown": len(shown),
+        "violations_shown": len(report.violations),
         "elapsed_ms": report.elapsed_ms if timings else None,
     }
 
@@ -377,24 +377,29 @@ def _progress_printer(args):
 def cmd_verify(args) -> int:
     rng = _build_range(args)
     kwargs = dict(engine=args.engine, jobs=args.jobs,
+                  max_violations=max(0, args.violations_cap),
                   progress=_progress_printer(args))
-    if args.mode == "direct":
-        report = verify_pseudocontraction(rng, bounds=False, **kwargs)
-    elif args.mode == "bounds":
-        report = verify_pseudocontraction(rng, bounds=True, **kwargs)
-    elif args.mode == "simplified":
-        report = verify_simplified(rng, **kwargs)
-    elif args.mode == "cross":
-        report = cross_check_simplified(rng, **kwargs)
-    elif args.mode == "mbound":
+    if args.mode == "mbound":
         try:
             m_cap = parse_rational(args.M)
         except ValueError as e:
             raise UsageError(str(e)) from None
-        report = m_bound_sweep(rng, m_cap, **kwargs)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown mode {args.mode!r}")
-    doc = _verification_doc("verify", report, args.violations_cap, args.timings)
+    try:
+        if args.mode == "direct":
+            report = verify_pseudocontraction(rng, bounds=False, **kwargs)
+        elif args.mode == "bounds":
+            report = verify_pseudocontraction(rng, bounds=True, **kwargs)
+        elif args.mode == "simplified":
+            report = verify_simplified(rng, **kwargs)
+        elif args.mode == "cross":
+            report = cross_check_simplified(rng, **kwargs)
+        elif args.mode == "mbound":
+            report = m_bound_sweep(rng, m_cap, **kwargs)
+        else:  # pragma: no cover - argparse restricts choices
+            raise UsageError(f"unknown mode {args.mode!r}")
+    except EngineRangeError as e:
+        raise UsageError(f"{e}; use --engine auto or scalar") from None
+    doc = _verification_doc("verify", report, args.timings)
     if args.format == "json":
         out = _render_json(doc)
     elif args.format == "csv":
@@ -412,20 +417,21 @@ def _condition_id(args) -> ConditionId:
         raise UsageError(str(e)) from None
 
 
-def _condition_params(args, kind: ConditionId) -> ConditionParams:
+def _condition_params(args, b: Optional[str] = None,
+                      m: Optional[str] = None) -> ConditionParams:
+    """--lambda and --A, with B and M parsed from the given texts."""
     lam = _parse_lambda(getattr(args, "lambda"))
     try:
-        a = parse_rational(args.A)
-        b = parse_rational(args.B) if args.B is not None else None
-        m = parse_rational(args.M) if args.M is not None else None
-        return ConditionParams(lam, a, b, m)
+        return ConditionParams(lam, parse_rational(args.A),
+                               parse_rational(b) if b is not None else None,
+                               parse_rational(m) if m is not None else None)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
 
 def cmd_conditions(args) -> int:
     kind = _condition_id(args)
-    params = _condition_params(args, kind)
+    params = _condition_params(args, args.B, args.M)
     rng = _build_range(args)
     report = condition_coverage(rng, params, kind,
                                 corrected_c4=args.corrected_c4,
@@ -517,16 +523,16 @@ def cmd_search(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    kind = _condition_id(args)
-    params = _condition_params(args, kind)
+    params = _condition_params(args)
     if args.seed_max < args.seed_min or args.seed_min < 1:
         raise UsageError("need 1 <= --seed-min <= --seed-max")
     report = orbit_decay_sweep(args.seed_min, args.seed_max, params,
                                dedup=not args.full_orbits,
                                telescoped=not args.no_telescoped,
                                cap=args.cap,
+                               max_violations=max(0, args.violations_cap),
                                progress=_progress_printer(args))
-    doc = _verification_doc("decay", report, args.violations_cap, args.timings)
+    doc = _verification_doc("decay", report, args.timings)
     doc["params"] = dict(report.params)
     if args.format == "json":
         out = _render_json(doc)
@@ -561,11 +567,15 @@ def _add_common(sub, with_range=True):
                          help=f"permit --max beyond {DESK_SCALE_MAX}")
 
 
-def _add_condition_args(sub):
+def _add_lambda_args(sub):
     sub.add_argument("--lambda", default="0", dest="lambda",
                      help='blend spec: a rational like "0", "1", "1/2", or a '
                           'per-case table "even-even:1/2,*:0"')
     sub.add_argument("--A", required=True, help="ratio cap in (0,1), e.g. 1/2")
+
+
+def _add_condition_args(sub):
+    _add_lambda_args(sub)
     sub.add_argument("--B", default="2", help="branch sum lower bound (family 3)")
     sub.add_argument("--M", default="2", help="weight magnitude cap (family 3)")
     sub.add_argument("--theorem", type=int, choices=(1, 2, 3), default=3)
@@ -596,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=default_jobs,
                    help=f"parallel row blocks (env {ENV_JOBS})")
     p.add_argument("--violations-cap", type=int, default=100,
-                   help="max violations rendered; the true total is always "
-                        "reported")
+                   help="max violations recorded and shown; the true total "
+                        "is always reported")
     p.set_defaults(fn=cmd_verify)
 
     p = subs.add_parser("conditions", help="condition coverage map over a range")
@@ -630,9 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(fn=cmd_search)
 
-    p = subs.add_parser("decay", help="orbit decay sweep over a seed range")
+    p = subs.add_parser("decay", help="orbit decay sweep over a seed range; "
+                                      "the premise is always the family-1 "
+                                      "condition (5)")
     _add_common(p, with_range=False)
-    _add_condition_args(p)
+    _add_lambda_args(p)
     p.add_argument("--seed-min", type=int, default=1)
     p.add_argument("--seed-max", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
@@ -640,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="walk every orbit fully instead of stopping below the "
                         "seed")
     p.add_argument("--no-telescoped", action="store_true")
-    p.add_argument("--violations-cap", type=int, default=100)
+    p.add_argument("--violations-cap", type=int, default=100,
+                   help="max violations recorded and shown")
     p.set_defaults(fn=cmd_decay)
 
     return parser

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .arith import format_rational
 from .collatz import DEFAULT_CAP, accel_T
 from .framework import (
@@ -30,19 +32,20 @@ from .framework import (
 )
 from .weights import (
     CASE_ORDER,
+    CELL_BOUNDS,
+    CELL_CASES,
+    CELL_FORMS,
+    ODD_ODD,
+    TALLY_KEYS,
     ParityCase,
     bound_for_key,
-    case_bound,
+    cell_weight_grids,
     classify,
+    odd_odd_cell,
     simplified_lhs,
     tally_key,
     weight_vector,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 INT64_HEADROOM = 2**62
 DEFAULT_MAX_VIOLATIONS = 10_000
@@ -121,6 +124,33 @@ class Violation:
         return (self.x, self.y, self.quantity, self.z if self.z is not None else 0)
 
 
+class _Findings:
+    """Counts every violation a sweep finds and keeps the first `cap`."""
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.total = 0
+        self.kept: list[Violation] = []
+
+    def add(self, v: Violation) -> None:
+        self.total += 1
+        if len(self.kept) < self.cap:
+            self.kept.append(v)
+
+    def add_mask(self, mask, make: Callable[[int, int], Violation]) -> None:
+        """Count the entries a 2-d numpy mask flags and keep the first ones in
+        row-major order, built by make(row, column)."""
+        count = int(np.count_nonzero(mask))
+        self.total += count
+        room = self.cap - len(self.kept)
+        if count and room > 0:
+            self.kept.extend(make(int(i), int(j))
+                             for i, j in np.argwhere(mask)[:room])
+
+    def sorted(self) -> tuple:
+        return tuple(sorted(self.kept, key=Violation.sort_key))
+
+
 @dataclass
 class CaseTally:
     pairs: int = 0
@@ -182,6 +212,10 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
         params=dict(a.params), max_violations=cap)
 
 
+class EngineRangeError(ValueError):
+    """The vector engine was requested for a range its int64 proof rejects."""
+
+
 def _int64_safe_pairs(rng: RangeSpec) -> bool:
     """Exact-integer proof that every intermediate of the pair sweep fits
     int64 for this range: all six weights lie in [-2, 2] and distances are
@@ -192,6 +226,11 @@ def _int64_safe_pairs(rng: RangeSpec) -> bool:
     return 12 * dist * dist < INT64_HEADROOM
 
 
+def _check_vector_range(rng: RangeSpec, engine: str) -> None:
+    if engine == "vector" and not _int64_safe_pairs(rng):
+        raise EngineRangeError("range too large for the int64 vector engine")
+
+
 def _sorted_cells(per_case: dict) -> dict:
     return {k: per_case[k] for k in sorted(per_case)}
 
@@ -199,7 +238,7 @@ def _sorted_cells(per_case: dict) -> dict:
 # --- scalar pair sweep ----------------------------------------------------
 
 def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
-                  max_violations: int,
+                  found: _Findings,
                   progress: Optional[Callable[[int], None]]) -> tuple:
     """Pure-Python exact sweep; the reference the vector engine must match."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
@@ -210,16 +249,11 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     m_num, m_den = m_cap.numerator, m_cap.denominator
 
     per_case: dict[str, CaseTally] = {}
-    violations: list[Violation] = []
-    total_viol = 0
     pairs = 0
     done = 0
 
     def add_violation(x: int, y: int, key: str, check: str, value) -> None:
-        nonlocal total_viol
-        total_viol += 1
-        if len(violations) < max_violations:
-            violations.append(Violation(x, y, key, QUANTITY_LABELS[check], value))
+        found.add(Violation(x, y, key, QUANTITY_LABELS[check], value))
 
     for x in range(rng.x_min, rng.x_max + 1):
         for y in range(rng.y_min, rng.y_max + 1):
@@ -255,196 +289,130 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                 if worst * m_den > m_num:
                     add_violation(x, y, key, CHECK_MBOUND, worst)
 
-    return pairs, per_case, violations, total_viol
+    return pairs, per_case
 
 
 # --- vectorized pair sweep -------------------------------------------------
 
-_ALPHA_T = (1, 1, 0, 1, 1, 0, 1, 0, 2)
-_BETA_T = (0, 0, 0, 0, 0, 0, 0, -2, 0)
-_GAMMA_T = (0, 0, 0, 1, -1, -2, -1, 0, 0)
-_DELTA_T = (0, -1, -2, -1, 0, 1, -1, 1, 0)
-_EPS_T = (-1, 0, 1, 0, -1, -2, 0, 2, 0)
-_ZETA_T = (1, 1, 2, 1, 1, 2, 1, -2, 0)
-_BOUND_T = (0, 0, 0, -1, -1, -1, -4, -1, 0)
-
-
-def _axis_parts(lo: int, hi: int):
-    v = _np.arange(lo, hi + 1, dtype=_np.int64)
+def _axis_parts(lo: int, hi: int) -> tuple:
+    """Along one axis: the values v, their reduced coordinates v >> 1 (k for
+    both v = 2k and v = 2k+1), their T-images and their parity class (0 for
+    1, 1 for even, 2 for odd >= 3, the order of CASE_ORDER)."""
+    v = np.arange(lo, hi + 1, dtype=np.int64)
     is1 = v == 1
     even = (v & 1) == 0
-    odd3 = (~is1) & (~even)
-    red = _np.where(even, v >> 1, (v - 1) >> 1)
-    t = _np.where(is1, 1, _np.where(even, v >> 1, (3 * v + 1) >> 1))
-    ci = _np.where(is1, 0, _np.where(even, 1, 2))
-    return v, red, t, ci
+    t = np.where(is1, 1, np.where(even, v >> 1, (3 * v + 1) >> 1))
+    parity = np.where(is1, 0, np.where(even, 1, 2)).astype(np.int8)
+    return v, v >> 1, t, parity
+
+
+@dataclass
+class _Grid:
+    """A block of pairs with x down the rows and y across the columns: the
+    coordinates, T-images and reduced coordinates as broadcastable column
+    and row vectors, and the report cell and six weights of every pair."""
+
+    x: np.ndarray
+    tx: np.ndarray
+    k: np.ndarray
+    y: np.ndarray
+    ty: np.ndarray
+    l: np.ndarray
+    cell: np.ndarray
+    weights: tuple
+
+    def form(self, weights: Sequence) -> np.ndarray:
+        """The six-term form at every pair, with the given weight grids."""
+        al, be, ga, de, ep, ze = weights
+        return (al * (self.tx - self.ty) ** 2 + be * (self.x - self.ty) ** 2
+                + ga * (self.tx - self.y) ** 2 + de * (self.x - self.y) ** 2
+                + ep * (self.x - self.tx) ** 2 + ze * (self.y - self.ty) ** 2)
+
+
+def _grid(x0: int, x1: int, y0: int, y1: int) -> _Grid:
+    """The pairs [x0, x1] x [y0, y1] as one _Grid."""
+    x, k, tx, px = (a[:, None] for a in _axis_parts(x0, x1))
+    y, l, ty, py = (a[None, :] for a in _axis_parts(y0, y1))
+    case = 3 * px + py
+    cell = np.where(case == ODD_ODD, odd_odd_cell(k, l), case).astype(np.int8)
+    return _Grid(x, tx, k, y, ty, l, cell, cell_weight_grids(cell, k, l))
 
 
 def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
-                  max_violations: int,
+                  found: _Findings,
                   progress: Optional[Callable[[int], None]]) -> tuple:
     """numpy int64 sweep over row blocks; exact given _int64_safe_pairs."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
-    do_m = CHECK_MBOUND in checks
-    m_num, m_den = m_cap.numerator, m_cap.denominator
+    # an integer weight exceeds M exactly when it exceeds floor(M)
+    m_floor = m_cap.numerator // m_cap.denominator
+    cells = [c for c, case in enumerate(CELL_CASES) if rng.admits(case)]
+    filtered = len(cells) < len(CELL_CASES)
+    bounds = np.array(CELL_BOUNDS, dtype=np.int8)
 
-    y, ly, ty, cy = _axis_parts(rng.y_min, rng.y_max)
-    y = y[None, :]
-    ly = ly[None, :]
-    ty = ty[None, :]
-    cy = cy[None, :]
-    ncols = y.shape[1]
+    ncols = rng.y_max - rng.y_min + 1
     block = max(1, (1 << 21) // ncols)
-
-    case_sel = None
-    if rng.cases is not None:
-        case_sel = [CASE_ORDER.index(c) for c in rng.cases]
-
     per_case: dict[str, CaseTally] = {}
-    violations: list[Violation] = []
-    total_viol = 0
     pairs = 0
     done = 0
 
-    tab = lambda t: _np.asarray(t, dtype=_np.int64)
-
-    def add_mask_violations(mask, x0, check, values) -> None:
-        nonlocal total_viol
-        count = int(mask.sum())
-        if count == 0:
-            return
-        total_viol += count
-        room = max_violations - len(violations)
-        if room <= 0:
-            return
-        idx = _np.argwhere(mask)[:room]
-        for i, j in idx:
-            x = int(x0 + i)
-            yy = int(rng.y_min + j)
-            violations.append(Violation(x, yy, tally_key(x, yy),
-                                        QUANTITY_LABELS[check],
-                                        int(values[i, j])))
-
     for x0 in range(rng.x_min, rng.x_max + 1, block):
         x1 = min(x0 + block - 1, rng.x_max)
-        x, kx, tx, cx = _axis_parts(x0, x1)
-        x = x[:, None]
-        kx = kx[:, None]
-        tx = tx[:, None]
-        cx = cx[:, None]
+        g = _grid(x0, x1, rng.y_min, rng.y_max)
+        shape = g.cell.shape
+        counts = np.bincount(g.cell.ravel(), minlength=len(CELL_CASES))
+        direct = g.form(g.weights) if do_lhs else None
+        simp = np.zeros(shape, dtype=np.int64) if do_simp else None
 
-        ci = 3 * cx + cy
-        oo = ci == 8
-        dk = kx - ly
-        gate_low = (dk <= -2) & (11 * kx - 10 * ly + 1 <= 0)
-        gate_high = (dk >= 2) & (-10 * kx + 11 * ly + 1 <= 0)
-
-        if rng.cases is None:
-            sel = None
-        else:
-            sel = _np.isin(ci, case_sel)
-
-        b0 = _np.clip(dk, -2, 2)
-        d0 = _np.where(gate_low | gate_high, -2, -1)
-        e0 = _np.where(gate_low, 2, 0)
-        z0 = _np.where(gate_high, 2, 0)
-
-        al = tab(_ALPHA_T)[ci]
-        be = _np.where(oo, b0, tab(_BETA_T)[ci])
-        ga = _np.where(oo, -b0, tab(_GAMMA_T)[ci])
-        de = _np.where(oo, d0, tab(_DELTA_T)[ci])
-        ep = _np.where(oo, e0, tab(_EPS_T)[ci])
-        ze = _np.where(oo, z0, tab(_ZETA_T)[ci])
-
-        direct = None
-        if do_lhs:
-            direct = (al * (tx - ty) ** 2 + be * (x - ty) ** 2
-                      + ga * (tx - y) ** 2 + de * (x - y) ** 2
-                      + ep * (x - tx) ** 2 + ze * (y - ty) ** 2)
-
-        simp = None
-        if do_simp:
-            conds = [
-                ci == 0, ci == 1, ci == 2, ci == 3, ci == 4, ci == 5,
-                ci == 6, ci == 7,
-                oo & gate_low,
-                oo & (dk <= -2) & ~gate_low,
-                oo & gate_high,
-                oo & (dk >= 2) & ~gate_high,
-            ]
-            zero = _np.zeros_like(dk)
-            vals = [
-                zero,
-                -2 * ly * ly + 2 * ly,
-                -6 * ly * ly + 4 * ly + 2,
-                -2 * kx * kx + 1,
-                -kx * kx + 2 * kx * ly - 2 * ly * ly,
-                -2 * ly * ly + 1,
-                -4 * kx * kx,
-                -2 * kx * kx + 1,
-                2 * (kx + 1) * (11 * kx - 10 * ly + 1),
-                4 * dk * (6 * kx - ly + 5),
-                2 * (ly + 1) * (-10 * kx + 11 * ly + 1),
-                4 * dk * (kx - 6 * ly - 5),
-            ]
-            simp = _np.select(conds, [_np.broadcast_to(v, dk.shape) for v in vals],
-                              default=0)
-            diag = oo & (_np.abs(dk) <= 1)
-            simp = _np.where(diag, dk * dk * (4 - 5 * (kx + ly)), simp)
-
-        values = direct if direct is not None else simp
-
-        subcells = [
-            (oo & gate_low, "odd-odd:low-deep"),
-            (oo & (dk <= -2) & ~gate_low, "odd-odd:low-band"),
-            (oo & (_np.abs(dk) <= 1), "odd-odd:diagonal"),
-            (oo & (dk >= 2) & ~gate_high, "odd-odd:high-band"),
-            (oo & gate_high, "odd-odd:high-deep"),
-        ]
-        cells = [(ci == n, CASE_ORDER[n].label) for n in range(8)] + subcells
-
-        bound = tab(_BOUND_T)[ci]
-        for mask, key in subcells:
-            bound = _np.where(mask, bound_for_key(key), bound)
-
-        for mask, key in cells:
-            if sel is not None:
-                mask = mask & sel
-            cnt = int(mask.sum())
-            if cnt == 0:
+        for c in cells:
+            count = int(counts[c])
+            if count == 0:
                 continue
+            mask = g.cell == c
+            if simp is not None:
+                form = CELL_FORMS[c](np.broadcast_to(g.k, shape)[mask],
+                                     np.broadcast_to(g.l, shape)[mask])
+                simp[mask] = form
+            key = TALLY_KEYS[c]
             tal = per_case.get(key)
             if tal is None:
-                tal = per_case[key] = CaseTally(bound=bound_for_key(key))
-            tal.pairs += cnt
-            pairs += cnt
-            if values is not None:
-                tal.absorb_value(int(values[mask].max()))
+                tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[c])
+            tal.pairs += count
+            pairs += count
+            if direct is not None:
+                tal.absorb_value(int(direct[mask].max()))
+            elif simp is not None:
+                tal.absorb_value(int(np.max(form)))
 
-        vmask_base = sel if sel is not None else _np.ones_like(oo, dtype=bool)
+        sel = np.isin(g.cell, cells) if filtered else None
+
+        def flag(mask, check: str, values) -> None:
+            if sel is not None:
+                mask &= sel
+            found.add_mask(mask, lambda i, j: Violation(
+                x0 + i, rng.y_min + j, TALLY_KEYS[g.cell[i, j]],
+                QUANTITY_LABELS[check], int(values[i, j])))
+
         if CHECK_LHS in checks:
-            add_mask_violations((direct > 0) & vmask_base, x0, CHECK_LHS, direct)
+            flag(direct > 0, CHECK_LHS, direct)
         if CHECK_BOUNDS in checks:
-            add_mask_violations((direct > bound) & vmask_base, x0,
-                                CHECK_BOUNDS, direct)
+            flag(direct > bounds[g.cell], CHECK_BOUNDS, direct)
         if CHECK_SIMPLIFIED in checks:
-            add_mask_violations((simp > 0) & vmask_base, x0, CHECK_SIMPLIFIED, simp)
+            flag(simp > 0, CHECK_SIMPLIFIED, simp)
         if CHECK_CROSS in checks:
-            add_mask_violations((direct != simp) & vmask_base, x0,
-                                CHECK_CROSS, simp - direct)
-        if do_m:
-            worst = _np.maximum(_np.abs(al), _np.abs(be))
-            for w in (ga, de, ep, ze):
-                worst = _np.maximum(worst, _np.abs(w))
-            add_mask_violations((worst * m_den > m_num) & vmask_base, x0,
-                                CHECK_MBOUND, worst)
+            diff = simp - direct
+            flag(diff != 0, CHECK_CROSS, diff)
+        if CHECK_MBOUND in checks:
+            worst = np.abs(g.weights[0])
+            for w in g.weights[1:]:
+                worst = np.maximum(worst, np.abs(w))
+            flag(worst > m_floor, CHECK_MBOUND, worst)
 
         done += (x1 - x0 + 1) * ncols
         if progress is not None:
             progress(done)
 
-    return pairs, per_case, violations, total_viol
+    return pairs, per_case
 
 
 def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
@@ -454,25 +422,20 @@ def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
                     progress: Optional[Callable[[int], None]] = None
                     ) -> VerificationReport:
     started = time.monotonic()
+    _check_vector_range(rng, engine)
     if jobs > 1:
         report = _parallel_pair_sweep(op, rng, checks, m_cap, engine,
                                       max_violations, jobs, progress)
         return replace(report,
                        elapsed_ms=int((time.monotonic() - started) * 1000))
     use_vector = engine == "vector" or (
-        engine == "auto" and _np is not None and _int64_safe_pairs(rng))
-    if engine == "vector":
-        if _np is None:
-            raise RuntimeError("vector engine requires numpy")
-        if not _int64_safe_pairs(rng):
-            raise ValueError("range too large for the int64 vector engine")
+        engine == "auto" and _int64_safe_pairs(rng))
     kernel = _sweep_vector if use_vector else _sweep_scalar
-    pairs, per_case, violations, total = kernel(rng, checks, m_cap,
-                                                max_violations, progress)
-    violations = tuple(sorted(violations, key=Violation.sort_key))
+    found = _Findings(max_violations)
+    pairs, per_case = kernel(rng, checks, m_cap, found, progress)
     return VerificationReport(
         op=op, rng=rng, pairs_checked=pairs, per_case=_sorted_cells(per_case),
-        violations=violations, violations_total=total,
+        violations=found.sorted(), violations_total=found.total,
         elapsed_ms=int((time.monotonic() - started) * 1000),
         engine="vector" if use_vector else "scalar",
         params={"checks": "+".join(checks), "M": format_rational(m_cap)},
@@ -595,19 +558,21 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     Blend lemma: for each lambda and every pair in range, the six-term form
     evaluated with the blended weights must equal (1-lambda)*lhs(x, y) +
     lambda*lhs(y, x) exactly, and must be <= 0 (with the tabulated weights).
+    The blend runs vectorized only on squares of side <= 1500 with constant
+    lambdas. The report's engine names what ran: "vector" or "scalar", or
+    "mixed" when the two lemmas ran on different engines.
     """
     started = time.monotonic()
+    _check_vector_range(rng, engine)
     specs = _as_lambda_specs(lambdas)
     per_case: dict[str, CaseTally] = {}
-    violations: list[Violation] = []
-    total_viol = 0
+    found = _Findings(max_violations)
     checks_done = 0
+    engines_run = set()
 
     lo, hi = rng.x_min, rng.x_max
     n_axis = hi - lo + 1
-    use_vector = _np is not None and engine != "scalar" and _int64_safe_pairs(rng)
-    if engine == "vector" and _np is None:
-        raise RuntimeError("vector engine requires numpy")
+    use_vector = engine != "scalar" and _int64_safe_pairs(rng)
 
     def note(key: str, count: int) -> None:
         nonlocal checks_done
@@ -616,12 +581,6 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
             tal = per_case[key] = CaseTally()
         tal.pairs += count
         checks_done += count
-
-    def add_violation(v: Violation) -> None:
-        nonlocal total_viol
-        total_viol += 1
-        if len(violations) < max_violations:
-            violations.append(v)
 
     # Triangle-gap lemma over triples.
     triples = n_axis ** 3
@@ -633,21 +592,19 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         if p >= 0:
             # gap = theta*d(x,y)^2 >= 0 holds identically; z plays no part.
             continue
+        engines_run.add("vector" if use_vector else "scalar")
         if use_vector:
-            v = _np.arange(lo, hi + 1, dtype=_np.int64)
+            v = np.arange(lo, hi + 1, dtype=np.int64)
             d2 = (v[:, None] - v[None, :]) ** 2
             # gap/|theta| scaled: negative theta flips to d(x,y)^2 <= 2*(sum)
             for i in range(n_axis):
                 lhs_row = d2[i][None, :]            # d(x,y)^2 over y
                 s = d2[i][:, None] + d2             # d(x,z)^2 + d(z,y)^2, [z, y]
-                bad = lhs_row > 2 * s
-                if bad.any():
-                    for zi, yi in _np.argwhere(bad):
-                        gap = Fraction(p * int(lhs_row[0, yi])
-                                       - 2 * p * int(s[zi, yi]), th.denominator)
-                        add_violation(Violation(lo + i, lo + int(yi), key,
-                                                "lemma1-gap<0", gap,
-                                                z=lo + int(zi)))
+                found.add_mask(lhs_row > 2 * s, lambda zi, yi: Violation(
+                    lo + i, lo + yi, key, "lemma1-gap<0",
+                    Fraction(p * int(lhs_row[0, yi]) - 2 * p * int(s[zi, yi]),
+                             th.denominator),
+                    z=lo + zi))
         else:
             for x in range(lo, hi + 1):
                 for y in range(lo, hi + 1):
@@ -657,8 +614,8 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                             gap = Fraction(
                                 p * dxy - 2 * p * ((x - z) ** 2 + (z - y) ** 2),
                                 th.denominator)
-                            add_violation(Violation(x, y, key, "lemma1-gap<0",
-                                                    gap, z=z))
+                            found.add(Violation(x, y, key, "lemma1-gap<0",
+                                                gap, z=z))
         if progress is not None:
             progress(checks_done)
 
@@ -668,8 +625,15 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     vector_ok = (use_vector and rng.is_square
                  and all(s.constant is not None for s in specs)
                  and n_axis <= 1500 and _int64_safe_lemma2(rng, max_den))
+    if specs:
+        engines_run.add("vector" if vector_ok else "scalar")
     if vector_ok and specs:
-        grids = _lemma2_grids(lo, hi)
+        g = _grid(lo, hi, lo, hi)
+        # Blending scales the weights past int8.
+        w = tuple(a.astype(np.int64) for a in g.weights)
+        direct = g.form(w)
+        al, be, ga, de, ep, ze = w
+        mirrored = (al.T, ga.T, be.T, de.T, ze.T, ep.T)
         for spec in specs:
             lam = spec.constant
             p, q = lam.numerator, lam.denominator
@@ -677,10 +641,16 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
             nkey = f"lemma2-nonpositive:lambda={spec.label}"
             note(ikey, n_axis * n_axis)
             note(nkey, n_axis * n_axis)
-            total_viol_, viols = _lemma2_vector(grids, p, q, lo, ikey, nkey,
-                                                max_violations - len(violations))
-            total_viol += total_viol_
-            violations.extend(viols)
+            # The identity scaled by q: blended weights (q-p)*w + p*mirror.
+            co = q - p
+            left = g.form([co * a + p * b for a, b in zip(w, mirrored)])
+            right = co * direct + p * direct.T
+            for mask, key, quantity, values in (
+                    (left != right, ikey, "lemma2-identity", left - right),
+                    (left > 0, nkey, "lemma2-positive", left)):
+                found.add_mask(mask, lambda i, j: Violation(
+                    lo + i, lo + j, key, quantity,
+                    Fraction(int(values[i, j]), q)))
             if progress is not None:
                 progress(checks_done)
     else:
@@ -697,99 +667,25 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                     right = ((1 - lam_v) * lhs(weight_vector, accel_T, x, y)
                              + lam_v * lhs(weight_vector, accel_T, y, x))
                     if left != right:
-                        add_violation(Violation(x, y, ikey, "lemma2-identity",
-                                                left - right))
+                        found.add(Violation(x, y, ikey, "lemma2-identity",
+                                            left - right))
                     if left > 0:
-                        add_violation(Violation(x, y, nkey, "lemma2-positive",
-                                                left))
+                        found.add(Violation(x, y, nkey, "lemma2-positive",
+                                            left))
             if progress is not None:
                 progress(checks_done)
 
-    violations_t = tuple(sorted(violations, key=Violation.sort_key))
+    if not engines_run:
+        engines_run.add("vector" if use_vector else "scalar")
     return VerificationReport(
         op="lemmas", rng=rng, pairs_checked=checks_done,
-        per_case=_sorted_cells(per_case), violations=violations_t,
-        violations_total=total_viol,
+        per_case=_sorted_cells(per_case), violations=found.sorted(),
+        violations_total=found.total,
         elapsed_ms=int((time.monotonic() - started) * 1000),
-        engine="vector" if use_vector else "scalar",
+        engine=engines_run.pop() if len(engines_run) == 1 else "mixed",
         params={"thetas": ",".join(format_rational(Fraction(t)) for t in thetas),
                 "lambdas": ";".join(s.label for s in specs)},
         max_violations=max_violations)
-
-
-def _lemma2_grids(lo: int, hi: int) -> dict:
-    """Weight, distance and direct-form grids over the square [lo, hi]^2."""
-    x, kx, tx, cx = _axis_parts(lo, hi)
-    x = x[:, None]
-    kx = kx[:, None]
-    tx = tx[:, None]
-    cx = cx[:, None]
-    y, ly, ty, cy = _axis_parts(lo, hi)
-    y = y[None, :]
-    ly = ly[None, :]
-    ty = ty[None, :]
-    cy = cy[None, :]
-
-    ci = 3 * cx + cy
-    oo = ci == 8
-    dk = kx - ly
-    gate_low = (dk <= -2) & (11 * kx - 10 * ly + 1 <= 0)
-    gate_high = (dk >= 2) & (-10 * kx + 11 * ly + 1 <= 0)
-    b0 = _np.clip(dk, -2, 2)
-
-    tab = lambda t: _np.asarray(t, dtype=_np.int64)
-    w = {
-        "al": tab(_ALPHA_T)[ci],
-        "be": _np.where(oo, b0, tab(_BETA_T)[ci]),
-        "ga": _np.where(oo, -b0, tab(_GAMMA_T)[ci]),
-        "de": _np.where(oo, _np.where(gate_low | gate_high, -2, -1),
-                        tab(_DELTA_T)[ci]),
-        "ep": _np.where(oo, _np.where(gate_low, 2, 0), tab(_EPS_T)[ci]),
-        "ze": _np.where(oo, _np.where(gate_high, 2, 0), tab(_ZETA_T)[ci]),
-    }
-    shape = ((hi - lo + 1), (hi - lo + 1))
-    d = {
-        "tt": (tx - ty) ** 2,
-        "xty": (x - ty) ** 2,
-        "txy": (tx - y) ** 2,
-        "xy": (x - y) ** 2,
-        "xtx": _np.broadcast_to((x - tx) ** 2, shape),
-        "yty": _np.broadcast_to((y - ty) ** 2, shape),
-    }
-    direct = (w["al"] * d["tt"] + w["be"] * d["xty"] + w["ga"] * d["txy"]
-              + w["de"] * d["xy"] + w["ep"] * d["xtx"] + w["ze"] * d["yty"])
-    return {"w": w, "d": d, "direct": direct}
-
-
-def _lemma2_vector(grids: dict, p: int, q: int, lo: int, ikey: str, nkey: str,
-                   room: int) -> tuple:
-    """Exact int64 check of the blend identity for lambda = p/q (scaled by q)."""
-    w, d, direct = grids["w"], grids["d"], grids["direct"]
-    co = q - p
-    left = (co * w["al"] + p * w["al"].T) * d["tt"]
-    left = left + (co * w["be"] + p * w["ga"].T) * d["xty"]
-    left = left + (co * w["ga"] + p * w["be"].T) * d["txy"]
-    left = left + (co * w["de"] + p * w["de"].T) * d["xy"]
-    left = left + (co * w["ep"] + p * w["ze"].T) * d["xtx"]
-    left = left + (co * w["ze"] + p * w["ep"].T) * d["yty"]
-    right = co * direct + p * direct.T
-
-    violations = []
-    total = 0
-    bad_id = left != right
-    bad_np = left > 0
-    for mask, key, quantity, values in (
-            (bad_id, ikey, "lemma2-identity", left - right),
-            (bad_np, nkey, "lemma2-positive", left)):
-        cnt = int(mask.sum())
-        total += cnt
-        if cnt and room > 0:
-            for i, j in _np.argwhere(mask)[:room]:
-                violations.append(Violation(lo + int(i), lo + int(j), key,
-                                            quantity,
-                                            Fraction(int(values[i, j]), q)))
-                room -= 1
-    return total, violations
 
 
 # --- condition coverage ------------------------------------------------------
@@ -1171,8 +1067,7 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
         "premise-failed": CaseTally(),
         "telescoped-steps": CaseTally(),
     }
-    violations: list[Violation] = []
-    total_viol = 0
+    found = _Findings(max_violations)
 
     def premise(px: int, py: int) -> bool:
         wxy = W(px, py)
@@ -1184,12 +1079,6 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
             holds = check_condition(kind, W, params, px, py).holds
             memo[key] = holds
         return holds
-
-    def add_violation(v: Violation) -> None:
-        nonlocal total_viol
-        total_viol += 1
-        if len(violations) < max_violations:
-            violations.append(v)
 
     steps_done = 0
     for seed in range(seed_min, seed_max + 1):
@@ -1211,7 +1100,7 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
             if premise(prev, cur):
                 per_case["premise-held"].pairs += 1
                 if a_den * step_sq > a_num * prev_sq:
-                    add_violation(Violation(
+                    found.add(Violation(
                         prev, cur, tally_key(prev, cur), "decay",
                         Fraction(a_den * step_sq - a_num * prev_sq, a_den)))
                 if telescoped and prefix_intact:
@@ -1219,7 +1108,7 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
                     pw_den *= a_den
                     per_case["telescoped-steps"].pairs += 1
                     if pw_den * step_sq > pw_num * first_sq:
-                        add_violation(Violation(
+                        found.add(Violation(
                             prev, cur, tally_key(prev, cur), "telescoped",
                             Fraction(pw_den * step_sq - pw_num * first_sq,
                                      pw_den)))
@@ -1232,11 +1121,10 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
         if progress is not None and seed % 10_000 == 0:
             progress(steps_done)
 
-    violations_t = tuple(sorted(violations, key=Violation.sort_key))
     return VerificationReport(
         op="orbit-decay", rng=RangeSpec(seed_min, seed_max, 1, 1),
         pairs_checked=steps_done, per_case=_sorted_cells(per_case),
-        violations=violations_t, violations_total=total_viol,
+        violations=found.sorted(), violations_total=found.total,
         elapsed_ms=int((time.monotonic() - started) * 1000),
         engine="dedup" if dedup else "full",
         params={"A": format_rational(params.A), "lambda": params.lam.label,

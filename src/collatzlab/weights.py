@@ -1,11 +1,13 @@
 """The explicit six-weight system for the accelerated Collatz map T.
 
 Pairs (x, y) of positive integers split into nine parity cases (x and y each
-being 1, even, or odd >= 3). Each case carries a constant weight six-tuple
-except the odd-odd case, whose entries depend on the reduced coordinates
-k, l (x = 2k+1, y = 2l+1) through four auxiliary integer tables. For every
-case the six-term quadratic form collapses to a small closed-form polynomial
-in k and l; those closed forms and their per-case upper bounds live here too.
+being 1, even, or odd >= 3); the odd-odd case splits further into five
+subcases by the offset k - l of the reduced coordinates (x = 2k+1,
+y = 2l+1) and two linear gates. That gives the thirteen report cells. This
+module owns the cell decision and three per-cell tables: the weight row
+(constant except on the diagonal), the sharpened upper bound of the
+six-term quadratic form, and its closed-form polynomial in k and l. Both
+sweep engines read them; the scalar helpers here are lookups into them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .arith import format_rational
 from .framework import Exact, LambdaSpec, WeightVector
@@ -64,8 +68,8 @@ CASE_BY_LABEL = {c.value: c for c in ParityCase}
 
 
 class OddOddSubcase(enum.Enum):
-    """Five-way split of the odd-odd case by the offset k - l and the two
-    linear gates 11k - 10l + 1 <= 0 and -10k + 11l + 1 <= 0.
+    """Five-way split of the odd-odd case by the offset k - l and the signs
+    of the two linear gates (low_gate, high_gate).
 
     "low" means k - l <= -2, "high" means k - l >= 2; "deep" marks the gated
     region far from the diagonal where an extra square term activates.
@@ -98,101 +102,165 @@ class PairClass:
         return x, y
 
 
-def classify(x: int, y: int) -> PairClass:
-    """Total, unambiguous classification of any pair of positive integers."""
+def _case_index(x: int, y: int) -> tuple:
+    """(index into CASE_ORDER, k, l) of a pair; k or l is None where the
+    coordinate is 1, and v >> 1 otherwise (v = 2k or 2k+1)."""
     if x < 1 or y < 1:
         raise ValueError(f"pair must be positive integers, got ({x}, {y})")
-    if x == 1:
-        k = None
-        cx = 0
-    elif x % 2 == 0:
-        k = x // 2
-        cx = 1
-    else:
-        k = (x - 1) // 2
-        cx = 2
-    if y == 1:
-        l = None
-        cy = 0
-    elif y % 2 == 0:
-        l = y // 2
-        cy = 1
-    else:
-        l = (y - 1) // 2
-        cy = 2
-    return PairClass(CASE_ORDER[3 * cx + cy], k, l)
+    k = l = None
+    cx = cy = 0
+    if x != 1:
+        k = x >> 1
+        cx = 2 if x & 1 else 1
+    if y != 1:
+        l = y >> 1
+        cy = 2 if y & 1 else 1
+    return 3 * cx + cy, k, l
+
+
+def classify(x: int, y: int) -> PairClass:
+    """Total, unambiguous classification of any pair of positive integers."""
+    case, k, l = _case_index(x, y)
+    return PairClass(CASE_ORDER[case], k, l)
+
+
+# --- report cells -------------------------------------------------------------
+#
+# Thirteen cells: the eight cases other than odd-odd, then the five odd-odd
+# subcases. A cell index addresses TALLY_KEYS and the CELL_* tables below.
+
+ODD_ODD = CASE_ORDER.index(ParityCase.ODD_ODD)
+_SUBCASES = tuple(OddOddSubcase)
+TALLY_KEYS = tuple([c.label for c in CASE_ORDER[:ODD_ODD]]
+                   + [f"odd-odd:{s.label}" for s in _SUBCASES])
+CELL_CASES = CASE_ORDER[:ODD_ODD] + (ParityCase.ODD_ODD,) * len(_SUBCASES)
+DIAGONAL = TALLY_KEYS.index("odd-odd:diagonal")
+_CELL_BY_KEY = {key: cell for cell, key in enumerate(TALLY_KEYS)}
+
+
+def low_gate(k, l):
+    """Linear form whose sign (<= 0) gates the low deep region."""
+    return 11 * k - 10 * l + 1
+
+
+def high_gate(k, l):
+    """Linear form whose sign (<= 0) gates the high deep region."""
+    return -10 * k + 11 * l + 1
+
+
+def odd_odd_cell(k, l):
+    """Cell of the odd-odd pair (2k+1, 2l+1). Uses operators only, so it
+    also runs elementwise on numpy integer arrays.
+
+    The five subcells lie at DIAGONAL - 2 .. DIAGONAL + 2 (low-deep,
+    low-band, diagonal, high-band, high-deep); they partition all k, l >= 1
+    because an integer is <= 0 exactly when it is not >= 1.
+    """
+    d = k - l
+    low = d <= -2
+    high = d >= 2
+    return (DIAGONAL - low - (low & (low_gate(k, l) <= 0))
+            + high + (high & (high_gate(k, l) <= 0)))
+
+
+def locate(x: int, y: int) -> tuple:
+    """(cell, k, l) of a pair: its report cell and reduced coordinates."""
+    case, k, l = _case_index(x, y)
+    return (odd_odd_cell(k, l) if case == ODD_ODD else case), k, l
+
+
+# Weight rows (alpha, beta, gamma, delta, epsilon, zeta) per cell. Each is
+# constant except the diagonal's, where beta = -gamma = k - l: cell_weights
+# and cell_weight_grids add that offset to the 0s of its row.
+CELL_WEIGHTS = (
+    (1, 0, 0, 0, -1, 1),     # 1-1
+    (1, 0, 0, -1, 0, 1),     # 1-even
+    (0, 0, 0, -2, 1, 2),     # 1-odd
+    (1, 0, 1, -1, 0, 1),     # even-1
+    (1, 0, -1, 0, -1, 1),    # even-even
+    (0, 0, -2, 1, -2, 2),    # even-odd
+    (1, 0, -1, -1, 0, 1),    # odd-1
+    (0, -2, 0, 1, 2, -2),    # odd-even
+    (2, -2, 2, -2, 2, 0),    # odd-odd:low-deep
+    (2, -2, 2, -1, 0, 0),    # odd-odd:low-band
+    (2, 0, 0, -1, 0, 0),     # odd-odd:diagonal
+    (2, 2, -2, -1, 0, 0),    # odd-odd:high-band
+    (2, 2, -2, -2, 0, 2),    # odd-odd:high-deep
+)
+
+# Sharpened upper bound of the six-term form per cell.
+CELL_BOUNDS = (0, 0, 0, -1, -1, -1, -4, -1, 0, -8, 0, -8, 0)
+
+# Closed form of the six-term form per cell, in the reduced coordinates.
+# Operators only, so each also runs elementwise on numpy int64 arrays.
+CELL_FORMS = (
+    lambda k, l: 0,                                 # 1-1
+    lambda k, l: -2 * l * l + 2 * l,                # 1-even
+    lambda k, l: -6 * l * l + 4 * l + 2,            # 1-odd
+    lambda k, l: -2 * k * k + 1,                    # even-1
+    lambda k, l: -k * k + 2 * k * l - 2 * l * l,    # even-even
+    lambda k, l: -2 * l * l + 1,                    # even-odd
+    lambda k, l: -4 * k * k,                        # odd-1
+    lambda k, l: -2 * k * k + 1,                    # odd-even
+    lambda k, l: 2 * (k + 1) * low_gate(k, l),      # odd-odd:low-deep
+    lambda k, l: 4 * (k - l) * (6 * k - l + 5),     # odd-odd:low-band
+    lambda k, l: (k - l) ** 2 * (4 - 5 * (k + l)),  # odd-odd:diagonal
+    lambda k, l: 4 * (k - l) * (k - 6 * l - 5),     # odd-odd:high-band
+    lambda k, l: 2 * (l + 1) * high_gate(k, l),     # odd-odd:high-deep
+)
+
+_WEIGHT_COLUMNS = np.array(CELL_WEIGHTS, dtype=np.int8).T
+
+
+def cell_weights(cell: int, k, l) -> tuple:
+    """The six weights of a cell at reduced coordinates (k, l)."""
+    row = CELL_WEIGHTS[cell]
+    if cell != DIAGONAL:
+        return row
+    d = k - l
+    return (row[0], row[1] + d, row[2] - d) + row[3:]
+
+
+def cell_weight_grids(cell, k, l) -> tuple:
+    """cell_weights elementwise: `cell` is a numpy array of cell indices and
+    k, l broadcast against it. Constant weights come back as int8 arrays."""
+    shift = np.where(cell == DIAGONAL, k - l, 0)
+    alpha, beta, gamma, delta, epsilon, zeta = _WEIGHT_COLUMNS[:, cell]
+    return alpha, beta + shift, gamma - shift, delta, epsilon, zeta
+
+
+def _odd_odd_weights(k: int, l: int) -> tuple:
+    return cell_weights(odd_odd_cell(k, l), k, l)
 
 
 def beta0(k: int, l: int) -> int:
     """Offset k - l clamped to [-2, 2]."""
-    d = k - l
-    if d <= -2:
-        return -2
-    if d >= 2:
-        return 2
-    return d
+    return _odd_odd_weights(k, l)[1]
 
 
 def delta0(k: int, l: int) -> int:
     """-2 in either deep gated region, -1 otherwise."""
-    d = k - l
-    if d <= -2 and 11 * k - 10 * l + 1 <= 0:
-        return -2
-    if d >= 2 and -10 * k + 11 * l + 1 <= 0:
-        return -2
-    return -1
+    return _odd_odd_weights(k, l)[3]
 
 
 def eps0(k: int, l: int) -> int:
     """2 in the low deep region, else 0."""
-    if k - l <= -2 and 11 * k - 10 * l + 1 <= 0:
-        return 2
-    return 0
+    return _odd_odd_weights(k, l)[4]
 
 
 def zeta0(k: int, l: int) -> int:
     """2 in the high deep region, else 0."""
-    if k - l >= 2 and -10 * k + 11 * l + 1 <= 0:
-        return 2
-    return 0
+    return _odd_odd_weights(k, l)[5]
 
 
 def odd_odd_subcase(k: int, l: int) -> OddOddSubcase:
-    """The unique subcase containing (k, l); the five labels partition all
-    k, l >= 1 because an integer is <= 0 exactly when it is not >= 1."""
-    d = k - l
-    if d <= -2:
-        if 11 * k - 10 * l + 1 <= 0:
-            return OddOddSubcase.LOW_DEEP
-        return OddOddSubcase.LOW_BAND
-    if d >= 2:
-        if -10 * k + 11 * l + 1 <= 0:
-            return OddOddSubcase.HIGH_DEEP
-        return OddOddSubcase.HIGH_BAND
-    return OddOddSubcase.DIAGONAL
-
-
-# Constant (alpha, beta, gamma, delta, epsilon, zeta) per non-odd-odd case.
-CASE_WEIGHTS: dict[ParityCase, tuple[int, int, int, int, int, int]] = {
-    ParityCase.ONE_ONE: (1, 0, 0, 0, -1, 1),
-    ParityCase.ONE_EVEN: (1, 0, 0, -1, 0, 1),
-    ParityCase.ONE_ODD: (0, 0, 0, -2, 1, 2),
-    ParityCase.EVEN_ONE: (1, 0, 1, -1, 0, 1),
-    ParityCase.EVEN_EVEN: (1, 0, -1, 0, -1, 1),
-    ParityCase.EVEN_ODD: (0, 0, -2, 1, -2, 2),
-    ParityCase.ODD_ONE: (1, 0, -1, -1, 0, 1),
-    ParityCase.ODD_EVEN: (0, -2, 0, 1, 2, -2),
-}
+    """The unique subcase containing (k, l)."""
+    return _SUBCASES[odd_odd_cell(k, l) - ODD_ODD]
 
 
 def weight_vector(x: int, y: int) -> WeightVector:
     """The tabulated six weights at (x, y); every component lies in [-2, 2]."""
-    pc = classify(x, y)
-    if pc.case is ParityCase.ODD_ODD:
-        k, l = pc.k, pc.l
-        b = beta0(k, l)
-        return WeightVector(2, b, -b, delta0(k, l), eps0(k, l), zeta0(k, l))
-    return WeightVector(*CASE_WEIGHTS[pc.case])
+    return WeightVector(*cell_weights(*locate(x, y)))
 
 
 def odd_odd_master(k: int, l: int) -> int:
@@ -210,92 +278,32 @@ def odd_odd_master(k: int, l: int) -> int:
 
 
 def simplified_lhs(x: int, y: int) -> int:
-    """Per-case closed form of the six-term quadratic form at (x, y).
+    """Per-cell closed form of the six-term quadratic form at (x, y).
 
     Must agree with the direct six-term evaluation identically; the odd-odd
     case uses the factorized form of its subcase.
     """
-    pc = classify(x, y)
-    case = pc.case
-    k, l = pc.k, pc.l
-    if case is ParityCase.ONE_ONE:
-        return 0
-    if case is ParityCase.ONE_EVEN:
-        return -2 * l * l + 2 * l
-    if case is ParityCase.ONE_ODD:
-        return -6 * l * l + 4 * l + 2
-    if case is ParityCase.EVEN_ONE:
-        return -2 * k * k + 1
-    if case is ParityCase.EVEN_EVEN:
-        return -k * k + 2 * k * l - 2 * l * l
-    if case is ParityCase.EVEN_ODD:
-        return -2 * l * l + 1
-    if case is ParityCase.ODD_ONE:
-        return -4 * k * k
-    if case is ParityCase.ODD_EVEN:
-        return -2 * k * k + 1
-    sub = odd_odd_subcase(k, l)
-    if sub is OddOddSubcase.LOW_DEEP:
-        return 2 * (k + 1) * (11 * k - 10 * l + 1)
-    if sub is OddOddSubcase.LOW_BAND:
-        return 4 * (k - l) * (6 * k - l + 5)
-    if sub is OddOddSubcase.HIGH_DEEP:
-        return 2 * (l + 1) * (-10 * k + 11 * l + 1)
-    if sub is OddOddSubcase.HIGH_BAND:
-        return 4 * (k - l) * (k - 6 * l - 5)
-    return (k - l) ** 2 * (4 - 5 * (k + l))
-
-
-_CASE_BOUNDS: dict[ParityCase, int] = {
-    ParityCase.ONE_ONE: 0,
-    ParityCase.ONE_EVEN: 0,
-    ParityCase.ONE_ODD: 0,
-    ParityCase.EVEN_ONE: -1,
-    ParityCase.EVEN_EVEN: -1,
-    ParityCase.EVEN_ODD: -1,
-    ParityCase.ODD_ONE: -4,
-    ParityCase.ODD_EVEN: -1,
-}
-
-_SUBCASE_BOUNDS: dict[OddOddSubcase, int] = {
-    OddOddSubcase.LOW_DEEP: 0,
-    OddOddSubcase.LOW_BAND: -8,
-    OddOddSubcase.DIAGONAL: 0,
-    OddOddSubcase.HIGH_BAND: -8,
-    OddOddSubcase.HIGH_DEEP: 0,
-}
+    cell, k, l = locate(x, y)
+    return CELL_FORMS[cell](k, l)
 
 
 def case_bound(pc: PairClass) -> int:
     """The sharpened upper bound asserted for the pair's case (odd-odd pairs
     get their subcase bound)."""
     if pc.case is ParityCase.ODD_ODD:
-        return _SUBCASE_BOUNDS[odd_odd_subcase(pc.k, pc.l)]
-    return _CASE_BOUNDS[pc.case]
+        return CELL_BOUNDS[odd_odd_cell(pc.k, pc.l)]
+    return CELL_BOUNDS[CASE_ORDER.index(pc.case)]
 
 
 def tally_key(x: int, y: int) -> str:
     """Report cell for a pair: the case label, refined by subcase for
     odd-odd pairs (e.g. "odd-odd:diagonal")."""
-    pc = classify(x, y)
-    if pc.case is ParityCase.ODD_ODD:
-        return f"odd-odd:{odd_odd_subcase(pc.k, pc.l).label}"
-    return pc.case.label
-
-
-TALLY_KEYS = tuple(
-    [c.label for c in CASE_ORDER if c is not ParityCase.ODD_ODD]
-    + [f"odd-odd:{s.label}" for s in (
-        OddOddSubcase.LOW_DEEP, OddOddSubcase.LOW_BAND, OddOddSubcase.DIAGONAL,
-        OddOddSubcase.HIGH_BAND, OddOddSubcase.HIGH_DEEP)]
-)
+    return TALLY_KEYS[locate(x, y)[0]]
 
 
 def bound_for_key(key: str) -> int:
     """case_bound keyed by tally label."""
-    if key.startswith("odd-odd:"):
-        return _SUBCASE_BOUNDS[OddOddSubcase(key.split(":", 1)[1])]
-    return _CASE_BOUNDS[CASE_BY_LABEL[key]]
+    return CELL_BOUNDS[_CELL_BY_KEY[key]]
 
 
 def case_lambda(table: Mapping[ParityCase, Exact]) -> LambdaSpec:

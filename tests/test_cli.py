@@ -56,6 +56,26 @@ def test_verify_mbound_violations_exit_one(capsys):
     assert doc["violations_shown"] <= 100
 
 
+def test_verify_violations_cap_bounds_what_is_recorded(capsys):
+    code, out, _ = run_cli(["verify", "--max", "300", "--mode", "mbound",
+                            "--M", "1", "--violations-cap", "20000",
+                            "--format", "json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["violations_total"] == 67050
+    assert doc["violations_shown"] == len(doc["violations"]) == 20000
+
+
+def test_verify_forced_vector_engine_beyond_int64_is_usage_error(capsys):
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(["verify", "--engine", "vector", "--min",
+                                  "1000000000", "--max", "1000000010",
+                                  "--allow-large", "--jobs", jobs], capsys)
+        assert code == 2
+        assert out == ""
+        assert "int64" in err
+
+
 def test_verify_case_filter_and_csv(capsys):
     code, out, _ = run_cli(["verify", "--max", "60", "--case", "even-even",
                             "--format", "csv"], capsys)
@@ -234,6 +254,15 @@ def test_decay_sweep_cli(capsys):
     assert doc["violations_total"] == 0
     cells = {c["case"] for c in doc["per_case"]}
     assert {"decay-steps", "premise-held", "premise-failed"} <= cells
+
+
+@pytest.mark.parametrize("option", [["--theorem", "2"], ["--condition", "3"],
+                                    ["--B", "7"], ["--M", "1/9"],
+                                    ["--corrected-c4"]])
+def test_decay_rejects_condition_options(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--seed-max", "30", "--A", "1/2"] + option)
+    assert exc.value.code == 2
 
 
 def test_decay_deterministic(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from collatzlab.framework import ConditionId, ConditionParams, LambdaSpec
 from collatzlab.verifier import (
+    EngineRangeError,
     RangeSpec,
     condition_coverage,
     cross_check_simplified,
@@ -63,14 +64,44 @@ def test_cross_check_clean_and_counts():
     assert report.violations_total == 0
 
 
-def test_scalar_and_vector_engines_agree():
-    rng = RangeSpec.square(120)
-    scalar = verify_pseudocontraction(rng, engine="scalar")
-    vector = verify_pseudocontraction(rng, engine="vector")
+SWEEPS = {
+    "direct": lambda rng, **kw: verify_pseudocontraction(rng, bounds=False, **kw),
+    "bounds": verify_pseudocontraction,
+    "simplified": verify_simplified,
+    "cross": cross_check_simplified,
+    "mbound": lambda rng, **kw: m_bound_sweep(rng, Fraction(1), **kw),
+}
+
+PARITY_RANGES = {
+    "square": RangeSpec.square(120),
+    # only band and diagonal odd-odd cells this far out, and no coordinate 1
+    "offset": RangeSpec(999_960, 1_000_040, 999_960, 1_000_040),
+    "cases": RangeSpec(1, 90, 1, 90, frozenset(
+        {ParityCase.ONE_ODD, ParityCase.EVEN_EVEN, ParityCase.ODD_ODD})),
+}
+
+
+@pytest.mark.parametrize("where", PARITY_RANGES)
+@pytest.mark.parametrize("mode", SWEEPS)
+def test_scalar_and_vector_engines_agree(mode, where):
+    rng = PARITY_RANGES[where]
+    scalar = SWEEPS[mode](rng, engine="scalar")
+    vector = SWEEPS[mode](rng, engine="vector")
     assert scalar.engine == "scalar" and vector.engine == "vector"
     assert tally_view(scalar) == tally_view(vector)
-    assert scalar.violations == vector.violations
     assert scalar.pairs_checked == vector.pairs_checked
+    assert scalar.violations_total == vector.violations_total
+    assert scalar.violations == vector.violations
+    assert (scalar.violations_total > 0) == (mode == "mbound")
+
+
+def test_vector_engine_rejects_ranges_beyond_its_proof():
+    rng = RangeSpec.square(10**9 + 10, lo=10**9)
+    for jobs in (1, 2):
+        with pytest.raises(EngineRangeError):
+            verify_pseudocontraction(rng, engine="vector", jobs=jobs)
+    with pytest.raises(EngineRangeError):
+        verify_lemmas(rng, thetas=[-1], lambdas=[], engine="vector")
 
 
 def test_engines_agree_on_violations_too():
@@ -83,6 +114,15 @@ def test_engines_agree_on_violations_too():
     first = scalar.violations[0]
     assert (first.x, first.y) == (1, 3)  # zeta(1, 3) = 2 > 1, row-major first
     assert first.value == 2
+
+
+def test_m_bound_with_a_denominator_beyond_int64():
+    rng = RangeSpec.square(12)
+    tiny = Fraction(1, 10**20)
+    scalar = m_bound_sweep(rng, tiny, engine="scalar")
+    vector = m_bound_sweep(rng, tiny, engine="vector")
+    assert scalar.violations_total == vector.violations_total == 144
+    assert scalar.violations == vector.violations
 
 
 def test_m_bound_two_is_clean():
@@ -166,6 +206,21 @@ def test_lemma_sweep_engine_parity():
 def test_lemma_sweep_rejects_bad_lambda():
     with pytest.raises(ValueError):
         verify_lemmas(RangeSpec.square(10), thetas=[0], lambdas=[Fraction(3, 2)])
+
+
+def test_lemma_sweep_engine_label_names_what_ran():
+    # the blend lemma only vectorizes on squares with constant lambdas
+    half = [Fraction(1, 2)]
+    oblong = RangeSpec(1, 10, 1, 12)
+    assert verify_lemmas(oblong, [], half).engine == "scalar"
+    assert verify_lemmas(oblong, [-1], half).engine == "mixed"
+    assert verify_lemmas(oblong, [-1], []).engine == "vector"
+    assert verify_lemmas(oblong, [-1], half, engine="vector").engine == "mixed"
+    per_case = LambdaSpec(lambda x, y: Fraction(x % 2), "x mod 2")
+    square = RangeSpec.square(12)
+    assert verify_lemmas(square, [], [per_case]).engine == "scalar"
+    assert verify_lemmas(square, [-1], half).engine == "vector"
+    assert verify_lemmas(square, [-1], half, engine="scalar").engine == "scalar"
 
 
 # === condition coverage ===
