@@ -25,7 +25,6 @@ from .framework import ConditionId, ConditionParams, LambdaSpec
 from .verifier import (
     DEFAULT_SEARCH_BUDGET,
     ConditionCoverageReport,
-    EngineRangeError,
     LambdaSearchResult,
     RangeSpec,
     VerificationReport,
@@ -384,21 +383,18 @@ def cmd_verify(args) -> int:
             m_cap = parse_rational(args.M)
         except ValueError as e:
             raise UsageError(str(e)) from None
-    try:
-        if args.mode == "direct":
-            report = verify_pseudocontraction(rng, bounds=False, **kwargs)
-        elif args.mode == "bounds":
-            report = verify_pseudocontraction(rng, bounds=True, **kwargs)
-        elif args.mode == "simplified":
-            report = verify_simplified(rng, **kwargs)
-        elif args.mode == "cross":
-            report = cross_check_simplified(rng, **kwargs)
-        elif args.mode == "mbound":
-            report = m_bound_sweep(rng, m_cap, **kwargs)
-        else:  # pragma: no cover - argparse restricts choices
-            raise UsageError(f"unknown mode {args.mode!r}")
-    except EngineRangeError as e:
-        raise UsageError(f"{e}; use --engine auto or scalar") from None
+    if args.mode == "direct":
+        report = verify_pseudocontraction(rng, bounds=False, **kwargs)
+    elif args.mode == "bounds":
+        report = verify_pseudocontraction(rng, bounds=True, **kwargs)
+    elif args.mode == "simplified":
+        report = verify_simplified(rng, **kwargs)
+    elif args.mode == "cross":
+        report = cross_check_simplified(rng, **kwargs)
+    elif args.mode == "mbound":
+        report = m_bound_sweep(rng, m_cap, **kwargs)
+    else:  # pragma: no cover - argparse restricts choices
+        raise UsageError(f"unknown mode {args.mode!r}")
     doc = _verification_doc("verify", report, args.timings)
     if args.format == "json":
         out = _render_json(doc)
@@ -602,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "bounds", "mbound"), default="direct")
     p.add_argument("--M", default="2", help="cap for --mode mbound")
     p.add_argument("--engine", choices=("auto", "vector", "scalar"),
-                   default="auto")
+                   default="auto", help="auto and vector run the grid "
+                   "engine; scalar runs the per-pair reference")
     p.add_argument("--jobs", type=int, default=default_jobs,
                    help=f"parallel row blocks (env {ENV_JOBS})")
     p.add_argument("--violations-cap", type=int, default=100,

@@ -1,11 +1,10 @@
 """Exhaustive verification engines over finite pair ranges.
 
-Every sweep here is exact: the scalar engine uses Python integers and
-fractions end to end, and the vectorized engine (numpy int64) only runs
-after a proof, computed in exact integers, that no intermediate can leave
-the int64 range for the requested bounds. Reports over disjoint ranges
-merge associatively and commutatively, so partitioned runs reproduce the
-single-run report bit for bit.
+Every sweep here is exact: the grid engine (numpy) runs on int64 where a
+proof, computed in exact integers, shows no intermediate can leave the
+int64 range, and on Python integers beyond it; the scalar engine is the
+per-pair reference. Reports over disjoint ranges merge associatively and
+commutatively, so partitioned runs reproduce the single-run report.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import format_rational
+from .arith import WIDTH_LIMIT, check_width, format_rational
 from .collatz import DEFAULT_CAP, accel_T
 from .framework import (
     BRANCH_FIRST,
@@ -212,23 +211,14 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
         params=dict(a.params), max_violations=cap)
 
 
-class EngineRangeError(ValueError):
-    """The vector engine was requested for a range its int64 proof rejects."""
-
-
-def _int64_safe_pairs(rng: RangeSpec) -> bool:
-    """Exact-integer proof that every intermediate of the pair sweep fits
-    int64 for this range: all six weights lie in [-2, 2] and distances are
+def _pair_bound(rng: RangeSpec) -> int:
+    """Exact bound on the magnitude of every intermediate of the six-term
+    form over this range: all six weights lie in [-2, 2] and distances are
     bounded by the largest map image."""
     n = max(rng.x_max, rng.y_max)
     top = (3 * n + 1) // 2
     dist = max(n, top)
-    return 12 * dist * dist < INT64_HEADROOM
-
-
-def _check_vector_range(rng: RangeSpec, engine: str) -> None:
-    if engine == "vector" and not _int64_safe_pairs(rng):
-        raise EngineRangeError("range too large for the int64 vector engine")
+    return 12 * dist * dist
 
 
 def _sorted_cells(per_case: dict) -> dict:
@@ -294,16 +284,17 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
 
 # --- vectorized pair sweep -------------------------------------------------
 
-def _axis_parts(lo: int, hi: int) -> tuple:
-    """Along one axis: the values v, their reduced coordinates v >> 1 (k for
-    both v = 2k and v = 2k+1), their T-images and their parity class (0 for
-    1, 1 for even, 2 for odd >= 3, the order of CASE_ORDER)."""
-    v = np.arange(lo, hi + 1, dtype=np.int64)
+def _axis_parts(lo: int, hi: int, dtype, classes=(0, 1, 2)) -> tuple:
+    """Along one axis, the values v whose parity class (0 for 1, 1 for even,
+    2 for odd >= 3, the order of CASE_ORDER) is in `classes`, their reduced
+    coordinates v >> 1 (k for both v = 2k and v = 2k+1), T-images and class."""
+    v = np.arange(lo, hi + 1, dtype=dtype)
     is1 = v == 1
     even = (v & 1) == 0
     t = np.where(is1, 1, np.where(even, v >> 1, (3 * v + 1) >> 1))
     parity = np.where(is1, 0, np.where(even, 1, 2)).astype(np.int8)
-    return v, v >> 1, t, parity
+    keep = np.isin(parity, classes)
+    return tuple(a[keep] for a in (v, v >> 1, t, parity))
 
 
 @dataclass
@@ -321,18 +312,28 @@ class _Grid:
     cell: np.ndarray
     weights: tuple
 
-    def form(self, weights: Sequence) -> np.ndarray:
-        """The six-term form at every pair, with the given weight grids."""
+    def form(self, weights: Sequence, checked: bool = False) -> np.ndarray:
+        """The six-term form at every pair, with the given weight grids;
+        `checked` applies the width checks of the scalar lhs."""
         al, be, ga, de, ep, ze = weights
-        return (al * (self.tx - self.ty) ** 2 + be * (self.x - self.ty) ** 2
-                + ga * (self.tx - self.y) ** 2 + de * (self.x - self.y) ** 2
-                + ep * (self.x - self.tx) ** 2 + ze * (self.y - self.ty) ** 2)
+        if not checked:
+            return (al * (self.tx - self.ty) ** 2 + be * (self.x - self.ty) ** 2
+                    + ga * (self.tx - self.y) ** 2 + de * (self.x - self.y) ** 2
+                    + ep * (self.x - self.tx) ** 2 + ze * (self.y - self.ty) ** 2)
+        terms = [w * d ** 2 for w, d in zip(weights, (
+            self.tx - self.ty, self.x - self.ty, self.tx - self.y,
+            self.x - self.y, self.x - self.tx, self.y - self.ty))]
+        for t in terms:
+            check_width(int(np.abs(t).max(initial=0)), "six-term product")
+        total = sum(terms)
+        check_width(int(np.abs(total).max(initial=0)), "six-term sum")
+        return total
 
 
-def _grid(x0: int, x1: int, y0: int, y1: int) -> _Grid:
-    """The pairs [x0, x1] x [y0, y1] as one _Grid."""
-    x, k, tx, px = (a[:, None] for a in _axis_parts(x0, x1))
-    y, l, ty, py = (a[None, :] for a in _axis_parts(y0, y1))
+def _grid(xs: tuple, ys: tuple) -> _Grid:
+    """The pairs of two axes (as _axis_parts gives them) as one _Grid."""
+    x, k, tx, px = (a[:, None] for a in xs)
+    y, l, ty, py = (a[None, :] for a in ys)
     case = 3 * px + py
     cell = np.where(case == ODD_ODD, odd_odd_cell(k, l), case).astype(np.int8)
     return _Grid(x, tx, k, y, ty, l, cell, cell_weight_grids(cell, k, l))
@@ -341,28 +342,36 @@ def _grid(x0: int, x1: int, y0: int, y1: int) -> _Grid:
 def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                   found: _Findings,
                   progress: Optional[Callable[[int], None]]) -> tuple:
-    """numpy int64 sweep over row blocks; exact given _int64_safe_pairs."""
+    """Sweep over row blocks of the axis values the case filter admits, on
+    int64 where _pair_bound allows it and on Python ints in small blocks."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     # an integer weight exceeds M exactly when it exceeds floor(M)
     m_floor = m_cap.numerator // m_cap.denominator
     cells = [c for c, case in enumerate(CELL_CASES) if rng.admits(case)]
-    filtered = len(cells) < len(CELL_CASES)
+    cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
+    x_classes = sorted({c // 3 for c in cases})
+    y_classes = sorted({c % 3 for c in cases})
+    # a case set that is no product of axis classes needs a mask as well
+    masked = len(x_classes) * len(y_classes) > len(cases)
     bounds = np.array(CELL_BOUNDS, dtype=np.int8)
+    bound = _pair_bound(rng)
+    dtype = np.int64 if bound < INT64_HEADROOM else object
 
-    ncols = rng.y_max - rng.y_min + 1
-    block = max(1, (1 << 21) // ncols)
+    xs = _axis_parts(rng.x_min, rng.x_max, dtype, x_classes)
+    ys = _axis_parts(rng.y_min, rng.y_max, dtype, y_classes)
+    ncols = len(ys[0])
+    block = max(1, (1 << 21 if dtype is np.int64 else 1 << 12) // max(1, ncols))
     per_case: dict[str, CaseTally] = {}
     pairs = 0
-    done = 0
+    done = reported = 0
 
-    for x0 in range(rng.x_min, rng.x_max + 1, block):
-        x1 = min(x0 + block - 1, rng.x_max)
-        g = _grid(x0, x1, rng.y_min, rng.y_max)
+    for r0 in range(0, len(xs[0]), block):
+        g = _grid(tuple(a[r0:r0 + block] for a in xs), ys)
         shape = g.cell.shape
         counts = np.bincount(g.cell.ravel(), minlength=len(CELL_CASES))
-        direct = g.form(g.weights) if do_lhs else None
-        simp = np.zeros(shape, dtype=np.int64) if do_simp else None
+        direct = g.form(g.weights, bound > WIDTH_LIMIT) if do_lhs else None
+        simp = np.zeros(shape, dtype=dtype) if do_simp else None
 
         for c in cells:
             count = int(counts[c])
@@ -384,13 +393,13 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
             elif simp is not None:
                 tal.absorb_value(int(np.max(form)))
 
-        sel = np.isin(g.cell, cells) if filtered else None
+        sel = np.isin(g.cell, cells) if masked else None
 
         def flag(mask, check: str, values) -> None:
             if sel is not None:
                 mask &= sel
             found.add_mask(mask, lambda i, j: Violation(
-                x0 + i, rng.y_min + j, TALLY_KEYS[g.cell[i, j]],
+                int(g.x[i, 0]), int(g.y[0, j]), TALLY_KEYS[g.cell[i, j]],
                 QUANTITY_LABELS[check], int(values[i, j])))
 
         if CHECK_LHS in checks:
@@ -408,8 +417,9 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                 worst = np.maximum(worst, np.abs(w))
             flag(worst > m_floor, CHECK_MBOUND, worst)
 
-        done += (x1 - x0 + 1) * ncols
-        if progress is not None:
+        done += g.cell.size
+        if progress is not None and done - reported >= PROGRESS_STRIDE:
+            reported = done
             progress(done)
 
     return pairs, per_case
@@ -422,14 +432,12 @@ def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
                     progress: Optional[Callable[[int], None]] = None
                     ) -> VerificationReport:
     started = time.monotonic()
-    _check_vector_range(rng, engine)
     if jobs > 1:
         report = _parallel_pair_sweep(op, rng, checks, m_cap, engine,
                                       max_violations, jobs, progress)
         return replace(report,
                        elapsed_ms=int((time.monotonic() - started) * 1000))
-    use_vector = engine == "vector" or (
-        engine == "auto" and _int64_safe_pairs(rng))
+    use_vector = engine != "scalar"
     kernel = _sweep_vector if use_vector else _sweep_scalar
     found = _Findings(max_violations)
     pairs, per_case = kernel(rng, checks, m_cap, found, progress)
@@ -533,14 +541,6 @@ def _as_lambda_specs(lambdas: Iterable) -> list[LambdaSpec]:
     return out
 
 
-def _int64_safe_lemma2(rng: RangeSpec, max_den: int) -> bool:
-    n = max(rng.x_max, rng.y_max)
-    top = (3 * n + 1) // 2
-    dist = max(n, top)
-    # blended weight numerators are bounded by 2*max_den
-    return 12 * max_den * dist * dist < INT64_HEADROOM
-
-
 def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                   engine: str = "auto",
                   max_violations: int = DEFAULT_MAX_VIOLATIONS,
@@ -558,12 +558,11 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     Blend lemma: for each lambda and every pair in range, the six-term form
     evaluated with the blended weights must equal (1-lambda)*lhs(x, y) +
     lambda*lhs(y, x) exactly, and must be <= 0 (with the tabulated weights).
-    The blend runs vectorized only on squares of side <= 1500 with constant
-    lambdas. The report's engine names what ran: "vector" or "scalar", or
-    "mixed" when the two lemmas ran on different engines.
+    Unless engine is "scalar" the triangle-gap lemma runs vectorized, and so
+    does the blend on squares of side <= 1500 with constant lambdas that fit
+    int64. The report's engine names what ran: "vector", "scalar" or "mixed".
     """
     started = time.monotonic()
-    _check_vector_range(rng, engine)
     specs = _as_lambda_specs(lambdas)
     per_case: dict[str, CaseTally] = {}
     found = _Findings(max_violations)
@@ -572,7 +571,7 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
 
     lo, hi = rng.x_min, rng.x_max
     n_axis = hi - lo + 1
-    use_vector = engine != "scalar" and _int64_safe_pairs(rng)
+    use_vector = engine != "scalar"
 
     def note(key: str, count: int) -> None:
         nonlocal checks_done
@@ -594,7 +593,8 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
             continue
         engines_run.add("vector" if use_vector else "scalar")
         if use_vector:
-            v = np.arange(lo, hi + 1, dtype=np.int64)
+            # only differences enter, so offsets from lo stand in for x, y, z
+            v = np.arange(n_axis, dtype=np.int64)
             d2 = (v[:, None] - v[None, :]) ** 2
             # gap/|theta| scaled: negative theta flips to d(x,y)^2 <= 2*(sum)
             for i in range(n_axis):
@@ -624,11 +624,14 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                    if s.constant is not None), default=1)
     vector_ok = (use_vector and rng.is_square
                  and all(s.constant is not None for s in specs)
-                 and n_axis <= 1500 and _int64_safe_lemma2(rng, max_den))
+                 and n_axis <= 1500
+                 # blended weight numerators are bounded by 2*max_den
+                 and max_den * _pair_bound(rng) < INT64_HEADROOM)
     if specs:
         engines_run.add("vector" if vector_ok else "scalar")
     if vector_ok and specs:
-        g = _grid(lo, hi, lo, hi)
+        axis = _axis_parts(lo, hi, np.int64)
+        g = _grid(axis, axis)
         # Blending scales the weights past int8.
         w = tuple(a.astype(np.int64) for a in g.weights)
         direct = g.form(w)

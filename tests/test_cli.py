@@ -66,14 +66,33 @@ def test_verify_violations_cap_bounds_what_is_recorded(capsys):
     assert doc["violations_shown"] == len(doc["violations"]) == 20000
 
 
-def test_verify_forced_vector_engine_beyond_int64_is_usage_error(capsys):
-    for jobs in ("1", "2"):
-        code, out, err = run_cli(["verify", "--engine", "vector", "--min",
-                                  "1000000000", "--max", "1000000010",
-                                  "--allow-large", "--jobs", jobs], capsys)
-        assert code == 2
-        assert out == ""
-        assert "int64" in err
+def test_verify_engines_agree_beyond_int64(capsys):
+    docs = {}
+    for engine in ("vector", "scalar"):
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(["verify", "--engine", engine, "--min",
+                                    "1000000000", "--max", "1000000040",
+                                    "--mode", "mbound", "--M", "1",
+                                    "--allow-large", "--jobs", jobs,
+                                    "--format", "json"], capsys)
+            assert code == 1
+            doc = json.loads(out)
+            assert doc.pop("engine") == engine
+            docs[engine, jobs] = doc
+    assert docs["vector", "1"]["violations_total"] > 0
+    assert all(doc == docs["scalar", "1"] for doc in docs.values())
+
+
+@pytest.mark.parametrize("engine", ["auto", "scalar"])
+def test_verify_overflow_policy_beyond_127_bits(engine, capsys):
+    lo = 2**126
+    for mode, want in (("direct", 3), ("bounds", 3), ("cross", 3),
+                       ("simplified", 0), ("mbound", 0)):
+        code, _, err = run_cli(["verify", "--min", str(lo), "--max",
+                                str(lo + 3), "--allow-large", "--mode", mode,
+                                "--engine", engine], capsys)
+        assert code == want, mode
+        assert ("overflow" in err) == (want == 3), mode
 
 
 def test_verify_case_filter_and_csv(capsys):

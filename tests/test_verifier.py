@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from collatzlab.arith import OverflowLimitError
 from collatzlab.framework import ConditionId, ConditionParams, LambdaSpec
 from collatzlab.verifier import (
-    EngineRangeError,
     RangeSpec,
     condition_coverage,
     cross_check_simplified,
@@ -78,6 +78,13 @@ PARITY_RANGES = {
     "offset": RangeSpec(999_960, 1_000_040, 999_960, 1_000_040),
     "cases": RangeSpec(1, 90, 1, 90, frozenset(
         {ParityCase.ONE_ODD, ParityCase.EVEN_EVEN, ParityCase.ODD_ODD})),
+    # x in {1, even} by y odd: the grid sweeps only those axis values
+    "axes": RangeSpec(1, 90, 1, 90, frozenset(
+        {ParityCase.ONE_ODD, ParityCase.EVEN_ODD})),
+    # beyond the int64 proof: the grid engine runs on Python ints
+    "far": RangeSpec.square(10**15 + 60, lo=10**15),
+    # beyond the arith width bound: every block is width-checked
+    "wide": RangeSpec.square(2**62 + 40, lo=2**62),
 }
 
 
@@ -95,13 +102,11 @@ def test_scalar_and_vector_engines_agree(mode, where):
     assert (scalar.violations_total > 0) == (mode == "mbound")
 
 
-def test_vector_engine_rejects_ranges_beyond_its_proof():
-    rng = RangeSpec.square(10**9 + 10, lo=10**9)
-    for jobs in (1, 2):
-        with pytest.raises(EngineRangeError):
-            verify_pseudocontraction(rng, engine="vector", jobs=jobs)
-    with pytest.raises(EngineRangeError):
-        verify_lemmas(rng, thetas=[-1], lambdas=[], engine="vector")
+@pytest.mark.parametrize("engine", ["auto", "scalar"])
+def test_six_term_overflow_raises_on_both_engines(engine):
+    rng = RangeSpec.square(2**126 + 3, lo=2**126)
+    with pytest.raises(OverflowLimitError):
+        verify_pseudocontraction(rng, engine=engine)
 
 
 def test_engines_agree_on_violations_too():
@@ -221,6 +226,16 @@ def test_lemma_sweep_engine_label_names_what_ran():
     assert verify_lemmas(square, [], [per_case]).engine == "scalar"
     assert verify_lemmas(square, [-1], half).engine == "vector"
     assert verify_lemmas(square, [-1], half, engine="scalar").engine == "scalar"
+
+
+def test_triangle_gap_lemma_runs_vectorized_on_far_squares():
+    rng = RangeSpec.square(10**15 + 30, lo=10**15)
+    thetas = [Fraction(-5, 2), -1]
+    vector = verify_lemmas(rng, thetas, [], engine="vector")
+    scalar = verify_lemmas(rng, thetas, [], engine="scalar")
+    assert vector.engine == "vector"
+    assert tally_view(vector) == tally_view(scalar)
+    assert vector.violations_total == scalar.violations_total == 0
 
 
 # === condition coverage ===
