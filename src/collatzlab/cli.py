@@ -24,6 +24,7 @@ from .collatz import DEFAULT_CAP, stopping_time
 from .framework import ConditionId, ConditionParams, LambdaSpec
 from .verifier import (
     DEFAULT_SEARCH_BUDGET,
+    ENGINES,
     ConditionCoverageReport,
     LambdaSearchResult,
     RangeSpec,
@@ -597,11 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("direct", "simplified", "cross",
                                       "bounds", "mbound"), default="direct")
     p.add_argument("--M", default="2", help="cap for --mode mbound")
-    p.add_argument("--engine", choices=("auto", "vector", "scalar"),
+    p.add_argument("--engine", choices=ENGINES,
                    default="auto", help="auto and vector run the grid "
                    "engine; scalar runs the per-pair reference")
     p.add_argument("--jobs", type=int, default=default_jobs,
-                   help=f"parallel row blocks (env {ENV_JOBS})")
+                   help=f"threads for the grid engine's row blocks "
+                        f"(env {ENV_JOBS})")
     p.add_argument("--violations-cap", type=int, default=100,
                    help="max violations recorded and shown; the true total "
                         "is always reported")

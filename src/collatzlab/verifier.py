@@ -9,9 +9,11 @@ commutatively, so partitioned runs reproduce the single-run report.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -136,18 +138,35 @@ class _Findings:
         if len(self.kept) < self.cap:
             self.kept.append(v)
 
+    def add_counted(self, count: int, first: Iterable[Violation]) -> None:
+        """Count `count` violations, of which `first` yields the first ones."""
+        self.total += count
+        self.kept.extend(islice(first, max(0, self.cap - len(self.kept))))
+
     def add_mask(self, mask, make: Callable[[int, int], Violation]) -> None:
         """Count the entries a 2-d numpy mask flags and keep the first ones in
         row-major order, built by make(row, column)."""
-        count = int(np.count_nonzero(mask))
-        self.total += count
-        room = self.cap - len(self.kept)
-        if count and room > 0:
-            self.kept.extend(make(int(i), int(j))
-                             for i, j in np.argwhere(mask)[:room])
+        count, rows, cols = _first_flags(mask, self.cap - len(self.kept))
+        self.add_counted(count, (make(i, j) for i, j in
+                                 zip(rows.tolist(), cols.tolist())))
 
     def sorted(self) -> tuple:
         return tuple(sorted(self.kept, key=Violation.sort_key))
+
+
+def _first_flags(mask: np.ndarray, limit: int) -> tuple:
+    """How many entries a 2-d mask flags, and the row and column indices of
+    the first `limit` of them in row-major order. Indices are built only for
+    the rows that hold those, not for every flagged entry."""
+    per_row = np.cumsum(np.count_nonzero(mask, axis=1))
+    count = int(per_row[-1]) if len(per_row) else 0
+    limit = min(limit, count)
+    if limit <= 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return count, empty, empty
+    last = int(np.searchsorted(per_row, limit))
+    rows, cols = np.nonzero(mask[:last + 1])
+    return count, rows[:limit], cols[:limit]
 
 
 @dataclass
@@ -314,38 +333,155 @@ class _Grid:
 
     def form(self, weights: Sequence, checked: bool = False) -> np.ndarray:
         """The six-term form at every pair, with the given weight grids;
-        `checked` applies the width checks of the scalar lhs."""
-        al, be, ga, de, ep, ze = weights
-        if not checked:
-            return (al * (self.tx - self.ty) ** 2 + be * (self.x - self.ty) ** 2
-                    + ga * (self.tx - self.y) ** 2 + de * (self.x - self.y) ** 2
-                    + ep * (self.x - self.tx) ** 2 + ze * (self.y - self.ty) ** 2)
-        terms = [w * d ** 2 for w, d in zip(weights, (
-            self.tx - self.ty, self.x - self.ty, self.tx - self.y,
-            self.x - self.y, self.x - self.tx, self.y - self.ty))]
-        for t in terms:
-            check_width(int(np.abs(t).max(initial=0)), "six-term product")
-        total = sum(terms)
-        check_width(int(np.abs(total).max(initial=0)), "six-term sum")
+        `checked` applies the width checks of the scalar lhs. The terms are
+        built and summed in place, so at most two grids of the element type
+        are alive at once."""
+        total = None
+        for w, (a, b) in zip(weights, (
+                (self.tx, self.ty), (self.x, self.ty), (self.tx, self.y),
+                (self.x, self.y), (self.x, self.tx), (self.y, self.ty))):
+            term = a - b
+            term *= term
+            if term.shape == self.cell.shape:
+                term *= w
+            else:
+                term = term * w
+            if checked:
+                check_width(int(np.abs(term).max(initial=0)), "six-term product")
+            if total is None:
+                total = term
+            else:
+                total += term
+            del term  # free this term before the next one is allocated
+        if checked:
+            check_width(int(np.abs(total).max(initial=0)), "six-term sum")
         return total
 
 
 def _grid(xs: tuple, ys: tuple) -> _Grid:
-    """The pairs of two axes (as _axis_parts gives them) as one _Grid."""
+    """The pairs of two axes (as _axis_parts gives them) as one _Grid. The
+    odd-odd subcells are classified on the odd-odd rows and columns only."""
     x, k, tx, px = (a[:, None] for a in xs)
     y, l, ty, py = (a[None, :] for a in ys)
-    case = 3 * px + py
-    cell = np.where(case == ODD_ODD, odd_odd_cell(k, l), case).astype(np.int8)
+    cell = 3 * px + py
+    rows = np.flatnonzero(xs[3] == ODD_ODD // 3)
+    cols = np.flatnonzero(ys[3] == ODD_ODD % 3)
+    if len(rows) and len(cols):
+        cell[np.ix_(rows, cols)] = odd_odd_cell(xs[1][rows, None],
+                                                ys[1][None, cols])
     return _Grid(x, tx, k, y, ty, l, cell, cell_weight_grids(cell, k, l))
+
+
+# Pairs a sweep holds in flight: int64 blocks share PAIR_BLOCK among the
+# threads that run them at once. Python-int blocks hold the interpreter lock,
+# so they run one at a time on the calling thread.
+PAIR_BLOCK = 1 << 21
+OBJECT_BLOCK = 1 << 12
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int, blocks: int) -> int:
+    """Threads that run a sweep's blocks: `jobs`, bounded by the CPUs this
+    process may run on and by the number of blocks, and at least one."""
+    return max(1, min(jobs, _usable_cpus(), blocks))
+
+
+@dataclass
+class _Block:
+    """What one row block of a sweep found: its size, pairs and largest form
+    value per cell, and the number of flags with the x, y, cell, check and
+    value of the first ones in pair-major order."""
+
+    size: int
+    counts: np.ndarray
+    maxima: list
+    flagged: int
+    first: tuple
+
+
+def _sweep_block(g: _Grid, checks: Sequence[str], cells: Sequence[int],
+                 masked: bool, m_floor: int, checked: bool,
+                 cap: int) -> _Block:
+    """Run the checks on one block. It writes nothing outside the block, so
+    blocks can run on several threads at once."""
+    do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
+    do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
+    shape = g.cell.shape
+    counts = np.bincount(g.cell.ravel(), minlength=len(CELL_CASES))
+    direct = g.form(g.weights, checked) if do_lhs else None
+    simp = np.zeros(shape, dtype=g.x.dtype) if do_simp else None
+    maxima: list = [None] * len(CELL_CASES)
+
+    for c in cells:
+        if counts[c] == 0:
+            continue
+        mask = g.cell == c
+        if simp is not None:
+            form = CELL_FORMS[c](np.broadcast_to(g.k, shape)[mask],
+                                 np.broadcast_to(g.l, shape)[mask])
+            simp[mask] = form
+        if direct is not None:
+            maxima[c] = int(direct[mask].max())
+        elif simp is not None:
+            maxima[c] = int(np.max(form))
+
+    sel = np.isin(g.cell, cells) if masked else None
+    flagged = 0
+    at, kinds, values = [], [], []
+
+    def flag(mask, check: str, grid) -> None:
+        nonlocal flagged
+        if sel is not None:
+            mask &= sel
+        count, rows, cols = _first_flags(mask, cap)
+        flagged += count
+        at.append(rows * shape[1] + cols)
+        kinds.extend([check] * len(rows))
+        values.extend(grid[rows, cols].tolist())
+
+    if CHECK_LHS in checks:
+        flag(direct > 0, CHECK_LHS, direct)
+    if CHECK_BOUNDS in checks:
+        flag(direct > np.array(CELL_BOUNDS, dtype=np.int8)[g.cell],
+             CHECK_BOUNDS, direct)
+    if CHECK_SIMPLIFIED in checks:
+        flag(simp > 0, CHECK_SIMPLIFIED, simp)
+    if CHECK_CROSS in checks:
+        simp -= direct  # in place: no later check reads simp
+        flag(simp != 0, CHECK_CROSS, simp)
+    if CHECK_MBOUND in checks:
+        worst = np.abs(g.weights[0])
+        for w in g.weights[1:]:
+            worst = np.maximum(worst, np.abs(w))
+        flag(worst > m_floor, CHECK_MBOUND, worst)
+
+    # pair-major, and at one pair in the order the checks ran, as the
+    # scalar engine finds them
+    at = np.concatenate(at)
+    order = np.argsort(at, kind="stable")[:cap]
+    rows, cols = np.divmod(at[order], shape[1])
+    first = (g.x[rows, 0].tolist(), g.y[0, cols].tolist(),
+             g.cell[rows, cols].tolist(), [kinds[i] for i in order],
+             [values[i] for i in order])
+    return _Block(g.cell.size, counts, maxima, flagged, first)
 
 
 def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                   found: _Findings,
-                  progress: Optional[Callable[[int], None]]) -> tuple:
+                  progress: Optional[Callable[[int], None]],
+                  jobs: int = 1) -> tuple:
     """Sweep over row blocks of the axis values the case filter admits, on
-    int64 where _pair_bound allows it and on Python ints in small blocks."""
-    do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
-    do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
+    int64 where _pair_bound allows it and on Python ints in small blocks.
+
+    With jobs > 1, int64 blocks run on a thread pool (numpy releases the
+    interpreter lock in its integer loops) and the calling thread folds
+    their results in block order, so the report does not depend on jobs."""
     # an integer weight exceeds M exactly when it exceeds floor(M)
     m_floor = m_cap.numerator // m_cap.denominator
     cells = [c for c, case in enumerate(CELL_CASES) if rng.admits(case)]
@@ -354,75 +490,66 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     y_classes = sorted({c % 3 for c in cases})
     # a case set that is no product of axis classes needs a mask as well
     masked = len(x_classes) * len(y_classes) > len(cases)
-    bounds = np.array(CELL_BOUNDS, dtype=np.int8)
     bound = _pair_bound(rng)
     dtype = np.int64 if bound < INT64_HEADROOM else object
 
     xs = _axis_parts(rng.x_min, rng.x_max, dtype, x_classes)
     ys = _axis_parts(rng.y_min, rng.y_max, dtype, y_classes)
-    ncols = len(ys[0])
-    block = max(1, (1 << 21 if dtype is np.int64 else 1 << 12) // max(1, ncols))
+    nrows, ncols = len(xs[0]), len(ys[0])
+    workers = _worker_count(jobs, nrows) if dtype is np.int64 else 1
+    budget = PAIR_BLOCK // workers if dtype is np.int64 else OBJECT_BLOCK
+    block = max(1, budget // max(1, ncols))
+    starts = range(0, nrows, block)
+    workers = min(workers, len(starts))
+
+    def run(r0: int) -> _Block:
+        g = _grid(tuple(a[r0:r0 + block] for a in xs), ys)
+        return _sweep_block(g, checks, cells, masked, m_floor,
+                            bound > WIDTH_LIMIT, found.cap)
+
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
     per_case: dict[str, CaseTally] = {}
     pairs = 0
     done = reported = 0
-
-    for r0 in range(0, len(xs[0]), block):
-        g = _grid(tuple(a[r0:r0 + block] for a in xs), ys)
-        shape = g.cell.shape
-        counts = np.bincount(g.cell.ravel(), minlength=len(CELL_CASES))
-        direct = g.form(g.weights, bound > WIDTH_LIMIT) if do_lhs else None
-        simp = np.zeros(shape, dtype=dtype) if do_simp else None
-
-        for c in cells:
-            count = int(counts[c])
-            if count == 0:
-                continue
-            mask = g.cell == c
-            if simp is not None:
-                form = CELL_FORMS[c](np.broadcast_to(g.k, shape)[mask],
-                                     np.broadcast_to(g.l, shape)[mask])
-                simp[mask] = form
-            key = TALLY_KEYS[c]
-            tal = per_case.get(key)
-            if tal is None:
-                tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[c])
-            tal.pairs += count
-            pairs += count
-            if direct is not None:
-                tal.absorb_value(int(direct[mask].max()))
-            elif simp is not None:
-                tal.absorb_value(int(np.max(form)))
-
-        sel = np.isin(g.cell, cells) if masked else None
-
-        def flag(mask, check: str, values) -> None:
-            if sel is not None:
-                mask &= sel
-            found.add_mask(mask, lambda i, j: Violation(
-                int(g.x[i, 0]), int(g.y[0, j]), TALLY_KEYS[g.cell[i, j]],
-                QUANTITY_LABELS[check], int(values[i, j])))
-
-        if CHECK_LHS in checks:
-            flag(direct > 0, CHECK_LHS, direct)
-        if CHECK_BOUNDS in checks:
-            flag(direct > bounds[g.cell], CHECK_BOUNDS, direct)
-        if CHECK_SIMPLIFIED in checks:
-            flag(simp > 0, CHECK_SIMPLIFIED, simp)
-        if CHECK_CROSS in checks:
-            diff = simp - direct
-            flag(diff != 0, CHECK_CROSS, diff)
-        if CHECK_MBOUND in checks:
-            worst = np.abs(g.weights[0])
-            for w in g.weights[1:]:
-                worst = np.maximum(worst, np.abs(w))
-            flag(worst > m_floor, CHECK_MBOUND, worst)
-
-        done += g.cell.size
-        if progress is not None and done - reported >= PROGRESS_STRIDE:
-            reported = done
-            progress(done)
-
+    try:
+        # block results arrive in block order from either map
+        for b in (pool.map if pool else map)(run, starts):
+            for c in cells:
+                count = int(b.counts[c])
+                if count == 0:
+                    continue
+                key = TALLY_KEYS[c]
+                tal = per_case.get(key)
+                if tal is None:
+                    tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[c])
+                tal.pairs += count
+                pairs += count
+                if b.maxima[c] is not None:
+                    tal.absorb_value(b.maxima[c])
+            found.add_counted(b.flagged, (
+                Violation(x, y, TALLY_KEYS[cell], QUANTITY_LABELS[check], v)
+                for x, y, cell, check, v in zip(*b.first)))
+            done += b.size
+            if progress is not None and done - reported >= PROGRESS_STRIDE:
+                reported = done
+                progress(done)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return pairs, per_case
+
+
+ENGINES = ("auto", "vector", "scalar")
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of "
+                         + ", ".join(ENGINES))
 
 
 def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
@@ -431,53 +558,23 @@ def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
                     jobs: int = 1,
                     progress: Optional[Callable[[int], None]] = None
                     ) -> VerificationReport:
+    """One pair sweep. `jobs` threads the grid engine's int64 blocks; the
+    scalar engine, the per-pair reference, always runs serially."""
+    _check_engine(engine)
     started = time.monotonic()
-    if jobs > 1:
-        report = _parallel_pair_sweep(op, rng, checks, m_cap, engine,
-                                      max_violations, jobs, progress)
-        return replace(report,
-                       elapsed_ms=int((time.monotonic() - started) * 1000))
-    use_vector = engine != "scalar"
-    kernel = _sweep_vector if use_vector else _sweep_scalar
     found = _Findings(max_violations)
-    pairs, per_case = kernel(rng, checks, m_cap, found, progress)
+    if engine == "scalar":
+        pairs, per_case = _sweep_scalar(rng, checks, m_cap, found, progress)
+    else:
+        pairs, per_case = _sweep_vector(rng, checks, m_cap, found, progress,
+                                        jobs)
     return VerificationReport(
         op=op, rng=rng, pairs_checked=pairs, per_case=_sorted_cells(per_case),
         violations=found.sorted(), violations_total=found.total,
         elapsed_ms=int((time.monotonic() - started) * 1000),
-        engine="vector" if use_vector else "scalar",
+        engine="scalar" if engine == "scalar" else "vector",
         params={"checks": "+".join(checks), "M": format_rational(m_cap)},
         max_violations=max_violations)
-
-
-def _pair_sweep_worker(args) -> VerificationReport:
-    op, rng, checks, m_cap, engine, max_violations = args
-    return _run_pair_sweep(op, rng, checks, m_cap, engine, max_violations)
-
-
-def _parallel_pair_sweep(op, rng, checks, m_cap, engine, max_violations,
-                         jobs, progress) -> VerificationReport:
-    import multiprocessing
-
-    rows = rng.x_max - rng.x_min + 1
-    jobs = max(1, min(jobs, rows))
-    step = (rows + jobs - 1) // jobs
-    blocks = []
-    for x0 in range(rng.x_min, rng.x_max + 1, step):
-        x1 = min(x0 + step - 1, rng.x_max)
-        blocks.append((op, RangeSpec(x0, x1, rng.y_min, rng.y_max, rng.cases),
-                       tuple(checks), m_cap, engine, max_violations))
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_pair_sweep_worker, blocks)
-    merged = parts[0]
-    if progress is not None:
-        progress(merged.pairs_checked)
-    for part in parts[1:]:
-        merged = merge_reports(merged, part)
-        if progress is not None:
-            progress(merged.pairs_checked)
-    # The partition covers the full requested range exactly.
-    return replace(merged, rng=rng)
 
 
 def verify_pseudocontraction(rng: RangeSpec, *, bounds: bool = True,
@@ -562,6 +659,7 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     does the blend on squares of side <= 1500 with constant lambdas that fit
     int64. The report's engine names what ran: "vector", "scalar" or "mixed".
     """
+    _check_engine(engine)
     started = time.monotonic()
     specs = _as_lambda_specs(lambdas)
     per_case: dict[str, CaseTally] = {}

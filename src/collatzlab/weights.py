@@ -223,8 +223,10 @@ def cell_weights(cell: int, k, l) -> tuple:
 
 def cell_weight_grids(cell, k, l) -> tuple:
     """cell_weights elementwise: `cell` is a numpy array of cell indices and
-    k, l broadcast against it. Constant weights come back as int8 arrays."""
-    shift = np.where(cell == DIAGONAL, k - l, 0)
+    k, l broadcast against it. All six come back as int8 arrays: on the
+    diagonal cell |k - l| <= 1, so its offset is the sign of k - l."""
+    diag = cell == DIAGONAL
+    shift = (diag & (k > l)).view(np.int8) - (diag & (k < l)).view(np.int8)
     alpha, beta, gamma, delta, epsilon, zeta = _WEIGHT_COLUMNS[:, cell]
     return alpha, beta + shift, gamma - shift, delta, epsilon, zeta
 

@@ -88,11 +88,18 @@ def test_verify_overflow_policy_beyond_127_bits(engine, capsys):
     lo = 2**126
     for mode, want in (("direct", 3), ("bounds", 3), ("cross", 3),
                        ("simplified", 0), ("mbound", 0)):
-        code, _, err = run_cli(["verify", "--min", str(lo), "--max",
-                                str(lo + 3), "--allow-large", "--mode", mode,
-                                "--engine", engine], capsys)
+        args = ["verify", "--min", str(lo), "--max", str(lo + 3),
+                "--allow-large", "--mode", mode, "--engine", engine]
+        code, _, err = run_cli(args + ["--jobs", "1"], capsys)
         assert code == want, mode
         assert ("overflow" in err) == (want == 3), mode
+        # in a child process with a deadline, so that a sweep that never
+        # returns fails the test instead of hanging the suite
+        proc = subprocess.run([sys.executable, "-m", "collatzlab.cli"] + args
+                              + ["--jobs", "2"], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == want, mode
+        assert ("overflow" in proc.stderr) == (want == 3), mode
 
 
 def test_verify_case_filter_and_csv(capsys):

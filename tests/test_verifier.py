@@ -1,10 +1,14 @@
 """Sweep engines: pair sweeps (both engines), report merging, lemma sweeps,
 condition coverage, the lambda grid search and orbit decay."""
 
+import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from collatzlab import verifier
 from collatzlab.arith import OverflowLimitError
 from collatzlab.framework import ConditionId, ConditionParams, LambdaSpec
 from collatzlab.verifier import (
@@ -160,24 +164,122 @@ def test_merge_with_violations_is_order_insensitive():
     assert merge_reports(a, b).violations_total == whole.violations_total
 
 
-def test_parallel_jobs_match_single_job():
-    rng = RangeSpec.square(150)
-    single = verify_pseudocontraction(rng, jobs=1)
-    double = verify_pseudocontraction(rng, jobs=2)
-    assert tally_view(single) == tally_view(double)
-    assert single.violations == double.violations
-    assert single.rng == double.rng
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of a few rows on a pretend four-CPU host, so that small
+    squares cross many blocks and jobs > 1 starts threads. Returns the set
+    of threads that ran blocks."""
+    monkeypatch.setattr(verifier, "PAIR_BLOCK", 1 << 9)
+    monkeypatch.setattr(verifier, "OBJECT_BLOCK", 1 << 7)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 4)
+    threads = set()
+    real = verifier._sweep_block
+
+    def spy(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "_sweep_block", spy)
+    return threads
+
+
+def same_report(a, b):
+    return replace(a, elapsed_ms=0) == replace(b, elapsed_ms=0)
+
+
+def test_parallel_jobs_match_single_job(small_blocks):
+    # blocks hold at most 512 pairs, so the first one flags fewer than 700
+    # and the cap ends inside a later block
+    rng = RangeSpec.square(60)
+    single = m_bound_sweep(rng, Fraction(1), max_violations=700, jobs=1)
+    assert small_blocks == {threading.get_ident()}
+    small_blocks.clear()
+    double = m_bound_sweep(rng, Fraction(1), max_violations=700, jobs=2)
+    assert small_blocks and threading.get_ident() not in small_blocks
+    assert same_report(single, double)
+    assert len(double.violations) == 700 < double.violations_total
+    scalar = m_bound_sweep(rng, Fraction(1), max_violations=700,
+                           engine="scalar")
+    assert double.violations == scalar.violations
+
+
+THREADED_RANGES = {
+    "square": RangeSpec.square(70),
+    # a case set that is no product of axis classes: the grid masks it
+    "mask": RangeSpec(1, 70, 1, 70, frozenset(
+        {ParityCase.EVEN_ODD, ParityCase.ODD_EVEN})),
+    # Python-int blocks hold the interpreter lock: they stay serial
+    "far": RangeSpec.square(10**15 + 40, lo=10**15),
+}
+
+
+@pytest.mark.parametrize("where", THREADED_RANGES)
+@pytest.mark.parametrize("mode", SWEEPS)
+def test_threaded_blocks_match_serial(mode, where, small_blocks):
+    rng = THREADED_RANGES[where]
+    single = SWEEPS[mode](rng, jobs=1)
+    small_blocks.clear()
+    double = SWEEPS[mode](rng, jobs=2)
+    assert same_report(single, double)
+    assert (threading.get_ident() in small_blocks) == (where == "far")
+    assert len(small_blocks) >= 1
+
+
+def test_more_threads_than_cores_match_serial(small_blocks, monkeypatch):
+    # sixteen threads switching every microsecond on a 90-square of
+    # 512-pair blocks: a result folded out of order or lost shows
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 16)
+    rng = RangeSpec.square(90)
+    serial = m_bound_sweep(rng, Fraction(1), max_violations=1500, jobs=1)
+    small_blocks.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = m_bound_sweep(rng, Fraction(1), max_violations=1500,
+                                 jobs=16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert same_report(serial, threaded)
+    assert small_blocks and threading.get_ident() not in small_blocks
+
+
+def test_worker_count_is_bounded(monkeypatch):
+    assert verifier._usable_cpus() >= 1
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 4)
+    assert verifier._worker_count(10**9, 10**9) == 4
+    assert verifier._worker_count(10**9, 3) == 3
+    assert verifier._worker_count(2, 10**9) == 2
+    for jobs in (1, 0, -7):
+        assert verifier._worker_count(jobs, 100) == 1
+
+
+def test_jobs_below_one_behave_as_one():
+    rng = RangeSpec.square(40)
+    one = m_bound_sweep(rng, Fraction(1), jobs=1)
+    for jobs in (0, -3):
+        assert same_report(m_bound_sweep(rng, Fraction(1), jobs=jobs), one)
+
+
+def test_unknown_engine_is_rejected():
+    for engine in ("sclar", "vectr", "", "Vector"):
+        with pytest.raises(ValueError, match="engine"):
+            verify_pseudocontraction(RangeSpec.square(5), engine=engine)
+        with pytest.raises(ValueError, match="engine"):
+            verify_lemmas(RangeSpec.square(5), [-1], [Fraction(1, 2)],
+                          engine=engine)
 
 
 def test_merge_keeps_cell_order_sorted():
-    # the first odd-odd band pairs appear only at x >= 41, so the second
-    # block introduces cells that sort before cells the first block already
-    # has; the merged report must still list cells in sorted order
-    single = verify_pseudocontraction(RangeSpec.square(45), jobs=1)
-    split = verify_pseudocontraction(RangeSpec.square(45), jobs=2)
-    assert "odd-odd:high-band" in single.per_case
-    assert list(single.per_case) == sorted(single.per_case)
-    assert list(split.per_case) == list(single.per_case)
+    # the second row half introduces cells that sort before cells the first
+    # half already has; the merged report must still list cells in sorted order
+    whole = verify_pseudocontraction(RangeSpec.square(45))
+    top = verify_pseudocontraction(RangeSpec(1, 23, 1, 45))
+    bottom = verify_pseudocontraction(RangeSpec(24, 45, 1, 45))
+    new = set(bottom.per_case) - set(top.per_case)
+    assert new and min(new) < max(top.per_case)
+    merged = merge_reports(top, bottom)
+    assert list(merged.per_case) == list(whole.per_case) == sorted(whole.per_case)
+    assert tally_view(merged) == tally_view(whole)
 
 
 def test_range_validation():
