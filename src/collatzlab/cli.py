@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -545,7 +546,7 @@ def cmd_decay(args) -> int:
 
 def _add_common(sub, with_range=True):
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--output", default=os.environ.get(ENV_OUTPUT) or None,
+    sub.add_argument("--output", default=None,
                      help=f"write the report here (default stdout, env {ENV_OUTPUT})")
     sub.add_argument("--timings", action="store_true",
                      help="include elapsed_ms in JSON/CSV (breaks byte-for-byte "
@@ -587,10 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="collatzlab",
         description="Exact-arithmetic verification of the six-weight "
                     "contraction inequality on the Collatz maps.")
-    try:
-        default_jobs = int(os.environ.get(ENV_JOBS, "1") or 1)
-    except ValueError:
-        default_jobs = 1
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("verify", help="pair sweeps of the weighted inequality")
@@ -601,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES,
                    default="auto", help="auto and vector run the grid "
                    "engine; scalar runs the per-pair reference")
-    p.add_argument("--jobs", type=int, default=default_jobs,
+    p.add_argument("--jobs", type=int, default=None,
                    help=f"threads for the grid engine's row blocks "
                         f"(env {ENV_JOBS})")
     p.add_argument("--violations-cap", type=int, default=100,
@@ -658,9 +655,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first main() call."""
+    return build_parser()
+
+
+def _env_jobs() -> int:
+    try:
+        return int(os.environ.get(ENV_JOBS, "1") or 1)
+    except ValueError:
+        return 1
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # environment defaults are read per call; explicit options win
+    if args.output is None:
+        args.output = os.environ.get(ENV_OUTPUT) or None
+    if getattr(args, "jobs", 1) is None:
+        args.jobs = _env_jobs()
     try:
         return args.fn(args)
     except UsageError as e:

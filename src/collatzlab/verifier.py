@@ -1,9 +1,14 @@
 """Exhaustive verification engines over finite pair ranges.
 
-Every sweep here is exact: the grid engine (numpy) runs on int64 where a
+Every sweep here is exact. The grid engine (numpy) runs on int64 where a
 proof, computed in exact integers, shows no intermediate can leave the
-int64 range, and on Python integers beyond it; the scalar engine is the
-per-pair reference. Reports over disjoint ranges merge associatively and
+int64 range (_pair_bound). Beyond it, far ranges still run on int64: with
+each pair's weights fixed at its true cell, every form is a quadratic in the
+range base K, evaluated at K = 0, 1 and 2 and compared through its
+coefficients, which an exact guard on K makes decisive (_far_base). Python
+integers serve only coordinates from 2^58 up, ranges that fail the guard
+and ranges past the arith width limit. The scalar engine is the per-pair
+reference. Reports over disjoint ranges merge associatively and
 commutatively, so partitioned runs reproduce the single-run report.
 """
 
@@ -233,7 +238,9 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
 def _pair_bound(rng: RangeSpec) -> int:
     """Exact bound on the magnitude of every intermediate of the six-term
     form over this range: all six weights lie in [-2, 2] and distances are
-    bounded by the largest map image."""
+    bounded by the largest map image. Below 2^62 the grid engine evaluates
+    the forms at the pairs on int64; a range at or beyond it is far, and
+    runs on int64 in the base (_far_base) or on Python ints."""
     n = max(rng.x_max, rng.y_max)
     top = (3 * n + 1) // 2
     dist = max(n, top)
@@ -303,6 +310,45 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
 
 # --- vectorized pair sweep -------------------------------------------------
 
+# A far range (_pair_bound at least 2^62) runs on int64 only below this
+# coordinate, where the gates 11k - 10l + 1 that place odd-odd pairs in their
+# cells still fit, and only when its base passes the guard of _far_base.
+FAR_INT64_LIMIT = 2**58
+FAR_GUARD = 1024
+
+
+def _far_base(rng: RangeSpec, scale: int = 1) -> int:
+    """The base K at which a far range runs on int64, or 0 where it cannot.
+
+    Write every coordinate as v = 2(K + j) + r with K = min(x_min, y_min) // 2,
+    r in {0, 1} and 0 <= j <= J, J the largest shifted reduced coordinate;
+    let S = J + 1. With the weights fixed at each pair's true cell, T(v) is
+    K + j or 3(K + j) + 2, so each of the six distances is p*K + q with
+    |p| <= 2 and |q| <= 3J + 2 <= 3S, and twice the six-term form is
+    2F = A*K^2 + B*K + C. With weights of magnitude at most 2*scale (scale is
+    the blend lemma's largest lambda denominator, else 1), |B| <= 288*scale*S
+    and |C| <= 216*scale*S^2. No coordinate of such a range is 1, and the
+    closed forms of the other cells (the diagonal's k - l = j - i is at most
+    1 in magnitude) give |B| <= 48S and |C| <= 48S^2.
+
+    A quadratic A*K^2 + B*K + C' with integer coefficients has the sign of
+    its first nonzero coefficient once K > |B| + |C'|. The widest such bound
+    the sweeps need is for the difference of two six-term values (per-cell
+    maxima, and the blend identity): 2*scale*(288S + 216S^2) <= 1008*scale*S^2.
+    A bound check adds at most |2t| = 16, a cross check pairs one six-term
+    and one closed form. So K > FAR_GUARD * scale * S^2 makes every
+    comparison the lexicographic one of the coefficients. The forms are then
+    evaluated with K replaced by 0, 1 and 2: coordinates stay below 2S + 4
+    and T-images below 8S, so every value is below 768*scale*S^2 < K < 2^57.
+    """
+    top = max(rng.x_max, rng.y_max)
+    base = min(rng.x_min, rng.y_min) // 2
+    span = top // 2 - base + 1
+    if top >= FAR_INT64_LIMIT or base <= FAR_GUARD * scale * span * span:
+        return 0
+    return base
+
+
 def _axis_parts(lo: int, hi: int, dtype, classes=(0, 1, 2)) -> tuple:
     """Along one axis, the values v whose parity class (0 for 1, 1 for even,
     2 for odd >= 3, the order of CASE_ORDER) is in `classes`, their reduced
@@ -316,60 +362,171 @@ def _axis_parts(lo: int, hi: int, dtype, classes=(0, 1, 2)) -> tuple:
     return tuple(a[keep] for a in (v, v >> 1, t, parity))
 
 
+def _shift_axis(parts: tuple, d: int) -> tuple:
+    """Axis parts with every reduced coordinate k moved to k - d and the
+    T-images given by the branch formula, k for even values and 3k + 2 for
+    odd ones; no value of a far range is 1."""
+    v, k, _, parity = parts
+    k = k - d
+    return v - 2 * d, k, np.where(parity == 2, 3 * k + 2, k), parity
+
+
+@dataclass
+class _Form:
+    """Exact values of a form over a block of pairs.
+
+    Without a base, `coefs` is one array: the values. With a base K (a far
+    range on int64, see _far_base) it is (A, B, C), where the value at every
+    pair is F = (A*K^2 + B*K + C) / 2; the guard on K makes every comparison
+    the lexicographic one of the coefficients, and exact values are worked
+    out in Python ints only for what a report records."""
+
+    coefs: tuple
+    base: int = 0
+
+    @classmethod
+    def at_points(cls, values: Sequence, base: int) -> "_Form":
+        """The form taking `values` at a grid's evaluation points: its own
+        pairs, or with base K, those pairs with K moved to 0, 1 and 2."""
+        if len(values) == 1:
+            return cls((values[0],), base)
+        f0, f1, f2 = values
+        return cls((f0 - 2 * f1 + f2, 4 * f1 - 3 * f0 - f2, 2 * f0), base)
+
+    def _exact(self, coefs: Sequence) -> int:
+        if len(coefs) == 1:
+            return int(coefs[0])
+        a, b, c = (int(v) for v in coefs)
+        return ((a * self.base + b) * self.base + c) // 2
+
+    def exceeds(self, t):
+        """Mask of the pairs whose value is above t, a number or a grid."""
+        if len(self.coefs) == 1:
+            return self.coefs[0] > t
+        a, b, c = self.coefs
+        return (a > 0) | ((a == 0) & ((b > 0) | ((b == 0) & (c > 2 * t))))
+
+    def nonzero(self):
+        mask = self.coefs[0] != 0
+        for g in self.coefs[1:]:
+            mask |= g != 0
+        return mask
+
+    def __sub__(self, other: "_Form") -> "_Form":
+        return _Form(tuple(p - q for p, q in zip(self.coefs, other.coefs)),
+                     self.base)
+
+    def __isub__(self, other: "_Form") -> "_Form":
+        for p, q in zip(self.coefs, other.coefs):
+            p -= q
+        return self
+
+    def put(self, mask, form: "_Form") -> None:
+        """Write a form given on the pairs `mask` selects into this one."""
+        for p, q in zip(self.coefs, form.coefs):
+            p[mask] = q
+
+    def max(self, mask=None) -> int:
+        """The largest value over the pairs `mask` selects (all if None)."""
+        rest = [g if mask is None else g[mask] for g in self.coefs]
+        top = [np.max(rest[0])]
+        while len(rest) > 1:
+            keep = rest[0] == top[-1]
+            rest = [g[keep] for g in rest[1:]]
+            top.append(rest[0].max())
+        return self._exact(top)
+
+    def value(self, i, j) -> int:
+        return self._exact([g[i, j] for g in self.coefs])
+
+    def values(self, rows, cols) -> list:
+        if len(self.coefs) == 1:
+            return self.coefs[0][rows, cols].tolist()
+        return [self._exact(c) for c in
+                zip(*(g[rows, cols].tolist() for g in self.coefs))]
+
+
 @dataclass
 class _Grid:
     """A block of pairs with x down the rows and y across the columns: the
-    coordinates, T-images and reduced coordinates as broadcastable column
-    and row vectors, and the report cell and six weights of every pair."""
+    coordinates as a column and a row vector, the report cell and six weights
+    of every pair, and the points at which forms are evaluated, each one
+    (x, T(x), k) as column and (y, T(y), l) as row vectors. Without a base
+    the one point is the pairs themselves; with base K > 0 there are three,
+    the pairs with K moved to 0, 1 and 2."""
 
     x: np.ndarray
-    tx: np.ndarray
-    k: np.ndarray
     y: np.ndarray
-    ty: np.ndarray
-    l: np.ndarray
     cell: np.ndarray
     weights: tuple
+    points: tuple
+    base: int = 0
 
-    def form(self, weights: Sequence, checked: bool = False) -> np.ndarray:
+    def form(self, weights: Sequence, checked: bool = False) -> _Form:
         """The six-term form at every pair, with the given weight grids;
         `checked` applies the width checks of the scalar lhs. The terms are
         built and summed in place, so at most two grids of the element type
-        are alive at once."""
-        total = None
-        for w, (a, b) in zip(weights, (
-                (self.tx, self.ty), (self.x, self.ty), (self.tx, self.y),
-                (self.x, self.y), (self.x, self.tx), (self.y, self.ty))):
-            term = a - b
-            term *= term
-            if term.shape == self.cell.shape:
-                term *= w
-            else:
-                term = term * w
+        are alive at once per point."""
+        values = []
+        for x, tx, _, y, ty, _ in self.points:
+            total = None
+            for w, (a, b) in zip(weights, ((tx, ty), (x, ty), (tx, y),
+                                           (x, y), (x, tx), (y, ty))):
+                term = a - b
+                term *= term
+                if term.shape == self.cell.shape:
+                    term *= w
+                else:
+                    term = term * w
+                if checked:
+                    check_width(int(np.abs(term).max(initial=0)),
+                                "six-term product")
+                if total is None:
+                    total = term
+                else:
+                    total += term
+                del term  # free this term before the next one is allocated
             if checked:
-                check_width(int(np.abs(term).max(initial=0)), "six-term product")
-            if total is None:
-                total = term
-            else:
-                total += term
-            del term  # free this term before the next one is allocated
-        if checked:
-            check_width(int(np.abs(total).max(initial=0)), "six-term sum")
-        return total
+                check_width(int(np.abs(total).max(initial=0)), "six-term sum")
+            values.append(total)
+        return _Form.at_points(values, self.base)
+
+    def closed_form(self, cell: int, mask) -> _Form:
+        """CELL_FORMS[cell] on the pairs `mask` selects, as 1-d arrays (a
+        number for the constant form of 1-1, which no far range reaches).
+        Point s has k and l of point 0 plus s."""
+        _, _, k, _, _, l = self.points[0]
+        k = np.broadcast_to(k, self.cell.shape)[mask]
+        l = np.broadcast_to(l, self.cell.shape)[mask]
+        form = CELL_FORMS[cell]
+        return _Form.at_points([form(k + s, l + s) if s else form(k, l)
+                                for s in range(len(self.points))], self.base)
+
+    def zeros(self) -> _Form:
+        return _Form(tuple(np.zeros(self.cell.shape, dtype=self.x.dtype)
+                           for _ in self.points), self.base)
 
 
-def _grid(xs: tuple, ys: tuple) -> _Grid:
-    """The pairs of two axes (as _axis_parts gives them) as one _Grid. The
-    odd-odd subcells are classified on the odd-odd rows and columns only."""
-    x, k, tx, px = (a[:, None] for a in xs)
-    y, l, ty, py = (a[None, :] for a in ys)
+def _grid(xs: tuple, ys: tuple, base: int = 0) -> _Grid:
+    """The pairs of two axes (as _axis_parts gives them) as one _Grid, with
+    cells and weights from the true coordinates and, for base > 0, the forms
+    evaluated with the base moved to 0, 1 and 2. The odd-odd subcells are
+    classified on the odd-odd rows and columns only."""
+    x, k, _, px = (a[:, None] for a in xs)
+    y, l, _, py = (a[None, :] for a in ys)
     cell = 3 * px + py
     rows = np.flatnonzero(xs[3] == ODD_ODD // 3)
     cols = np.flatnonzero(ys[3] == ODD_ODD % 3)
     if len(rows) and len(cols):
         cell[np.ix_(rows, cols)] = odd_odd_cell(xs[1][rows, None],
                                                 ys[1][None, cols])
-    return _Grid(x, tx, k, y, ty, l, cell, cell_weight_grids(cell, k, l))
+    at = [(xs, ys)] if not base else [
+        (_shift_axis(xs, base - s), _shift_axis(ys, base - s))
+        for s in range(3)]
+    points = tuple((ax[0][:, None], ax[2][:, None], ax[1][:, None],
+                    ay[0][None, :], ay[2][None, :], ay[1][None, :])
+                   for ax, ay in at)
+    return _Grid(x, y, cell, cell_weight_grids(cell, k, l), points, base)
 
 
 # Pairs a sweep holds in flight: int64 blocks share PAIR_BLOCK among the
@@ -415,7 +572,7 @@ def _sweep_block(g: _Grid, checks: Sequence[str], cells: Sequence[int],
     shape = g.cell.shape
     counts = np.bincount(g.cell.ravel(), minlength=len(CELL_CASES))
     direct = g.form(g.weights, checked) if do_lhs else None
-    simp = np.zeros(shape, dtype=g.x.dtype) if do_simp else None
+    simp = g.zeros() if do_simp else None
     maxima: list = [None] * len(CELL_CASES)
 
     for c in cells:
@@ -423,19 +580,18 @@ def _sweep_block(g: _Grid, checks: Sequence[str], cells: Sequence[int],
             continue
         mask = g.cell == c
         if simp is not None:
-            form = CELL_FORMS[c](np.broadcast_to(g.k, shape)[mask],
-                                 np.broadcast_to(g.l, shape)[mask])
-            simp[mask] = form
+            form = g.closed_form(c, mask)
+            simp.put(mask, form)
         if direct is not None:
-            maxima[c] = int(direct[mask].max())
+            maxima[c] = direct.max(mask)
         elif simp is not None:
-            maxima[c] = int(np.max(form))
+            maxima[c] = form.max()
 
     sel = np.isin(g.cell, cells) if masked else None
     flagged = 0
     at, kinds, values = [], [], []
 
-    def flag(mask, check: str, grid) -> None:
+    def flag(mask, check: str, form: _Form) -> None:
         nonlocal flagged
         if sel is not None:
             mask &= sel
@@ -443,23 +599,23 @@ def _sweep_block(g: _Grid, checks: Sequence[str], cells: Sequence[int],
         flagged += count
         at.append(rows * shape[1] + cols)
         kinds.extend([check] * len(rows))
-        values.extend(grid[rows, cols].tolist())
+        values.extend(form.values(rows, cols))
 
     if CHECK_LHS in checks:
-        flag(direct > 0, CHECK_LHS, direct)
+        flag(direct.exceeds(0), CHECK_LHS, direct)
     if CHECK_BOUNDS in checks:
-        flag(direct > np.array(CELL_BOUNDS, dtype=np.int8)[g.cell],
+        flag(direct.exceeds(np.array(CELL_BOUNDS, dtype=np.int8)[g.cell]),
              CHECK_BOUNDS, direct)
     if CHECK_SIMPLIFIED in checks:
-        flag(simp > 0, CHECK_SIMPLIFIED, simp)
+        flag(simp.exceeds(0), CHECK_SIMPLIFIED, simp)
     if CHECK_CROSS in checks:
         simp -= direct  # in place: no later check reads simp
-        flag(simp != 0, CHECK_CROSS, simp)
+        flag(simp.nonzero(), CHECK_CROSS, simp)
     if CHECK_MBOUND in checks:
         worst = np.abs(g.weights[0])
         for w in g.weights[1:]:
             worst = np.maximum(worst, np.abs(w))
-        flag(worst > m_floor, CHECK_MBOUND, worst)
+        flag(worst > m_floor, CHECK_MBOUND, _Form((worst,)))
 
     # pair-major, and at one pair in the order the checks ran, as the
     # scalar engine finds them
@@ -476,12 +632,14 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                   found: _Findings,
                   progress: Optional[Callable[[int], None]],
                   jobs: int = 1) -> tuple:
-    """Sweep over row blocks of the axis values the case filter admits, on
-    int64 where _pair_bound allows it and on Python ints in small blocks.
+    """Sweep over row blocks of the axis values the case filter admits.
 
-    With jobs > 1, int64 blocks run on a thread pool (numpy releases the
-    interpreter lock in its integer loops) and the calling thread folds
-    their results in block order, so the report does not depend on jobs."""
+    Where _pair_bound allows it, blocks run on int64 at the pairs themselves,
+    and with jobs > 1 on a thread pool (numpy releases the interpreter lock
+    in its integer loops); the calling thread folds their results in block
+    order, so the report does not depend on jobs. Far ranges run in small
+    blocks on the calling thread: on int64 as quadratics in the base K where
+    _far_base allows it, and on Python ints otherwise."""
     # an integer weight exceeds M exactly when it exceeds floor(M)
     m_floor = m_cap.numerator // m_cap.denominator
     cells = [c for c, case in enumerate(CELL_CASES) if rng.admits(case)]
@@ -491,19 +649,21 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     # a case set that is no product of axis classes needs a mask as well
     masked = len(x_classes) * len(y_classes) > len(cases)
     bound = _pair_bound(rng)
-    dtype = np.int64 if bound < INT64_HEADROOM else object
+    near = bound < INT64_HEADROOM
+    base = 0 if near else _far_base(rng)
+    dtype = np.int64 if near or base else object
 
     xs = _axis_parts(rng.x_min, rng.x_max, dtype, x_classes)
     ys = _axis_parts(rng.y_min, rng.y_max, dtype, y_classes)
     nrows, ncols = len(xs[0]), len(ys[0])
-    workers = _worker_count(jobs, nrows) if dtype is np.int64 else 1
-    budget = PAIR_BLOCK // workers if dtype is np.int64 else OBJECT_BLOCK
+    workers = _worker_count(jobs, nrows) if near else 1
+    budget = PAIR_BLOCK // workers if near else OBJECT_BLOCK
     block = max(1, budget // max(1, ncols))
     starts = range(0, nrows, block)
     workers = min(workers, len(starts))
 
     def run(r0: int) -> _Block:
-        g = _grid(tuple(a[r0:r0 + block] for a in xs), ys)
+        g = _grid(tuple(a[r0:r0 + block] for a in xs), ys, base)
         return _sweep_block(g, checks, cells, masked, m_floor,
                             bound > WIDTH_LIMIT, found.cap)
 
@@ -656,8 +816,10 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     evaluated with the blended weights must equal (1-lambda)*lhs(x, y) +
     lambda*lhs(y, x) exactly, and must be <= 0 (with the tabulated weights).
     Unless engine is "scalar" the triangle-gap lemma runs vectorized, and so
-    does the blend on squares of side <= 1500 with constant lambdas that fit
-    int64. The report's engine names what ran: "vector", "scalar" or "mixed".
+    does the blend on squares of side <= 1500 with constant lambdas: on
+    int64 where max_den * _pair_bound fits, and beyond that as quadratics in
+    the base where _far_base, scaled by max_den, allows it. The report's
+    engine names what ran: "vector", "scalar" or "mixed".
     """
     _check_engine(engine)
     started = time.monotonic()
@@ -722,14 +884,18 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                    if s.constant is not None), default=1)
     vector_ok = (use_vector and rng.is_square
                  and all(s.constant is not None for s in specs)
-                 and n_axis <= 1500
-                 # blended weight numerators are bounded by 2*max_den
-                 and max_den * _pair_bound(rng) < INT64_HEADROOM)
+                 and n_axis <= 1500)
+    base = 0
+    # blended weight numerators are bounded by 2*max_den
+    if vector_ok and max_den * _pair_bound(rng) >= INT64_HEADROOM:
+        base = _far_base(rng, max_den)
+        vector_ok = base > 0
     if specs:
         engines_run.add("vector" if vector_ok else "scalar")
     if vector_ok and specs:
         axis = _axis_parts(lo, hi, np.int64)
-        g = _grid(axis, axis)
+        # one axis, so one base: the mirrors (.T) line up on far squares too
+        g = _grid(axis, axis, base)
         # Blending scales the weights past int8.
         w = tuple(a.astype(np.int64) for a in g.weights)
         direct = g.form(w)
@@ -745,13 +911,14 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
             # The identity scaled by q: blended weights (q-p)*w + p*mirror.
             co = q - p
             left = g.form([co * a + p * b for a, b in zip(w, mirrored)])
-            right = co * direct + p * direct.T
+            right = _Form(tuple(co * d + p * d.T for d in direct.coefs), base)
+            diff = left - right
             for mask, key, quantity, values in (
-                    (left != right, ikey, "lemma2-identity", left - right),
-                    (left > 0, nkey, "lemma2-positive", left)):
+                    (diff.nonzero(), ikey, "lemma2-identity", diff),
+                    (left.exceeds(0), nkey, "lemma2-positive", left)):
                 found.add_mask(mask, lambda i, j: Violation(
                     lo + i, lo + j, key, quantity,
-                    Fraction(int(values[i, j]), q)))
+                    Fraction(values.value(i, j), q)))
             if progress is not None:
                 progress(checks_done)
     else:

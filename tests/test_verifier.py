@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from collatzlab import verifier
+from collatzlab import verifier, weights
 from collatzlab.arith import OverflowLimitError
 from collatzlab.framework import ConditionId, ConditionParams, LambdaSpec
 from collatzlab.verifier import (
@@ -23,7 +23,7 @@ from collatzlab.verifier import (
     verify_pseudocontraction,
     verify_simplified,
 )
-from collatzlab.weights import ParityCase
+from collatzlab.weights import CASE_ORDER, ParityCase
 
 LAM0 = LambdaSpec.const(0)
 LAM1 = LambdaSpec.const(1)
@@ -85,8 +85,17 @@ PARITY_RANGES = {
     # x in {1, even} by y odd: the grid sweeps only those axis values
     "axes": RangeSpec(1, 90, 1, 90, frozenset(
         {ParityCase.ONE_ODD, ParityCase.EVEN_ODD})),
-    # beyond the int64 proof: the grid engine runs on Python ints
+    # beyond the int64 proof: int64 as quadratics in the range base
     "far": RangeSpec.square(10**15 + 60, lo=10**15),
+    # just beyond the int64 proof, where the base is smallest
+    "edge": RangeSpec.square(6 * 10**8 + 60, lo=6 * 10**8),
+    # far, with a case set that is no product of axis classes
+    "far-mask": RangeSpec.square(10**12 + 70, lo=10**12, cases={
+        ParityCase.EVEN_ODD, ParityCase.ODD_EVEN, ParityCase.ODD_ODD}),
+    # the largest coordinates the base runs on int64
+    "top": RangeSpec.square(2**58 - 1, lo=2**58 - 40),
+    # axes far apart fail the guard on the base: Python ints
+    "apart": RangeSpec(10**9, 10**9 + 40, 10**15, 10**15 + 40),
     # beyond the arith width bound: every block is width-checked
     "wide": RangeSpec.square(2**62 + 40, lo=2**62),
 }
@@ -269,6 +278,97 @@ def test_unknown_engine_is_rejected():
                           engine=engine)
 
 
+@pytest.fixture
+def block_grids(monkeypatch):
+    """The grid of every block a sweep runs."""
+    grids = []
+    real = verifier._sweep_block
+
+    def spy(g, *args):
+        grids.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(verifier, "_sweep_block", spy)
+    return grids
+
+
+def grid_path(g):
+    if g.x.dtype == object:
+        return "python-int"
+    return "int64-base" if g.base else "int64"
+
+
+@pytest.mark.parametrize("where, path", [
+    ("square", "int64"), ("offset", "int64"), ("far", "int64-base"),
+    ("edge", "int64-base"), ("far-mask", "int64-base"), ("top", "int64-base"),
+    ("apart", "python-int"), ("wide", "python-int")])
+def test_each_range_takes_its_path(where, path, block_grids):
+    verify_simplified(PARITY_RANGES[where])
+    assert block_grids and {grid_path(g) for g in block_grids} == {path}
+
+
+@pytest.fixture
+def wrong_forms(monkeypatch):
+    """Closed forms that are off, for both engines, since far sweeps of the
+    true forms flag nothing. In the base K of a far range the errors are
+    quadratic (even-even: k*l - 1, which also makes the form positive where
+    k > l), linear (even-odd: (k - l)(k - 2l), with no constant term where
+    the shifted k is twice the shifted l) and constant (odd-even:
+    (k - l)(k - l + 1)), so each coefficient is checked on its own."""
+    forms = list(weights.CELL_FORMS)
+    for case, error in (
+            (ParityCase.EVEN_EVEN, lambda k, l: k * l - 1),
+            (ParityCase.EVEN_ODD, lambda k, l: (k - l) * (k - 2 * l)),
+            (ParityCase.ODD_EVEN, lambda k, l: (k - l) * (k - l + 1))):
+        cell = CASE_ORDER.index(case)
+        forms[cell] = (lambda right, error: lambda k, l:
+                       right(k, l) + error(k, l))(forms[cell], error)
+    monkeypatch.setattr(weights, "CELL_FORMS", tuple(forms))
+    monkeypatch.setattr(verifier, "CELL_FORMS", tuple(forms))
+
+
+@pytest.mark.parametrize("mode", ["simplified", "cross"])
+def test_far_flags_and_values_match_scalar(mode, wrong_forms,
+                                           small_blocks):
+    # 128-pair blocks flag fewer than 150, so the cap ends in a later block
+    rng = RangeSpec.square(10**15 + 40, lo=10**15)
+    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=150)
+    grid = SWEEPS[mode](rng, max_violations=150)
+    assert same_report(grid, replace(scalar, engine="vector"))
+    assert len(grid.violations) == 150 < grid.violations_total
+    # recorded values are worked out from the base K = 5 * 10^14
+    assert max(abs(v.value) for v in grid.violations) > 10**14
+
+
+@pytest.mark.parametrize("mode", SWEEPS)
+def test_far_evaluation_at_its_guard(mode, wrong_forms, monkeypatch,
+                                     block_grids):
+    # every range counts as far here; the base K = 16385 of this 8-square
+    # (largest shifted k 3) is the least the guard K > 1024 * 4^2 admits
+    monkeypatch.setattr(verifier, "INT64_HEADROOM", 1)
+    rng = RangeSpec.square(32777, lo=32770)
+    assert verifier._far_base(rng) == 16385
+    assert verifier._far_base(RangeSpec.square(32775, lo=32768)) == 0
+    scalar = SWEEPS[mode](rng, engine="scalar")
+    grid = SWEEPS[mode](rng)
+    assert {grid_path(g) for g in block_grids} == {"int64-base"}
+    assert same_report(grid, replace(scalar, engine="vector"))
+
+
+def test_far_base_needs_coordinates_below_two_to_the_58():
+    assert verifier._far_base(PARITY_RANGES["top"]) == (2**58 - 40) // 2
+    assert verifier._far_base(RangeSpec.square(2**58, lo=2**58 - 40)) == 0
+
+
+def test_closed_forms_are_quadratic_along_the_diagonal():
+    # a far sweep moves k and l together and reads every closed form as a
+    # polynomial of degree <= 2 in that shift, from three values
+    for form in weights.CELL_FORMS:
+        for k, l in ((3, 5), (40, 7), (9, 9), (10, 11), (100, 300)):
+            f = [form(k + s, l + s) for s in range(4)]
+            assert f[3] - 3 * f[2] + 3 * f[1] - f[0] == 0
+
+
 def test_merge_keeps_cell_order_sorted():
     # the second row half introduces cells that sort before cells the first
     # half already has; the merged report must still list cells in sorted order
@@ -338,6 +438,18 @@ def test_triangle_gap_lemma_runs_vectorized_on_far_squares():
     assert vector.engine == "vector"
     assert tally_view(vector) == tally_view(scalar)
     assert vector.violations_total == scalar.violations_total == 0
+
+
+@pytest.mark.parametrize("lo", [10**12, 10**15])
+def test_blend_lemma_runs_vectorized_on_far_squares(lo):
+    # plain int64 would wrap on both; at 10^12 the wrapped forms turn positive
+    rng = RangeSpec.square(lo + 40, lo=lo)
+    lambdas = [Fraction(1, 2), Fraction(1, 3)]
+    vector = verify_lemmas(rng, [], lambdas)
+    scalar = verify_lemmas(rng, [], lambdas, engine="scalar")
+    assert vector.engine == "vector"
+    assert same_report(vector, replace(scalar, engine="vector"))
+    assert vector.pairs_checked == 4 * 41 * 41
 
 
 # === condition coverage ===
