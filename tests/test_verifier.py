@@ -1,14 +1,15 @@
 """Sweep engines: pair sweeps (both engines), report merging, lemma sweeps,
 condition coverage, the lambda grid search and orbit decay."""
 
-import sys
-import threading
+import json
+import os
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from collatzlab import verifier, weights
+from collatzlab import cli, verifier, weights
 from collatzlab.arith import OverflowLimitError
 from collatzlab.framework import ConditionId, ConditionParams, LambdaSpec
 from collatzlab.verifier import (
@@ -23,7 +24,7 @@ from collatzlab.verifier import (
     verify_pseudocontraction,
     verify_simplified,
 )
-from collatzlab.weights import CASE_ORDER, ParityCase
+from collatzlab.weights import CASE_ORDER, DIAGONAL, ParityCase
 
 LAM0 = LambdaSpec.const(0)
 LAM1 = LambdaSpec.const(1)
@@ -33,6 +34,10 @@ REMARK = ConditionParams(LAM0, Fraction(1, 2), Fraction(2), Fraction(2))
 
 def tally_view(report):
     return {k: (t.pairs, t.max_lhs, t.bound) for k, t in report.per_case.items()}
+
+
+def same_report(a, b):
+    return replace(a, elapsed_ms=0) == replace(b, elapsed_ms=0)
 
 
 # === pair sweeps ===
@@ -82,22 +87,26 @@ PARITY_RANGES = {
     "offset": RangeSpec(999_960, 1_000_040, 999_960, 1_000_040),
     "cases": RangeSpec(1, 90, 1, 90, frozenset(
         {ParityCase.ONE_ODD, ParityCase.EVEN_EVEN, ParityCase.ODD_ODD})),
-    # x in {1, even} by y odd: the grid sweeps only those axis values
+    # x in {1, even} by y odd: only those row and column classes run
     "axes": RangeSpec(1, 90, 1, 90, frozenset(
         {ParityCase.ONE_ODD, ParityCase.EVEN_ODD})),
-    # beyond the int64 proof: int64 as quadratics in the range base
     "far": RangeSpec.square(10**15 + 60, lo=10**15),
-    # just beyond the int64 proof, where the base is smallest
     "edge": RangeSpec.square(6 * 10**8 + 60, lo=6 * 10**8),
-    # far, with a case set that is no product of axis classes
+    # far, with a case set that is no product of row and column classes
     "far-mask": RangeSpec.square(10**12 + 70, lo=10**12, cases={
         ParityCase.EVEN_ODD, ParityCase.ODD_EVEN, ParityCase.ODD_ODD}),
-    # the largest coordinates the base runs on int64
     "top": RangeSpec.square(2**58 - 1, lo=2**58 - 40),
-    # axes far apart fail the guard on the base: Python ints
+    # rows far from the columns: every odd-odd pair is high-deep
     "apart": RangeSpec(10**9, 10**9 + 40, 10**15, 10**15 + 40),
-    # beyond the arith width bound: every block is width-checked
+    # beyond the arith width bound: the direct form is width-checked
     "wide": RangeSpec.square(2**62 + 40, lo=2**62),
+    # k from 18 to 80 against l up to 199: odd-odd rows cross both gates,
+    # so all five odd-odd cells and the band edges occur
+    "gates": RangeSpec(37, 161, 1, 400),
+    # one column, odd
+    "column": RangeSpec(1, 300, 77, 77),
+    # odd y_min and even y_max: the first and last column classes differ
+    "odd-even": RangeSpec(20, 110, 33, 150),
 }
 
 
@@ -108,11 +117,24 @@ def test_scalar_and_vector_engines_agree(mode, where):
     scalar = SWEEPS[mode](rng, engine="scalar")
     vector = SWEEPS[mode](rng, engine="vector")
     assert scalar.engine == "scalar" and vector.engine == "vector"
-    assert tally_view(scalar) == tally_view(vector)
-    assert scalar.pairs_checked == vector.pairs_checked
-    assert scalar.violations_total == vector.violations_total
-    assert scalar.violations == vector.violations
+    assert same_report(vector, replace(scalar, engine="vector"))
     assert (scalar.violations_total > 0) == (mode == "mbound")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x0=st.sampled_from([1, 2, 3, 50, 10**6, 10**12]),
+       y0=st.sampled_from([1, 2, 3, 50, 10**6, 10**12]),
+       dx=st.integers(0, 30), dy=st.integers(0, 30),
+       x_shift=st.integers(0, 40), y_shift=st.integers(0, 40),
+       cases=st.none() | st.frozensets(st.sampled_from(CASE_ORDER), min_size=1),
+       mode=st.sampled_from(sorted(SWEEPS)), cap=st.integers(0, 60))
+def test_engines_agree_on_random_rectangles(x0, y0, dx, dy, x_shift, y_shift,
+                                            cases, mode, cap):
+    lo_x, lo_y = x0 + x_shift, y0 + y_shift
+    rng = RangeSpec(lo_x, lo_x + dx, lo_y, lo_y + dy, cases)
+    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=cap)
+    interval = SWEEPS[mode](rng, max_violations=cap)
+    assert same_report(interval, replace(scalar, engine="vector"))
 
 
 @pytest.mark.parametrize("engine", ["auto", "scalar"])
@@ -173,100 +195,69 @@ def test_merge_with_violations_is_order_insensitive():
     assert merge_reports(a, b).violations_total == whole.violations_total
 
 
-@pytest.fixture
-def small_blocks(monkeypatch):
-    """Blocks of a few rows on a pretend four-CPU host, so that small
-    squares cross many blocks and jobs > 1 starts threads. Returns the set
-    of threads that ran blocks."""
-    monkeypatch.setattr(verifier, "PAIR_BLOCK", 1 << 9)
-    monkeypatch.setattr(verifier, "OBJECT_BLOCK", 1 << 7)
-    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 4)
-    threads = set()
-    real = verifier._sweep_block
-
-    def spy(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(verifier, "_sweep_block", spy)
-    return threads
+def verify_cli(tmp_path, name, *args):
+    """Exit code and report bytes of one `collatzlab verify` call."""
+    out = tmp_path / name
+    code = cli.main(["verify", *args, "--format", "json",
+                     "--output", str(out)])
+    return code, out.read_bytes()
 
 
-def same_report(a, b):
-    return replace(a, elapsed_ms=0) == replace(b, elapsed_ms=0)
-
-
-def test_parallel_jobs_match_single_job(small_blocks):
-    # blocks hold at most 512 pairs, so the first one flags fewer than 700
-    # and the cap ends inside a later block
-    rng = RangeSpec.square(60)
-    single = m_bound_sweep(rng, Fraction(1), max_violations=700, jobs=1)
-    assert small_blocks == {threading.get_ident()}
-    small_blocks.clear()
-    double = m_bound_sweep(rng, Fraction(1), max_violations=700, jobs=2)
-    assert small_blocks and threading.get_ident() not in small_blocks
-    assert same_report(single, double)
-    assert len(double.violations) == 700 < double.violations_total
-    scalar = m_bound_sweep(rng, Fraction(1), max_violations=700,
-                           engine="scalar")
-    assert double.violations == scalar.violations
+def test_parallel_jobs_match_single_job(tmp_path):
+    # --jobs is accepted and ignored: under a 700 cap that ends inside row
+    # 17, two jobs give the bytes of one, and the scalar engine's flags
+    args = ("--max", "60", "--mode", "mbound", "--M", "1",
+            "--violations-cap", "700")
+    single = verify_cli(tmp_path, "1.json", *args, "--jobs", "1")
+    assert single == verify_cli(tmp_path, "2.json", *args, "--jobs", "2")
+    code, scalar = verify_cli(tmp_path, "s.json", *args, "--engine", "scalar")
+    doc, reference = json.loads(single[1]), json.loads(scalar)
+    assert code == single[0] == 1
+    assert doc["violations"] == reference["violations"]
+    assert len(doc["violations"]) == 700 < doc["violations_total"]
+    assert ends_mid_row(m_bound_sweep(RangeSpec.square(60), Fraction(1),
+                                      max_violations=10**6), 700)
 
 
 THREADED_RANGES = {
-    "square": RangeSpec.square(70),
-    # a case set that is no product of axis classes: the grid masks it
-    "mask": RangeSpec(1, 70, 1, 70, frozenset(
-        {ParityCase.EVEN_ODD, ParityCase.ODD_EVEN})),
-    # Python-int blocks hold the interpreter lock: they stay serial
-    "far": RangeSpec.square(10**15 + 40, lo=10**15),
+    "square": ("--max", "70"),
+    # a case set that is no product of row and column classes
+    "mask": ("--max", "70", "--case", "even-odd", "--case", "odd-even"),
+    "far": ("--min", str(10**15), "--max", str(10**15 + 40), "--allow-large"),
 }
 
 
 @pytest.mark.parametrize("where", THREADED_RANGES)
 @pytest.mark.parametrize("mode", SWEEPS)
-def test_threaded_blocks_match_serial(mode, where, small_blocks):
-    rng = THREADED_RANGES[where]
-    single = SWEEPS[mode](rng, jobs=1)
-    small_blocks.clear()
-    double = SWEEPS[mode](rng, jobs=2)
-    assert same_report(single, double)
-    assert (threading.get_ident() in small_blocks) == (where == "far")
-    assert len(small_blocks) >= 1
+def test_threaded_blocks_match_serial(mode, where, tmp_path):
+    # every sweep runs in one thread whatever --jobs says: in each mode two
+    # jobs give the bytes and exit code of one
+    args = (*THREADED_RANGES[where], "--mode", mode, "--M", "1")
+    single = verify_cli(tmp_path, "1.json", *args, "--jobs", "1")
+    assert single == verify_cli(tmp_path, "2.json", *args, "--jobs", "2")
+    assert single[0] == (1 if mode == "mbound" else 0)
 
 
-def test_more_threads_than_cores_match_serial(small_blocks, monkeypatch):
-    # sixteen threads switching every microsecond on a 90-square of
-    # 512-pair blocks: a result folded out of order or lost shows
-    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 16)
-    rng = RangeSpec.square(90)
-    serial = m_bound_sweep(rng, Fraction(1), max_violations=1500, jobs=1)
-    small_blocks.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = m_bound_sweep(rng, Fraction(1), max_violations=1500,
-                                 jobs=16)
-    finally:
-        sys.setswitchinterval(interval)
-    assert same_report(serial, threaded)
-    assert small_blocks and threading.get_ident() not in small_blocks
+def test_more_threads_than_cores_match_serial(tmp_path):
+    # more jobs than this machine has CPUs, under a cap that ends mid-row
+    args = ("--max", "90", "--mode", "mbound", "--M", "1",
+            "--violations-cap", "1500")
+    jobs = str((os.cpu_count() or 1) + 1)
+    serial = verify_cli(tmp_path, "1.json", *args, "--jobs", "1")
+    assert serial == verify_cli(tmp_path, "n.json", *args, "--jobs", jobs)
+    full = m_bound_sweep(RangeSpec.square(90), Fraction(1),
+                         max_violations=10**6)
+    assert ends_mid_row(full, 1500)
+    doc = json.loads(serial[1])
+    assert len(doc["violations"]) == 1500
+    assert doc["violations_total"] == full.violations_total
 
 
-def test_worker_count_is_bounded(monkeypatch):
-    assert verifier._usable_cpus() >= 1
-    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 4)
-    assert verifier._worker_count(10**9, 10**9) == 4
-    assert verifier._worker_count(10**9, 3) == 3
-    assert verifier._worker_count(2, 10**9) == 2
-    for jobs in (1, 0, -7):
-        assert verifier._worker_count(jobs, 100) == 1
-
-
-def test_jobs_below_one_behave_as_one():
-    rng = RangeSpec.square(40)
-    one = m_bound_sweep(rng, Fraction(1), jobs=1)
-    for jobs in (0, -3):
-        assert same_report(m_bound_sweep(rng, Fraction(1), jobs=jobs), one)
+def test_jobs_below_one_behave_as_one(tmp_path):
+    args = ("--max", "40", "--mode", "mbound", "--M", "1")
+    one = verify_cli(tmp_path, "1.json", *args, "--jobs", "1")
+    for jobs in ("0", "-3"):
+        assert verify_cli(tmp_path, f"{jobs}.json", *args, "--jobs", jobs) == one
 
 
 def test_unknown_engine_is_rejected():
@@ -279,42 +270,12 @@ def test_unknown_engine_is_rejected():
 
 
 @pytest.fixture
-def block_grids(monkeypatch):
-    """The grid of every block a sweep runs."""
-    grids = []
-    real = verifier._sweep_block
-
-    def spy(g, *args):
-        grids.append(g)
-        return real(g, *args)
-
-    monkeypatch.setattr(verifier, "_sweep_block", spy)
-    return grids
-
-
-def grid_path(g):
-    if g.x.dtype == object:
-        return "python-int"
-    return "int64-base" if g.base else "int64"
-
-
-@pytest.mark.parametrize("where, path", [
-    ("square", "int64"), ("offset", "int64"), ("far", "int64-base"),
-    ("edge", "int64-base"), ("far-mask", "int64-base"), ("top", "int64-base"),
-    ("apart", "python-int"), ("wide", "python-int")])
-def test_each_range_takes_its_path(where, path, block_grids):
-    verify_simplified(PARITY_RANGES[where])
-    assert block_grids and {grid_path(g) for g in block_grids} == {path}
-
-
-@pytest.fixture
 def wrong_forms(monkeypatch):
-    """Closed forms that are off, for both engines, since far sweeps of the
-    true forms flag nothing. In the base K of a far range the errors are
-    quadratic (even-even: k*l - 1, which also makes the form positive where
-    k > l), linear (even-odd: (k - l)(k - 2l), with no constant term where
-    the shifted k is twice the shifted l) and constant (odd-even:
-    (k - l)(k - l + 1)), so each coefficient is checked on its own."""
+    """Closed forms that are off, for both engines, since sweeps of the true
+    forms flag nothing. Along l the errors are linear (even-even: k*l - 1,
+    which also makes the form positive where k > l) and quadratic (even-odd:
+    (k - l)(k - 2l); odd-even: (k - l)(k - l + 1)), and each vanishes
+    somewhere, so flagged ranges have ends inside intervals."""
     forms = list(weights.CELL_FORMS)
     for case, error in (
             (ParityCase.EVEN_EVEN, lambda k, l: k * l - 1),
@@ -327,46 +288,92 @@ def wrong_forms(monkeypatch):
     monkeypatch.setattr(verifier, "CELL_FORMS", tuple(forms))
 
 
+def ends_mid_row(report, cap):
+    """Whether the first `cap` flags of a report end inside a row."""
+    return report.violations[cap - 1].x == report.violations[cap].x
+
+
 @pytest.mark.parametrize("mode", ["simplified", "cross"])
-def test_far_flags_and_values_match_scalar(mode, wrong_forms,
-                                           small_blocks):
-    # 128-pair blocks flag fewer than 150, so the cap ends in a later block
+def test_far_flags_and_values_match_scalar(mode, wrong_forms):
     rng = RangeSpec.square(10**15 + 40, lo=10**15)
+    assert ends_mid_row(SWEEPS[mode](rng, engine="scalar",
+                                     max_violations=10**6), 150)
     scalar = SWEEPS[mode](rng, engine="scalar", max_violations=150)
-    grid = SWEEPS[mode](rng, max_violations=150)
-    assert same_report(grid, replace(scalar, engine="vector"))
-    assert len(grid.violations) == 150 < grid.violations_total
-    # recorded values are worked out from the base K = 5 * 10^14
-    assert max(abs(v.value) for v in grid.violations) > 10**14
+    interval = SWEEPS[mode](rng, max_violations=150)
+    assert same_report(interval, replace(scalar, engine="vector"))
+    assert len(interval.violations) == 150 < interval.violations_total
+    assert max(abs(v.value) for v in interval.violations) > 10**14
 
 
 @pytest.mark.parametrize("mode", SWEEPS)
-def test_far_evaluation_at_its_guard(mode, wrong_forms, monkeypatch,
-                                     block_grids):
-    # every range counts as far here; the base K = 16385 of this 8-square
-    # (largest shifted k 3) is the least the guard K > 1024 * 4^2 admits
-    monkeypatch.setattr(verifier, "INT64_HEADROOM", 1)
+def test_far_evaluation_at_its_guard(mode, wrong_forms):
+    # an 8-square at 32770 (k from 16385, l up to 16388): rows where the
+    # wrong even-even form turns positive as l passes k, and the least range
+    # the old int64 base-K evaluation admitted
     rng = RangeSpec.square(32777, lo=32770)
-    assert verifier._far_base(rng) == 16385
-    assert verifier._far_base(RangeSpec.square(32775, lo=32768)) == 0
     scalar = SWEEPS[mode](rng, engine="scalar")
-    grid = SWEEPS[mode](rng)
-    assert {grid_path(g) for g in block_grids} == {"int64-base"}
-    assert same_report(grid, replace(scalar, engine="vector"))
+    interval = SWEEPS[mode](rng)
+    assert same_report(interval, replace(scalar, engine="vector"))
+    assert (interval.violations_total > 0) == (mode not in ("direct",
+                                                            "bounds"))
 
 
-def test_far_base_needs_coordinates_below_two_to_the_58():
-    assert verifier._far_base(PARITY_RANGES["top"]) == (2**58 - 40) // 2
-    assert verifier._far_base(RangeSpec.square(2**58, lo=2**58 - 40)) == 0
+@pytest.mark.parametrize("where", PARITY_RANGES)
+@pytest.mark.parametrize("mode", ["simplified", "cross"])
+def test_wrong_forms_match_scalar(mode, where, wrong_forms):
+    rng = PARITY_RANGES[where]
+    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=150)
+    interval = SWEEPS[mode](rng, max_violations=150)
+    assert same_report(interval, replace(scalar, engine="vector"))
 
 
-def test_closed_forms_are_quadratic_along_the_diagonal():
-    # a far sweep moves k and l together and reads every closed form as a
-    # polynomial of degree <= 2 in that shift, from three values
-    for form in weights.CELL_FORMS:
-        for k, l in ((3, 5), (40, 7), (9, 9), (10, 11), (100, 300)):
-            f = [form(k + s, l + s) for s in range(4)]
-            assert f[3] - 3 * f[2] + 3 * f[1] - f[0] == 0
+@pytest.mark.parametrize("cap", [3, 150, 10**5])
+@pytest.mark.parametrize("mode", SWEEPS)
+def test_wrong_forms_match_scalar_on_a_near_rectangle(mode, cap, wrong_forms):
+    rng = PARITY_RANGES["gates"]
+    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=cap)
+    interval = SWEEPS[mode](rng, max_violations=cap)
+    assert same_report(interval, replace(scalar, engine="vector"))
+    assert (interval.violations_total > 0) == (mode not in ("direct",
+                                                            "bounds"))
+    if interval.violations_total > cap:
+        full = SWEEPS[mode](rng, engine="scalar", max_violations=10**6)
+        assert ends_mid_row(full, cap)
+
+
+def test_closed_forms_are_quadratic_in_l_off_the_diagonal():
+    # the interval engine reads every closed form but the diagonal's as a
+    # quadratic in l at fixed k, from three values
+    for cell, form in enumerate(weights.CELL_FORMS):
+        if cell == DIAGONAL or cell in (0, 3, 6):  # diagonal, or y = 1
+            continue
+        for k in ((None,) if cell < 3 else (1, 7, 40, 10**6)):
+            for l in (1, 5, 39, 10**9):
+                f = [form(k, l + s) for s in range(4)]
+                assert f[3] - 3 * f[2] + 3 * f[1] - f[0] == 0
+
+
+def test_a_closed_form_cubic_in_l_raises(monkeypatch):
+    forms = list(weights.CELL_FORMS)
+    cell = CASE_ORDER.index(ParityCase.EVEN_EVEN)
+    forms[cell] = (lambda right: lambda k, l:
+                   right(k, l) + l ** 3)(forms[cell])
+    monkeypatch.setattr(verifier, "CELL_FORMS", tuple(forms))
+    for sweep in (verify_simplified, cross_check_simplified):
+        with pytest.raises(ValueError, match="not quadratic"):
+            sweep(RangeSpec.square(20))
+
+
+def test_odd_odd_spans_match_the_classifier():
+    for k in range(1, 90):
+        spans = list(verifier._odd_odd_spans(k, 1, 120))
+        assert [lo for _, lo, _ in spans] == [1] + [
+            hi + 1 for _, _, hi in spans[:-1]]
+        assert spans[-1][2] == 120
+        for cell, lo, hi in spans:
+            assert all(weights.odd_odd_cell(k, l) == cell
+                       for l in range(lo, hi + 1))
+            assert cell != DIAGONAL or lo == hi
 
 
 def test_merge_keeps_cell_order_sorted():
@@ -416,16 +423,17 @@ def test_lemma_sweep_rejects_bad_lambda():
 
 
 def test_lemma_sweep_engine_label_names_what_ran():
-    # the blend lemma only vectorizes on squares with constant lambdas
+    # the blend lemma runs on intervals wherever every lambda is constant
     half = [Fraction(1, 2)]
     oblong = RangeSpec(1, 10, 1, 12)
-    assert verify_lemmas(oblong, [], half).engine == "scalar"
-    assert verify_lemmas(oblong, [-1], half).engine == "mixed"
+    assert verify_lemmas(oblong, [], half).engine == "vector"
+    assert verify_lemmas(oblong, [-1], half).engine == "vector"
     assert verify_lemmas(oblong, [-1], []).engine == "vector"
-    assert verify_lemmas(oblong, [-1], half, engine="vector").engine == "mixed"
+    assert verify_lemmas(oblong, [-1], half, engine="vector").engine == "vector"
     per_case = LambdaSpec(lambda x, y: Fraction(x % 2), "x mod 2")
     square = RangeSpec.square(12)
     assert verify_lemmas(square, [], [per_case]).engine == "scalar"
+    assert verify_lemmas(square, [-1], [per_case]).engine == "mixed"
     assert verify_lemmas(square, [-1], half).engine == "vector"
     assert verify_lemmas(square, [-1], half, engine="scalar").engine == "scalar"
 
@@ -440,16 +448,46 @@ def test_triangle_gap_lemma_runs_vectorized_on_far_squares():
     assert vector.violations_total == scalar.violations_total == 0
 
 
+BLEND_LAMBDAS = [0, Fraction(1, 3), Fraction(1, 2), 1]
+
+
 @pytest.mark.parametrize("lo", [10**12, 10**15])
 def test_blend_lemma_runs_vectorized_on_far_squares(lo):
-    # plain int64 would wrap on both; at 10^12 the wrapped forms turn positive
     rng = RangeSpec.square(lo + 40, lo=lo)
-    lambdas = [Fraction(1, 2), Fraction(1, 3)]
-    vector = verify_lemmas(rng, [], lambdas)
-    scalar = verify_lemmas(rng, [], lambdas, engine="scalar")
+    vector = verify_lemmas(rng, [], BLEND_LAMBDAS)
+    scalar = verify_lemmas(rng, [], BLEND_LAMBDAS, engine="scalar")
     assert vector.engine == "vector"
     assert same_report(vector, replace(scalar, engine="vector"))
-    assert vector.pairs_checked == 4 * 41 * 41
+    assert vector.pairs_checked == 8 * 41 * 41
+
+
+@pytest.mark.parametrize("rng", [RangeSpec.square(60), RangeSpec(1, 40, 1, 70),
+                                 RangeSpec(31, 70, 5, 44)],
+                         ids=["square", "rectangle", "offset"])
+def test_blend_lemma_matches_scalar(rng):
+    vector = verify_lemmas(rng, [], BLEND_LAMBDAS)
+    scalar = verify_lemmas(rng, [], BLEND_LAMBDAS, engine="scalar")
+    assert vector.engine == "vector"
+    assert same_report(vector, replace(scalar, engine="vector"))
+
+
+def test_blend_lemma_flags_match_scalar(monkeypatch):
+    # delta = +1 on even-even makes those forms positive, so the
+    # nonpositivity check flags, with values, under a cap that ends mid-row
+    rows = list(weights.CELL_WEIGHTS)
+    rows[CASE_ORDER.index(ParityCase.EVEN_EVEN)] = (1, 0, -1, 1, -1, 1)
+    monkeypatch.setattr(weights, "CELL_WEIGHTS", tuple(rows))
+    rng = RangeSpec(1, 40, 1, 70)
+    lambdas = [Fraction(1, 3), Fraction(1, 2)]
+    # the first lambda alone flags more than 200, the 200th inside a row
+    first = verify_lemmas(rng, [], lambdas[:1], engine="scalar",
+                          max_violations=10**6)
+    assert ends_mid_row(first, 200)
+    vector = verify_lemmas(rng, [], lambdas, max_violations=200)
+    scalar = verify_lemmas(rng, [], lambdas, engine="scalar",
+                           max_violations=200)
+    assert same_report(vector, replace(scalar, engine="vector"))
+    assert len(vector.violations) == 200
 
 
 # === condition coverage ===
