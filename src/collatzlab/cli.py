@@ -112,10 +112,11 @@ def _build_range(args) -> RangeSpec:
         raise UsageError(f"--max must be >= 1, got {args.max}")
     if args.min < 1 or args.min > args.max:
         raise UsageError("need 1 <= --min <= --max")
-    if args.max > DESK_SCALE_MAX and not args.allow_large:
+    side = args.max - args.min + 1
+    if side > DESK_SCALE_MAX and not args.allow_large:
         raise UsageError(
-            f"--max {args.max} exceeds the desk-scale default {DESK_SCALE_MAX}; "
-            "pass --allow-large to confirm")
+            f"range side {side} (--max - --min + 1) exceeds the desk-scale "
+            f"default {DESK_SCALE_MAX}; pass --allow-large to confirm")
     try:
         return RangeSpec(args.min, args.max, args.min, args.max,
                          _parse_cases(args.case))
@@ -561,7 +562,7 @@ def _add_common(sub, with_range=True):
                          help="restrict to a parity case (repeatable), e.g. "
                               "even-even")
         sub.add_argument("--allow-large", action="store_true",
-                         help=f"permit --max beyond {DESK_SCALE_MAX}")
+                         help=f"permit --max - --min + 1 beyond {DESK_SCALE_MAX}")
 
 
 def _add_lambda_args(sub):

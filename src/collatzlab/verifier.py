@@ -4,9 +4,10 @@ Every sweep here is exact. The interval engine (labelled "vector") walks
 the rows of a range; within a row the weights are constant on a few
 intervals of the column's reduced coordinate, on each of which every form
 is an integer quadratic, so it works in Python ints at O(rows) cost at any
-coordinate size. The scalar engine is the per-pair reference. Reports over
-disjoint ranges merge associatively and commutatively, so partitioned runs
-reproduce the single-run report.
+coordinate size; the triangle gap is a quadratic in z per pair (x, y). The
+scalar engine is the per-pair reference. Reports over disjoint ranges
+merge associatively and commutatively, so partitioned runs reproduce the
+single-run report.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, product
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
 
 from .arith import WIDTH_LIMIT, check_width, format_rational
 from .collatz import DEFAULT_CAP, accel_T
@@ -380,15 +379,16 @@ def _at(q: tuple, l: int) -> int:
 
 def _top(q: tuple, lo: int, hi: int) -> int:
     """The largest value of a quadratic on the integers of [lo, hi]: at an
-    end, or next to the vertex where it is concave."""
+    end, or, where it is concave, at one of the two integers around the
+    vertex, or at the end nearest the vertex when both lie outside."""
     a, b, c = q
-    top = max((a * lo + b) * lo + c, (a * hi + b) * hi + c)
     if a < 0:
-        m = -b // (2 * a)
-        for l in (m, m + 1):
-            if lo < l < hi:
-                top = max(top, (a * l + b) * l + c)
-    return top
+        m = -b // (2 * a)  # floor of the vertex
+        if lo <= m < hi:
+            return max((a * m + b) * m + c, (a * m + a + b) * (m + 1) + c)
+        l = lo if m < lo else hi
+        return (a * l + b) * l + c
+    return max((a * lo + b) * lo + c, (a * hi + b) * hi + c)
 
 
 def _positive(a: int, b: int, c: int, lo: int, hi: int) -> list:
@@ -697,6 +697,19 @@ def _as_lambda_specs(lambdas: Iterable) -> list[LambdaSpec]:
     return out
 
 
+def _gap_rows(lo: int, hi: int):
+    """Per row x of [lo, hi]^2, the doubled quadratics in z of d(x,y)^2 -
+    2*(d(x,z)^2 + d(z,y)^2) for y = lo..hi; every theta < 0 fails through
+    the z where one is positive. _basis expands x - z per row and z - y per
+    column; x - y, constant in z, is added per pair."""
+    axis = range(lo, hi + 1)
+    columns = [_form((-2,), _basis(((-y, 1),))) for y in axis]
+    for x in axis:
+        ra, rb, rc = _form((-2,), _basis(((x, -1),)))
+        yield x, [(ra + ca, rb + cb, rc + cc + 2 * (x - y) ** 2)
+                  for y, (ca, cb, cc) in zip(axis, columns)]
+
+
 def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                   engine: str = "auto",
                   max_violations: int = DEFAULT_MAX_VIOLATIONS,
@@ -714,11 +727,11 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     Blend lemma: for each lambda and every pair in range, the six-term form
     evaluated with the blended weights must equal (1-lambda)*lhs(x, y) +
     lambda*lhs(y, x) exactly, and must be <= 0 (with the tabulated weights).
-    Unless engine is "scalar" the triangle-gap lemma runs vectorized
-    (numpy, on offsets from x_min), and the blend lemma runs on the cell
-    intervals of the pair sweeps (_blend_visit) on any range whose lambdas
-    are all constant. The report's engine names what ran: "vector",
-    "scalar" or "mixed".
+    Unless engine is "scalar", the triangle-gap lemma reads each pair's
+    quadratic in z (_gap_rows) for the z where it fails, and the blend
+    lemma runs on the cell intervals of the pair sweeps (_blend_visit) on
+    any range whose lambdas are all constant. The report's engine names
+    what ran: "vector", "scalar" or "mixed".
     """
     _check_engine(engine)
     started = time.monotonic()
@@ -729,7 +742,7 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     engines_run = set()
 
     lo, hi = rng.x_min, rng.x_max
-    n_axis = hi - lo + 1
+    axis = range(lo, hi + 1)
     use_vector = engine != "scalar"
 
     def note(key: str, count: int) -> None:
@@ -741,7 +754,7 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         checks_done += count
 
     # Triangle-gap lemma over triples.
-    triples = n_axis ** 3
+    triples = len(axis) ** 3
     for theta in thetas:
         th = Fraction(theta)
         p = th.numerator
@@ -752,19 +765,16 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
             continue
         engines_run.add("vector" if use_vector else "scalar")
         if use_vector:
-            # only differences enter, so offsets from lo stand in for x, y, z
-            v = np.arange(n_axis, dtype=np.int64)
-            d2 = (v[:, None] - v[None, :]) ** 2
-            # gap/|theta| scaled: negative theta flips to d(x,y)^2 <= 2*(sum)
-            for i in range(n_axis):
-                lhs_row = d2[i][None, :]            # d(x,y)^2 over y
-                s = d2[i][:, None] + d2             # d(x,z)^2 + d(z,y)^2, [z, y]
-                zs, ys = np.nonzero(lhs_row > 2 * s)  # row-major
-                found.add_counted(len(zs), (Violation(
-                    lo + i, lo + yi, key, "lemma1-gap<0",
-                    Fraction(p * int(lhs_row[0, yi]) - 2 * p * int(s[zi, yi]),
-                             th.denominator),
-                    z=lo + zi) for zi, yi in zip(zs.tolist(), ys.tolist())))
+            for x, forms in _gap_rows(lo, hi):
+                for y, q in zip(axis, forms):
+                    if _top(q, lo, hi) <= 0:
+                        continue
+                    spans = _positive(*q, lo, hi)
+                    zs = chain.from_iterable(range(s, e + 1) for s, e in spans)
+                    found.add_counted(sum(e - s + 1 for s, e in spans), (
+                        Violation(x, y, key, "lemma1-gap<0", Fraction(
+                            p * (_at(q, z) // 2), th.denominator), z=z)
+                        for z in zs))
         else:
             for x in range(lo, hi + 1):
                 for y in range(lo, hi + 1):
@@ -878,17 +888,6 @@ class ConditionCoverageReport:
     elapsed_ms: int
 
 
-def coverage_cell_key(x: int, y: int) -> str:
-    pc = classify(x, y)
-    if pc.case is ParityCase.ODD_ODD:
-        return "odd-odd:x>=y" if x >= y else "odd-odd:x<y"
-    return pc.case.label
-
-
-def _pair_lambda(lam: LambdaSpec, x: int, y: int) -> tuple[Fraction, Fraction]:
-    return lam(x, y), lam(y, x)
-
-
 def condition_coverage(rng: RangeSpec, params: ConditionParams,
                        kind: ConditionId, *, corrected_c4: bool = False,
                        m_lambda: bool = False,
@@ -921,8 +920,8 @@ def condition_coverage(rng: RangeSpec, params: ConditionParams,
                 progress(pairs)
             wxy = weight_vector(x, y)
             wyx = weight_vector(y, x)
-            lxy, lyx = _pair_lambda(params.lam, x, y)
-            key = (wxy.as_tuple(), wyx.as_tuple(), lxy, lyx)
+            key = (wxy.as_tuple(), wyx.as_tuple(), params.lam(x, y),
+                   params.lam(y, x))
             summary = memo.get(key)
             if summary is None:
                 outcome = check_condition(kind, weight_vector, params, x, y,
@@ -946,7 +945,8 @@ def condition_coverage(rng: RangeSpec, params: ConditionParams,
                 memo[key] = summary
             holds, branch, ratio, b_sum, m_ok, ml_ok = summary
 
-            cell = cells[coverage_cell_key(x, y)]
+            cell = cells[pc.case.label if pc.case is not ParityCase.ODD_ODD
+                         else "odd-odd:x>=y" if x >= y else "odd-odd:x<y"]
             cell.pairs += 1
             if holds:
                 holds_total += 1
@@ -1126,15 +1126,13 @@ def search_lambda(rng: RangeSpec, q: int, a_grid: Sequence, kind: ConditionId,
             per_group.append([vals for vals, _ in combos])
         group_candidates[a] = per_group
 
-    import itertools
-
     best_key = None
     best_cov = -1
     best_assign = None
     best_a = None
     scored = 0
     for a in a_values:
-        for pick in itertools.product(*group_candidates[a]):
+        for pick in product(*group_candidates[a]):
             assign = {}
             for group, vals in zip(_SEARCH_GROUPS, pick):
                 if len(group) == 1:
@@ -1206,8 +1204,8 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
     def premise(px: int, py: int) -> bool:
         wxy = W(px, py)
         wyx = W(py, px)
-        lxy, lyx = _pair_lambda(params.lam, px, py)
-        key = (wxy.as_tuple(), wyx.as_tuple(), lxy, lyx)
+        key = (wxy.as_tuple(), wyx.as_tuple(), params.lam(px, py),
+               params.lam(py, px))
         holds = memo.get(key)
         if holds is None:
             holds = check_condition(kind, W, params, px, py).holds

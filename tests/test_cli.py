@@ -48,6 +48,15 @@ def test_verify_desk_scale_gate(capsys):
     assert "--allow-large" in err
 
 
+def test_verify_desk_scale_gate_reads_the_side(capsys):
+    # 100 rows far out: the guard counts the side, not the magnitude of --max
+    lo = 10**15
+    code, out, _ = run_cli(["verify", "--min", str(lo), "--max", str(lo + 99),
+                            "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["pairs_checked"] == 10**4
+
+
 def test_verify_mbound_violations_exit_one(capsys):
     code, out, _ = run_cli(["verify", "--max", "30", "--mode", "mbound",
                             "--M", "1", "--format", "json"], capsys)
@@ -356,6 +365,57 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["steps"] == 6
+
+
+STDLIB_REQUESTS = [
+    ["verify", "--max", "30", "--mode", "cross"],
+    ["conditions", "--lambda", "0", "--A", "1/2", "--max", "20"],
+    ["orbit", "--seed", "27", "--path"],
+    ["search-lambda", "--q", "1", "--A", "1/2", "--max", "12"],
+    ["decay", "--seed-max", "300", "--A", "1/2"],
+]
+
+STDLIB_ONLY = """
+import contextlib, importlib.abc, io, json, sys
+
+def outside(names):
+    return {n.partition(".")[0] for n in names} - {"collatzlab"} \
+        - sys.stdlib_module_names
+
+class StdlibOnly(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if outside([name]):
+            raise ImportError(f"{name} is outside the standard library")
+        return None
+
+before = set(sys.modules)
+sys.meta_path.insert(0, StdlibOnly())
+from collatzlab import cli
+from collatzlab.verifier import RangeSpec, verify_lemmas
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([cli.main(argv + ["--format", "json"]), out.getvalue()])
+report = verify_lemmas(RangeSpec.square(40), [-1], [])
+results.append([report.violations_total, report.pairs_checked,
+                sorted(outside(set(sys.modules) - before))])
+print(json.dumps(results))
+"""
+
+
+def test_runs_on_the_standard_library_alone(capsys):
+    # every import outside the standard library fails in the child, so no
+    # third-party module can come back onto the import path of the package
+    proc = subprocess.run([sys.executable, "-c", STDLIB_ONLY,
+                           json.dumps(STDLIB_REQUESTS)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results[-1] == [0, 40**3, []]
+    for argv, got in zip(STDLIB_REQUESTS, results):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert got == [code, out], argv
 
 
 def test_module_invocation_matches_entry_point():

@@ -2,6 +2,7 @@
 inequality, condition systems and orbit decay."""
 
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,17 +47,15 @@ def test_metric_rejects_nonpositive():
 
 def test_metric_axioms_exhaustive():
     """Identity, symmetry and the triangle inequality over x, y, z <= 200."""
-    import numpy as np
-
-    n = 200
-    v = np.arange(1, n + 1, dtype=np.int64)
-    d = np.abs(v[:, None] - v[None, :])
-    assert (np.diag(d) == 0).all()
-    assert ((d == 0) == np.eye(n, dtype=bool)).all()
-    assert (d == d.T).all()
-    # d(x,y) <= d(x,z) + d(z,y) for all triples, chunked over x
-    for i in range(n):
-        assert (d[i][None, :] <= d[i][:, None] + d).all(), f"triangle fails at x={i+1}"
+    points = range(1, 201)
+    d = {x: [metric_d(x, y) for y in points] for x in points}
+    for x in points:
+        assert [y for y in points if d[x][y - 1] == 0] == [x]
+        assert d[x] == [d[y][x - 1] for y in points]
+        # d(x,y) <= d(x,z) + d(z,y) for every y and z, one row x at a time
+        for z in points:
+            via_z = [d[x][z - 1] + dzy for dzy in d[z]]
+            assert all(map(le, d[x], via_z)), f"triangle fails at x={x}, z={z}"
 
 
 # === six-term form ===

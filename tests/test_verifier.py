@@ -11,9 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from collatzlab import cli, verifier, weights
 from collatzlab.arith import OverflowLimitError
-from collatzlab.framework import ConditionId, ConditionParams, LambdaSpec
+from collatzlab.framework import (
+    ConditionId,
+    ConditionParams,
+    LambdaSpec,
+    metric_d,
+)
 from collatzlab.verifier import (
     RangeSpec,
+    Violation,
     condition_coverage,
     cross_check_simplified,
     m_bound_sweep,
@@ -407,14 +413,64 @@ def test_lemma_sweep_examples():
 
 
 def test_lemma_sweep_engine_parity():
-    thetas = [Fraction(-5, 2), -1, 0, Fraction(1, 2)]
+    thetas = [Fraction(-5, 2), -1, Fraction(-1, 3), 0, Fraction(1, 2)]
     lambdas = [0, Fraction(1, 4), 1]
-    rng = RangeSpec.square(60)
-    scalar = verify_lemmas(rng, thetas, lambdas, engine="scalar")
-    vector = verify_lemmas(rng, thetas, lambdas)
-    assert scalar.violations_total == vector.violations_total == 0
-    assert {k: t.pairs for k, t in scalar.per_case.items()} == \
-           {k: t.pairs for k, t in vector.per_case.items()}
+    for rng in (RangeSpec.square(60), RangeSpec.square(10**15 + 29, lo=10**15)):
+        scalar = verify_lemmas(rng, thetas, lambdas, engine="scalar")
+        vector = verify_lemmas(rng, thetas, lambdas)
+        assert scalar.violations_total == vector.violations_total == 0
+        assert same_report(vector, replace(scalar, engine="vector"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lo=st.integers(1, 10**15), side=st.integers(1, 50), data=st.data())
+def test_gap_quadratic_matches_the_distances(lo, side, data):
+    hi = lo + side - 1
+    rows = list(verifier._gap_rows(lo, hi))
+    assert [x for x, _ in rows] == list(range(lo, hi + 1))
+    x = data.draw(st.integers(lo, hi), label="x")
+    forms = rows[x - lo][1]
+    assert len(forms) == side
+    for y, q in zip(range(lo, hi + 1), forms):
+        for z in range(lo, hi + 1):
+            gap = metric_d(x, y) ** 2 - 2 * (metric_d(x, z) ** 2
+                                             + metric_d(z, y) ** 2)
+            assert verifier._at(q, z) == 2 * gap, (x, y, z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.integers(-50, 50), b=st.integers(-3000, 3000),
+       c=st.integers(-10**6, 10**6), lo=st.integers(-40, 40),
+       width=st.integers(0, 40))
+def test_top_is_the_largest_value_on_the_integers(a, b, c, lo, width):
+    q = (a, b, c)
+    assert verifier._top(q, lo, lo + width) == max(
+        verifier._at(q, l) for l in range(lo, lo + width + 1))
+
+
+def test_triangle_gap_flags_match_a_brute_force_list(monkeypatch):
+    # the lemma holds everywhere, so raise every gap quadratic by 3 to make
+    # the interval path flag the z next to the midpoint of x and y
+    rows = verifier._gap_rows
+    monkeypatch.setattr(verifier, "_gap_rows", lambda lo, hi: (
+        (x, [(a, b, c + 6) for a, b, c in forms]) for x, forms in rows(lo, hi)))
+    theta, lo, hi = Fraction(-3, 2), 5, 16
+    key = "lemma1:theta=-3/2"
+    flags = [Violation(x, y, key, "lemma1-gap<0", Fraction(-3 * (gap + 3), 2),
+                       z=z)
+             for x in range(lo, hi + 1) for y in range(lo, hi + 1)
+             for z in range(lo, hi + 1)
+             for gap in [(x - y) ** 2 - 2 * ((x - z) ** 2 + (z - y) ** 2)]
+             if gap + 3 > 0]
+    rng = RangeSpec.square(hi, lo=lo)
+    full = verify_lemmas(rng, [theta], [], max_violations=10**6)
+    assert full.violations == tuple(sorted(flags, key=Violation.sort_key))
+    assert full.violations_total == len(flags)
+    assert ends_mid_row(full, 100)
+    capped = verify_lemmas(rng, [theta], [], max_violations=100)
+    assert capped.violations == tuple(sorted(flags[:100],
+                                             key=Violation.sort_key))
+    assert capped.violations_total == len(flags)
 
 
 def test_lemma_sweep_rejects_bad_lambda():
