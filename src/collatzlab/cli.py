@@ -515,8 +515,8 @@ def cmd_search(args) -> int:
         out = _render_text_search(doc, result)
     _write_output(out, args.output)
     if result.budget_exhausted:
-        print("note: search budget exhausted; result covers the pruned grid only",
-              file=sys.stderr)
+        print("note: search budget exhausted; each case group kept only its "
+              "top candidates, which hold the best assignment", file=sys.stderr)
     return 0
 
 

@@ -33,6 +33,7 @@ from .framework import (
     weighted_lhs,
 )
 from .weights import (
+    CASE_BY_LABEL,
     CASE_ORDER,
     CELL_BOUNDS,
     CELL_CASES,
@@ -43,7 +44,7 @@ from .weights import (
     ParityCase,
     bound_for_key,  # noqa: F401 - perfbench/tracing.py wraps it by name
     cell_weights,
-    classify,
+    classify,  # noqa: F401 - perfbench/tracing.py wraps it by name
     locate,
     simplified_lhs,  # noqa: F401 - perfbench/tracing.py wraps it by name
     tally_key,
@@ -753,8 +754,11 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         tal.pairs += count
         checks_done += count
 
-    # Triangle-gap lemma over triples.
+    # Triangle-gap lemma over triples. Every theta < 0 fails at the same
+    # triples (only the values scale), so the pairs whose gap quadratic is
+    # positive somewhere are found once, as (x, y, quadratic, spans of z).
     triples = len(axis) ** 3
+    gap_fails = None
     for theta in thetas:
         th = Fraction(theta)
         p = th.numerator
@@ -765,16 +769,17 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
             continue
         engines_run.add("vector" if use_vector else "scalar")
         if use_vector:
-            for x, forms in _gap_rows(lo, hi):
-                for y, q in zip(axis, forms):
-                    if _top(q, lo, hi) <= 0:
-                        continue
-                    spans = _positive(*q, lo, hi)
-                    zs = chain.from_iterable(range(s, e + 1) for s, e in spans)
-                    found.add_counted(sum(e - s + 1 for s, e in spans), (
-                        Violation(x, y, key, "lemma1-gap<0", Fraction(
-                            p * (_at(q, z) // 2), th.denominator), z=z)
-                        for z in zs))
+            if gap_fails is None:
+                gap_fails = [(x, y, q, _positive(*q, lo, hi))
+                             for x, forms in _gap_rows(lo, hi)
+                             for y, q in zip(axis, forms)
+                             if _top(q, lo, hi) > 0]
+            for x, y, q, spans in gap_fails:
+                zs = chain.from_iterable(range(s, e + 1) for s, e in spans)
+                found.add_counted(sum(e - s + 1 for s, e in spans), (
+                    Violation(x, y, key, "lemma1-gap<0", Fraction(
+                        p * (_at(q, z) // 2), th.denominator), z=z)
+                    for z in zs))
         else:
             for x in range(lo, hi + 1):
                 for y in range(lo, hi + 1):
@@ -888,87 +893,87 @@ class ConditionCoverageReport:
     elapsed_ms: int
 
 
+def _signatures(rng: RangeSpec, lam: Optional[LambdaSpec] = None,
+                progress: Optional[Callable[[int], None]] = None) -> dict:
+    """The pair signatures of a range: (coverage key, W(x, y) row, W(y, x)
+    row), plus (lambda(x, y), lambda(y, x)) when `lam` is given, mapped to
+    [pairs, first x, first y]. A condition's outcome at a pair depends only
+    on its signature, and the table lists signatures in the row-major order
+    of their first pairs."""
+    table: dict = {}
+    pairs = 0
+    for x in range(rng.x_min, rng.x_max + 1):
+        for y in range(rng.y_min, rng.y_max + 1):
+            cell, k, l = locate(x, y)
+            case = CELL_CASES[cell]
+            if not rng.admits(case):
+                continue
+            pairs += 1
+            if progress is not None and pairs % PROGRESS_STRIDE == 0:
+                progress(pairs)
+            key = (case.label if case is not ParityCase.ODD_ODD
+                   else "odd-odd:x>=y" if x >= y else "odd-odd:x<y",
+                   cell_weights(cell, k, l), cell_weights(*locate(y, x)))
+            if lam is not None:
+                key += (lam(x, y), lam(y, x))
+            entry = table.get(key)
+            if entry is None:
+                table[key] = [1, x, y]
+            else:
+                entry[0] += 1
+    return table
+
+
 def condition_coverage(rng: RangeSpec, params: ConditionParams,
                        kind: ConditionId, *, corrected_c4: bool = False,
                        m_lambda: bool = False,
                        progress: Optional[Callable[[int], None]] = None
                        ) -> ConditionCoverageReport:
-    """Evaluate one condition at every pair in range and tally per cell.
+    """Evaluate one condition over a range and tally per cell.
 
     The odd-odd case is split by x >= y versus x < y because the two sides
-    behave differently under the explicit weight system. Outcomes are
-    memoized on the exact quantities they depend on (the two raw weight
-    tuples and the two lambda values), so repeated weight patterns cost one
-    evaluation.
+    behave differently under the explicit weight system. The condition is
+    evaluated once per pair signature (_signatures), at its first pair, and
+    counted for all its pairs; exemplars and witness sets are taken in the
+    order pairs first reach each signature, as a per-pair pass would.
     """
     started = time.monotonic()
     cells = {key: CoverageCell() for key in COVERAGE_KEYS}
-    memo: dict = {}
     pairs = 0
     holds_total = fails_total = 0
     m_viol = 0 if kind.theorem == 3 and kind.number == 5 else None
     ml_viol = 0 if m_lambda and kind.theorem == 3 and kind.number == 5 else None
-    track_sets = kind.number == 5
 
-    for x in range(rng.x_min, rng.x_max + 1):
-        for y in range(rng.y_min, rng.y_max + 1):
-            pc = classify(x, y)
-            if not rng.admits(pc.case):
-                continue
-            pairs += 1
-            if progress is not None and pairs % PROGRESS_STRIDE == 0:
-                progress(pairs)
-            wxy = weight_vector(x, y)
-            wyx = weight_vector(y, x)
-            key = (wxy.as_tuple(), wyx.as_tuple(), params.lam(x, y),
-                   params.lam(y, x))
-            summary = memo.get(key)
-            if summary is None:
-                outcome = check_condition(kind, weight_vector, params, x, y,
-                                          corrected_c4=corrected_c4,
-                                          m_lambda=m_lambda)
-                wit = outcome.witnesses
-                if kind.number == 5:
-                    if outcome.branch == BRANCH_FIRST:
-                        ratio = wit.get("first_ratio")
-                        b_sum = wit.get("first_b_sum")
-                    elif outcome.branch == BRANCH_MIRRORED:
-                        ratio = wit.get("mirror_ratio")
-                        b_sum = wit.get("mirror_b_sum")
-                    else:
-                        ratio = b_sum = None
-                    summary = (outcome.holds, outcome.branch, ratio, b_sum,
-                               wit.get("m_ok", True), wit.get("m_lambda_ok", True))
-                else:
-                    summary = (outcome.holds, outcome.branch, None, None,
-                               True, True)
-                memo[key] = summary
-            holds, branch, ratio, b_sum, m_ok, ml_ok = summary
-
-            cell = cells[pc.case.label if pc.case is not ParityCase.ODD_ODD
-                         else "odd-odd:x>=y" if x >= y else "odd-odd:x<y"]
-            cell.pairs += 1
-            if holds:
-                holds_total += 1
-                if branch == BRANCH_MIRRORED:
-                    cell.holds_mirrored += 1
-                else:
-                    cell.holds_first += 1
-                if cell.example_hold is None:
-                    cell.example_hold = (x, y)
-                if track_sets:
-                    cell._note_set(cell.weight_tuples, wxy.as_tuple())
-                    cell._note_set(cell.ratios, ratio)
-                    cell._note_set(cell.b_sums, b_sum)
+    for (label, wxy, *_), (count, x, y) in _signatures(
+            rng, params.lam, progress).items():
+        outcome = check_condition(kind, weight_vector, params, x, y,
+                                  corrected_c4=corrected_c4, m_lambda=m_lambda)
+        wit = outcome.witnesses
+        cell = cells[label]
+        cell.pairs += count
+        pairs += count
+        if outcome.holds:
+            holds_total += count
+            if outcome.branch == BRANCH_MIRRORED:
+                cell.holds_mirrored += count
             else:
-                fails_total += 1
-                cell.fails += 1
-                if cell.example_fail is None:
-                    cell.example_fail = (x, y)
-            if m_viol is not None and not m_ok:
-                m_viol += 1
-            if ml_viol is not None and not ml_ok:
-                ml_viol += 1
+                cell.holds_first += count
+            if cell.example_hold is None:
+                cell.example_hold = (x, y)
+            if kind.number == 5:
+                side = "first" if outcome.branch == BRANCH_FIRST else "mirror"
+                cell._note_set(cell.weight_tuples, wxy)
+                cell._note_set(cell.ratios, wit.get(f"{side}_ratio"))
+                cell._note_set(cell.b_sums, wit.get(f"{side}_b_sum"))
+        else:
+            fails_total += count
+            cell.fails += count
+            if cell.example_fail is None:
+                cell.example_fail = (x, y)
+        if m_viol is not None and not wit.get("m_ok", True):
+            m_viol += count
+        if ml_viol is not None and not wit.get("m_lambda_ok", True):
+            ml_viol += count
 
     cells = {k: v for k, v in cells.items() if v.pairs > 0}
     return ConditionCoverageReport(
@@ -1042,11 +1047,15 @@ def search_lambda(rng: RangeSpec, q: int, a_grid: Sequence, kind: ConditionId,
 
     A pair only sees lambda through its own case and the transposed case, so
     outcomes are tabulated per case against the (value, transposed value, A)
-    triple; scoring an assignment is then nine table lookups. When the full
-    product grid exceeds the budget, each coupled case group is pre-ranked
-    independently and only the top combinations enter the product (the
-    result is marked budget_exhausted). Ties break to the lexicographically
-    smallest (lambda vector, A).
+    triple, one condition evaluation per pair signature (_signatures) and
+    triple. The coverage of an assignment is then a sum over the coupled
+    case groups (_SEARCH_GROUPS) of terms that read only the group's own
+    values, so each group's best values are chosen on their own, exactly.
+    Ties break to the lexicographically smallest (lambda vector, A). When
+    the full product grid exceeds the budget, each group keeps only its top
+    candidates (the result is marked budget_exhausted); the top one is always
+    kept, so the answer is the same, and assignments_scored counts the
+    product of the candidates kept.
     """
     started = time.monotonic()
     if q < 0:
@@ -1065,49 +1074,28 @@ def search_lambda(rng: RangeSpec, q: int, a_grid: Sequence, kind: ConditionId,
     # lambda values; total[case] = pairs of that case in range.
     sat: dict = {c: {} for c in CASE_ORDER}
     total: dict = {c: 0 for c in CASE_ORDER}
-    memo: dict = {}
-    pairs = 0
-    for x in range(rng.x_min, rng.x_max + 1):
-        for y in range(rng.y_min, rng.y_max + 1):
-            case = classify(x, y).case
-            if not rng.admits(case):
-                continue
-            pairs += 1
-            total[case] += 1
-            wxy = weight_vector(x, y).as_tuple()
-            wyx = weight_vector(y, x).as_tuple()
-            for v1 in values:
-                for v2 in values:
-                    for a in a_values:
-                        mkey = (wxy, wyx, v1, v2, a)
-                        holds = memo.get(mkey)
-                        if holds is None:
-                            params = ConditionParams(
-                                _pairwise_lambda_spec(x, y, v1, v2), a, B, M)
-                            holds = check_condition(
-                                kind, weight_vector, params, x, y,
-                                corrected_c4=corrected_c4).holds
-                            memo[mkey] = holds
-                        if holds:
-                            skey = (v1, v2, a)
-                            sat[case][skey] = sat[case].get(skey, 0) + 1
-            if progress is not None and pairs % PROGRESS_STRIDE == 0:
-                progress(pairs)
-
+    for (label, *_), (count, x, y) in _signatures(
+            rng, progress=progress).items():
+        case = CASE_BY_LABEL[label.split(":")[0]]
+        total[case] += count
+        for v1, v2, a in product(values, values, a_values):
+            params = ConditionParams(_pairwise_lambda_spec(x, y, v1, v2), a,
+                                     B, M)
+            if check_condition(kind, weight_vector, params, x, y,
+                               corrected_c4=corrected_c4).holds:
+                sat[case][v1, v2, a] = sat[case].get((v1, v2, a), 0) + count
+    pairs = sum(total.values())
     present = [c for c in CASE_ORDER if total[c] > 0]
 
-    def assignment_score(assign: dict, a: Fraction) -> int:
-        score = 0
-        for c in present:
-            score += sat[c].get((assign[c], assign[c.transpose], a), 0)
-        return score
-
-    # Candidate value combinations per coupled group.
-    full_product = (len(values) ** 9) * len(a_values)
-    budget_exhausted = full_product > budget
-    group_candidates: dict = {}
+    budget_exhausted = (len(values) ** 9) * len(a_values) > budget
+    keep = max(1, int(max(1, budget // len(a_values))
+                      ** (1.0 / len(_SEARCH_GROUPS))))
+    ranked = []
+    scored = 0
     for a in a_values:
-        per_group = []
+        assign = {}
+        cov = 0
+        kept = 1
         for group in _SEARCH_GROUPS:
             if len(group) == 1:
                 c = group[0]
@@ -1117,37 +1105,13 @@ def search_lambda(rng: RangeSpec, q: int, a_grid: Sequence, kind: ConditionId,
                 combos = [((v1, v2),
                            sat[c].get((v1, v2, a), 0) + sat[tc].get((v2, v1, a), 0))
                           for v1 in values for v2 in values]
-            if budget_exhausted:
-                per_a_budget = max(1, budget // len(a_values))
-                keep = max(1, int(per_a_budget ** (1.0 / len(_SEARCH_GROUPS))))
-                combos.sort(key=lambda cv: (-cv[1], cv[0]))
-                combos = combos[:keep]
-                combos.sort(key=lambda cv: cv[0])
-            per_group.append([vals for vals, _ in combos])
-        group_candidates[a] = per_group
-
-    best_key = None
-    best_cov = -1
-    best_assign = None
-    best_a = None
-    scored = 0
-    for a in a_values:
-        for pick in product(*group_candidates[a]):
-            assign = {}
-            for group, vals in zip(_SEARCH_GROUPS, pick):
-                if len(group) == 1:
-                    assign[group[0]] = vals[0]
-                else:
-                    assign[group[0]] = vals[0]
-                    assign[group[1]] = vals[1]
-            scored += 1
-            cov = assignment_score(assign, a)
-            lex = (tuple(assign[c] for c in CASE_ORDER), a)
-            if cov > best_cov or (cov == best_cov and lex < best_key):
-                best_cov = cov
-                best_key = lex
-                best_assign = assign
-                best_a = a
+            vals, score = min(combos, key=lambda cv: (-cv[1], cv[0]))
+            assign.update(zip(group, vals))
+            cov += score
+            kept *= min(keep, len(combos)) if budget_exhausted else len(combos)
+        scored += kept
+        ranked.append(((-cov, tuple(assign[c] for c in CASE_ORDER), a), assign))
+    (neg_cov, _, best_a), best_assign = min(ranked, key=itemgetter(0))
 
     cell_coverage = {}
     for c in present:
@@ -1161,7 +1125,7 @@ def search_lambda(rng: RangeSpec, q: int, a_grid: Sequence, kind: ConditionId,
         q=q, a_grid=tuple(a_values), kind=kind, rng=rng, budget=budget,
         assignments_scored=scored, budget_exhausted=budget_exhausted,
         best_lambda={c.label: best_assign[c] for c in CASE_ORDER},
-        best_a=best_a, covered=best_cov, total=pairs,
+        best_a=best_a, covered=-neg_cov, total=pairs,
         cell_coverage=cell_coverage, irreducible_cells=irreducible,
         elapsed_ms=int((time.monotonic() - started) * 1000))
 

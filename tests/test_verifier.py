@@ -5,6 +5,7 @@ import json
 import os
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from collatzlab.framework import (
     ConditionId,
     ConditionParams,
     LambdaSpec,
+    check_condition,
     metric_d,
 )
 from collatzlab.verifier import (
@@ -30,7 +32,13 @@ from collatzlab.verifier import (
     verify_pseudocontraction,
     verify_simplified,
 )
-from collatzlab.weights import CASE_ORDER, DIAGONAL, ParityCase
+from collatzlab.weights import (
+    CASE_ORDER,
+    DIAGONAL,
+    ParityCase,
+    classify,
+    weight_vector,
+)
 
 LAM0 = LambdaSpec.const(0)
 LAM1 = LambdaSpec.const(1)
@@ -473,6 +481,36 @@ def test_triangle_gap_flags_match_a_brute_force_list(monkeypatch):
     assert capped.violations_total == len(flags)
 
 
+def test_triangle_gap_flags_of_two_thetas_come_from_one_scan(monkeypatch):
+    # as above, with two negative thetas under a cap that ends inside the
+    # second theta's flags: both emit the same triples, read off one scan
+    rows = verifier._gap_rows
+    scans = []
+
+    def raised(lo, hi):
+        scans.append((lo, hi))
+        return ((x, [(a, b, c + 6) for a, b, c in forms])
+                for x, forms in rows(lo, hi))
+
+    monkeypatch.setattr(verifier, "_gap_rows", raised)
+    thetas, lo, hi = [Fraction(-3, 2), -1], 5, 16
+    flags = [Violation(x, y, f"lemma1:theta={label}", "lemma1-gap<0",
+                       th * (gap + 3), z=z)
+             for th, label in zip(map(Fraction, thetas), ("-3/2", "-1"))
+             for x in range(lo, hi + 1) for y in range(lo, hi + 1)
+             for z in range(lo, hi + 1)
+             for gap in [(x - y) ** 2 - 2 * ((x - z) ** 2 + (z - y) ** 2)]
+             if gap + 3 > 0]
+    cap = len(flags) // 2 + 37
+    rng = RangeSpec.square(hi, lo=lo)
+    report = verify_lemmas(rng, thetas, [], max_violations=cap)
+    assert scans == [(lo, hi)]
+    assert report.violations == tuple(sorted(flags[:cap],
+                                             key=Violation.sort_key))
+    assert report.violations_total == len(flags)
+    assert report.per_case["lemma1:theta=-1"].pairs == (hi - lo + 1) ** 3
+
+
 def test_lemma_sweep_rejects_bad_lambda():
     with pytest.raises(ValueError):
         verify_lemmas(RangeSpec.square(10), thetas=[0], lambdas=[Fraction(3, 2)])
@@ -614,6 +652,73 @@ def test_coverage_corrected_c4_changes_outcomes():
     assert corrected.holds_total == 1
 
 
+def fold_coverage_per_pair(rng, params, kind, m_lambda=False):
+    """condition_coverage as a per-pair fold: check_condition at every pair,
+    in row-major order."""
+    cells = {key: verifier.CoverageCell() for key in verifier.COVERAGE_KEYS}
+    holds = fails = m_viol = ml_viol = 0
+    for x in range(rng.x_min, rng.x_max + 1):
+        for y in range(rng.y_min, rng.y_max + 1):
+            case = classify(x, y).case
+            if not rng.admits(case):
+                continue
+            out = check_condition(kind, weight_vector, params, x, y,
+                                  m_lambda=m_lambda)
+            cell = cells[case.label if case is not ParityCase.ODD_ODD
+                         else "odd-odd:x>=y" if x >= y else "odd-odd:x<y"]
+            cell.pairs += 1
+            if out.holds:
+                holds += 1
+                if out.branch == "mirrored":
+                    cell.holds_mirrored += 1
+                else:
+                    cell.holds_first += 1
+                cell.example_hold = cell.example_hold or (x, y)
+                if kind.number == 5:
+                    side = "first" if out.branch == "first" else "mirror"
+                    cell._note_set(cell.weight_tuples,
+                                   weight_vector(x, y).as_tuple())
+                    cell._note_set(cell.ratios, out.witnesses[f"{side}_ratio"])
+                    cell._note_set(cell.b_sums,
+                                   out.witnesses.get(f"{side}_b_sum"))
+            else:
+                fails += 1
+                cell.fails += 1
+                cell.example_fail = cell.example_fail or (x, y)
+            m_viol += not out.witnesses.get("m_ok", True)
+            ml_viol += not out.witnesses.get("m_lambda_ok", True)
+    return ({k: c for k, c in cells.items() if c.pairs}, holds, fails,
+            m_viol, ml_viol)
+
+
+@pytest.mark.parametrize("kind,m_lambda", [
+    (ConditionId(1, 5), False), (ConditionId(3, 5), True),
+    (ConditionId(2, 3), False)])
+def test_coverage_with_a_per_pair_lambda_matches_a_per_pair_fold(kind,
+                                                                 m_lambda):
+    # every pair has its own lambda; the 1-even ratios outrun the witness cap
+    lam = LambdaSpec(lambda x, y: Fraction((7 * x + 3 * y) % 101, 100), "mix")
+    params = ConditionParams(lam, Fraction(1, 2), Fraction(1, 2),
+                             Fraction(3, 2))
+    rng = RangeSpec(1, 3, 1, 400)
+    report = condition_coverage(rng, params, kind, m_lambda=m_lambda)
+    cells, holds, fails, m_viol, ml_viol = fold_coverage_per_pair(
+        rng, params, kind, m_lambda)
+    assert report.cells == cells
+    assert list(report.cells) == list(cells)
+    assert (report.holds_total, report.fails_total) == (holds, fails)
+    assert report.pairs_checked == holds + fails == 1200
+    if kind == ConditionId(3, 5):
+        assert (report.m_violations, report.m_lambda_violations) == (
+            m_viol, ml_viol)
+        assert 0 < report.m_lambda_violations < report.m_violations
+    else:
+        assert report.m_violations is report.m_lambda_violations is None
+    if kind.number == 5:
+        assert cells["1-even"].truncated
+        assert len(cells["1-even"].ratios) == verifier._WITNESS_SET_CAP
+
+
 # === lambda grid search ===
 
 def test_search_cannot_cover_everything():
@@ -666,6 +771,109 @@ def test_search_budget_pruning_still_returns_a_result():
     assert result.budget_exhausted
     assert result.assignments_scored <= 100
     assert result.covered > 0
+    whole = search_lambda(RangeSpec.square(30), 2, [Fraction(1, 2)], KIND35,
+                          B=Fraction(2), M=Fraction(2))
+    assert not whole.budget_exhausted
+    assert whole.assignments_scored == 3**9
+    for name in ("best_lambda", "best_a", "covered", "cell_coverage"):
+        assert getattr(result, name) == getattr(whole, name), name
+
+
+def brute_force_search(rng, q, a_grid, kind, B=None, M=None,
+                       budget=verifier.DEFAULT_SEARCH_BUDGET):
+    """search_lambda by enumeration: outcomes tabulated pair by pair over the
+    lambda grid, then every assignment of the (pruned) product scored."""
+    values = [Fraction(i, q) for i in range(q + 1)] if q else [Fraction(0)]
+    a_values = sorted({Fraction(a) for a in a_grid})
+    sat = {c: {} for c in CASE_ORDER}
+    total = dict.fromkeys(CASE_ORDER, 0)
+    for x in range(rng.x_min, rng.x_max + 1):
+        for y in range(rng.y_min, rng.y_max + 1):
+            case = classify(x, y).case
+            if not rng.admits(case):
+                continue
+            total[case] += 1
+            for v1, v2, a in product(values, values, a_values):
+                lam = LambdaSpec(lambda u, w, x=x, y=y, v1=v1, v2=v2:
+                                 v1 if (u, w) == (x, y) else v2, "pair")
+                if check_condition(kind, weight_vector,
+                                   ConditionParams(lam, a, B, M), x, y).holds:
+                    sat[case][v1, v2, a] = sat[case].get((v1, v2, a), 0) + 1
+    present = [c for c in CASE_ORDER if total[c]]
+    exhausted = len(values) ** 9 * len(a_values) > budget
+    keep = max(1, int(max(1, budget // len(a_values)) ** (1.0 / 6)))
+    best = None
+    scored = 0
+    for a in a_values:
+        per_group = []
+        for group in verifier._SEARCH_GROUPS:
+            if len(group) == 1:
+                c = group[0]
+                combos = [((v,), sat[c].get((v, v, a), 0)) for v in values]
+            else:
+                c, tc = group
+                combos = [((v1, v2), sat[c].get((v1, v2, a), 0)
+                           + sat[tc].get((v2, v1, a), 0))
+                          for v1 in values for v2 in values]
+            if exhausted:
+                combos = sorted(combos, key=lambda cv: (-cv[1], cv[0]))[:keep]
+            per_group.append([vals for vals, _ in combos])
+        for pick in product(*per_group):
+            assign = {}
+            for group, vals in zip(verifier._SEARCH_GROUPS, pick):
+                assign.update(zip(group, vals))
+            scored += 1
+            cov = sum(sat[c].get((assign[c], assign[c.transpose], a), 0)
+                      for c in present)
+            key = (-cov, tuple(assign[c] for c in CASE_ORDER), a)
+            if best is None or key < best[0]:
+                best = (key, assign)
+    (neg_cov, _, best_a), assign = best
+    return verifier.LambdaSearchResult(
+        q=q, a_grid=tuple(a_values), kind=kind, rng=rng, budget=budget,
+        assignments_scored=scored, budget_exhausted=exhausted,
+        best_lambda={c.label: assign[c] for c in CASE_ORDER}, best_a=best_a,
+        covered=-neg_cov, total=sum(total.values()),
+        cell_coverage={c.label: (sat[c].get((assign[c], assign[c.transpose],
+                                             best_a), 0), total[c])
+                       for c in present},
+        irreducible_cells=tuple(c.label for c in present
+                                if max(sat[c].values(), default=0) < total[c]),
+        elapsed_ms=0)
+
+
+SEARCH_RANGES = {
+    "square": RangeSpec.square(12),
+    "oblong": RangeSpec(3, 14, 1, 9),
+    "far": RangeSpec.square(10**6 + 9, lo=10**6),
+    "filtered": RangeSpec(1, 16, 1, 16, frozenset({
+        ParityCase.ONE_EVEN, ParityCase.ODD_ODD, ParityCase.EVEN_ODD})),
+}
+
+
+@pytest.mark.parametrize("where,q,a_grid,kind,budget", [
+    ("square", 0, ["1/2"], ConditionId(3, 5), None),
+    ("square", 1, ["1/4", "1/2"], ConditionId(1, 5), None),
+    ("oblong", 1, ["1/2"], ConditionId(2, 1), 100),
+    ("far", 2, ["1/2"], ConditionId(3, 5), None),
+    ("far", 1, ["1/3", "3/4"], ConditionId(1, 3), 1000),
+    ("filtered", 2, ["1/2", "3/4"], ConditionId(1, 5), 1000),
+    ("oblong", 3, ["1/2"], ConditionId(3, 5), 100),
+    ("square", 3, ["1/3", "1/2"], ConditionId(2, 3), 1000),
+    # keeps four candidates per group, more than a one-case group has
+    ("square", 2, ["1/2"], ConditionId(1, 5), 10_000),
+])
+def test_search_matches_a_brute_force_product(where, q, a_grid, kind, budget):
+    rng = SEARCH_RANGES[where]
+    extra = {"B": Fraction(2), "M": Fraction(2)} if kind.theorem == 3 else {}
+    if budget is not None:
+        extra["budget"] = budget
+    a_grid = [Fraction(a) for a in a_grid]
+    result = search_lambda(rng, q, a_grid, kind, **extra)
+    want = brute_force_search(rng, q, a_grid, kind, **extra)
+    assert replace(result, elapsed_ms=0) == want
+    assert list(result.cell_coverage) == list(want.cell_coverage)
+    assert result.budget_exhausted == (budget is not None)
 
 
 # === orbit decay sweep ===
