@@ -6,6 +6,11 @@ out of cap), 2 usage error, 3 arithmetic width overflow. JSON and CSV output
 is byte-identical across runs and any --jobs value: rationals render as
 "p/q" strings, integers beyond 53-bit magnitude as decimal strings, and
 timings are redacted unless --timings is given.
+
+JSON reports come from this module's own indent-2 writer (_render_json),
+which gives the bytes of json.dumps(..., indent=2, sort_keys=True) without
+its pure-Python encoder. Verification reports keep their Violation rows, and
+the JSON, CSV and text writers read each row's fields directly.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .arith import OverflowLimitError, format_rational, parse_rational
@@ -30,6 +35,7 @@ from .verifier import (
     LambdaSearchResult,
     RangeSpec,
     VerificationReport,
+    Violation,
     condition_coverage,
     cross_check_simplified,
     m_bound_sweep,
@@ -126,18 +132,68 @@ def _build_range(args) -> RangeSpec:
 
 # --- exact JSON/CSV encoding -------------------------------------------------
 
-def _enc(value):
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
+def _leaf(value) -> str:
+    """JSON text of a scalar: integers of magnitude >= 2**53 as decimal
+    strings and Fractions as "p/q" strings, so that no reader rounds them."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
-        return value if -JSON_INT_LIMIT < value < JSON_INT_LIMIT else str(value)
+        if -JSON_INT_LIMIT < value < JSON_INT_LIMIT:
+            return int.__repr__(value)
+        return _quote(str(value))
+    if isinstance(value, str):
+        return _quote(value)
     if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {k: _enc(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_enc(v) for v in value]
+        return _quote(format_rational(value))
     raise TypeError(f"cannot encode {type(value).__name__} exactly")
+
+
+@functools.cache
+def _row_template(nl: str) -> str:
+    """%-template of a Violation row whose fields start at `nl`."""
+    inner = nl + "  "
+    return ("{" + ",".join(f'{inner}"{name}": %s' for name in
+                           ("case", "quantity", "value", "x", "y", "z"))
+            + nl + "}")
+
+
+def _json(value, nl: str) -> str:
+    """JSON text of `value`, whose own line starts with `nl` (a newline and
+    its indent): the indent-2, sorted-key layout of json.dumps. Violation
+    rows are written where they stand in a list or tuple."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + ",".join(inner + _quote(k) + ": " + _json(value[k], inner)
+                               for k in sorted(value)) + nl + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        row = _row_template(inner)
+        items = []
+        for v in value:
+            if type(v) is not Violation:
+                items.append(_json(v, inner))
+                continue
+            # ints below the JSON limit go to % as they are; the rest to _leaf
+            x, y, z, val = v.x, v.y, v.z, v.value
+            items.append(row % (
+                _quote(v.case), _quote(v.quantity),
+                val if type(val) is int and -JSON_INT_LIMIT < val < JSON_INT_LIMIT
+                else _leaf(val),
+                x if type(x) is int and -JSON_INT_LIMIT < x < JSON_INT_LIMIT
+                else _leaf(x),
+                y if type(y) is int and -JSON_INT_LIMIT < y < JSON_INT_LIMIT
+                else _leaf(y),
+                "null" if z is None else _leaf(z)))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return _leaf(value)
 
 
 def _cell_str(value) -> str:
@@ -169,11 +225,7 @@ def _verification_doc(command: str, report: VerificationReport,
              "bound": tal.bound}
             for key, tal in report.per_case.items()
         ],
-        "violations": [
-            {"x": v.x, "y": v.y, "z": v.z, "case": v.case,
-             "quantity": v.quantity, "value": v.value}
-            for v in report.violations
-        ],
+        "violations": report.violations,
         "violations_total": report.violations_total,
         "violations_shown": len(report.violations),
         "elapsed_ms": report.elapsed_ms if timings else None,
@@ -246,7 +298,7 @@ def _search_doc(result: LambdaSearchResult, timings: bool) -> dict:
 
 
 def _render_json(doc: dict) -> str:
-    return json.dumps(_enc(doc), indent=2, sort_keys=True) + "\n"
+    return _json(doc, "\n") + "\n"
 
 
 def _render_csv_verification(doc: dict) -> str:
@@ -258,9 +310,10 @@ def _render_csv_verification(doc: dict) -> str:
         w.writerow(["tally", "", "", "", tal["case"], "", "",
                     tal["pairs"], _cell_str(tal["max_lhs"]),
                     _cell_str(tal["bound"])])
-    for v in doc["violations"]:
-        w.writerow(["violation", v["x"], v["y"], _cell_str(v["z"]), v["case"],
-                    v["quantity"], _cell_str(v["value"]), "", "", ""])
+    # csv writes None as "" and a Fraction as str(), which is "p/q" in
+    # lowest terms like format_rational
+    w.writerows(("violation", v.x, v.y, v.z, v.case, v.quantity, v.value,
+                 "", "", "") for v in doc["violations"])
     return buf.getvalue()
 
 
@@ -295,9 +348,9 @@ def _render_text_verification(doc: dict, report: VerificationReport) -> str:
     lines.append(f"violations: {total}"
                  + (f" (showing {doc['violations_shown']})" if total else ""))
     for v in doc["violations"]:
-        where = f"({v['x']}, {v['y']})" + (f" z={v['z']}" if v["z"] else "")
-        lines.append(f"  {v['quantity']} at {where} [{v['case']}]"
-                     f" value={_cell_str(v['value'])}")
+        where = f"({v.x}, {v.y})" + (f" z={v.z}" if v.z else "")
+        lines.append(f"  {v.quantity} at {where} [{v.case}]"
+                     f" value={_cell_str(v.value)}")
     lines.append(f"elapsed: {report.elapsed_ms} ms")
     return "\n".join(lines) + "\n"
 
@@ -469,7 +522,7 @@ def cmd_orbit(args) -> int:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["map", "seed", "cap", "steps", "peak", "reached_one"])
         w.writerow([doc["map"], doc["seed"], doc["cap"],
-                    _cell_str(doc["steps"]), _enc(doc["peak"]),
+                    _cell_str(doc["steps"]), doc["peak"],
                     doc["reached_one"]])
         out = buf.getvalue()
     else:
@@ -524,6 +577,8 @@ def cmd_decay(args) -> int:
     params = _condition_params(args)
     if args.seed_max < args.seed_min or args.seed_min < 1:
         raise UsageError("need 1 <= --seed-min <= --seed-max")
+    if args.cap < 1:
+        raise UsageError(f"--cap must be >= 1, got {args.cap}")
     report = orbit_decay_sweep(args.seed_min, args.seed_max, params,
                                dedup=not args.full_orbits,
                                telescoped=not args.no_telescoped,
@@ -531,7 +586,6 @@ def cmd_decay(args) -> int:
                                max_violations=max(0, args.violations_cap),
                                progress=_progress_printer(args))
     doc = _verification_doc("decay", report, args.timings)
-    doc["params"] = dict(report.params)
     if args.format == "json":
         out = _render_json(doc)
     elif args.format == "csv":

@@ -899,8 +899,10 @@ def _signatures(rng: RangeSpec, lam: Optional[LambdaSpec] = None,
     row), plus (lambda(x, y), lambda(y, x)) when `lam` is given, mapped to
     [pairs, first x, first y]. A condition's outcome at a pair depends only
     on its signature, and the table lists signatures in the row-major order
-    of their first pairs."""
+    of their first pairs. A constant lambda adds the same two values to every
+    key, without a call per pair."""
     table: dict = {}
+    const = None if lam is None else lam.constant
     pairs = 0
     for x in range(rng.x_min, rng.x_max + 1):
         for y in range(rng.y_min, rng.y_max + 1):
@@ -914,7 +916,9 @@ def _signatures(rng: RangeSpec, lam: Optional[LambdaSpec] = None,
             key = (case.label if case is not ParityCase.ODD_ODD
                    else "odd-odd:x>=y" if x >= y else "odd-odd:x<y",
                    cell_weights(cell, k, l), cell_weights(*locate(y, x)))
-            if lam is not None:
+            if const is not None:
+                key += (const, const)
+            elif lam is not None:
                 key += (lam(x, y), lam(y, x))
             entry = table.get(key)
             if entry is None:

@@ -310,6 +310,16 @@ def test_decay_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_decay_rejects_cap_below_one(cap, capsys):
+    # a cap below 1 would walk no step and pass vacuously
+    code, out, err = run_cli(["decay", "--seed-max", "5", "--A", "1/2",
+                              "--cap", cap, "--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--cap" in err
+
+
 # === environment defaults ===
 
 def test_output_env_var(tmp_path, monkeypatch, capsys):

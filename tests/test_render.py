@@ -1,0 +1,211 @@
+"""Report rendering: the indent-2 JSON writer and the row-reading CSV and
+text writers give the bytes of the reference encodings they replace."""
+
+import csv
+import importlib.util
+import io
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from collatzlab import cli
+from collatzlab.arith import format_rational
+from collatzlab.framework import ConditionParams, LambdaSpec, WeightVector
+from collatzlab.verifier import RangeSpec, m_bound_sweep, orbit_decay_sweep
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LIMIT = 2**53
+
+
+# --- reference encodings: json.dumps over per-violation dicts ---------------
+
+def ref_enc(value):
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return value if -LIMIT < value < LIMIT else str(value)
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return {k: ref_enc(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref_enc(v) for v in value]
+    raise TypeError(f"cannot encode {type(value).__name__} exactly")
+
+
+def ref_render_json(doc):
+    return json.dumps(ref_enc(doc), indent=2, sort_keys=True) + "\n"
+
+
+def ref_doc(doc):
+    """The report document with one dict per violation row."""
+    return dict(doc, violations=[
+        {"x": v.x, "y": v.y, "z": v.z, "case": v.case,
+         "quantity": v.quantity, "value": v.value}
+        for v in doc["violations"]])
+
+
+def ref_render_csv(doc):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["record", "x", "y", "z", "case", "quantity", "value",
+                "pairs", "max_lhs", "bound"])
+    for tal in doc["per_case"]:
+        w.writerow(["tally", "", "", "", tal["case"], "", "",
+                    tal["pairs"], cli._cell_str(tal["max_lhs"]),
+                    cli._cell_str(tal["bound"])])
+    for v in doc["violations"]:
+        w.writerow(["violation", v["x"], v["y"], cli._cell_str(v["z"]),
+                    v["case"], v["quantity"], cli._cell_str(v["value"]),
+                    "", "", ""])
+    return buf.getvalue()
+
+
+def ref_render_text(doc, report):
+    lines = [f"{doc['command']}: range {report.rng.label()} "
+             f"pairs={doc['pairs_checked']} engine={doc['engine']}"]
+    lines.append(f"  {'cell':<22}{'pairs':>12}{'max_lhs':>14}{'bound':>8}")
+    for tal in doc["per_case"]:
+        lines.append(f"  {tal['case']:<22}{tal['pairs']:>12}"
+                     f"{cli._cell_str(tal['max_lhs']):>14}"
+                     f"{cli._cell_str(tal['bound']):>8}")
+    total = doc["violations_total"]
+    lines.append(f"violations: {total}"
+                 + (f" (showing {doc['violations_shown']})" if total else ""))
+    for v in doc["violations"]:
+        where = f"({v['x']}, {v['y']})" + (f" z={v['z']}" if v["z"] else "")
+        lines.append(f"  {v['quantity']} at {where} [{v['case']}]"
+                     f" value={cli._cell_str(v['value'])}")
+    lines.append(f"elapsed: {report.elapsed_ms} ms")
+    return "\n".join(lines) + "\n"
+
+
+# --- the JSON writer on generated documents ----------------------------------
+
+ODD_TEXT = st.sampled_from(["", "\x00\x1f\x7f", '"quoted" \\ back/slash',
+                            "café 日本 \U0001f600", "\ud800",
+                            "tab\tnew\nline"])
+TEXT = st.text(st.characters(codec=None, exclude_categories=())) | ODD_TEXT
+INTS = (st.integers()
+        | st.integers(LIMIT - 3, LIMIT + 3)
+        | st.integers(-LIMIT - 3, -LIMIT + 3)
+        | st.integers(-(2**130), 2**130))
+LEAVES = (st.none() | st.booleans() | INTS | TEXT
+          | st.fractions() | st.fractions(max_value=0))
+DOCS = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCS)
+def test_json_matches_json_dumps_on_generated_documents(doc):
+    assert cli._render_json(doc) == ref_render_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], {"": [{}]},
+    [LIMIT - 1, LIMIT, -LIMIT + 1, -LIMIT, 0, -0], [True, False, None],
+    {"é": "\x00", "a\nb": Fraction(-7, 3)},
+])
+def test_json_matches_json_dumps_on_edge_documents(doc):
+    assert cli._render_json(doc) == ref_render_json(doc)
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": 0.0}, [1, [2, {"b": -1e300}]],
+                                 {"a": {1, 2}}, [object()]])
+def test_json_refuses_what_it_cannot_encode_exactly(doc):
+    with pytest.raises(TypeError):
+        cli._render_json(doc)
+
+
+# --- verification reports against the per-dict writers ----------------------
+
+def _mbound(lo, side, m, cap):
+    return m_bound_sweep(RangeSpec.square(lo + side - 1, lo=lo), m,
+                         max_violations=cap)
+
+
+def _flat(x, y):
+    # weights whose premise holds everywhere yet bound nothing, so expanding
+    # orbit steps violate with Fraction values
+    return WeightVector(1, 0, 0, 0, 0, 1)
+
+
+REPORTS = {
+    "mbound-near": lambda: ("verify", _mbound(1, 60, Fraction(1), 500)),
+    "mbound-3/2": lambda: ("verify", _mbound(10**6, 40, Fraction(3, 2), 300)),
+    "mbound-far": lambda: ("verify", _mbound(2**60, 30, Fraction(1), 200)),
+    "decay": lambda: ("decay", orbit_decay_sweep(
+        1, 300, ConditionParams(LambdaSpec.const(0), Fraction(1, 3)), W=_flat,
+        dedup=False, max_violations=400)),
+    "clean": lambda: ("verify", _mbound(1, 20, Fraction(2), 100)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+@pytest.mark.parametrize("timings", [False, True])
+def test_verification_writers_match_the_per_dict_writers(name, timings):
+    command, report = REPORTS[name]()
+    doc = cli._verification_doc(command, report, timings)
+    old = ref_doc(doc)
+    assert cli._render_json(doc) == ref_render_json(old)
+    assert cli._render_csv_verification(doc) == ref_render_csv(old)
+    assert (cli._render_text_verification(doc, report)
+            == ref_render_text(old, report))
+
+
+def test_reports_cover_every_kind_of_violation_value():
+    far = REPORTS["mbound-far"]()[1].violations
+    assert far and min(v.x for v in far) >= LIMIT
+    decay = REPORTS["decay"]()[1].violations
+    assert any(v.value.denominator > 1 for v in decay)
+    assert {v.quantity for v in decay} == {"decay", "telescoped"}
+    near = REPORTS["mbound-near"]()[1].violations
+    assert near and all(type(v.value) is int for v in near)
+
+
+def test_far_mbound_cli_report_writes_big_coordinates_as_strings(capsys):
+    lo = 2**60
+    code = cli.main(["verify", "--mode", "mbound", "--M", "1",
+                     "--min", str(lo), "--max", str(lo + 29), "--allow-large",
+                     "--violations-cap", "50", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["violations_shown"] == 50
+    assert all(isinstance(v["x"], str) and int(v["x"]) >= lo
+               for v in doc["violations"])
+    assert cli._render_json(doc) == out
+
+
+# --- every pooled findings request keeps its recorded digest ------------------
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pooled_findings_requests_keep_their_digests(capsys):
+    checks, workloads = _load("checks"), _load("workloads")
+    expected = json.loads(
+        (PERFBENCH / "expected" / "findings.json").read_text(encoding="utf-8"))
+    requests = [r for stratum in workloads.pool("findings") for r in stratum]
+    assert len(requests) == 256
+    for req in requests:
+        rc = cli.main(list(req.argv))
+        out = capsys.readouterr().out
+        rec = expected[req.key]
+        assert rc == rec["rc"] == req.expect_rc, req.key
+        assert checks.digest(out, req.fmt) == rec["digest"], req.key

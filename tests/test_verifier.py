@@ -719,6 +719,23 @@ def test_coverage_with_a_per_pair_lambda_matches_a_per_pair_fold(kind,
         assert len(cells["1-even"].ratios) == verifier._WITNESS_SET_CAP
 
 
+@pytest.mark.parametrize("lam", [
+    LambdaSpec.const(Fraction(1, 3)),
+    weights.case_lambda(dict.fromkeys(weights.CASE_ORDER, Fraction(1, 2)))],
+    ids=["const", "uniform-table"])
+def test_signatures_read_a_constant_lambda_without_calling_it(lam,
+                                                              monkeypatch):
+    rng = RangeSpec(1, 30, 1, 40)
+    value = lam.constant
+    per_pair = verifier._signatures(rng, LambdaSpec(lambda x, y: value, "same"))
+
+    def refuse(self, x, y):
+        raise AssertionError("constant lambda called per pair")
+
+    monkeypatch.setattr(LambdaSpec, "__call__", refuse)
+    assert list(verifier._signatures(rng, lam).items()) == list(per_pair.items())
+
+
 # === lambda grid search ===
 
 def test_search_cannot_cover_everything():
