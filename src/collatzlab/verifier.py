@@ -15,10 +15,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, product
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Optional, Sequence
 
+from . import weights
 from .arith import WIDTH_LIMIT, check_width, format_rational
 from .collatz import DEFAULT_CAP, accel_T
 from .framework import (
@@ -124,10 +126,11 @@ class Violation:
 
 
 class _Findings:
-    """Counts every violation a sweep finds and keeps the first `cap`."""
+    """Counts every violation a sweep finds and keeps the first `cap`; a
+    negative cap keeps none."""
 
     def __init__(self, cap: int) -> None:
-        self.cap = cap
+        self.cap = max(0, cap)
         self.total = 0
         self.kept: list[Violation] = []
 
@@ -292,26 +295,36 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
 # Quadratics are kept doubled, as (a, b, c) with 2F(l) = a*l^2 + b*l + c, so
 # that the one through three values of an integer form has integer
 # coefficients.
+# The row point is linear in k too (x = 2k, T(x) = k; x = 2k + 1,
+# T(x) = 3k + 2; or the constant x = 1), so on an interval the direct form
+# is (a, b0 + b1*k, c0 + (c1 + c2*k)*k) with six integers that depend only
+# on the cell and its weight row. _direct_table expands them once per weight
+# table; the diagonal, whose weights move with d = k - l, gets one entry per
+# d in {-1, 0, 1}, each a single point of its row.
+
+# The point of class c (1, even, odd) at reduced coordinate n, as
+# (s, p, ts, tp): the value s + p*n, with T at it ts + tp*n. Class 0 is the
+# value 1, at n = 0.
+_POINTS = ((1, 0, 1, 0), (0, 2, 0, 1), (1, 2, 2, 3))
 
 
 def _columns(y_min: int, y_max: int, cases: Iterable[int]) -> tuple:
     """Per row class, the column classes that `cases` (indices into
-    CASE_ORDER) admits with it, as (case, column, first l, last l). A column
-    is the point (y, T(y)) as (ys, yp, ts, tp): y = ys + yp*l and
-    T(y) = ts + tp*l; the value 1 sits at l = 0."""
+    CASE_ORDER) admits with it, as (case, column, first l, last l); the
+    column is the point of its class (_POINTS) in l."""
     out: tuple = ([], [], [])
     for case in sorted(cases):
         cls = case % 3
         if cls == 0:
-            first, last, column = 0, 0 if y_min == 1 else -1, (1, 0, 1, 0)
+            first, last = 0, 0 if y_min == 1 else -1
         elif cls == 1:
-            first, last, column = (y_min + 1) // 2, y_max // 2, (0, 2, 0, 1)
+            first, last = (y_min + 1) // 2, y_max // 2
         else:
-            first, last, column = y_min // 2, (y_max - 1) // 2, (1, 2, 2, 3)
+            first, last = y_min // 2, (y_max - 1) // 2
         if cls:
             first = max(first, 1)
         if first <= last:
-            out[case // 3].append((case, column, first, last))
+            out[case // 3].append((case, _POINTS[cls], first, last))
     return out
 
 
@@ -352,6 +365,34 @@ def _basis(terms: tuple) -> tuple:
 def _form(w: Sequence, basis: tuple) -> tuple:
     """The six-term form with weights w, as a doubled quadratic."""
     return tuple(sum(map(mul, w, coefs)) for coefs in basis)
+
+
+@lru_cache(maxsize=8)
+def _direct_table(rows: tuple) -> tuple:
+    """The direct form per cell on its intervals, for the weight table
+    `rows` (weights.CELL_WEIGHTS, which cell_weights reads): entry `cell`
+    is (a, b0, b1, c0, c1, c2, worst), the doubled quadratic in l
+    (a, b0 + b1*k, c0 + (c1 + c2*k)*k) at row k and the largest |w| of the
+    cell; the diagonal's entry holds one such per d = k - l in (-1, 0, 1).
+    The form at k = 0, 1 and 2 fixes the six integers: a does not depend
+    on k, the coefficient of l is linear in k and the constant quadratic."""
+    table = []
+    for cell, case in enumerate(CELL_CASES):
+        index = CASE_ORDER.index(case)
+        s, p, ts, tp = _POINTS[index // 3]
+        column = _POINTS[index % 3]
+        entries = []
+        for d in ((-1, 0, 1) if cell == DIAGONAL else (0,)):
+            w = cell_weights(cell, d, 0)
+            (a, b0, f0), (_, b1, f1), (_, _, f2) = (
+                _form(w, _basis(_terms((s + p * k, 0, ts + tp * k, 0),
+                                       column)))
+                for k in (0, 1, 2))
+            c2 = (f2 - 2 * f1 + f0) // 2
+            entries.append((a, b0, b1 - b0, f0, f1 - f0 - c2, c2,
+                            max(map(abs, w))))
+        table.append(tuple(entries) if cell == DIAGONAL else entries[0])
+    return tuple(table)
 
 
 def _closed_form(form: Callable, k, lo, hi) -> tuple:
@@ -496,8 +537,11 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     """Sweep the cell intervals of every row (_walk) and read each check off
     the interval's quadratics: counts are interval lengths, maxima lie at
     the ends or next to the vertex, and a comparison holds on at most two
-    ranges (_positive). Where _pair_bound exceeds the width limit, the
-    direct form gets the scalar engine's width checks."""
+    ranges (_positive). The direct form and the largest |w| of an interval
+    are read from _direct_table at the row's k, from CELL_WEIGHTS alone; the
+    closed form comes from CELL_FORMS (_closed_form), so the cross check
+    compares two independent derivations. Where _pair_bound exceeds the
+    width limit, the direct form gets the scalar engine's width checks."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     do_direct = CHECK_LHS in checks
@@ -508,6 +552,7 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     checked = _pair_bound(rng) > WIDTH_LIMIT
     # an integer weight exceeds M exactly when it exceeds floor(M)
     m_floor = m_cap.numerator // m_cap.denominator
+    table = _direct_table(weights.CELL_WEIGHTS)
     per_case: dict[str, CaseTally] = {}
     cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
 
@@ -520,24 +565,29 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                 lambda l: _at(q, l) // 2)
 
     def visit(x, k, row, column, spans) -> tuple:
-        if do_lhs:
+        # the row x = 1 has no k, and its entries do not depend on one
+        kk = k or 0
+        if checked:
             terms = _terms(row, column)
-            basis = _basis(terms)
         pairs = 0
         flags = []
         for cell, lo, hi in spans:
             n = hi - lo + 1
             pairs += n
+            entry = table[cell]
+            if cell == DIAGONAL:
+                entry = entry[k - lo + 1]
+            a, b0, b1, c0, c1, c2, worst = entry
             key = TALLY_KEYS[cell]
             tal = per_case.get(key)
             if tal is None:
                 tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[cell])
             tal.pairs += n
-            w = cell_weights(cell, k, lo)
             if do_lhs:
-                direct = _form(w, basis)
+                direct = (a, b0 + b1 * kk, c0 + (c1 + c2 * kk) * kk)
                 if checked:
-                    _check_widths(w, terms, direct, lo, hi)
+                    _check_widths(cell_weights(cell, k, lo), terms, direct,
+                                  lo, hi)
                 top = _top(direct, lo, hi)
                 tal.absorb_value(top // 2)
                 if do_direct and top > 0:
@@ -561,11 +611,9 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                 flags.append((3, key, QUANTITY_LABELS[CHECK_CROSS],
                               _nonzero(diff, lo, hi),
                               lambda l, q=diff: _at(q, l) // 2))
-            if do_m:
-                worst = max(map(abs, w))
-                if worst > m_floor:
-                    flags.append((4, key, QUANTITY_LABELS[CHECK_MBOUND],
-                                  [(lo, hi)], lambda l, v=worst: v))
+            if do_m and worst > m_floor:
+                flags.append((4, key, QUANTITY_LABELS[CHECK_MBOUND],
+                              [(lo, hi)], lambda l, v=worst: v))
         return pairs, flags
 
     _walk(rng, cases, visit, found, progress)
@@ -1168,12 +1216,14 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
         "telescoped-steps": CaseTally(),
     }
     found = _Findings(max_violations)
+    const = params.lam.constant
 
     def premise(px: int, py: int) -> bool:
-        wxy = W(px, py)
-        wyx = W(py, px)
-        key = (wxy.as_tuple(), wyx.as_tuple(), params.lam(px, py),
-               params.lam(py, px))
+        # the outcome depends only on both weight rows and lambda values; a
+        # constant lambda adds its value without a call per step
+        key = (W(px, py).as_tuple(), W(py, px).as_tuple()) + (
+            (const, const) if const is not None
+            else (params.lam(px, py), params.lam(py, px)))
         holds = memo.get(key)
         if holds is None:
             holds = check_condition(kind, W, params, px, py).holds

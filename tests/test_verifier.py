@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from collatzlab import cli, verifier, weights
 from collatzlab.arith import OverflowLimitError
+from collatzlab.collatz import accel_T
 from collatzlab.framework import (
     ConditionId,
     ConditionParams,
@@ -355,6 +356,50 @@ def test_wrong_forms_match_scalar_on_a_near_rectangle(mode, cap, wrong_forms):
         assert ends_mid_row(full, cap)
 
 
+@pytest.fixture
+def wrong_weights(monkeypatch):
+    """A weight table that is off, for both engines, patched after the
+    interval engine has tabulated the true one. Even-even's delta of +1
+    makes its form positive; even-odd's weights drop into [-1, 1], so an M
+    of 1 no longer flags it; the diagonal gains an epsilon of 1."""
+    assert verify_pseudocontraction(RangeSpec.square(40)).ok
+    rows = list(weights.CELL_WEIGHTS)
+    rows[CASE_ORDER.index(ParityCase.EVEN_EVEN)] = (1, 0, -1, 1, -1, 1)
+    rows[CASE_ORDER.index(ParityCase.EVEN_ODD)] = (0, 0, -1, 1, -1, 1)
+    rows[DIAGONAL] = (2, 0, 0, -1, 1, 0)
+    monkeypatch.setattr(weights, "CELL_WEIGHTS", tuple(rows))
+
+
+@pytest.mark.parametrize("mode", SWEEPS)
+def test_patched_weights_reach_pair_sweeps(mode, wrong_weights):
+    # every mode but simplified reads the weights; under a cap that ends
+    # mid-row the interval engine flags what the scalar one does
+    rng, cap = PARITY_RANGES["gates"], 150
+    full = SWEEPS[mode](rng, engine="scalar", max_violations=10**6)
+    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=cap)
+    interval = SWEEPS[mode](rng, max_violations=cap)
+    assert same_report(interval, replace(scalar, engine="vector"))
+    cells = {v.case for v in full.violations}
+    if mode == "simplified":
+        assert not cells
+        return
+    assert ends_mid_row(full, cap)
+    if mode == "mbound":
+        assert "even-odd" not in cells  # the true weights flag it at M = 1
+    else:
+        assert {"even-even", "even-odd", "odd-odd:diagonal"} <= cells
+
+
+@pytest.mark.parametrize("mode", SWEEPS)
+def test_a_negative_cap_keeps_no_flags_on_both_engines(mode, wrong_forms,
+                                                       wrong_weights):
+    rng = PARITY_RANGES["gates"]
+    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=-1)
+    interval = SWEEPS[mode](rng, max_violations=-1)
+    assert same_report(interval, replace(scalar, engine="vector"))
+    assert interval.violations == () and interval.violations_total > 0
+
+
 def test_closed_forms_are_quadratic_in_l_off_the_diagonal():
     # the interval engine reads every closed form but the diagonal's as a
     # quadratic in l at fixed k, from three values
@@ -388,6 +433,31 @@ def test_odd_odd_spans_match_the_classifier():
             assert all(weights.odd_odd_cell(k, l) == cell
                        for l in range(lo, hi + 1))
             assert cell != DIAGONAL or lo == hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cell=st.integers(0, len(weights.TALLY_KEYS) - 1),
+       k=st.integers(1, 10**15), l=st.integers(1, 10**15),
+       d=st.sampled_from([-1, 0, 1]))
+def test_direct_table_matches_the_per_pair_expansion(cell, k, l, d):
+    # each cell's row and column class, with the row x = 1 where the cell's
+    # case has it; the diagonal is read at its three offsets d = k - l
+    row_class, column_class = divmod(
+        CASE_ORDER.index(weights.CELL_CASES[cell]), 3)
+    x = (1, 2 * k, 2 * k + 1)[row_class]
+    row = (x, 0, accel_T(x), 0)
+    column = verifier._POINTS[column_class]
+    ys, yp, ts, tp = column
+    assert accel_T(ys + yp * l) == ts + tp * l
+    entry = verifier._direct_table(weights.CELL_WEIGHTS)[cell]
+    if cell == DIAGONAL:
+        entry, l = entry[d + 1], k - d
+    w = weights.cell_weights(cell, k, l)
+    a, b0, b1, c0, c1, c2, worst = entry
+    kk = 0 if x == 1 else k
+    assert (a, b0 + b1 * kk, c0 + (c1 + c2 * kk) * kk) == verifier._form(
+        w, verifier._basis(verifier._terms(row, column)))
+    assert worst == max(map(abs, w))
 
 
 def test_merge_keeps_cell_order_sorted():
@@ -941,6 +1011,41 @@ def test_decay_sweep_dedup_covers_the_same_violations():
     full_set = {(v.x, v.y, v.quantity) for v in full.violations}
     dedup_set = {(v.x, v.y, v.quantity) for v in dedup.violations}
     assert full_set == dedup_set
+
+
+@pytest.mark.parametrize("lam", [
+    LambdaSpec.const(Fraction(1, 3)),
+    weights.case_lambda(dict.fromkeys(weights.CASE_ORDER, Fraction(1, 2))),
+    weights.case_lambda({c: Fraction(i % 3, 2)
+                         for i, c in enumerate(weights.CASE_ORDER)})],
+    ids=["const", "uniform-table", "per-case-table"])
+def test_decay_premise_reads_a_constant_lambda_without_calling_it(
+        lam, monkeypatch):
+    # a spec without `constant` is the per-step reference
+    params = ConditionParams(lam, Fraction(1, 2))
+    reference = orbit_decay_sweep(1, 300, ConditionParams(
+        LambdaSpec(lam, lam.label), Fraction(1, 2)))
+    if lam.constant is not None:
+        # condition checks on a premise miss may call the spec; the premise
+        # keys may not
+        real_call, real_check = LambdaSpec.__call__, verifier.check_condition
+        inside = []
+
+        def refuse(self, x, y):
+            if not inside:
+                raise AssertionError("constant lambda called per step")
+            return real_call(self, x, y)
+
+        def check(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_check(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(LambdaSpec, "__call__", refuse)
+        monkeypatch.setattr(verifier, "check_condition", check)
+    assert same_report(orbit_decay_sweep(1, 300, params), reference)
 
 
 def test_decay_sweep_merges_over_seed_blocks():
