@@ -30,7 +30,6 @@ from .collatz import DEFAULT_CAP, stopping_time
 from .framework import ConditionId, ConditionParams, LambdaSpec
 from .verifier import (
     DEFAULT_SEARCH_BUDGET,
-    ENGINES,
     ConditionCoverageReport,
     LambdaSearchResult,
     RangeSpec,
@@ -430,8 +429,7 @@ def _progress_printer(args):
 
 def cmd_verify(args) -> int:
     rng = _build_range(args)
-    kwargs = dict(engine=args.engine,
-                  max_violations=max(0, args.violations_cap),
+    kwargs = dict(max_violations=max(0, args.violations_cap),
                   progress=_progress_printer(args))
     if args.mode == "mbound":
         try:
@@ -649,9 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("direct", "simplified", "cross",
                                       "bounds", "mbound"), default="direct")
     p.add_argument("--M", default="2", help="cap for --mode mbound")
-    p.add_argument("--engine", choices=ENGINES,
-                   default="auto", help="auto and vector run the interval "
-                   "engine; scalar runs the per-pair reference")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: every sweep runs in one "
                         "thread, and reports do not depend on it")

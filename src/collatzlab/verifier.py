@@ -1,13 +1,15 @@
-"""Exhaustive verification engines over finite pair ranges.
+"""Exhaustive verification sweeps over finite pair ranges.
 
-Every sweep here is exact. The interval engine (labelled "vector") walks
-the rows of a range; within a row the weights are constant on a few
-intervals of the column's reduced coordinate, on each of which every form
-is an integer quadratic, so it works in Python ints at O(rows) cost at any
-coordinate size; the triangle gap is a quadratic in z per pair (x, y). The
-scalar engine is the per-pair reference. Reports over disjoint ranges
-merge associatively and commutatively, so partitioned runs reproduce the
-single-run report.
+Every sweep here is exact and has one production path. Pair sweeps and the
+blend lemma at a constant lambda run on the interval engine (labelled
+"vector"): it walks the rows of a range; within a row the weights are
+constant on a few intervals of the column's reduced coordinate, on each of
+which every form is an integer quadratic, so it works in Python ints at
+O(rows) cost at any coordinate size. The triangle gap is a quadratic in z
+per pair (x, y). The per-pair pair sweep (_sweep_scalar) is kept as the
+reference the tests compare the interval engine against. Reports over
+disjoint ranges merge associatively and commutatively, so partitioned runs
+reproduce the single-run report.
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ QUANTITY_LABELS = {
     CHECK_CROSS: "cross-mismatch",
     CHECK_MBOUND: "weight-above-M",
 }
+
+# Each check's position among one pair's flags, in the order reports list
+# them (by quantity label), so that a capped sweep keeps the head of the
+# uncapped report.
+CHECK_RANK = {check: rank for rank, check in enumerate(
+    sorted(QUANTITY_LABELS, key=QUANTITY_LABELS.get))}
 
 
 @dataclass(frozen=True)
@@ -231,8 +239,9 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                   found: _Findings,
                   progress: Optional[Callable[[int], None]]) -> tuple:
     """Pure-Python exact sweep, pair by pair; the reference the interval
-    engine must match. Each pair is located once; its six-term form is
-    evaluated independently, by framework.lhs."""
+    engine must match, which tests run in place of _sweep_vector. Each pair
+    is located once; its six-term form is evaluated independently, by
+    framework.lhs."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     do_bounds = CHECK_BOUNDS in checks
@@ -243,9 +252,6 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     per_case: dict[str, CaseTally] = {}
     pairs = 0
     done = 0
-
-    def add_violation(x: int, y: int, key: str, check: str, value) -> None:
-        found.add(Violation(x, y, key, QUANTITY_LABELS[check], value))
 
     for x in range(rng.x_min, rng.x_max + 1):
         for y in range(rng.y_min, rng.y_max + 1):
@@ -268,18 +274,22 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
             if value is not None:
                 tal.absorb_value(value)
 
+            flags = {}
             if CHECK_LHS in checks and direct > 0:
-                add_violation(x, y, key, CHECK_LHS, direct)
+                flags[CHECK_LHS] = direct
             if do_bounds and direct > tal.bound:
-                add_violation(x, y, key, CHECK_BOUNDS, direct)
+                flags[CHECK_BOUNDS] = direct
             if CHECK_SIMPLIFIED in checks and simp > 0:
-                add_violation(x, y, key, CHECK_SIMPLIFIED, simp)
+                flags[CHECK_SIMPLIFIED] = simp
             if do_cross and direct != simp:
-                add_violation(x, y, key, CHECK_CROSS, simp - direct)
+                flags[CHECK_CROSS] = simp - direct
             if do_m:
                 worst = max(map(abs, cell_weights(cell, k, l)))
                 if worst * m_den > m_num:
-                    add_violation(x, y, key, CHECK_MBOUND, worst)
+                    flags[CHECK_MBOUND] = worst
+            for check in sorted(flags, key=CHECK_RANK.get):
+                found.add(Violation(x, y, key, QUANTITY_LABELS[check],
+                                    flags[check]))
 
     return pairs, per_case
 
@@ -493,10 +503,10 @@ def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
     `cases` admits with the row's class. visit(x, k, row, column, spans)
     handles one of those: row and column are points as _terms reads them,
     spans the cell intervals (cell, lo, hi) in l order. It returns the pairs
-    it covered and its flags as (check order, key, quantity, ranges of l,
-    value of l). Every flag is counted; the first `found.cap` in (x, y,
-    check order) order are kept, and a row builds at most as many as the cap
-    has room for."""
+    it covered and its flags as (rank, key, quantity, ranges of l, value of
+    l), the rank ordering one pair's flags as reports list them. Every flag
+    is counted; the first `found.cap` in (x, y, rank) order are kept, and a
+    row builds at most as many as the cap has room for."""
     columns = _columns(rng.y_min, rng.y_max, cases)
     done = reported = 0
     for x in range(rng.x_min, rng.x_max + 1):
@@ -541,7 +551,7 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     are read from _direct_table at the row's k, from CELL_WEIGHTS alone; the
     closed form comes from CELL_FORMS (_closed_form), so the cross check
     compares two independent derivations. Where _pair_bound exceeds the
-    width limit, the direct form gets the scalar engine's width checks."""
+    width limit, the direct form gets the width checks of framework.lhs."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     do_direct = CHECK_LHS in checks
@@ -556,11 +566,11 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     per_case: dict[str, CaseTally] = {}
     cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
 
-    def above(order: int, key: str, check: str, q: tuple, t: int, lo: int,
+    def above(key: str, check: str, q: tuple, t: int, lo: int,
               hi: int) -> tuple:
         """The flag of the l in [lo, hi] where the doubled quadratic q
         exceeds t."""
-        return (order, key, QUANTITY_LABELS[check],
+        return (CHECK_RANK[check], key, QUANTITY_LABELS[check],
                 _positive(q[0], q[1], q[2] - t, lo, hi),
                 lambda l: _at(q, l) // 2)
 
@@ -591,9 +601,9 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                 top = _top(direct, lo, hi)
                 tal.absorb_value(top // 2)
                 if do_direct and top > 0:
-                    flags.append(above(0, key, CHECK_LHS, direct, 0, lo, hi))
+                    flags.append(above(key, CHECK_LHS, direct, 0, lo, hi))
                 if do_bounds and top > 2 * tal.bound:
-                    flags.append(above(1, key, CHECK_BOUNDS, direct,
+                    flags.append(above(key, CHECK_BOUNDS, direct,
                                        2 * tal.bound, lo, hi))
             if do_simp:
                 # the closed forms take no l where y = 1
@@ -604,15 +614,17 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                     if not do_lhs:
                         tal.absorb_value(top // 2)
                     if top > 0:
-                        flags.append(above(2, key, CHECK_SIMPLIFIED, simp, 0,
+                        flags.append(above(key, CHECK_SIMPLIFIED, simp, 0,
                                            lo, hi))
             if do_cross and simp != direct:
                 diff = tuple(s - d for s, d in zip(simp, direct))
-                flags.append((3, key, QUANTITY_LABELS[CHECK_CROSS],
+                flags.append((CHECK_RANK[CHECK_CROSS], key,
+                              QUANTITY_LABELS[CHECK_CROSS],
                               _nonzero(diff, lo, hi),
                               lambda l, q=diff: _at(q, l) // 2))
             if do_m and worst > m_floor:
-                flags.append((4, key, QUANTITY_LABELS[CHECK_MBOUND],
+                flags.append((CHECK_RANK[CHECK_MBOUND], key,
+                              QUANTITY_LABELS[CHECK_MBOUND],
                               [(lo, hi)], lambda l, v=worst: v))
         return pairs, flags
 
@@ -659,79 +671,60 @@ def _blend_visit(lam: Fraction, ikey: str, nkey: str, checked: bool) -> Callable
     return visit
 
 
-ENGINES = ("auto", "vector", "scalar")
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of "
-                         + ", ".join(ENGINES))
-
-
 def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
-                    m_cap: Fraction = Fraction(2), engine: str = "auto",
+                    m_cap: Fraction = Fraction(2),
                     max_violations: int = DEFAULT_MAX_VIOLATIONS,
                     progress: Optional[Callable[[int], None]] = None
                     ) -> VerificationReport:
-    """One pair sweep: the scalar reference for engine "scalar", the
-    interval engine (labelled "vector") otherwise."""
-    _check_engine(engine)
+    """One pair sweep, on the interval engine (labelled "vector")."""
     started = time.monotonic()
     found = _Findings(max_violations)
-    if engine == "scalar":
-        pairs, per_case = _sweep_scalar(rng, checks, m_cap, found, progress)
-    else:
-        pairs, per_case = _sweep_vector(rng, checks, m_cap, found, progress)
+    pairs, per_case = _sweep_vector(rng, checks, m_cap, found, progress)
     return VerificationReport(
         op=op, rng=rng, pairs_checked=pairs, per_case=_sorted_cells(per_case),
         violations=found.sorted(), violations_total=found.total,
-        elapsed_ms=int((time.monotonic() - started) * 1000),
-        engine="scalar" if engine == "scalar" else "vector",
+        elapsed_ms=int((time.monotonic() - started) * 1000), engine="vector",
         params={"checks": "+".join(checks), "M": format_rational(m_cap)},
         max_violations=max_violations)
 
 
 def verify_pseudocontraction(rng: RangeSpec, *, bounds: bool = True,
-                             engine: str = "auto",
                              max_violations: int = DEFAULT_MAX_VIOLATIONS,
                              progress: Optional[Callable[[int], None]] = None
                              ) -> VerificationReport:
     """Check the contraction inequality lhs <= 0 (and, by default, the
     sharpened per-case bounds) for every pair in range."""
     checks = (CHECK_LHS, CHECK_BOUNDS) if bounds else (CHECK_LHS,)
-    return _run_pair_sweep("verify", rng, checks, engine=engine,
+    return _run_pair_sweep("verify", rng, checks,
                            max_violations=max_violations, progress=progress)
 
 
-def verify_simplified(rng: RangeSpec, *, engine: str = "auto",
+def verify_simplified(rng: RangeSpec, *,
                       max_violations: int = DEFAULT_MAX_VIOLATIONS,
                       progress: Optional[Callable[[int], None]] = None
                       ) -> VerificationReport:
     """Check the per-case closed forms are <= 0 for every pair in range."""
     return _run_pair_sweep("verify-simplified", rng, (CHECK_SIMPLIFIED,),
-                           engine=engine, max_violations=max_violations,
-                           progress=progress)
+                           max_violations=max_violations, progress=progress)
 
 
-def cross_check_simplified(rng: RangeSpec, *, engine: str = "auto",
+def cross_check_simplified(rng: RangeSpec, *,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            progress: Optional[Callable[[int], None]] = None
                            ) -> VerificationReport:
     """Assert the closed forms equal the direct six-term evaluation on every
     pair (zero tolerance)."""
-    return _run_pair_sweep("cross-check", rng, (CHECK_CROSS,), engine=engine,
+    return _run_pair_sweep("cross-check", rng, (CHECK_CROSS,),
                            max_violations=max_violations, progress=progress)
 
 
 def m_bound_sweep(rng: RangeSpec, m_cap: Fraction = Fraction(2), *,
-                  engine: str = "auto",
                   max_violations: int = DEFAULT_MAX_VIOLATIONS,
                   progress: Optional[Callable[[int], None]] = None
                   ) -> VerificationReport:
     """Check |w| <= M for all six raw weights over every pair in range."""
     return _run_pair_sweep("m-bound", rng, (CHECK_MBOUND,), m_cap=m_cap,
-                           engine=engine, max_violations=max_violations,
-                           progress=progress)
+                           max_violations=max_violations, progress=progress)
 
 
 # --- lemma sweeps -----------------------------------------------------------
@@ -760,7 +753,6 @@ def _gap_rows(lo: int, hi: int):
 
 
 def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
-                  engine: str = "auto",
                   max_violations: int = DEFAULT_MAX_VIOLATIONS,
                   progress: Optional[Callable[[int], None]] = None
                   ) -> VerificationReport:
@@ -776,23 +768,21 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     Blend lemma: for each lambda and every pair in range, the six-term form
     evaluated with the blended weights must equal (1-lambda)*lhs(x, y) +
     lambda*lhs(y, x) exactly, and must be <= 0 (with the tabulated weights).
-    Unless engine is "scalar", the triangle-gap lemma reads each pair's
-    quadratic in z (_gap_rows) for the z where it fails, and the blend
-    lemma runs on the cell intervals of the pair sweeps (_blend_visit) on
-    any range whose lambdas are all constant. The report's engine names
-    what ran: "vector", "scalar" or "mixed".
+    The triangle-gap lemma reads each pair's quadratic in z (_gap_rows) for
+    the z where it fails. The blend lemma runs on the cell intervals of the
+    pair sweeps (_blend_visit) when every lambda is constant, and pair by
+    pair otherwise. The report's engine names what ran: "vector" (the
+    triangle gap and interval blends), "scalar" (the per-pair blend) or
+    "mixed".
     """
-    _check_engine(engine)
     started = time.monotonic()
     specs = _as_lambda_specs(lambdas)
     per_case: dict[str, CaseTally] = {}
     found = _Findings(max_violations)
     checks_done = 0
-    engines_run = set()
 
     lo, hi = rng.x_min, rng.x_max
     axis = range(lo, hi + 1)
-    use_vector = engine != "scalar"
 
     def note(key: str, count: int) -> None:
         nonlocal checks_done
@@ -815,37 +805,22 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         if p >= 0:
             # gap = theta*d(x,y)^2 >= 0 holds identically; z plays no part.
             continue
-        engines_run.add("vector" if use_vector else "scalar")
-        if use_vector:
-            if gap_fails is None:
-                gap_fails = [(x, y, q, _positive(*q, lo, hi))
-                             for x, forms in _gap_rows(lo, hi)
-                             for y, q in zip(axis, forms)
-                             if _top(q, lo, hi) > 0]
-            for x, y, q, spans in gap_fails:
-                zs = chain.from_iterable(range(s, e + 1) for s, e in spans)
-                found.add_counted(sum(e - s + 1 for s, e in spans), (
-                    Violation(x, y, key, "lemma1-gap<0", Fraction(
-                        p * (_at(q, z) // 2), th.denominator), z=z)
-                    for z in zs))
-        else:
-            for x in range(lo, hi + 1):
-                for y in range(lo, hi + 1):
-                    dxy = (x - y) ** 2
-                    for z in range(lo, hi + 1):
-                        if dxy > 2 * ((x - z) ** 2 + (z - y) ** 2):
-                            gap = Fraction(
-                                p * dxy - 2 * p * ((x - z) ** 2 + (z - y) ** 2),
-                                th.denominator)
-                            found.add(Violation(x, y, key, "lemma1-gap<0",
-                                                gap, z=z))
+        if gap_fails is None:
+            gap_fails = [(x, y, q, _positive(*q, lo, hi))
+                         for x, forms in _gap_rows(lo, hi)
+                         for y, q in zip(axis, forms)
+                         if _top(q, lo, hi) > 0]
+        for x, y, q, spans in gap_fails:
+            zs = chain.from_iterable(range(s, e + 1) for s, e in spans)
+            found.add_counted(sum(e - s + 1 for s, e in spans), (
+                Violation(x, y, key, "lemma1-gap<0", Fraction(
+                    p * (_at(q, z) // 2), th.denominator), z=z)
+                for z in zs))
         if progress is not None:
             progress(checks_done)
 
     # Blend lemma over pairs.
-    vector_ok = use_vector and all(s.constant is not None for s in specs)
-    if specs:
-        engines_run.add("vector" if vector_ok else "scalar")
+    vector_ok = all(s.constant is not None for s in specs)
     checked = _pair_bound(rng) > WIDTH_LIMIT
     for spec in specs:
         ikey = f"lemma2-identity:lambda={spec.label}"
@@ -872,14 +847,15 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         if progress is not None:
             progress(checks_done)
 
-    if not engines_run:
-        engines_run.add("vector" if use_vector else "scalar")
+    # gap_fails is set once a negative theta has run
+    engine = ("vector" if vector_ok else "scalar" if gap_fails is None
+              else "mixed")
     return VerificationReport(
         op="lemmas", rng=rng, pairs_checked=checks_done,
         per_case=_sorted_cells(per_case), violations=found.sorted(),
         violations_total=found.total,
         elapsed_ms=int((time.monotonic() - started) * 1000),
-        engine=engines_run.pop() if len(engines_run) == 1 else "mixed",
+        engine=engine,
         params={"thetas": ",".join(format_rational(Fraction(t)) for t in thetas),
                 "lambdas": ";".join(s.label for s in specs)},
         max_violations=max_violations)
@@ -1123,14 +1099,19 @@ def search_lambda(rng: RangeSpec, q: int, a_grid: Sequence, kind: ConditionId,
     values = [Fraction(i, q) for i in range(q + 1)] if q >= 1 else [Fraction(0)]
 
     # sat[case][(v_xy, v_yx, A)] = pairs of that case satisfied under those
-    # lambda values; total[case] = pairs of that case in range.
+    # lambda values; total[case] = pairs of that case in range. A case that
+    # is its own transpose gives both values one entry of the assignment,
+    # so only v_xy == v_yx is realizable there.
     sat: dict = {c: {} for c in CASE_ORDER}
     total: dict = {c: 0 for c in CASE_ORDER}
+    diagonal = [(v, v) for v in values]
+    square = list(product(values, values))
     for (label, *_), (count, x, y) in _signatures(
             rng, progress=progress).items():
         case = CASE_BY_LABEL[label.split(":")[0]]
         total[case] += count
-        for v1, v2, a in product(values, values, a_values):
+        realizable = diagonal if case.transpose is case else square
+        for (v1, v2), a in product(realizable, a_values):
             params = ConditionParams(_pairwise_lambda_spec(x, y, v1, v2), a,
                                      B, M)
             if check_condition(kind, weight_vector, params, x, y,
@@ -1169,9 +1150,10 @@ def search_lambda(rng: RangeSpec, q: int, a_grid: Sequence, kind: ConditionId,
     for c in present:
         got = sat[c].get((best_assign[c], best_assign[c.transpose], best_a), 0)
         cell_coverage[c.label] = (got, total[c])
-    irreducible = tuple(
-        c.label for c in present
-        if (max(sat[c].values(), default=0)) < total[c])
+    # sat holds realizable lambda pairs only: a cell is irreducible when no
+    # grid assignment covers all its pairs
+    irreducible = tuple(c.label for c in present
+                        if max(sat[c].values(), default=0) < total[c])
 
     return LambdaSearchResult(
         q=q, a_grid=tuple(a_values), kind=kind, rng=rng, budget=budget,

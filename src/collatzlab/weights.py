@@ -306,8 +306,9 @@ def case_lambda(table: Mapping[ParityCase, Exact]) -> LambdaSpec:
     label = ",".join(f"{c.label}:{format_rational(values[c])}" for c in CASE_ORDER)
     distinct = set(values.values())
     constant = distinct.pop() if len(distinct) == 1 else None
+    by_index = tuple(values[c] for c in CASE_ORDER)
 
     def fn(x: int, y: int) -> Fraction:
-        return values[classify(x, y).case]
+        return by_index[_case_index(x, y)[0]]
 
     return LambdaSpec(fn, label, constant=constant)

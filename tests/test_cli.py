@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from collatzlab import cli
+from collatzlab import cli, verifier
 from collatzlab.cli import main
 
 
@@ -76,40 +76,63 @@ def test_verify_violations_cap_bounds_what_is_recorded(capsys):
     assert doc["violations_shown"] == len(doc["violations"]) == 20000
 
 
-def test_verify_engines_agree_beyond_int64(capsys):
+def test_verify_engines_agree_beyond_int64(capsys, monkeypatch):
+    # the interval engine against the per-pair reference substituted for it
+    args = ["verify", "--min", "1000000000", "--max", "1000000040",
+            "--mode", "mbound", "--M", "1", "--allow-large", "--format",
+            "json"]
     docs = {}
     for engine in ("vector", "scalar"):
+        if engine == "scalar":
+            monkeypatch.setattr(verifier, "_sweep_vector",
+                                verifier._sweep_scalar)
         for jobs in ("1", "2"):
-            code, out, _ = run_cli(["verify", "--engine", engine, "--min",
-                                    "1000000000", "--max", "1000000040",
-                                    "--mode", "mbound", "--M", "1",
-                                    "--allow-large", "--jobs", jobs,
-                                    "--format", "json"], capsys)
+            code, out, _ = run_cli(args + ["--jobs", jobs], capsys)
             assert code == 1
-            doc = json.loads(out)
-            assert doc.pop("engine") == engine
-            docs[engine, jobs] = doc
+            docs[engine, jobs] = json.loads(out)
     assert docs["vector", "1"]["violations_total"] > 0
+    assert docs["vector", "1"]["engine"] == "vector"
     assert all(doc == docs["scalar", "1"] for doc in docs.values())
 
 
+# Runs the command line with the per-pair reference in place of the interval
+# engine.
+ORACLE_CLI = ("import sys; from collatzlab import cli, verifier; "
+              "verifier._sweep_vector = verifier._sweep_scalar; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+
+
 @pytest.mark.parametrize("engine", ["auto", "scalar"])
-def test_verify_overflow_policy_beyond_127_bits(engine, capsys):
+def test_verify_overflow_policy_beyond_127_bits(engine, capsys, monkeypatch):
+    # auto is the sweep as shipped, scalar the per-pair reference
+    if engine == "scalar":
+        monkeypatch.setattr(verifier, "_sweep_vector", verifier._sweep_scalar)
+    child = ["-m", "collatzlab.cli"] if engine == "auto" else ["-c", ORACLE_CLI]
     lo = 2**126
     for mode, want in (("direct", 3), ("bounds", 3), ("cross", 3),
                        ("simplified", 0), ("mbound", 0)):
         args = ["verify", "--min", str(lo), "--max", str(lo + 3),
-                "--allow-large", "--mode", mode, "--engine", engine]
+                "--allow-large", "--mode", mode]
         code, _, err = run_cli(args + ["--jobs", "1"], capsys)
         assert code == want, mode
         assert ("overflow" in err) == (want == 3), mode
         # in a child process with a deadline, so that a sweep that never
         # returns fails the test instead of hanging the suite
-        proc = subprocess.run([sys.executable, "-m", "collatzlab.cli"] + args
-                              + ["--jobs", "2"], capture_output=True,
-                              text=True, timeout=60)
+        proc = subprocess.run([sys.executable, *child, *args, "--jobs", "2"],
+                              capture_output=True, text=True, timeout=60)
         assert proc.returncode == want, mode
         assert ("overflow" in proc.stderr) == (want == 3), mode
+
+
+def test_verify_has_no_engine_option(capsys):
+    # every verify mode has one production path
+    with pytest.raises(SystemExit) as exit_help:
+        main(["verify", "--help"])
+    assert exit_help.value.code == 0
+    assert "--engine" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_usage:
+        main(["verify", "--max", "5", "--engine", "scalar"])
+    assert exit_usage.value.code == 2
 
 
 def test_verify_case_filter_and_csv(capsys):
@@ -400,7 +423,7 @@ class StdlibOnly(importlib.abc.MetaPathFinder):
 
 before = set(sys.modules)
 sys.meta_path.insert(0, StdlibOnly())
-from collatzlab import cli
+from collatzlab import cli, verifier
 from collatzlab.verifier import RangeSpec, verify_lemmas
 results = []
 for argv in json.loads(sys.argv[1]):

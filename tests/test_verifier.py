@@ -1,5 +1,5 @@
-"""Sweep engines: pair sweeps (both engines), report merging, lemma sweeps,
-condition coverage, the lambda grid search and orbit decay."""
+"""Sweeps: pair sweeps (against the per-pair reference), report merging,
+lemma sweeps, condition coverage, the lambda grid search and orbit decay."""
 
 import json
 import os
@@ -8,20 +8,23 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from collatzlab import cli, verifier, weights
-from collatzlab.arith import OverflowLimitError
+from collatzlab.arith import OverflowLimitError, format_rational
 from collatzlab.collatz import accel_T
 from collatzlab.framework import (
     ConditionId,
     ConditionParams,
     LambdaSpec,
     check_condition,
+    lemma1_gap,
     metric_d,
 )
 from collatzlab.verifier import (
+    CaseTally,
     RangeSpec,
+    VerificationReport,
     Violation,
     condition_coverage,
     cross_check_simplified,
@@ -53,6 +56,14 @@ def tally_view(report):
 
 def same_report(a, b):
     return replace(a, elapsed_ms=0) == replace(b, elapsed_ms=0)
+
+
+def oracle(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the per-pair reference, _sweep_scalar, in
+    place of the interval engine; its reports still say "vector"."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_sweep_vector", verifier._sweep_scalar)
+        return fn(*args, **kwargs)
 
 
 # === pair sweeps ===
@@ -129,10 +140,10 @@ PARITY_RANGES = {
 @pytest.mark.parametrize("mode", SWEEPS)
 def test_scalar_and_vector_engines_agree(mode, where):
     rng = PARITY_RANGES[where]
-    scalar = SWEEPS[mode](rng, engine="scalar")
-    vector = SWEEPS[mode](rng, engine="vector")
-    assert scalar.engine == "scalar" and vector.engine == "vector"
-    assert same_report(vector, replace(scalar, engine="vector"))
+    scalar = oracle(SWEEPS[mode], rng)
+    vector = SWEEPS[mode](rng)
+    assert vector.engine == "vector"
+    assert same_report(vector, scalar)
     assert (scalar.violations_total > 0) == (mode == "mbound")
 
 
@@ -147,23 +158,27 @@ def test_engines_agree_on_random_rectangles(x0, y0, dx, dy, x_shift, y_shift,
                                             cases, mode, cap):
     lo_x, lo_y = x0 + x_shift, y0 + y_shift
     rng = RangeSpec(lo_x, lo_x + dx, lo_y, lo_y + dy, cases)
-    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=cap)
+    scalar = oracle(SWEEPS[mode], rng, max_violations=cap)
     interval = SWEEPS[mode](rng, max_violations=cap)
-    assert same_report(interval, replace(scalar, engine="vector"))
+    assert same_report(interval, scalar)
 
 
 @pytest.mark.parametrize("engine", ["auto", "scalar"])
 def test_six_term_overflow_raises_on_both_engines(engine):
+    # auto is the sweep as shipped, scalar the per-pair reference
     rng = RangeSpec.square(2**126 + 3, lo=2**126)
     with pytest.raises(OverflowLimitError):
-        verify_pseudocontraction(rng, engine=engine)
+        if engine == "auto":
+            verify_pseudocontraction(rng)
+        else:
+            oracle(verify_pseudocontraction, rng)
 
 
 def test_engines_agree_on_violations_too():
     # an M cap of 1 is genuinely violated wherever |w| = 2
     rng = RangeSpec.square(40)
-    scalar = m_bound_sweep(rng, Fraction(1), engine="scalar")
-    vector = m_bound_sweep(rng, Fraction(1), engine="vector")
+    scalar = oracle(m_bound_sweep, rng, Fraction(1))
+    vector = m_bound_sweep(rng, Fraction(1))
     assert scalar.violations_total == vector.violations_total > 0
     assert scalar.violations == vector.violations
     first = scalar.violations[0]
@@ -174,8 +189,8 @@ def test_engines_agree_on_violations_too():
 def test_m_bound_with_a_denominator_beyond_int64():
     rng = RangeSpec.square(12)
     tiny = Fraction(1, 10**20)
-    scalar = m_bound_sweep(rng, tiny, engine="scalar")
-    vector = m_bound_sweep(rng, tiny, engine="vector")
+    scalar = oracle(m_bound_sweep, rng, tiny)
+    vector = m_bound_sweep(rng, tiny)
     assert scalar.violations_total == vector.violations_total == 144
     assert scalar.violations == vector.violations
 
@@ -191,9 +206,9 @@ def test_violation_cap_keeps_total_exact():
 
 
 def test_merge_over_partition_equals_whole():
-    whole = verify_pseudocontraction(RangeSpec.square(80), engine="scalar")
-    a = verify_pseudocontraction(RangeSpec(1, 30, 1, 80), engine="scalar")
-    b = verify_pseudocontraction(RangeSpec(31, 80, 1, 80), engine="scalar")
+    whole = oracle(verify_pseudocontraction, RangeSpec.square(80))
+    a = oracle(verify_pseudocontraction, RangeSpec(1, 30, 1, 80))
+    b = oracle(verify_pseudocontraction, RangeSpec(31, 80, 1, 80))
     merged = merge_reports(a, b)
     assert merged.pairs_checked == whole.pairs_checked
     assert tally_view(merged) == tally_view(whole)
@@ -202,9 +217,9 @@ def test_merge_over_partition_equals_whole():
 
 
 def test_merge_with_violations_is_order_insensitive():
-    a = m_bound_sweep(RangeSpec(1, 20, 1, 40), Fraction(1), engine="scalar")
-    b = m_bound_sweep(RangeSpec(21, 40, 1, 40), Fraction(1), engine="scalar")
-    whole = m_bound_sweep(RangeSpec.square(40), Fraction(1), engine="scalar")
+    a = oracle(m_bound_sweep, RangeSpec(1, 20, 1, 40), Fraction(1))
+    b = oracle(m_bound_sweep, RangeSpec(21, 40, 1, 40), Fraction(1))
+    whole = oracle(m_bound_sweep, RangeSpec.square(40), Fraction(1))
     assert merge_reports(a, b).violations == whole.violations
     assert merge_reports(b, a).violations == whole.violations
     assert merge_reports(a, b).violations_total == whole.violations_total
@@ -220,12 +235,12 @@ def verify_cli(tmp_path, name, *args):
 
 def test_parallel_jobs_match_single_job(tmp_path):
     # --jobs is accepted and ignored: under a 700 cap that ends inside row
-    # 17, two jobs give the bytes of one, and the scalar engine's flags
+    # 17, two jobs give the bytes of one, and the per-pair reference's flags
     args = ("--max", "60", "--mode", "mbound", "--M", "1",
             "--violations-cap", "700")
     single = verify_cli(tmp_path, "1.json", *args, "--jobs", "1")
     assert single == verify_cli(tmp_path, "2.json", *args, "--jobs", "2")
-    code, scalar = verify_cli(tmp_path, "s.json", *args, "--engine", "scalar")
+    code, scalar = oracle(verify_cli, tmp_path, "s.json", *args)
     doc, reference = json.loads(single[1]), json.loads(scalar)
     assert code == single[0] == 1
     assert doc["violations"] == reference["violations"]
@@ -275,18 +290,9 @@ def test_jobs_below_one_behave_as_one(tmp_path):
         assert verify_cli(tmp_path, f"{jobs}.json", *args, "--jobs", jobs) == one
 
 
-def test_unknown_engine_is_rejected():
-    for engine in ("sclar", "vectr", "", "Vector"):
-        with pytest.raises(ValueError, match="engine"):
-            verify_pseudocontraction(RangeSpec.square(5), engine=engine)
-        with pytest.raises(ValueError, match="engine"):
-            verify_lemmas(RangeSpec.square(5), [-1], [Fraction(1, 2)],
-                          engine=engine)
-
-
 @pytest.fixture
 def wrong_forms(monkeypatch):
-    """Closed forms that are off, for both engines, since sweeps of the true
+    """Closed forms that are off, for both paths, since sweeps of the true
     forms flag nothing. Along l the errors are linear (even-even: k*l - 1,
     which also makes the form positive where k > l) and quadratic (even-odd:
     (k - l)(k - 2l); odd-even: (k - l)(k - l + 1)), and each vanishes
@@ -311,11 +317,10 @@ def ends_mid_row(report, cap):
 @pytest.mark.parametrize("mode", ["simplified", "cross"])
 def test_far_flags_and_values_match_scalar(mode, wrong_forms):
     rng = RangeSpec.square(10**15 + 40, lo=10**15)
-    assert ends_mid_row(SWEEPS[mode](rng, engine="scalar",
-                                     max_violations=10**6), 150)
-    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=150)
+    assert ends_mid_row(oracle(SWEEPS[mode], rng, max_violations=10**6), 150)
+    scalar = oracle(SWEEPS[mode], rng, max_violations=150)
     interval = SWEEPS[mode](rng, max_violations=150)
-    assert same_report(interval, replace(scalar, engine="vector"))
+    assert same_report(interval, scalar)
     assert len(interval.violations) == 150 < interval.violations_total
     assert max(abs(v.value) for v in interval.violations) > 10**14
 
@@ -326,9 +331,9 @@ def test_far_evaluation_at_its_guard(mode, wrong_forms):
     # wrong even-even form turns positive as l passes k, and the least range
     # the old int64 base-K evaluation admitted
     rng = RangeSpec.square(32777, lo=32770)
-    scalar = SWEEPS[mode](rng, engine="scalar")
+    scalar = oracle(SWEEPS[mode], rng)
     interval = SWEEPS[mode](rng)
-    assert same_report(interval, replace(scalar, engine="vector"))
+    assert same_report(interval, scalar)
     assert (interval.violations_total > 0) == (mode not in ("direct",
                                                             "bounds"))
 
@@ -337,28 +342,28 @@ def test_far_evaluation_at_its_guard(mode, wrong_forms):
 @pytest.mark.parametrize("mode", ["simplified", "cross"])
 def test_wrong_forms_match_scalar(mode, where, wrong_forms):
     rng = PARITY_RANGES[where]
-    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=150)
+    scalar = oracle(SWEEPS[mode], rng, max_violations=150)
     interval = SWEEPS[mode](rng, max_violations=150)
-    assert same_report(interval, replace(scalar, engine="vector"))
+    assert same_report(interval, scalar)
 
 
 @pytest.mark.parametrize("cap", [3, 150, 10**5])
 @pytest.mark.parametrize("mode", SWEEPS)
 def test_wrong_forms_match_scalar_on_a_near_rectangle(mode, cap, wrong_forms):
     rng = PARITY_RANGES["gates"]
-    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=cap)
+    scalar = oracle(SWEEPS[mode], rng, max_violations=cap)
     interval = SWEEPS[mode](rng, max_violations=cap)
-    assert same_report(interval, replace(scalar, engine="vector"))
+    assert same_report(interval, scalar)
     assert (interval.violations_total > 0) == (mode not in ("direct",
                                                             "bounds"))
     if interval.violations_total > cap:
-        full = SWEEPS[mode](rng, engine="scalar", max_violations=10**6)
+        full = oracle(SWEEPS[mode], rng, max_violations=10**6)
         assert ends_mid_row(full, cap)
 
 
 @pytest.fixture
 def wrong_weights(monkeypatch):
-    """A weight table that is off, for both engines, patched after the
+    """A weight table that is off, for both paths, patched after the
     interval engine has tabulated the true one. Even-even's delta of +1
     makes its form positive; even-odd's weights drop into [-1, 1], so an M
     of 1 no longer flags it; the diagonal gains an epsilon of 1."""
@@ -373,12 +378,12 @@ def wrong_weights(monkeypatch):
 @pytest.mark.parametrize("mode", SWEEPS)
 def test_patched_weights_reach_pair_sweeps(mode, wrong_weights):
     # every mode but simplified reads the weights; under a cap that ends
-    # mid-row the interval engine flags what the scalar one does
+    # mid-row the interval engine flags what the per-pair reference does
     rng, cap = PARITY_RANGES["gates"], 150
-    full = SWEEPS[mode](rng, engine="scalar", max_violations=10**6)
-    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=cap)
+    full = oracle(SWEEPS[mode], rng, max_violations=10**6)
+    scalar = oracle(SWEEPS[mode], rng, max_violations=cap)
     interval = SWEEPS[mode](rng, max_violations=cap)
-    assert same_report(interval, replace(scalar, engine="vector"))
+    assert same_report(interval, scalar)
     cells = {v.case for v in full.violations}
     if mode == "simplified":
         assert not cells
@@ -394,10 +399,46 @@ def test_patched_weights_reach_pair_sweeps(mode, wrong_weights):
 def test_a_negative_cap_keeps_no_flags_on_both_engines(mode, wrong_forms,
                                                        wrong_weights):
     rng = PARITY_RANGES["gates"]
-    scalar = SWEEPS[mode](rng, engine="scalar", max_violations=-1)
+    scalar = oracle(SWEEPS[mode], rng, max_violations=-1)
     interval = SWEEPS[mode](rng, max_violations=-1)
-    assert same_report(interval, replace(scalar, engine="vector"))
+    assert same_report(interval, scalar)
     assert interval.violations == () and interval.violations_total > 0
+
+
+def shipped(fn, *args, **kwargs):
+    """fn(*args, **kwargs) as shipped, the counterpart of oracle."""
+    return fn(*args, **kwargs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x0=st.sampled_from([1, 2, 3, 30, 10**12]),
+       y0=st.sampled_from([1, 2, 3, 30, 10**12]),
+       dx=st.integers(1, 14), dy=st.integers(1, 14),
+       cases=st.none() | st.frozensets(st.sampled_from(CASE_ORDER), min_size=1),
+       mode=st.sampled_from(sorted(SWEEPS)), cap_seed=st.integers(0, 10**6),
+       x_seed=st.integers(0, 10**6), y_seed=st.integers(0, 10**6))
+# (2, 5) is flagged twice in bounds mode, and a cap of 2 splits its flags
+@example(x0=1, y0=1, dx=11, dy=11, cases=None, mode="bounds", cap_seed=1,
+         x_seed=0, y_seed=5)
+def test_capped_reports_are_prefixes_and_merges_are_exact(
+        x0, y0, dx, dy, cases, mode, cap_seed, x_seed, y_seed, wrong_forms,
+        wrong_weights):
+    rng = RangeSpec(x0, x0 + dx, y0, y0 + dy, cases)
+    x_cut, y_cut = x0 + x_seed % dx, y0 + y_seed % dy
+    halves = {"rows": (replace(rng, x_max=x_cut), replace(rng, x_min=x_cut + 1)),
+              "columns": (replace(rng, y_max=y_cut),
+                          replace(rng, y_min=y_cut + 1))}
+    for run in (shipped, oracle):
+        full = run(SWEEPS[mode], rng, max_violations=10**6)
+        cap = 1 + cap_seed % max(1, full.violations_total)
+        capped = run(SWEEPS[mode], rng, max_violations=cap)
+        assert capped.violations == full.violations[:cap]
+        assert capped.violations_total == full.violations_total
+        for split, (a, b) in halves.items():
+            merged = merge_reports(run(SWEEPS[mode], a, max_violations=cap),
+                                   run(SWEEPS[mode], b, max_violations=cap))
+            assert same_report(merged, capped), split
 
 
 def test_closed_forms_are_quadratic_in_l_off_the_diagonal():
@@ -490,14 +531,49 @@ def test_lemma_sweep_examples():
     assert report.per_case["lemma2-identity:lambda=1/2"].pairs == 2500
 
 
+def triangle_gap_oracle(rng, thetas):
+    """verify_lemmas's report on the triangle-gap lemma alone, built triple
+    by triple from framework.lemma1_gap."""
+    cap = verifier.DEFAULT_MAX_VIOLATIONS
+    axis = range(rng.x_min, rng.x_max + 1)
+    per_case, flags = {}, []
+    for theta in map(Fraction, thetas):
+        key = f"lemma1:theta={format_rational(theta)}"
+        per_case[key] = CaseTally(len(axis) ** 3)
+        flags += [Violation(x, y, key, "lemma1-gap<0", gap, z=z)
+                  for x, y, z in product(axis, repeat=3)
+                  for gap in [lemma1_gap(theta, x, y, z)] if gap < 0]
+    return VerificationReport(
+        op="lemmas", rng=rng, pairs_checked=len(thetas) * len(axis) ** 3,
+        per_case=dict(sorted(per_case.items())),
+        violations=tuple(sorted(flags[:cap], key=Violation.sort_key)),
+        violations_total=len(flags), elapsed_ms=0, engine="vector",
+        params={"thetas": ",".join(format_rational(Fraction(t))
+                                   for t in thetas), "lambdas": ""},
+        max_violations=cap)
+
+
+def per_pair(value):
+    """A constant lambda that does not say so, which verify_lemmas blends
+    pair by pair: the per-pair reference of the interval blend."""
+    spec = LambdaSpec.const(value)
+    return LambdaSpec(spec, spec.label)
+
+
 def test_lemma_sweep_engine_parity():
     thetas = [Fraction(-5, 2), -1, Fraction(-1, 3), 0, Fraction(1, 2)]
     lambdas = [0, Fraction(1, 4), 1]
-    for rng in (RangeSpec.square(60), RangeSpec.square(10**15 + 29, lo=10**15)):
-        scalar = verify_lemmas(rng, thetas, lambdas, engine="scalar")
-        vector = verify_lemmas(rng, thetas, lambdas)
-        assert scalar.violations_total == vector.violations_total == 0
-        assert same_report(vector, replace(scalar, engine="vector"))
+    for rng in (RangeSpec.square(24), RangeSpec.square(10**15 + 23, lo=10**15)):
+        gap = verify_lemmas(rng, thetas, [])
+        assert same_report(gap, triangle_gap_oracle(rng, thetas))
+        blend = verify_lemmas(rng, [], lambdas)
+        scalar = verify_lemmas(rng, [], [per_pair(v) for v in lambdas])
+        assert (blend.engine, scalar.engine) == ("vector", "scalar")
+        assert same_report(blend, replace(scalar, engine="vector"))
+        both = verify_lemmas(rng, thetas, lambdas)
+        assert both.violations_total == 0
+        assert both.per_case == {**gap.per_case, **blend.per_case}
+        assert list(both.per_case) == sorted(both.per_case)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -593,23 +669,20 @@ def test_lemma_sweep_engine_label_names_what_ran():
     assert verify_lemmas(oblong, [], half).engine == "vector"
     assert verify_lemmas(oblong, [-1], half).engine == "vector"
     assert verify_lemmas(oblong, [-1], []).engine == "vector"
-    assert verify_lemmas(oblong, [-1], half, engine="vector").engine == "vector"
     per_case = LambdaSpec(lambda x, y: Fraction(x % 2), "x mod 2")
     square = RangeSpec.square(12)
     assert verify_lemmas(square, [], [per_case]).engine == "scalar"
     assert verify_lemmas(square, [-1], [per_case]).engine == "mixed"
     assert verify_lemmas(square, [-1], half).engine == "vector"
-    assert verify_lemmas(square, [-1], half, engine="scalar").engine == "scalar"
 
 
 def test_triangle_gap_lemma_runs_vectorized_on_far_squares():
     rng = RangeSpec.square(10**15 + 30, lo=10**15)
     thetas = [Fraction(-5, 2), -1]
-    vector = verify_lemmas(rng, thetas, [], engine="vector")
-    scalar = verify_lemmas(rng, thetas, [], engine="scalar")
+    vector = verify_lemmas(rng, thetas, [])
     assert vector.engine == "vector"
-    assert tally_view(vector) == tally_view(scalar)
-    assert vector.violations_total == scalar.violations_total == 0
+    assert same_report(vector, triangle_gap_oracle(rng, thetas))
+    assert vector.violations_total == 0
 
 
 BLEND_LAMBDAS = [0, Fraction(1, 3), Fraction(1, 2), 1]
@@ -619,8 +692,8 @@ BLEND_LAMBDAS = [0, Fraction(1, 3), Fraction(1, 2), 1]
 def test_blend_lemma_runs_vectorized_on_far_squares(lo):
     rng = RangeSpec.square(lo + 40, lo=lo)
     vector = verify_lemmas(rng, [], BLEND_LAMBDAS)
-    scalar = verify_lemmas(rng, [], BLEND_LAMBDAS, engine="scalar")
-    assert vector.engine == "vector"
+    scalar = verify_lemmas(rng, [], [per_pair(v) for v in BLEND_LAMBDAS])
+    assert (vector.engine, scalar.engine) == ("vector", "scalar")
     assert same_report(vector, replace(scalar, engine="vector"))
     assert vector.pairs_checked == 8 * 41 * 41
 
@@ -630,8 +703,8 @@ def test_blend_lemma_runs_vectorized_on_far_squares(lo):
                          ids=["square", "rectangle", "offset"])
 def test_blend_lemma_matches_scalar(rng):
     vector = verify_lemmas(rng, [], BLEND_LAMBDAS)
-    scalar = verify_lemmas(rng, [], BLEND_LAMBDAS, engine="scalar")
-    assert vector.engine == "vector"
+    scalar = verify_lemmas(rng, [], [per_pair(v) for v in BLEND_LAMBDAS])
+    assert (vector.engine, scalar.engine) == ("vector", "scalar")
     assert same_report(vector, replace(scalar, engine="vector"))
 
 
@@ -644,11 +717,11 @@ def test_blend_lemma_flags_match_scalar(monkeypatch):
     rng = RangeSpec(1, 40, 1, 70)
     lambdas = [Fraction(1, 3), Fraction(1, 2)]
     # the first lambda alone flags more than 200, the 200th inside a row
-    first = verify_lemmas(rng, [], lambdas[:1], engine="scalar",
+    first = verify_lemmas(rng, [], [per_pair(lambdas[0])],
                           max_violations=10**6)
     assert ends_mid_row(first, 200)
     vector = verify_lemmas(rng, [], lambdas, max_violations=200)
-    scalar = verify_lemmas(rng, [], lambdas, engine="scalar",
+    scalar = verify_lemmas(rng, [], [per_pair(v) for v in lambdas],
                            max_violations=200)
     assert same_report(vector, replace(scalar, engine="vector"))
     assert len(vector.violations) == 200
@@ -869,7 +942,9 @@ def test_search_budget_pruning_still_returns_a_result():
 def brute_force_search(rng, q, a_grid, kind, B=None, M=None,
                        budget=verifier.DEFAULT_SEARCH_BUDGET):
     """search_lambda by enumeration: outcomes tabulated pair by pair over the
-    lambda grid, then every assignment of the (pruned) product scored."""
+    lambda pairs an assignment can give it (one value twice where the case
+    is its own transpose), then every assignment of the (pruned) product
+    scored."""
     values = [Fraction(i, q) for i in range(q + 1)] if q else [Fraction(0)]
     a_values = sorted({Fraction(a) for a in a_grid})
     sat = {c: {} for c in CASE_ORDER}
@@ -881,6 +956,8 @@ def brute_force_search(rng, q, a_grid, kind, B=None, M=None,
                 continue
             total[case] += 1
             for v1, v2, a in product(values, values, a_values):
+                if case.transpose is case and v1 != v2:
+                    continue
                 lam = LambdaSpec(lambda u, w, x=x, y=y, v1=v1, v2=v2:
                                  v1 if (u, w) == (x, y) else v2, "pair")
                 if check_condition(kind, weight_vector,
