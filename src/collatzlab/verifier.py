@@ -303,19 +303,16 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
 # form are integer quadratics in l, and every report field comes from their
 # coefficients in Python ints, at any coordinate size.
 # Quadratics are kept doubled, as (a, b, c) with 2F(l) = a*l^2 + b*l + c, so
-# that the one through three values of an integer form has integer
-# coefficients.
-# The row point is linear in k too (x = 2k, T(x) = k; x = 2k + 1,
-# T(x) = 3k + 2; or the constant x = 1), so on an interval the direct form
-# is (a, b0 + b1*k, c0 + (c1 + c2*k)*k) with six integers that depend only
-# on the cell and its weight row. _direct_table expands them once per weight
-# table; the diagonal, whose weights move with d = k - l, gets one entry per
-# d in {-1, 0, 1}, each a single point of its row.
+# that their coefficients are integers. The row point is linear in k too
+# (x = 2k, T(x) = k; x = 2k + 1, T(x) = 3k + 2; or x = 1), so per cell each
+# form is a doubled quadratic in (k, l) that _cell_table fits once per table
+# and _in_l reads at row k; the diagonal has one per point d = k - l.
 
 # The point of class c (1, even, odd) at reduced coordinate n, as
 # (s, p, ts, tp): the value s + p*n, with T at it ts + tp*n. Class 0 is the
-# value 1, at n = 0.
+# value 1, at n = 0. _CELL_CLASSES holds each cell's row and column class.
 _POINTS = ((1, 0, 1, 0), (0, 2, 0, 1), (1, 2, 2, 3))
+_CELL_CLASSES = tuple(divmod(CASE_ORDER.index(case), 3) for case in CELL_CASES)
 
 
 def _columns(y_min: int, y_max: int, cases: Iterable[int]) -> tuple:
@@ -377,51 +374,56 @@ def _form(w: Sequence, basis: tuple) -> tuple:
     return tuple(sum(map(mul, w, coefs)) for coefs in basis)
 
 
+def _fit(f: Callable, what: str) -> tuple:
+    """The doubled (a, b0, b1, c0, c1, c2) of a form with 2f(k, l) = a*l^2 +
+    (b0 + b1*k)*l + c0 + (c1 + c2*k)*k, read off {0, 1, 2}^2; one that is not
+    such a quadratic raises on {0, ..., 4}^2 or beyond 2^64."""
+    f00, f01, f02, f10, f11, f20 = (
+        f(k, l) for k, l in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)))
+    a, c2 = f02 - 2 * f01 + f00, f20 - 2 * f10 + f00
+    b0, c1 = 2 * (f01 - f00) - a, 2 * (f10 - f00) - c2
+    fit = (a, b0, 2 * (f11 - f00) - a - b0 - c1 - c2, 2 * f00, c1, c2)
+    for k, l in chain(product(range(5), repeat=2), [(2**64 + 3, 2**65 + 7)]):
+        if _at(_in_l(fit, k), l) != 2 * f(k, l):
+            raise ValueError(f"the form of {what} is not quadratic in (k, l)")
+    return fit
+
+
+def _in_l(e: tuple, k: int) -> tuple:
+    """A table entry's form (_fit) at row k, as a doubled quadratic in l."""
+    return e[0], e[1] + e[2] * k, e[3] + (e[4] + e[5] * k) * k
+
+
+def _cell_table(form: Callable, tail: Callable = lambda cell, d: ()) -> tuple:
+    """Per cell, form(cell, k, l) fitted with None for the reduced coordinate
+    of a 1, then tail(cell, d); the diagonal has one per k - l in (-1, 0, 1)."""
+    def fit(cell: int, d: int) -> tuple:
+        rows, columns = _CELL_CLASSES[cell]
+        return _fit(lambda k, l: form(cell, k if rows else None, (
+            k - d if cell == DIAGONAL else l) if columns else None),
+            TALLY_KEYS[cell]) + tail(cell, d)
+    return tuple(tuple(fit(cell, d) for d in (-1, 0, 1)) if cell == DIAGONAL
+                 else fit(cell, 0) for cell in range(len(CELL_CASES)))
+
+
 @lru_cache(maxsize=8)
 def _direct_table(rows: tuple) -> tuple:
-    """The direct form per cell on its intervals, for the weight table
-    `rows` (weights.CELL_WEIGHTS, which cell_weights reads): entry `cell`
-    is (a, b0, b1, c0, c1, c2, worst), the doubled quadratic in l
-    (a, b0 + b1*k, c0 + (c1 + c2*k)*k) at row k and the largest |w| of the
-    cell; the diagonal's entry holds one such per d = k - l in (-1, 0, 1).
-    The form at k = 0, 1 and 2 fixes the six integers: a does not depend
-    on k, the coefficient of l is linear in k and the constant quadratic."""
-    table = []
-    for cell, case in enumerate(CELL_CASES):
-        index = CASE_ORDER.index(case)
-        s, p, ts, tp = _POINTS[index // 3]
-        column = _POINTS[index % 3]
-        entries = []
-        for d in ((-1, 0, 1) if cell == DIAGONAL else (0,)):
-            w = cell_weights(cell, d, 0)
-            (a, b0, f0), (_, b1, f1), (_, _, f2) = (
-                _form(w, _basis(_terms((s + p * k, 0, ts + tp * k, 0),
-                                       column)))
-                for k in (0, 1, 2))
-            c2 = (f2 - 2 * f1 + f0) // 2
-            entries.append((a, b0, b1 - b0, f0, f1 - f0 - c2, c2,
-                            max(map(abs, w))))
-        table.append(tuple(entries) if cell == DIAGONAL else entries[0])
-    return tuple(table)
+    """The six-term form per cell (_cell_table) of the weight table `rows`
+    (weights.CELL_WEIGHTS, which cell_weights reads), then its largest |w|."""
+    def six_term(cell, k, l):
+        (s, p, ts, tp), column = (_POINTS[c] for c in _CELL_CLASSES[cell])
+        k, l = k or 0, l or 0  # a 1 has no reduced coordinate
+        terms = _terms((s + p * k, 0, ts + tp * k, 0), column)
+        return sum(w * (u + v * l) ** 2
+                   for w, (u, v) in zip(cell_weights(cell, k, l), terms))
+    return _cell_table(six_term, lambda cell, d: (
+        max(map(abs, cell_weights(cell, d, 0))),))
 
 
-def _closed_form(form: Callable, k, lo, hi) -> tuple:
-    """A closed form along l in [lo, hi] at row k, as a doubled quadratic
-    through its values at the first three points (as many as there are).
-    With four points or more it is checked at the last one, and a form that
-    is not quadratic in l there raises instead of being misread."""
-    f0 = form(k, lo)
-    if hi == lo:
-        return 0, 0, 2 * f0
-    f1 = form(k, lo + 1)
-    f2 = form(k, lo + 2) if hi > lo + 1 else 2 * f1 - f0
-    a = f0 - 2 * f1 + f2
-    b = 4 * f1 - 3 * f0 - f2
-    q = (a, b - 2 * a * lo, (a * lo - b) * lo + 2 * f0)
-    if hi > lo + 2 and _at(q, hi) != 2 * form(k, hi):
-        raise ValueError(f"closed form is not quadratic in l at k={k}, "
-                         f"l in [{lo}, {hi}]")
-    return q
+@lru_cache(maxsize=8)
+def _closed_table(forms: tuple) -> tuple:
+    """The closed form per cell (_cell_table) of `forms` (CELL_FORMS)."""
+    return _cell_table(lambda cell, k, l: forms[cell](k, l))
 
 
 def _at(q: tuple, l: int) -> int:
@@ -547,9 +549,9 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     """Sweep the cell intervals of every row (_walk) and read each check off
     the interval's quadratics: counts are interval lengths, maxima lie at
     the ends or next to the vertex, and a comparison holds on at most two
-    ranges (_positive). The direct form and the largest |w| of an interval
-    are read from _direct_table at the row's k, from CELL_WEIGHTS alone; the
-    closed form comes from CELL_FORMS (_closed_form), so the cross check
+    ranges (_positive). Both forms are read the same way at the row's k:
+    the direct form and the largest |w| from _direct_table (CELL_WEIGHTS
+    alone), the closed form from _closed_table (CELL_FORMS alone), so cross
     compares two independent derivations. Where _pair_bound exceeds the
     width limit, the direct form gets the width checks of framework.lhs."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
@@ -563,6 +565,7 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     # an integer weight exceeds M exactly when it exceeds floor(M)
     m_floor = m_cap.numerator // m_cap.denominator
     table = _direct_table(weights.CELL_WEIGHTS)
+    closed = _closed_table(CELL_FORMS) if do_simp else None
     per_case: dict[str, CaseTally] = {}
     cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
 
@@ -584,17 +587,15 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
         for cell, lo, hi in spans:
             n = hi - lo + 1
             pairs += n
-            entry = table[cell]
-            if cell == DIAGONAL:
-                entry = entry[k - lo + 1]
-            a, b0, b1, c0, c1, c2, worst = entry
+            pick = k - lo + 1 if cell == DIAGONAL else None  # by d = k - l
+            entry = table[cell] if pick is None else table[cell][pick]
             key = TALLY_KEYS[cell]
             tal = per_case.get(key)
             if tal is None:
                 tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[cell])
             tal.pairs += n
             if do_lhs:
-                direct = (a, b0 + b1 * kk, c0 + (c1 + c2 * kk) * kk)
+                direct = _in_l(entry, kk)
                 if checked:
                     _check_widths(cell_weights(cell, k, lo), terms, direct,
                                   lo, hi)
@@ -606,9 +607,8 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                     flags.append(above(key, CHECK_BOUNDS, direct,
                                        2 * tal.bound, lo, hi))
             if do_simp:
-                # the closed forms take no l where y = 1
-                simp = (_closed_form(CELL_FORMS[cell], k, lo, hi) if column[1]
-                        else (0, 0, 2 * CELL_FORMS[cell](k, None)))
+                simp = _in_l(closed[cell] if pick is None
+                             else closed[cell][pick], kk)
                 if do_simp_check:
                     top = _top(simp, lo, hi)
                     if not do_lhs:
@@ -622,10 +622,10 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                               QUANTITY_LABELS[CHECK_CROSS],
                               _nonzero(diff, lo, hi),
                               lambda l, q=diff: _at(q, l) // 2))
-            if do_m and worst > m_floor:
+            if do_m and entry[6] > m_floor:
                 flags.append((CHECK_RANK[CHECK_MBOUND], key,
                               QUANTITY_LABELS[CHECK_MBOUND],
-                              [(lo, hi)], lambda l, v=worst: v))
+                              [(lo, hi)], lambda l, v=entry[6]: v))
         return pairs, flags
 
     _walk(rng, cases, visit, found, progress)
@@ -682,7 +682,7 @@ def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
     pairs, per_case = _sweep_vector(rng, checks, m_cap, found, progress)
     return VerificationReport(
         op=op, rng=rng, pairs_checked=pairs, per_case=_sorted_cells(per_case),
-        violations=found.sorted(), violations_total=found.total,
+        violations=tuple(found.kept), violations_total=found.total,
         elapsed_ms=int((time.monotonic() - started) * 1000), engine="vector",
         params={"checks": "+".join(checks), "M": format_rational(m_cap)},
         max_violations=max_violations)
@@ -773,12 +773,13 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     pair sweeps (_blend_visit) when every lambda is constant, and pair by
     pair otherwise. The report's engine names what ran: "vector" (the
     triangle gap and interval blends), "scalar" (the per-pair blend) or
-    "mixed".
+    "mixed". Each theta and lambda keeps its own first flags, which it finds
+    in report order, and the report keeps the first of their merge.
     """
     started = time.monotonic()
     specs = _as_lambda_specs(lambdas)
     per_case: dict[str, CaseTally] = {}
-    found = _Findings(max_violations)
+    passes: list[_Findings] = []
     checks_done = 0
 
     lo, hi = rng.x_min, rng.x_max
@@ -805,6 +806,8 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         if p >= 0:
             # gap = theta*d(x,y)^2 >= 0 holds identically; z plays no part.
             continue
+        found = _Findings(max_violations)
+        passes.append(found)
         if gap_fails is None:
             gap_fails = [(x, y, q, _positive(*q, lo, hi))
                          for x, forms in _gap_rows(lo, hi)
@@ -827,6 +830,8 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         nkey = f"lemma2-nonpositive:lambda={spec.label}"
         note(ikey, rng.grid_count())
         note(nkey, rng.grid_count())
+        found = _Findings(max_violations)
+        passes.append(found)
         if vector_ok:
             _walk(rng, range(len(CASE_ORDER)),
                   _blend_visit(spec.constant, ikey, nkey, checked), found)
@@ -850,10 +855,13 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     # gap_fails is set once a negative theta has run
     engine = ("vector" if vector_ok else "scalar" if gap_fails is None
               else "mixed")
+    # a stable sort: ties keep the pass order
+    violations = tuple(sorted(chain.from_iterable(f.kept for f in passes),
+                              key=Violation.sort_key)[:max(0, max_violations)])
     return VerificationReport(
         op="lemmas", rng=rng, pairs_checked=checks_done,
-        per_case=_sorted_cells(per_case), violations=found.sorted(),
-        violations_total=found.total,
+        per_case=_sorted_cells(per_case), violations=violations,
+        violations_total=sum(f.total for f in passes),
         elapsed_ms=int((time.monotonic() - started) * 1000),
         engine=engine,
         params={"thetas": ",".join(format_rational(Fraction(t)) for t in thetas),

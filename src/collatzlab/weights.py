@@ -6,8 +6,8 @@ subcases by the offset k - l of the reduced coordinates (x = 2k+1,
 y = 2l+1) and two linear gates. That gives the thirteen report cells. This
 module owns the cell decision and three per-cell tables: the weight row
 (constant except on the diagonal), the sharpened upper bound of the
-six-term quadratic form, and its closed-form polynomial in k and l. Both
-sweep engines read them; the scalar helpers here are lookups into them.
+six-term quadratic form, and its closed-form polynomial in k and l. The
+pair sweeps read them; the scalar helpers here are lookups into them.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ CELL_WEIGHTS = (
 CELL_BOUNDS = (0, 0, 0, -1, -1, -1, -4, -1, 0, -8, 0, -8, 0)
 
 # Closed form of the six-term form per cell, in the reduced coordinates. The
-# interval engine reads each as a quadratic in l at fixed k, off the diagonal.
+# interval engine fits each once, in (k, l), and the diagonal's along k - l.
 CELL_FORMS = (
     lambda k, l: 0,                                 # 1-1
     lambda k, l: -2 * l * l + 2 * l,                # 1-even

@@ -442,8 +442,8 @@ def test_capped_reports_are_prefixes_and_merges_are_exact(
 
 
 def test_closed_forms_are_quadratic_in_l_off_the_diagonal():
-    # the interval engine reads every closed form but the diagonal's as a
-    # quadratic in l at fixed k, from three values
+    # every closed form but the diagonal's is a quadratic in l at fixed k,
+    # as the interval engine's fit in (k, l) requires
     for cell, form in enumerate(weights.CELL_FORMS):
         if cell == DIAGONAL or cell in (0, 3, 6):  # diagonal, or y = 1
             continue
@@ -453,11 +453,18 @@ def test_closed_forms_are_quadratic_in_l_off_the_diagonal():
                 assert f[3] - 3 * f[2] + 3 * f[1] - f[0] == 0
 
 
-def test_a_closed_form_cubic_in_l_raises(monkeypatch):
+@pytest.mark.parametrize("term", [
+    lambda k, l: l ** 3,
+    # constant along every row, so only a fit in k as well as l sees it
+    lambda k, l: k ** 3,
+    # 0 on l = 0..3, the points a fit through three or four values reads
+    lambda k, l: l * (l - 1) * (l - 2) * (l - 3),
+], ids=["l^3", "k^3", "quartic"])
+def test_a_closed_form_cubic_in_l_raises(monkeypatch, term):
     forms = list(weights.CELL_FORMS)
     cell = CASE_ORDER.index(ParityCase.EVEN_EVEN)
     forms[cell] = (lambda right: lambda k, l:
-                   right(k, l) + l ** 3)(forms[cell])
+                   right(k, l) + term(k, l))(forms[cell])
     monkeypatch.setattr(verifier, "CELL_FORMS", tuple(forms))
     for sweep in (verify_simplified, cross_check_simplified):
         with pytest.raises(ValueError, match="not quadratic"):
@@ -482,7 +489,8 @@ def test_odd_odd_spans_match_the_classifier():
        d=st.sampled_from([-1, 0, 1]))
 def test_direct_table_matches_the_per_pair_expansion(cell, k, l, d):
     # each cell's row and column class, with the row x = 1 where the cell's
-    # case has it; the diagonal is read at its three offsets d = k - l
+    # case has it; the diagonal is read at its three offsets d = k - l, where
+    # its entry, fitted in k along its line, matches in value
     row_class, column_class = divmod(
         CASE_ORDER.index(weights.CELL_CASES[cell]), 3)
     x = (1, 2 * k, 2 * k + 1)[row_class]
@@ -494,11 +502,30 @@ def test_direct_table_matches_the_per_pair_expansion(cell, k, l, d):
     if cell == DIAGONAL:
         entry, l = entry[d + 1], k - d
     w = weights.cell_weights(cell, k, l)
-    a, b0, b1, c0, c1, c2, worst = entry
-    kk = 0 if x == 1 else k
-    assert (a, b0 + b1 * kk, c0 + (c1 + c2 * kk) * kk) == verifier._form(
-        w, verifier._basis(verifier._terms(row, column)))
-    assert worst == max(map(abs, w))
+    direct = verifier._in_l(entry, 0 if x == 1 else k)
+    expanded = verifier._form(w, verifier._basis(verifier._terms(row, column)))
+    if cell == DIAGONAL:
+        assert verifier._at(direct, l) == verifier._at(expanded, l)
+    else:
+        assert direct == expanded
+    assert entry[6] == max(map(abs, w))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cell=st.integers(0, len(weights.TALLY_KEYS) - 1),
+       k=st.integers(0, 10**15), l=st.integers(0, 10**15),
+       d=st.sampled_from([-1, 0, 1]))
+def test_closed_table_reproduces_the_closed_forms(cell, k, l, d):
+    # the 1 rows and columns take no reduced coordinate, and the diagonal is
+    # read on its line l = k - d
+    row_class, column_class = divmod(
+        CASE_ORDER.index(weights.CELL_CASES[cell]), 3)
+    entry = verifier._closed_table(weights.CELL_FORMS)[cell]
+    if cell == DIAGONAL:
+        entry, l = entry[d + 1], k - d
+    value = verifier._at(verifier._in_l(entry, k), l)
+    assert value == 2 * weights.CELL_FORMS[cell](
+        k if row_class else None, l if column_class else None)
 
 
 def test_merge_keeps_cell_order_sorted():
@@ -546,7 +573,7 @@ def triangle_gap_oracle(rng, thetas):
     return VerificationReport(
         op="lemmas", rng=rng, pairs_checked=len(thetas) * len(axis) ** 3,
         per_case=dict(sorted(per_case.items())),
-        violations=tuple(sorted(flags[:cap], key=Violation.sort_key)),
+        violations=tuple(sorted(flags, key=Violation.sort_key))[:cap],
         violations_total=len(flags), elapsed_ms=0, engine="vector",
         params={"thetas": ",".join(format_rational(Fraction(t))
                                    for t in thetas), "lambdas": ""},
@@ -651,10 +678,26 @@ def test_triangle_gap_flags_of_two_thetas_come_from_one_scan(monkeypatch):
     rng = RangeSpec.square(hi, lo=lo)
     report = verify_lemmas(rng, thetas, [], max_violations=cap)
     assert scans == [(lo, hi)]
-    assert report.violations == tuple(sorted(flags[:cap],
-                                             key=Violation.sort_key))
+    assert report.violations == tuple(sorted(flags,
+                                             key=Violation.sort_key))[:cap]
     assert report.violations_total == len(flags)
     assert report.per_case["lemma1:theta=-1"].pairs == (hi - lo + 1) ** 3
+
+
+def test_capped_lemma_reports_are_prefixes(monkeypatch, wrong_weights):
+    # a raised gap and the wrong even-even row make a negative theta and
+    # both lambdas flag, with pairs interleaved across the three passes
+    rows = verifier._gap_rows
+    monkeypatch.setattr(verifier, "_gap_rows", lambda lo, hi: (
+        (x, [(a, b, c + 6) for a, b, c in forms]) for x, forms in rows(lo, hi)))
+    args = (RangeSpec.square(12), [-1], [Fraction(1, 3), Fraction(1, 2)])
+    full = verify_lemmas(*args, max_violations=10**6)
+    assert {v.case.split(":")[0] for v in full.violations} == {
+        "lemma1", "lemma2-nonpositive"}
+    for cap in range(1, full.violations_total + 1):
+        capped = verify_lemmas(*args, max_violations=cap)
+        assert capped.violations == full.violations[:cap], cap
+        assert capped.violations_total == full.violations_total
 
 
 def test_lemma_sweep_rejects_bad_lambda():
