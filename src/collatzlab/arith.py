@@ -26,9 +26,9 @@ class OverflowLimitError(OverflowError):
         self.value = value
 
 
-def check_width(value: int, what: str = "value", limit: int = WIDTH_LIMIT) -> int:
-    """Return `value` unchanged, raising OverflowLimitError if |value| > limit."""
-    if value > limit or -value > limit:
+def check_width(value: int, what: str = "value") -> int:
+    """Return `value` unchanged; OverflowLimitError if |value| > WIDTH_LIMIT."""
+    if value > WIDTH_LIMIT or -value > WIDTH_LIMIT:
         raise OverflowLimitError(what, value)
     return value
 

@@ -1,5 +1,7 @@
 """Command-line front end: pair sweeps, condition coverage, orbits and the
-per-case lambda grid search, with text, JSON and CSV report rendering.
+per-case lambda grid search, with text, JSON and CSV report rendering. Each
+command returns its exit code and report text, and main writes the report
+once: to --output, else to the file named by COLLATZLAB_OUTPUT, else stdout.
 
 Exit codes: 0 success/verified, 1 findings (violations or an orbit that ran
 out of cap), 2 usage error, 3 arithmetic width overflow. JSON and CSV output
@@ -22,6 +24,7 @@ import io
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -100,18 +103,6 @@ def _parse_lambda(text: str) -> LambdaSpec:
         raise UsageError(str(e)) from None
 
 
-def _parse_cases(values) -> Optional[frozenset]:
-    if not values:
-        return None
-    cases = set()
-    for name in values:
-        case = CASE_BY_LABEL.get(name)
-        if case is None:
-            raise UsageError(f"unknown parity case {name!r}")
-        cases.add(case)
-    return frozenset(cases)
-
-
 def _build_range(args) -> RangeSpec:
     if args.max < 1:
         raise UsageError(f"--max must be >= 1, got {args.max}")
@@ -122,9 +113,13 @@ def _build_range(args) -> RangeSpec:
         raise UsageError(
             f"range side {side} (--max - --min + 1) exceeds the desk-scale "
             f"default {DESK_SCALE_MAX}; pass --allow-large to confirm")
+    for name in args.case or ():
+        if name not in CASE_BY_LABEL:
+            raise UsageError(f"unknown parity case {name!r}")
     try:
         return RangeSpec(args.min, args.max, args.min, args.max,
-                         _parse_cases(args.case))
+                         frozenset(map(CASE_BY_LABEL.get, args.case))
+                         if args.case else None)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -300,39 +295,51 @@ def _render_json(doc: dict) -> str:
     return _json(doc, "\n") + "\n"
 
 
-def _render_csv_verification(doc: dict) -> str:
+def _csv(header: list, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["record", "x", "y", "z", "case", "quantity", "value",
-                "pairs", "max_lhs", "bound"])
-    for tal in doc["per_case"]:
-        w.writerow(["tally", "", "", "", tal["case"], "", "",
-                    tal["pairs"], _cell_str(tal["max_lhs"]),
-                    _cell_str(tal["bound"])])
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _render_csv_verification(doc: dict) -> str:
     # csv writes None as "" and a Fraction as str(), which is "p/q" in
     # lowest terms like format_rational
-    w.writerows(("violation", v.x, v.y, v.z, v.case, v.quantity, v.value,
-                 "", "", "") for v in doc["violations"])
-    return buf.getvalue()
+    return _csv(["record", "x", "y", "z", "case", "quantity", "value",
+                 "pairs", "max_lhs", "bound"], chain(
+        (["tally", "", "", "", tal["case"], "", "", tal["pairs"],
+          _cell_str(tal["max_lhs"]), _cell_str(tal["bound"])]
+         for tal in doc["per_case"]),
+        (("violation", v.x, v.y, v.z, v.case, v.quantity, v.value, "", "", "")
+         for v in doc["violations"])))
 
 
 def _render_csv_coverage(doc: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["record", "cell", "pairs", "holds_first", "holds_mirrored",
-                "fails", "example_hold", "example_fail", "weight_tuples",
-                "ratios", "b_sums"])
-    for c in doc["cells"]:
-        w.writerow([
-            "cell", c["cell"], c["pairs"], c["holds_first"],
-            c["holds_mirrored"], c["fails"],
-            " ".join(map(str, c["example_hold"])) if c["example_hold"] else "",
-            " ".join(map(str, c["example_fail"])) if c["example_fail"] else "",
-            ";".join(",".join(map(str, t)) for t in c["weight_tuples"]),
-            ";".join(_cell_str(r) for r in c["ratios"]),
-            ";".join(_cell_str(b) for b in c["b_sums"]),
-        ])
-    return buf.getvalue()
+    return _csv(["record", "cell", "pairs", "holds_first", "holds_mirrored",
+                 "fails", "example_hold", "example_fail", "weight_tuples",
+                 "ratios", "b_sums"], ([
+        "cell", c["cell"], c["pairs"], c["holds_first"],
+        c["holds_mirrored"], c["fails"],
+        " ".join(map(str, c["example_hold"])) if c["example_hold"] else "",
+        " ".join(map(str, c["example_fail"])) if c["example_fail"] else "",
+        ";".join(",".join(map(str, t)) for t in c["weight_tuples"]),
+        ";".join(_cell_str(r) for r in c["ratios"]),
+        ";".join(_cell_str(b) for b in c["b_sums"]),
+    ] for c in doc["cells"]))
+
+
+def _render_csv_orbit(doc: dict) -> str:
+    return _csv(["map", "seed", "cap", "steps", "peak", "reached_one"],
+                [[doc["map"], doc["seed"], doc["cap"], _cell_str(doc["steps"]),
+                  doc["peak"], doc["reached_one"]]])
+
+
+def _render_csv_search(doc: dict) -> str:
+    return _csv(["case", "lambda", "covered", "total"], (
+        [case.label, _cell_str(doc["best_lambda"][case.label]),
+         *doc["cell_coverage"].get(case.label, (0, 0))]
+        for case in CASE_ORDER))
 
 
 def _render_text_verification(doc: dict, report: VerificationReport) -> str:
@@ -409,12 +416,32 @@ def _render_text_search(doc: dict, result: LambdaSearchResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _render_text_orbit(doc: dict, record) -> str:
+    lines = [f"orbit: map {record.map_name} seed {record.seed} cap {doc['cap']}"]
+    if record.steps is None:
+        lines.append(f"did not reach 1 within {doc['cap']} steps; "
+                     f"peak so far {record.peak}")
     else:
-        sys.stdout.write(text)
+        lines.append(f"reached 1 after {record.steps} steps; peak {record.peak}")
+    if record.path is not None:
+        lines.append("path: " + " ".join(str(p) for p in record.path))
+    return "\n".join(lines) + "\n"
+
+
+def _render(args, doc: dict, source, as_csv, as_text) -> str:
+    """`doc` in --format; text also reads the command's result, `source`."""
+    if args.format == "json":
+        return _render_json(doc)
+    if args.format == "csv":
+        return as_csv(doc)
+    return as_text(doc, source)
+
+
+def _verification(args, command: str,
+                  report: VerificationReport) -> tuple[int, str]:
+    doc = _verification_doc(command, report, args.timings)
+    return (0 if report.ok else 1, _render(args, doc, report,
+            _render_csv_verification, _render_text_verification))
 
 
 def _progress_printer(args):
@@ -426,8 +453,9 @@ def _progress_printer(args):
 
 
 # --- subcommands --------------------------------------------------------------
+# Each returns (exit code, report text); main writes the report.
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     rng = _build_range(args)
     kwargs = dict(max_violations=max(0, args.violations_cap),
                   progress=_progress_printer(args))
@@ -436,27 +464,15 @@ def cmd_verify(args) -> int:
             m_cap = parse_rational(args.M)
         except ValueError as e:
             raise UsageError(str(e)) from None
-    if args.mode == "direct":
-        report = verify_pseudocontraction(rng, bounds=False, **kwargs)
-    elif args.mode == "bounds":
-        report = verify_pseudocontraction(rng, bounds=True, **kwargs)
+        report = m_bound_sweep(rng, m_cap, **kwargs)
     elif args.mode == "simplified":
         report = verify_simplified(rng, **kwargs)
     elif args.mode == "cross":
         report = cross_check_simplified(rng, **kwargs)
-    elif args.mode == "mbound":
-        report = m_bound_sweep(rng, m_cap, **kwargs)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown mode {args.mode!r}")
-    doc = _verification_doc("verify", report, args.timings)
-    if args.format == "json":
-        out = _render_json(doc)
-    elif args.format == "csv":
-        out = _render_csv_verification(doc)
     else:
-        out = _render_text_verification(doc, report)
-    _write_output(out, args.output)
-    return 0 if report.violations_total == 0 else 1
+        report = verify_pseudocontraction(rng, bounds=args.mode == "bounds",
+                                          **kwargs)
+    return _verification(args, "verify", report)
 
 
 def _condition_id(args) -> ConditionId:
@@ -478,7 +494,7 @@ def _condition_params(args, b: Optional[str] = None,
         raise UsageError(str(e)) from None
 
 
-def cmd_conditions(args) -> int:
+def cmd_conditions(args) -> tuple[int, str]:
     kind = _condition_id(args)
     params = _condition_params(args, args.B, args.M)
     rng = _build_range(args)
@@ -487,17 +503,11 @@ def cmd_conditions(args) -> int:
                                 m_lambda=args.m_lambda,
                                 progress=_progress_printer(args))
     doc = _coverage_doc(report, args.timings)
-    if args.format == "json":
-        out = _render_json(doc)
-    elif args.format == "csv":
-        out = _render_csv_coverage(doc)
-    else:
-        out = _render_text_coverage(doc, report)
-    _write_output(out, args.output)
-    return 0
+    return 0, _render(args, doc, report, _render_csv_coverage,
+                      _render_text_coverage)
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple[int, str]:
     if args.seed < 1:
         raise UsageError(f"--seed must be >= 1, got {args.seed}")
     if args.cap < 1:
@@ -513,65 +523,31 @@ def cmd_orbit(args) -> int:
         "reached_one": record.steps is not None,
         "path": list(record.path) if record.path is not None else None,
     }
-    if args.format == "json":
-        out = _render_json(doc)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["map", "seed", "cap", "steps", "peak", "reached_one"])
-        w.writerow([doc["map"], doc["seed"], doc["cap"],
-                    _cell_str(doc["steps"]), doc["peak"],
-                    doc["reached_one"]])
-        out = buf.getvalue()
-    else:
-        lines = [f"orbit: map {record.map_name} seed {record.seed} cap {args.cap}"]
-        if record.steps is None:
-            lines.append(f"did not reach 1 within {args.cap} steps; "
-                         f"peak so far {record.peak}")
-        else:
-            lines.append(f"reached 1 after {record.steps} steps; peak {record.peak}")
-        if record.path is not None:
-            lines.append("path: " + " ".join(str(p) for p in record.path))
-        out = "\n".join(lines) + "\n"
-    _write_output(out, args.output)
-    return 0 if record.steps is not None else 1
+    return (0 if record.steps is not None else 1,
+            _render(args, doc, record, _render_csv_orbit, _render_text_orbit))
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[int, str]:
     kind = _condition_id(args)
     rng = _build_range(args)
     try:
         a_grid = [parse_rational(part) for part in args.A.split(",") if part.strip()]
-        b = parse_rational(args.B) if args.B is not None else None
-        m = parse_rational(args.M) if args.M is not None else None
-        result = search_lambda(rng, args.q, a_grid, kind, B=b, M=m,
+        result = search_lambda(rng, args.q, a_grid, kind,
+                               B=parse_rational(args.B), M=parse_rational(args.M),
                                budget=args.budget,
                                corrected_c4=args.corrected_c4,
                                progress=_progress_printer(args))
     except ValueError as e:
         raise UsageError(str(e)) from None
-    doc = _search_doc(result, args.timings)
-    if args.format == "json":
-        out = _render_json(doc)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["case", "lambda", "covered", "total"])
-        for case in CASE_ORDER:
-            got_tot = result.cell_coverage.get(case.label, (0, 0))
-            w.writerow([case.label, _cell_str(result.best_lambda[case.label]),
-                        got_tot[0], got_tot[1]])
-        out = buf.getvalue()
-    else:
-        out = _render_text_search(doc, result)
-    _write_output(out, args.output)
     if result.budget_exhausted:
         print("note: search budget exhausted; each case group kept only its "
               "top candidates, which hold the best assignment", file=sys.stderr)
-    return 0
+    doc = _search_doc(result, args.timings)
+    return 0, _render(args, doc, result, _render_csv_search,
+                      _render_text_search)
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args) -> tuple[int, str]:
     params = _condition_params(args)
     if args.seed_max < args.seed_min or args.seed_min < 1:
         raise UsageError("need 1 <= --seed-min <= --seed-max")
@@ -583,23 +559,20 @@ def cmd_decay(args) -> int:
                                cap=args.cap,
                                max_violations=max(0, args.violations_cap),
                                progress=_progress_printer(args))
-    doc = _verification_doc("decay", report, args.timings)
-    if args.format == "json":
-        out = _render_json(doc)
-    elif args.format == "csv":
-        out = _render_csv_verification(doc)
-    else:
-        out = _render_text_verification(doc, report)
-    _write_output(out, args.output)
-    return 0 if report.violations_total == 0 else 1
+    return _verification(args, "decay", report)
 
 
 # --- parser --------------------------------------------------------------------
 
-def _add_common(sub, with_range=True):
+def _add_output(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--output", default=None,
                      help=f"write the report here (default stdout, env {ENV_OUTPUT})")
+
+
+def _add_sweep(sub, with_range=True):
+    """--format, --output, --timings, --progress and the pair range."""
+    _add_output(sub)
     sub.add_argument("--timings", action="store_true",
                      help="include elapsed_ms in JSON/CSV (breaks byte-for-byte "
                           "reproducibility)")
@@ -625,7 +598,7 @@ def _add_lambda_args(sub):
 
 
 def _add_condition_args(sub):
-    _add_lambda_args(sub)
+    """The condition system's options other than --lambda and --A."""
     sub.add_argument("--B", default="2", help="branch sum lower bound (family 3)")
     sub.add_argument("--M", default="2", help="weight magnitude cap (family 3)")
     sub.add_argument("--theorem", type=int, choices=(1, 2, 3), default=3)
@@ -643,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("verify", help="pair sweeps of the weighted inequality")
-    _add_common(p)
+    _add_sweep(p)
     p.add_argument("--mode", choices=("direct", "simplified", "cross",
                                       "bounds", "mbound"), default="direct")
     p.add_argument("--M", default="2", help="cap for --mode mbound")
@@ -656,14 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = subs.add_parser("conditions", help="condition coverage map over a range")
-    _add_common(p)
+    _add_sweep(p)
+    _add_lambda_args(p)
     _add_condition_args(p)
     p.add_argument("--m-lambda", action="store_true",
                    help="also cap the blended weights by M")
     p.set_defaults(fn=cmd_conditions)
 
     p = subs.add_parser("orbit", help="trajectory and stopping time of one seed")
-    _add_common(p, with_range=False)
+    _add_output(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--map", choices=("C", "T"), default="T")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
@@ -672,23 +646,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search-lambda",
                         help="grid-search per-case lambda assignments")
-    _add_common(p)
+    _add_sweep(p)
     p.add_argument("--q", type=int, default=1,
                    help="lambda grid denominator; values are 0, 1/q, ..., 1")
     p.add_argument("--A", required=True,
                    help="comma-separated A grid, e.g. 1/2 or 1/4,1/2,3/4")
-    p.add_argument("--B", default="2")
-    p.add_argument("--M", default="2")
-    p.add_argument("--theorem", type=int, choices=(1, 2, 3), default=3)
-    p.add_argument("--condition", type=int, choices=(1, 2, 3, 4, 5), default=5)
-    p.add_argument("--corrected-c4", action="store_true")
+    _add_condition_args(p)
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(fn=cmd_search)
 
     p = subs.add_parser("decay", help="orbit decay sweep over a seed range; "
                                       "the premise is always the family-1 "
                                       "condition (5)")
-    _add_common(p, with_range=False)
+    _add_sweep(p, with_range=False)
     _add_lambda_args(p)
     p.add_argument("--seed-min", type=int, default=1)
     p.add_argument("--seed-max", type=int, required=True)
@@ -711,18 +681,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its report: the one writer of every report."""
     args = _parser().parse_args(argv)
-    # environment defaults are read per call; explicit options win
-    if args.output is None:
-        args.output = os.environ.get(ENV_OUTPUT) or None
     try:
-        return args.fn(args)
+        code, report = args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OverflowLimitError as e:
         print(f"overflow: {e}", file=sys.stderr)
         return 3
+    # environment defaults are read per call; explicit options win
+    path = os.environ.get(ENV_OUTPUT) if args.output is None else args.output
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(report)
+    else:
+        sys.stdout.write(report)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .arith import WIDTH_LIMIT, check_width
+from .arith import check_width
 
 DEFAULT_CAP = 10**5
 
@@ -32,16 +32,16 @@ class TrajectoryRecord:
         return self.steps is None
 
 
-def collatz_C(x: int, limit: int = WIDTH_LIMIT) -> int:
+def collatz_C(x: int) -> int:
     """One Collatz step: x/2 if even, 3x+1 if odd."""
     if x < 1:
         raise ValueError(f"x must be a positive integer, got {x}")
     if x % 2 == 0:
         return x // 2
-    return check_width(3 * x + 1, "Collatz step", limit)
+    return check_width(3 * x + 1, "Collatz step")
 
 
-def accel_T(x: int, limit: int = WIDTH_LIMIT) -> int:
+def accel_T(x: int) -> int:
     """One accelerated step: fixes 1, halves evens, (3x+1)/2 for odd x >= 3."""
     if x < 1:
         raise ValueError(f"x must be a positive integer, got {x}")
@@ -49,7 +49,7 @@ def accel_T(x: int, limit: int = WIDTH_LIMIT) -> int:
         return 1
     if x % 2 == 0:
         return x // 2
-    return check_width((3 * x + 1) // 2, "accelerated step", limit)
+    return check_width((3 * x + 1) // 2, "accelerated step")
 
 
 def _map_fn(map_name: str) -> Callable[[int], int]:
@@ -61,8 +61,7 @@ def _map_fn(map_name: str) -> Callable[[int], int]:
 
 
 def stopping_time(map_name: str, seed: int, cap: int = DEFAULT_CAP,
-                  keep_path: bool = False,
-                  limit: int = WIDTH_LIMIT) -> TrajectoryRecord:
+                  keep_path: bool = False) -> TrajectoryRecord:
     """Minimal n >= 1 with map^n(seed) = 1, searched up to cap applications.
 
     Cap exhaustion is a reported outcome (steps=None), not an error: the
@@ -78,7 +77,7 @@ def stopping_time(map_name: str, seed: int, cap: int = DEFAULT_CAP,
     peak = seed
     value = seed
     for n in range(1, cap + 1):
-        value = step(value, limit)
+        value = step(value)
         if path is not None:
             path.append(value)
         if value > peak:
@@ -90,8 +89,8 @@ def stopping_time(map_name: str, seed: int, cap: int = DEFAULT_CAP,
                             tuple(path) if path is not None else None)
 
 
-def _path_to_one(map_name: str, seed: int, cap: int, limit: int) -> list[int]:
-    rec = stopping_time(map_name, seed, cap, keep_path=True, limit=limit)
+def _path_to_one(map_name: str, seed: int, cap: int) -> list[int]:
+    rec = stopping_time(map_name, seed, cap, keep_path=True)
     if rec.steps is None:
         raise CapExceededError(map_name, seed, cap)
     assert rec.path is not None
@@ -109,13 +108,12 @@ class CapExceededError(RuntimeError):
         self.cap = cap
 
 
-def consistency_CT(seed: int, cap: int = DEFAULT_CAP,
-                   limit: int = WIDTH_LIMIT) -> bool:
+def consistency_CT(seed: int, cap: int = DEFAULT_CAP) -> bool:
     """True iff the T-trajectory of seed is the C-trajectory with the forced
     even value after each odd step skipped (and the terminal 1-4-2-1 loop
     collapsed), which validates T as an acceleration of C."""
-    c_path = _path_to_one("C", seed, cap, limit)
-    t_path = _path_to_one("T", seed, cap, limit)
+    c_path = _path_to_one("C", seed, cap)
+    t_path = _path_to_one("T", seed, cap)
     derived = [c_path[0]]
     i = 0
     last = len(c_path) - 1
@@ -133,8 +131,8 @@ def consistency_CT(seed: int, cap: int = DEFAULT_CAP,
     return derived == t_path
 
 
-def stopping_times_upto(map_name: str, max_seed: int, cap: int = DEFAULT_CAP,
-                        limit: int = WIDTH_LIMIT) -> list[Optional[int]]:
+def stopping_times_upto(map_name: str, max_seed: int,
+                        cap: int = DEFAULT_CAP) -> list[Optional[int]]:
     """Stopping times for every seed in [1, max_seed], or None where the cap
     ran out.
 
@@ -151,7 +149,7 @@ def stopping_times_upto(map_name: str, max_seed: int, cap: int = DEFAULT_CAP,
         n = 0
         value = seed
         while n < cap:
-            value = step(value, limit)
+            value = step(value)
             n += 1
             if value == 1:
                 table[seed] = n
@@ -165,8 +163,7 @@ def stopping_times_upto(map_name: str, max_seed: int, cap: int = DEFAULT_CAP,
     return table
 
 
-def consistency_sweep(max_seed: int, cap: int = DEFAULT_CAP,
-                      limit: int = WIDTH_LIMIT) -> list[int]:
+def consistency_sweep(max_seed: int, cap: int = DEFAULT_CAP) -> list[int]:
     """Seeds in [1, max_seed] whose T-trajectory fails to be the skip
     subsequence of their C-trajectory (empty list = all consistent).
 
@@ -175,7 +172,7 @@ def consistency_sweep(max_seed: int, cap: int = DEFAULT_CAP,
     already-verified seed.
     """
     failures: list[int] = []
-    if max_seed >= 1 and not consistency_CT(1, cap, limit):
+    if max_seed >= 1 and not consistency_CT(1, cap):
         failures.append(1)
     for seed in range(2, max_seed + 1):
         cv = seed
@@ -183,10 +180,10 @@ def consistency_sweep(max_seed: int, cap: int = DEFAULT_CAP,
         consistent = True
         for _ in range(cap):
             if cv % 2 == 1:  # odd >= 3: one T-step is two C-steps
-                cv = collatz_C(collatz_C(cv, limit), limit)
+                cv = collatz_C(collatz_C(cv))
             else:
-                cv = collatz_C(cv, limit)
-            tv = accel_T(tv, limit)
+                cv = collatz_C(cv)
+            tv = accel_T(tv)
             if cv != tv:
                 consistent = False
                 break

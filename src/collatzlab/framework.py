@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .arith import WIDTH_LIMIT, check_width, format_rational
+from .arith import check_width, format_rational
 
 Exact = Union[int, Fraction]
 MapFn = Callable[[int], int]
@@ -194,8 +194,7 @@ def metric_d(x: int, y: int) -> int:
     return abs(x - y)
 
 
-def weighted_lhs(weights: WeightVector, T: MapFn, x: int, y: int,
-                 limit: int = WIDTH_LIMIT) -> Exact:
+def weighted_lhs(weights: WeightVector, T: MapFn, x: int, y: int) -> Exact:
     """Evaluate the six-term quadratic form with an explicit weight vector."""
     tx = T(x)
     ty = T(y)
@@ -214,17 +213,16 @@ def weighted_lhs(weights: WeightVector, T: MapFn, x: int, y: int,
         weights.zeta * d_yty,
     )
     for t in terms:
-        check_width(t, "six-term product", limit)
-    return check_width(sum(terms), "six-term sum", limit)
+        check_width(t, "six-term product")
+    return check_width(sum(terms), "six-term sum")
 
 
-def lhs(W: WeightFunction, T: MapFn, x: int, y: int,
-        limit: int = WIDTH_LIMIT) -> Exact:
+def lhs(W: WeightFunction, T: MapFn, x: int, y: int) -> Exact:
     """Six-term quadratic form at (x, y) with weights W(x, y).
 
     T satisfies the contraction inequality at the pair iff this is <= 0.
     """
-    return weighted_lhs(W(x, y), T, x, y, limit)
+    return weighted_lhs(W(x, y), T, x, y)
 
 
 def symmetrize(W: WeightFunction, lam: LambdaSpec, x: int, y: int) -> WeightVector:
@@ -248,8 +246,7 @@ def symmetrize(W: WeightFunction, lam: LambdaSpec, x: int, y: int) -> WeightVect
     )
 
 
-def lemma1_gap(theta: Exact, x: int, y: int, z: int,
-               limit: int = WIDTH_LIMIT) -> Exact:
+def lemma1_gap(theta: Exact, x: int, y: int, z: int) -> Exact:
     """Slack of the weighted triangle bound through z:
 
         theta*d(x,y)^2 - 2*min(theta, 0)*(d(x,z)^2 + d(z,y)^2)
@@ -261,9 +258,9 @@ def lemma1_gap(theta: Exact, x: int, y: int, z: int,
     d_zy = metric_d(z, y) ** 2
     gap = theta * d_xy - 2 * min(theta, 0) * (d_xz + d_zy)
     if isinstance(gap, Fraction):
-        check_width(gap.numerator, "lemma gap numerator", limit)
+        check_width(gap.numerator, "lemma gap numerator")
     else:
-        check_width(gap, "lemma gap", limit)
+        check_width(gap, "lemma gap")
     return gap
 
 
@@ -381,8 +378,7 @@ def check_condition(kind: ConditionId, W: WeightFunction, params: ConditionParam
     return ConditionOutcome(kind, x, y, holds, branch, witnesses)
 
 
-def iterate_orbit(T: MapFn, seed: int, max_steps: int,
-                  limit: int = WIDTH_LIMIT) -> OrbitRecord:
+def iterate_orbit(T: MapFn, seed: int, max_steps: int) -> OrbitRecord:
     """Iterate T from seed until a fixed point or max_steps applications."""
     if seed < 1:
         raise ValueError(f"seed must be a positive integer, got {seed}")
@@ -393,7 +389,7 @@ def iterate_orbit(T: MapFn, seed: int, max_steps: int,
     reached = False
     cur = seed
     for _ in range(max_steps):
-        nxt = check_width(T(cur), "orbit iterate", limit)
+        nxt = check_width(T(cur), "orbit iterate")
         points.append(nxt)
         sq.append((nxt - cur) ** 2)
         if nxt == cur:

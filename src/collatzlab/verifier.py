@@ -188,9 +188,15 @@ class VerificationReport:
 
 
 def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationReport:
-    """Combine reports over disjoint ranges of the same sweep."""
+    """Combine reports over disjoint ranges of the same sweep: the same op,
+    params and case filter. The merged report keeps the smaller violation
+    cap, the one at which both heads are known."""
     if a.op != b.op:
         raise ValueError(f"cannot merge {a.op!r} with {b.op!r}")
+    if a.params != b.params:
+        raise ValueError(f"cannot merge params {a.params} with {b.params}")
+    if a.rng.cases != b.rng.cases:
+        raise ValueError("cannot merge reports with different case filters")
     per_case: dict[str, CaseTally] = {}
     for src in (a.per_case, b.per_case):
         for key, tal in src.items():
@@ -203,7 +209,7 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
             cur.pairs += tal.pairs
             if tal.max_lhs is not None:
                 cur.absorb_value(tal.max_lhs)
-    cap = max(a.max_violations, b.max_violations)
+    cap = min(a.max_violations, b.max_violations)
     violations = tuple(sorted(a.violations + b.violations,
                               key=Violation.sort_key))[:cap]
     rng = RangeSpec(min(a.rng.x_min, b.rng.x_min), max(a.rng.x_max, b.rng.x_max),
@@ -774,8 +780,12 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     pair otherwise. The report's engine names what ran: "vector" (the
     triangle gap and interval blends), "scalar" (the per-pair blend) or
     "mixed". Each theta and lambda keeps its own first flags, which it finds
-    in report order, and the report keeps the first of their merge.
+    in report order, and the report keeps the first of their merge. Neither
+    lemma is per parity case, so a range with a case filter is rejected.
     """
+    if rng.cases is not None:
+        raise ValueError("the lemmas hold over whole ranges; "
+                         "drop the parity-case filter")
     started = time.monotonic()
     specs = _as_lambda_specs(lambdas)
     per_case: dict[str, CaseTally] = {}

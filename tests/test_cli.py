@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, formats, determinism, round-trips."""
 
+import contextlib
+import hashlib
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -341,6 +345,124 @@ def test_decay_rejects_cap_below_one(cap, capsys):
     assert code == 2
     assert out == ""
     assert "--cap" in err
+
+
+# === one writer: every command's bytes, options and stderr ===
+
+VERIFY_MODES = ("direct", "simplified", "cross", "bounds", "mbound")
+
+# each request runs in all three formats; its digest covers exit codes,
+# stdout and stderr, with the text reports' elapsed line masked
+CHARACTERIZED = [
+    *(["verify", "--max", "30", "--mode", mode] + extra
+      for mode in VERIFY_MODES
+      for extra in ([], ["--M", "1", "--violations-cap", "7"],
+                    ["--case", "odd-odd"])),
+    ["conditions", "--lambda", "even-even:1/2,*:0", "--A", "1/2",
+     "--max", "20"],
+    ["conditions", "--A", "1/2", "--theorem", "2", "--condition", "4",
+     "--corrected-c4", "--max", "20"],
+    ["conditions", "--lambda", "1", "--A", "1/2", "--m-lambda",
+     "--max", "20"],
+    ["search-lambda", "--q", "2", "--A", "1/2", "--max", "12"],
+    # exhausts the budget, so stderr carries the note
+    ["search-lambda", "--q", "3", "--A", "1/4,1/2", "--max", "12"],
+    ["decay", "--seed-max", "200", "--A", "1/2"],
+    ["decay", "--seed-max", "100", "--lambda", "1", "--A", "1/2",
+     "--full-orbits", "--no-telescoped"],
+    ["orbit", "--seed", "27", "--path"],
+    # cut short: exit 1
+    ["orbit", "--seed", "27", "--map", "C", "--cap", "10"],
+]
+
+CHARACTER_DIGESTS = {
+    'verify --max 30 --mode direct': '15cccb7f4d1d1bc6',
+    'verify --max 30 --mode direct --M 1 --violations-cap 7': '15cccb7f4d1d1bc6',
+    'verify --max 30 --mode direct --case odd-odd': '28bb763afb1909b1',
+    'verify --max 30 --mode simplified': '68da46ff8d1b7b33',
+    'verify --max 30 --mode simplified --M 1 --violations-cap 7': '68da46ff8d1b7b33',
+    'verify --max 30 --mode simplified --case odd-odd': '9d3b0c12627d47fc',
+    'verify --max 30 --mode cross': 'd728eb88dbd1d506',
+    'verify --max 30 --mode cross --M 1 --violations-cap 7': 'd728eb88dbd1d506',
+    'verify --max 30 --mode cross --case odd-odd': 'd939b785f64979d0',
+    'verify --max 30 --mode bounds': '5bcd00e488dc5b05',
+    'verify --max 30 --mode bounds --M 1 --violations-cap 7': '5bcd00e488dc5b05',
+    'verify --max 30 --mode bounds --case odd-odd': 'b2778746e9fa89e2',
+    'verify --max 30 --mode mbound': '530910d9963a3d18',
+    'verify --max 30 --mode mbound --M 1 --violations-cap 7': '433d46db120028e4',
+    'verify --max 30 --mode mbound --case odd-odd': '4121768489c16dc9',
+    'conditions --lambda even-even:1/2,*:0 --A 1/2 --max 20': '8bfc53fc79f3d3b1',
+    'conditions --A 1/2 --theorem 2 --condition 4 --corrected-c4 --max 20': '5ffae22baf288c32',
+    'conditions --lambda 1 --A 1/2 --m-lambda --max 20': '2c63bc3c26dffcde',
+    'search-lambda --q 2 --A 1/2 --max 12': 'ec2322b54cad26b0',
+    'search-lambda --q 3 --A 1/4,1/2 --max 12': '930fc1f5fa2d48db',
+    'decay --seed-max 200 --A 1/2': '9a55c3759b87ebeb',
+    'decay --seed-max 100 --lambda 1 --A 1/2 --full-orbits --no-telescoped': '619aa977f65d01da',
+    'orbit --seed 27 --path': 'cb47d92d398d6bf3',
+    'orbit --seed 27 --map C --cap 10': '020185070a19d883',
+}
+
+
+def _masked(text: str) -> str:
+    return re.sub(r"elapsed: \d+ ms", "elapsed: N ms", text)
+
+
+def _characterize(argv) -> str:
+    """First 16 hex digits of the sha256 of the exit code, stdout and stderr
+    of `argv` in the text, JSON and CSV formats, in that order."""
+    digest = hashlib.sha256()
+    for fmt in ("text", "json", "csv"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--format", fmt])
+        digest.update(
+            f"{code}\0{_masked(out.getvalue())}\0{err.getvalue()}\0".encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv", CHARACTERIZED, ids=" ".join)
+def test_reports_keep_their_bytes(argv, monkeypatch):
+    monkeypatch.delenv("COLLATZLAB_OUTPUT", raising=False)
+    assert _characterize(argv) == CHARACTER_DIGESTS[" ".join(argv)]
+
+
+ONE_PER_COMMAND = [
+    ["verify", "--max", "30", "--mode", "mbound", "--M", "1"],
+    ["conditions", "--A", "1/2", "--max", "20"],
+    ["orbit", "--seed", "27", "--path"],
+    ["search-lambda", "--q", "3", "--A", "1/2", "--max", "12"],
+    ["decay", "--seed-max", "200", "--A", "1/2"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda a: a[0])
+def test_output_file_holds_the_stdout_bytes(argv, fmt, tmp_path, capsys):
+    argv = argv + ["--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    target = tmp_path / "report"
+    assert run_cli(argv + ["--output", str(target)], capsys) == (code, "", err)
+    # text reports end with their elapsed time, which differs between runs
+    assert _masked(target.read_bytes().decode()) == _masked(out)
+
+
+@pytest.mark.parametrize("option", ["--timings", "--progress"])
+def test_orbit_rejects_options_it_would_ignore(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--seed", "27", option])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_progress_goes_to_stderr_only(capsys):
+    argv = ["verify", "--max", "1500", "--format", "json"]
+    _, plain, _ = run_cli(argv, capsys)
+    code, out, err = run_cli(argv + ["--progress"], capsys)
+    assert code == 0
+    assert out == plain
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert all(re.fullmatch(r"  \.\.\.\d+ checks", line) for line in lines)
 
 
 # === environment defaults ===

@@ -36,7 +36,7 @@ def test_maps_reject_nonpositive():
 
 def test_map_overflow_guards():
     with pytest.raises(OverflowLimitError):
-        collatz_C(99, limit=200)
+        collatz_C(2**126 + 1)
     with pytest.raises(OverflowLimitError):
         accel_T(2**127 - 1)
 

@@ -89,7 +89,7 @@ def test_weighted_lhs_matches_inline_expansion():
 
 def test_lhs_overflow_guard():
     with pytest.raises(OverflowLimitError):
-        weighted_lhs(WeightVector(1, 1, 1, 1, 1, 1), accel_T, 5, 400, limit=10)
+        weighted_lhs(WeightVector(1, 1, 1, 1, 1, 1), accel_T, 5, 2**64)
 
 
 # === blending (lambda-symmetrization) ===
@@ -302,9 +302,10 @@ def test_orbit_respects_max_steps():
 
 
 def test_orbit_overflow_guard():
-    # T(151) = 227 exceeds a 200-magnitude budget
-    with pytest.raises(OverflowLimitError):
-        iterate_orbit(accel_T, 151, 10, limit=200)
+    # an unchecked map, so that the orbit's own check is the one that fires:
+    # 2 * (2**126 + 1) exceeds the 127-bit limit
+    with pytest.raises(OverflowLimitError, match="orbit iterate"):
+        iterate_orbit(lambda x: 2 * x, 2**126 + 1, 10)
 
 
 # === orbit decay ===

@@ -216,6 +216,32 @@ def test_merge_over_partition_equals_whole():
     assert merged.rng == whole.rng
 
 
+def test_merge_keeps_the_smaller_cap():
+    # rows 11-20 kept 50 flags, but rows 1-10 kept only their first 2, so
+    # only the first 2 of the merge are the head of the whole range
+    a = m_bound_sweep(RangeSpec(1, 10, 1, 20), Fraction(1), max_violations=2)
+    b = m_bound_sweep(RangeSpec(11, 20, 1, 20), Fraction(1), max_violations=50)
+    whole = m_bound_sweep(RangeSpec.square(20), Fraction(1), max_violations=2)
+    assert same_report(merge_reports(a, b), whole)
+    assert same_report(merge_reports(b, a), whole)
+
+
+def test_merge_rejects_different_params():
+    a = m_bound_sweep(RangeSpec(1, 10, 1, 20), Fraction(1))
+    b = m_bound_sweep(RangeSpec(11, 20, 1, 20), Fraction(3))
+    with pytest.raises(ValueError, match="params"):
+        merge_reports(a, b)
+
+
+def test_merge_rejects_different_case_filters():
+    a = m_bound_sweep(RangeSpec(1, 10, 1, 20, {ParityCase.EVEN_EVEN}),
+                      Fraction(1))
+    b = m_bound_sweep(RangeSpec(11, 20, 1, 20), Fraction(1))
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="case filters"):
+            merge_reports(first, second)
+
+
 def test_merge_with_violations_is_order_insensitive():
     a = oracle(m_bound_sweep, RangeSpec(1, 20, 1, 40), Fraction(1))
     b = oracle(m_bound_sweep, RangeSpec(21, 40, 1, 40), Fraction(1))
@@ -585,6 +611,13 @@ def per_pair(value):
     pair by pair: the per-pair reference of the interval blend."""
     spec = LambdaSpec.const(value)
     return LambdaSpec(spec, spec.label)
+
+
+def test_lemmas_reject_a_case_filter():
+    # neither lemma is per parity case: a filter would be ignored
+    rng = RangeSpec.square(12, cases=[ParityCase.EVEN_EVEN])
+    with pytest.raises(ValueError, match="parity-case filter"):
+        verify_lemmas(rng, [-1], [Fraction(1, 2)])
 
 
 def test_lemma_sweep_engine_parity():
