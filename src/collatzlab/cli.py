@@ -457,13 +457,14 @@ def _progress_printer(args):
 
 def cmd_verify(args) -> tuple[int, str]:
     rng = _build_range(args)
+    # --M is checked in every mode, though only mbound reads it
+    try:
+        m_cap = parse_rational(args.M)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     kwargs = dict(max_violations=max(0, args.violations_cap),
                   progress=_progress_printer(args))
     if args.mode == "mbound":
-        try:
-            m_cap = parse_rational(args.M)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
         report = m_bound_sweep(rng, m_cap, **kwargs)
     elif args.mode == "simplified":
         report = verify_simplified(rng, **kwargs)

@@ -5,7 +5,10 @@ blend lemma at a constant lambda run on the interval engine (labelled
 "vector"): it walks the rows of a range; within a row the weights are
 constant on a few intervals of the column's reduced coordinate, on each of
 which every form is an integer quadratic, so it works in Python ints at
-O(rows) cost at any coordinate size. The triangle gap is a quadratic in z
+O(rows) cost at any coordinate size. An mbound sweep reads no form: it
+counts each cell's pairs over the whole range from its region (_regions),
+at O(cells x period) cost, and walks rows only from the first until its
+violation cap is full. The triangle gap is a quadratic in z
 per pair (x, y). The per-pair pair sweep (_sweep_scalar) is kept as the
 reference the tests compare the interval engine against. Reports over
 disjoint ranges merge associatively and commutatively, so partitioned runs
@@ -18,7 +21,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import chain, combinations, islice, product
+from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -313,6 +317,9 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
 # (x = 2k, T(x) = k; x = 2k + 1, T(x) = 3k + 2; or x = 1), so per cell each
 # form is a doubled quadratic in (k, l) that _cell_table fits once per table
 # and _in_l reads at row k; the diagonal has one per point d = k - l.
+# The interval ends are floor-linear in k, so the pairs of a cell over all
+# rows need no walk (see cell regions below): an mbound sweep costs
+# O(cells x period), plus the rows its violation cap keeps.
 
 # The point of class c (1, even, odd) at reduced coordinate n, as
 # (s, p, ts, tp): the value s + p*n, with T at it ts + tp*n. Class 0 is the
@@ -321,23 +328,27 @@ _POINTS = ((1, 0, 1, 0), (0, 2, 0, 1), (1, 2, 2, 3))
 _CELL_CLASSES = tuple(divmod(CASE_ORDER.index(case), 3) for case in CELL_CASES)
 
 
+def _span(cls: int, lo: int, hi: int) -> tuple:
+    """The reduced coordinates of the values of class cls (1, even, odd; as
+    _POINTS) in [lo, hi], as (first, last); empty when first > last."""
+    if cls == 0:
+        return 0, 0 if lo == 1 else -1
+    if cls == 1:
+        first, last = (lo + 1) // 2, hi // 2
+    else:
+        first, last = lo // 2, (hi - 1) // 2
+    return max(first, 1), last
+
+
 def _columns(y_min: int, y_max: int, cases: Iterable[int]) -> tuple:
     """Per row class, the column classes that `cases` (indices into
     CASE_ORDER) admits with it, as (case, column, first l, last l); the
     column is the point of its class (_POINTS) in l."""
     out: tuple = ([], [], [])
     for case in sorted(cases):
-        cls = case % 3
-        if cls == 0:
-            first, last = 0, 0 if y_min == 1 else -1
-        elif cls == 1:
-            first, last = (y_min + 1) // 2, y_max // 2
-        else:
-            first, last = y_min // 2, (y_max - 1) // 2
-        if cls:
-            first = max(first, 1)
+        first, last = _span(case % 3, y_min, y_max)
         if first <= last:
-            out[case // 3].append((case, _POINTS[cls], first, last))
+            out[case // 3].append((case, _POINTS[case % 3], first, last))
     return out
 
 
@@ -506,7 +517,8 @@ def _check_widths(w: Sequence, terms: tuple, q: tuple, lo: int,
 
 def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
           found: _Findings,
-          progress: Optional[Callable[[int], None]] = None) -> None:
+          progress: Optional[Callable[[int], None]] = None,
+          until_full: bool = False) -> None:
     """Walk the rows x of a range and in each the column classes that
     `cases` admits with the row's class. visit(x, k, row, column, spans)
     handles one of those: row and column are points as _terms reads them,
@@ -514,7 +526,8 @@ def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
     it covered and its flags as (rank, key, quantity, ranges of l, value of
     l), the rank ordering one pair's flags as reports list them. Every flag
     is counted; the first `found.cap` in (x, y, rank) order are kept, and a
-    row builds at most as many as the cap has room for."""
+    row builds at most as many as the cap has room for. With until_full the
+    walk ends after the row that fills the cap."""
     columns = _columns(rng.y_min, rng.y_max, cases)
     done = reported = 0
     for x in range(rng.x_min, rng.x_max + 1):
@@ -544,9 +557,179 @@ def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
         if flagged:
             first.sort(key=itemgetter(0))
             found.add_counted(flagged, (v for _, v in first))
+            if until_full and len(found.kept) == found.cap:
+                return
         if progress is not None and done - reported >= PROGRESS_STRIDE:
             reported = done
             progress(done)
+
+
+# --- cell regions -----------------------------------------------------------
+#
+# A row class holds k on [k0, k1] (x = 1 is k = 0 alone) and a column class l
+# on [first, last] (_span). Off the odd-odd case a cell's region is that
+# rectangle. In an odd-odd row the cell intervals of _odd_odd_spans end at
+# floor-linear terms in k, kept as (p, q, r) for floor((p*k + q)/r): first,
+# last, k + c, floor((10k - 1)/11) and floor(11k/10). The high cut min(k - 2,
+# floor((10k - 1)/11)) is k - 2 up to k = 21 and the other term from there,
+# and the low cut max(k + 1, floor(11k/10)) is k + 1 below k = 10 and the
+# other term from there. So on the k-segments [1, 9], [10, 20] and [21, oo)
+# each interval is [max of its start terms, min of its end terms], and its
+# pairs are counted per residue of k modulo the period of those terms (11 for
+# the high cells, 10 for the low ones, 1 for the diagonal), on which every
+# term is linear in the quotient. A region costs O(period), at any size.
+
+_LINE = ((1, -2, 1), (1, -1, 1), (1, 0, 1), (1, 1, 1))  # k - 2, ..., k + 1
+
+
+def _odd_odd_regions(high: tuple, low: tuple) -> tuple:
+    """The odd-odd cells of a row in l order, cut as _odd_odd_spans cuts
+    them where the high and low cuts are the terms `high` and `low`: (cell,
+    table pick, start, end) for the interval [max(first, start), min(last,
+    end)], None standing for no term. The pick is the diagonal's entry
+    d + 1, d = k - l, and None off the diagonal."""
+    ends = (high,) + _LINE + (low, None)
+    starts = (None,) + tuple((p, q + r, r) for p, q, r in ends[:-1])
+    cells = (DIAGONAL + 2, DIAGONAL + 1, DIAGONAL, DIAGONAL, DIAGONAL,
+             DIAGONAL - 1, DIAGONAL - 2)
+    return tuple(zip(cells, (None, None, 2, 1, 0, None, None), starts, ends))
+
+
+_SEGMENTS = ((1, 9, _odd_odd_regions(_LINE[0], _LINE[3])),
+             (10, 20, _odd_odd_regions(_LINE[0], (11, 0, 10))),
+             (21, None, _odd_odd_regions((10, -1, 11), (11, 0, 10))))
+
+
+def _le(s: tuple, t: tuple, k: int) -> bool:
+    """Whether the term s is at most the term t at k, as rationals."""
+    return (s[0] * k + s[1]) * t[2] <= (t[0] * k + t[1]) * s[2]
+
+
+def _prune(terms: list, k0: int, k1: int, lowest: bool) -> list:
+    """The terms of a min (lowest) or a max that no other term passes on its
+    side at both k0 and k1. Between two lines that order holds on all of
+    [k0, k1], and flooring keeps it, so the dropped terms never decide."""
+    def beats(s: tuple, t: tuple) -> bool:
+        return all(_le(s, t, k) if lowest else _le(t, s, k) for k in (k0, k1))
+    kept: list = []
+    for t in terms:
+        if not any(beats(s, t) for s in kept):
+            kept = [s for s in kept if not beats(t, s)] + [t]
+    return kept
+
+
+def _region_pairs(k0: int, k1: int, ends: list, starts: list) -> int:
+    """The sum over k in [k0, k1] of max(0, min(ends) - max(starts) + 1),
+    for floor-linear terms (p, q, r) in k."""
+    ends, starts = _prune(ends, k0, k1, True), _prune(starts, k0, k1, False)
+    # an end term below a start term by 1 at both k0 and k1 empties the region
+    if any(all(_le((p, q + r, r), t, k) for k in (k0, k1))
+           for p, q, r in ends for t in starts):
+        return 0
+    period = lcm(*(r for _, _, r in ends + starts))
+    total = 0
+    for rho in range(period):
+        # k = period*j + rho makes each term linear in j
+        j0, j1 = -((rho - k0) // period), (k1 - rho) // period
+        if j0 <= j1:
+            total += _line_pairs(
+                j0, j1, [(p * period // r, (p * rho + q) // r)
+                         for p, q, r in ends],
+                [(p * period // r, (p * rho + q) // r) for p, q, r in starts])
+    return total
+
+
+def _line_pairs(j0: int, j1: int, ends: list, starts: list) -> int:
+    """The sum over j in [j0, j1] of max(0, min(ends) - max(starts) + 1), for
+    lines (a, b) = a*j + b. Cut wherever two lines of a side cross or a
+    width crosses 0, at floor(j*) + 1 and ceil(j*), each piece has one line
+    per side and a width of one sign, which sums as an arithmetic series."""
+    gaps = [(a - c, b - d) for (a, b), (c, d) in chain(
+        combinations(ends, 2), combinations(starts, 2))]
+    gaps += [(a - c, b - d + 1) for a, b in ends for c, d in starts]
+    cuts = {j0, j1 + 1}
+    for a, b in gaps:
+        if a:
+            cuts.update((-b // a + 1, -(b // a)))
+    pieces = sorted(j for j in cuts if j0 <= j <= j1 + 1)
+    total = 0
+    for s, t in zip(pieces, pieces[1:]):
+        a, b = min(ends, key=lambda e: e[0] * s + e[1])
+        c, d = max(starts, key=lambda e: e[0] * s + e[1])
+        ws, we = (a - c) * s + b - d + 1, (a - c) * (t - 1) + b - d + 1
+        if ws + we > 0:
+            total += (t - s) * (ws + we) // 2
+    return total
+
+
+def _regions(rng: RangeSpec, cases: Iterable[int]):
+    """The cell regions of a range for the cases `cases` admits: (cell,
+    pick, pairs), the pick as in _odd_odd_regions; a cell may have several
+    regions, and a region no pairs. No row is walked."""
+    columns = _columns(rng.y_min, rng.y_max, cases)
+    for rx, classes in enumerate(columns):
+        k0, k1 = _span(rx, rng.x_min, rng.x_max)
+        if k0 > k1:
+            continue
+        for case, _, first, last in classes:
+            if case != ODD_ODD:
+                yield case, None, (k1 - k0 + 1) * (last - first + 1)
+                continue
+            for lo, hi, regions in _SEGMENTS:
+                lo, hi = max(k0, lo), k1 if hi is None else min(k1, hi)
+                if lo > hi:
+                    continue
+                for cell, pick, start, end in regions:
+                    yield cell, pick, _region_pairs(
+                        lo, hi, [(0, last, 1)] + [end] * (end is not None),
+                        [(0, first, 1)] + [start] * (start is not None))
+
+
+def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
+                  progress: Optional[Callable[[int], None]]) -> tuple:
+    """An mbound sweep off the cell regions. A cell's weights are constant
+    on it (the diagonal's per d = k - l), so a cell whose largest |w|
+    (_direct_table) exceeds M flags every pair of its region: pair counts
+    and the flag total come from _regions. Only the kept flags are found by
+    walking rows (_walk), from x_min until min(cap, total) are kept."""
+    # an integer weight exceeds M exactly when it exceeds floor(M)
+    m_floor = m_cap.numerator // m_cap.denominator
+    table = _direct_table(weights.CELL_WEIGHTS)
+    per_case: dict[str, CaseTally] = {}
+    cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
+    flagged: set = set()
+    done = total = 0
+    for cell, pick, n in _regions(rng, cases):
+        if not n:
+            continue
+        key = TALLY_KEYS[cell]
+        tal = per_case.get(key)
+        if tal is None:
+            tal = per_case[key] = CaseTally(bound=CELL_BOUNDS[cell])
+        tal.pairs += n
+        done += n
+        if (table[cell] if pick is None else table[cell][pick])[6] > m_floor:
+            total += n
+            flagged.add(CASE_ORDER.index(CELL_CASES[cell]))
+        passed = done // PROGRESS_STRIDE > (done - n) // PROGRESS_STRIDE
+        if progress is not None and passed:
+            progress(done)
+
+    def visit(x, k, row, column, spans) -> tuple:
+        flags = []
+        for cell, lo, hi in spans:
+            entry = table[cell] if cell != DIAGONAL else table[cell][k - lo + 1]
+            if entry[6] > m_floor:
+                flags.append((CHECK_RANK[CHECK_MBOUND], TALLY_KEYS[cell],
+                              QUANTITY_LABELS[CHECK_MBOUND], [(lo, hi)],
+                              lambda l, v=entry[6]: v))
+        return 0, flags
+
+    head = _Findings(min(found.cap, total))
+    if head.cap:
+        _walk(rng, flagged, visit, head, until_full=True)
+    found.add_counted(total, head.kept)
+    return done, per_case
 
 
 def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
@@ -556,20 +739,21 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
     the interval's quadratics: counts are interval lengths, maxima lie at
     the ends or next to the vertex, and a comparison holds on at most two
     ranges (_positive). Both forms are read the same way at the row's k:
-    the direct form and the largest |w| from _direct_table (CELL_WEIGHTS
-    alone), the closed form from _closed_table (CELL_FORMS alone), so cross
+    the direct form from _direct_table (CELL_WEIGHTS alone), the closed
+    form from _closed_table (CELL_FORMS alone), so cross
     compares two independent derivations. Where _pair_bound exceeds the
-    width limit, the direct form gets the width checks of framework.lhs."""
+    width limit, the direct form gets the width checks of framework.lhs.
+    The mbound check, which m_bound_sweep asks for alone, reads no form and
+    runs on the cell regions instead (_sweep_mbound)."""
+    if CHECK_MBOUND in checks:
+        return _sweep_mbound(rng, m_cap, found, progress)
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     do_direct = CHECK_LHS in checks
     do_bounds = CHECK_BOUNDS in checks
     do_simp_check = CHECK_SIMPLIFIED in checks
     do_cross = CHECK_CROSS in checks
-    do_m = CHECK_MBOUND in checks
     checked = _pair_bound(rng) > WIDTH_LIMIT
-    # an integer weight exceeds M exactly when it exceeds floor(M)
-    m_floor = m_cap.numerator // m_cap.denominator
     table = _direct_table(weights.CELL_WEIGHTS)
     closed = _closed_table(CELL_FORMS) if do_simp else None
     per_case: dict[str, CaseTally] = {}
@@ -628,10 +812,6 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                               QUANTITY_LABELS[CHECK_CROSS],
                               _nonzero(diff, lo, hi),
                               lambda l, q=diff: _at(q, l) // 2))
-            if do_m and entry[6] > m_floor:
-                flags.append((CHECK_RANK[CHECK_MBOUND], key,
-                              QUANTITY_LABELS[CHECK_MBOUND],
-                              [(lo, hi)], lambda l, v=entry[6]: v))
         return pairs, flags
 
     _walk(rng, cases, visit, found, progress)

@@ -426,6 +426,15 @@ def test_reports_keep_their_bytes(argv, monkeypatch):
     assert _characterize(argv) == CHARACTER_DIGESTS[" ".join(argv)]
 
 
+@pytest.mark.parametrize("mode", VERIFY_MODES)
+def test_verify_rejects_a_malformed_m_in_every_mode(mode, capsys):
+    # only mbound reads --M, but a malformed number is a usage error in all
+    code, out, err = run_cli(["verify", "--max", "5", "--mode", mode,
+                              "--M", "abc"], capsys)
+    assert (code, out) == (2, "")
+    assert "not an exact rational" in err
+
+
 ONE_PER_COMMAND = [
     ["verify", "--max", "30", "--mode", "mbound", "--M", "1"],
     ["conditions", "--A", "1/2", "--max", "20"],
@@ -478,11 +487,18 @@ def test_output_env_var(tmp_path, monkeypatch, capsys):
 
 
 def test_jobs_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("COLLATZLAB_JOBS", "2")
-    code, out, _ = run_cli(["verify", "--max", "60", "--format", "json"],
-                           capsys)
-    assert code == 0
-    assert json.loads(out)["violations_total"] == 0
+    # verify reports are byte-identical whatever --jobs says, and
+    # COLLATZLAB_JOBS, which nothing reads, changes nothing either
+    for mode, want in (("direct", 0), ("mbound", 1)):
+        for fmt in ("json", "csv"):
+            argv = ["verify", "--max", "60", "--mode", mode, "--M", "1",
+                    "--violations-cap", "700", "--format", fmt]
+            one = run_cli(argv + ["--jobs", "1"], capsys)
+            assert one[0] == want and one[1]
+            assert run_cli(argv + ["--jobs", "2"], capsys) == one
+            monkeypatch.setenv("COLLATZLAB_JOBS", "2")
+            assert run_cli(argv, capsys) == one
+            monkeypatch.delenv("COLLATZLAB_JOBS")
 
 
 def test_environment_is_read_on_every_call(tmp_path, monkeypatch, capsys):

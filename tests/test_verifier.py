@@ -3,6 +3,7 @@ lemma sweeps, condition coverage, the lambda grid search and orbit decay."""
 
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -465,6 +466,130 @@ def test_capped_reports_are_prefixes_and_merges_are_exact(
             merged = merge_reports(run(SWEEPS[mode], a, max_violations=cap),
                                    run(SWEEPS[mode], b, max_violations=cap))
             assert same_report(merged, capped), split
+
+
+# === mbound on cell regions ===
+
+def admitted(rng):
+    return [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
+
+
+def region_counts(rng):
+    """Pairs per (cell, diagonal pick) as _regions counts them."""
+    counts = Counter()
+    for cell, pick, n in verifier._regions(rng, admitted(rng)):
+        counts[cell, pick] += n
+    return +counts
+
+
+def walked_counts(rng):
+    """Pairs per (cell, diagonal pick) as the row walk tallies them."""
+    counts = Counter()
+
+    def visit(x, k, row, column, spans):
+        for cell, lo, hi in spans:
+            counts[cell, k - lo + 1 if cell == DIAGONAL else None] += hi - lo + 1
+        return 0, []
+
+    verifier._walk(rng, admitted(rng), visit, verifier._Findings(0))
+    return counts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(x0=st.sampled_from([1, 2, 3, 9, 19, 20, 21, 22, 41, 42, 43, 10**6,
+                           10**9, 10**15]),
+       y0=st.sampled_from([1, 2, 3, 9, 19, 20, 21, 22, 41, 42, 43, 10**6,
+                           10**9, 10**15]),
+       dx=st.integers(0, 120), dy=st.integers(0, 400),
+       x_shift=st.integers(0, 40), y_shift=st.integers(0, 40),
+       gate=st.sampled_from([None, (10, 11), (11, 10)]),
+       cases=st.none() | st.frozensets(st.sampled_from(CASE_ORDER), min_size=1))
+# k from 19 to 23 against l from 1 to 200: both sides of k = 21, where
+# k - 2 and floor((10k - 1)/11) swap as the high cut
+@example(x0=39, y0=1, dx=8, dy=400, x_shift=0, y_shift=0, gate=None,
+         cases=None)
+# rows far from the columns: every odd-odd pair is high-deep
+@example(x0=10**9, y0=10**15, dx=40, dy=40, x_shift=0, y_shift=0, gate=None,
+         cases=None)
+def test_region_counts_match_the_row_walk(x0, y0, dx, dy, x_shift, y_shift,
+                                          gate, cases):
+    # a gate puts the columns at 10/11 or 11/10 of the rows, where the deep
+    # cells begin, at any offset
+    lo_x = x0 + x_shift
+    lo_y = y0 + y_shift if gate is None else lo_x * gate[0] // gate[1] + y_shift
+    rng = RangeSpec(lo_x, lo_x + dx, lo_y, lo_y + dy, cases)
+    assert region_counts(rng) == walked_counts(rng)
+
+
+MBOUND_RANGES = {
+    # the row x = 1 and the column y = 1
+    "corner": RangeSpec(1, 6, 1, 20),
+    # k from 19 to 22: both sides of k = 21, with every odd-odd cell
+    "gates": RangeSpec(39, 45, 1, 24),
+}
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["shipped", "patched"])
+@pytest.mark.parametrize("m_cap", [0, 1, Fraction(3, 2), 2], ids=str)
+@pytest.mark.parametrize("where", MBOUND_RANGES)
+def test_mbound_matches_the_oracle_at_every_cap(where, m_cap, patched,
+                                                request):
+    # the patched weights drop even-odd into [-1, 1], so an M of 1 no longer
+    # flags it
+    if patched:
+        request.getfixturevalue("wrong_weights")
+    rng = MBOUND_RANGES[where]
+    full = oracle(m_bound_sweep, rng, Fraction(m_cap), max_violations=10**6)
+    assert (full.violations_total > 0) == (m_cap < 2)
+    for cap in range(full.violations_total + 2):
+        report = m_bound_sweep(rng, Fraction(m_cap), max_violations=cap)
+        assert same_report(report, oracle(m_bound_sweep, rng, Fraction(m_cap),
+                                          max_violations=cap))
+        assert report.violations == full.violations[:cap]
+
+
+@pytest.fixture
+def walked_rows(monkeypatch):
+    """The rows x that _walk hands to its visitor, in order."""
+    rows = []
+    real = verifier._walk
+
+    def spy(rng, cases, visit, found, *args, **kwargs):
+        def seen(x, *rest):
+            rows.append(x)
+            return visit(x, *rest)
+        return real(rng, cases, seen, found, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "_walk", spy)
+    return rows
+
+
+def test_a_clean_mbound_sweep_walks_no_rows(walked_rows):
+    report = m_bound_sweep(RangeSpec.square(10**9), Fraction(2))
+    assert report.ok and report.pairs_checked == 10**18
+    assert walked_rows == []
+
+
+def test_a_capped_mbound_sweep_walks_only_the_rows_it_keeps(walked_rows):
+    # 20 columns: each row flags at most 19 pairs, so 100 flags take rows
+    # 1 to 8 of 10^9
+    rng = RangeSpec(1, 10**9, 1, 20)
+    report = m_bound_sweep(rng, Fraction(1), max_violations=100)
+    head = oracle(m_bound_sweep, RangeSpec(1, 40, 1, 20), Fraction(1),
+                  max_violations=100)
+    assert report.violations == head.violations
+    assert report.violations_total > 10**9
+    assert sorted(set(walked_rows)) == list(range(1, head.violations[-1].x + 1))
+
+
+def test_mbound_progress_reports_each_stride_it_passes():
+    # one call after each region that takes the count past another stride
+    seen = []
+    report = m_bound_sweep(RangeSpec.square(3000), Fraction(1),
+                           progress=seen.append)
+    strides = [n // verifier.PROGRESS_STRIDE for n in seen]
+    assert seen == sorted(seen) and seen[-1] <= report.pairs_checked
+    assert len(set(strides)) == len(strides) > 1
 
 
 def test_closed_forms_are_quadratic_in_l_off_the_diagonal():
