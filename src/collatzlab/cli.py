@@ -12,7 +12,9 @@ timings are redacted unless --timings is given.
 JSON reports come from this module's own indent-2 writer (_render_json),
 which gives the bytes of json.dumps(..., indent=2, sort_keys=True) without
 its pure-Python encoder. Verification reports keep their Violation rows, and
-the JSON, CSV and text writers read each row's fields directly.
+one row writer (_rows) serves JSON, CSV and text: it builds the line of each
+distinct row head (x, case, quantity, value, z) once, with y left open, and
+formats only y per row.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import io
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .arith import OverflowLimitError, format_rational, parse_rational
 from .collatz import DEFAULT_CAP, stopping_time
@@ -103,13 +105,15 @@ def _parse_lambda(text: str) -> LambdaSpec:
         raise UsageError(str(e)) from None
 
 
-def _build_range(args) -> RangeSpec:
+def _build_range(args, desk_scale: bool = True) -> RangeSpec:
+    """The pair range of --min, --max and --case. With desk_scale, a side
+    past DESK_SCALE_MAX needs --allow-large: the sweep's cost grows with it."""
     if args.max < 1:
         raise UsageError(f"--max must be >= 1, got {args.max}")
     if args.min < 1 or args.min > args.max:
         raise UsageError("need 1 <= --min <= --max")
     side = args.max - args.min + 1
-    if side > DESK_SCALE_MAX and not args.allow_large:
+    if desk_scale and side > DESK_SCALE_MAX and not args.allow_large:
         raise UsageError(
             f"range side {side} (--max - --min + 1) exceeds the desk-scale "
             f"default {DESK_SCALE_MAX}; pass --allow-large to confirm")
@@ -146,19 +150,67 @@ def _leaf(value) -> str:
     raise TypeError(f"cannot encode {type(value).__name__} exactly")
 
 
+# --- violation rows ------------------------------------------------------------
+# A report lists its rows in (x, y, quantity) order, and many share all fields
+# but y. So each writer's line is built once per head (x, case, quantity,
+# value, z), as the texts before and after y, and a row is its y joined
+# between them. The head keeps the value's type: 2 and Fraction(2) are equal
+# keys but write apart.
+
+_HEAD = itemgetter(0, 2, 3, 4, 5)
+_VALUE = itemgetter(4)
+_Y = itemgetter(1)
+
+
+class _Heads(dict):
+    """The (before y, after y) texts of each row head, built on first use
+    by line(x, case, quantity, value, z)."""
+
+    def __init__(self, line: Callable) -> None:
+        super().__init__()
+        self.line = line
+
+    def __missing__(self, key: tuple) -> tuple:
+        head = self[key] = self.line(*key[0])
+        return head
+
+
+def _rows(rows, line: Callable, y: Callable = str) -> str:
+    """The report lines of Violation rows, each its head's texts (_Heads)
+    joined around y(row.y): the one field formatted per row."""
+    heads = _Heads(line)
+    return "".join(map(str.join, map(y, map(_Y, rows)), map(
+        heads.__getitem__, zip(map(_HEAD, rows), map(type, map(_VALUE, rows))))))
+
+
 @functools.cache
-def _row_template(nl: str) -> str:
-    """%-template of a Violation row whose fields start at `nl`."""
+def _row_template(nl: str) -> tuple:
+    """%-templates of a JSON Violation row whose own line starts with `nl`,
+    from the comma before it: its text before y and after y."""
     inner = nl + "  "
-    return ("{" + ",".join(f'{inner}"{name}": %s' for name in
-                           ("case", "quantity", "value", "x", "y", "z"))
-            + nl + "}")
+    return ("," + nl + "{" + "".join(
+        f'{inner}"{name}": %s,' for name in ("case", "quantity", "value", "x"))
+        + inner + '"y": ', "," + inner + '"z": %s' + nl + "}")
+
+
+def _json_rows(rows, nl: str) -> str:
+    """JSON text of a list of Violation rows, as _json lays it out."""
+    before, after = _row_template(nl + "  ")
+
+    def line(x, case, quantity, value, z) -> tuple:
+        return (before % (_quote(case), _quote(quantity), _leaf(value),
+                          _leaf(x)), after % _leaf(z))
+
+    # str writes y as _leaf does, up to the JSON limit
+    y = _leaf if max(map(abs, map(_Y, rows))) >= JSON_INT_LIMIT else str
+    # each row brings its comma; the first has none
+    return "[" + _rows(rows, line, y)[1:] + nl + "]"
 
 
 def _json(value, nl: str) -> str:
     """JSON text of `value`, whose own line starts with `nl` (a newline and
-    its indent): the indent-2, sorted-key layout of json.dumps. Violation
-    rows are written where they stand in a list or tuple."""
+    its indent): the indent-2, sorted-key layout of json.dumps. A list of
+    Violation rows is written by the row writer (_json_rows)."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -168,25 +220,11 @@ def _json(value, nl: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if type(value[0]) is Violation:
+            return _json_rows(value, nl)
         inner = nl + "  "
-        row = _row_template(inner)
-        items = []
-        for v in value:
-            if type(v) is not Violation:
-                items.append(_json(v, inner))
-                continue
-            # ints below the JSON limit go to % as they are; the rest to _leaf
-            x, y, z, val = v.x, v.y, v.z, v.value
-            items.append(row % (
-                _quote(v.case), _quote(v.quantity),
-                val if type(val) is int and -JSON_INT_LIMIT < val < JSON_INT_LIMIT
-                else _leaf(val),
-                x if type(x) is int and -JSON_INT_LIMIT < x < JSON_INT_LIMIT
-                else _leaf(x),
-                y if type(y) is int and -JSON_INT_LIMIT < y < JSON_INT_LIMIT
-                else _leaf(y),
-                "null" if z is None else _leaf(z)))
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return ("[" + inner + ("," + inner).join([_json(v, inner) for v in value])
+                + nl + "]")
     return _leaf(value)
 
 
@@ -303,16 +341,22 @@ def _csv(header: list, rows) -> str:
     return buf.getvalue()
 
 
+def _csv_row(x, case, quantity, value, z) -> tuple:
+    """A CSV violation row around its y. The csv module writes every field:
+    None as "" and a Fraction as str(), which is "p/q" in lowest terms like
+    format_rational. y is left empty, so the first ",," holds it, as
+    "violation" and x have no comma."""
+    before, _, after = _csv(["violation", x, "", z, case, quantity, value,
+                             "", "", ""], ()).partition(",,")
+    return before + ",", "," + after
+
+
 def _render_csv_verification(doc: dict) -> str:
-    # csv writes None as "" and a Fraction as str(), which is "p/q" in
-    # lowest terms like format_rational
     return _csv(["record", "x", "y", "z", "case", "quantity", "value",
-                 "pairs", "max_lhs", "bound"], chain(
-        (["tally", "", "", "", tal["case"], "", "", tal["pairs"],
-          _cell_str(tal["max_lhs"]), _cell_str(tal["bound"])]
-         for tal in doc["per_case"]),
-        (("violation", v.x, v.y, v.z, v.case, v.quantity, v.value, "", "", "")
-         for v in doc["violations"])))
+                 "pairs", "max_lhs", "bound"], (
+        ["tally", "", "", "", tal["case"], "", "", tal["pairs"],
+         _cell_str(tal["max_lhs"]), _cell_str(tal["bound"])]
+        for tal in doc["per_case"])) + _rows(doc["violations"], _csv_row)
 
 
 def _render_csv_coverage(doc: dict) -> str:
@@ -342,6 +386,12 @@ def _render_csv_search(doc: dict) -> str:
         for case in CASE_ORDER))
 
 
+def _text_row(x, case, quantity, value, z) -> tuple:
+    """A text violation line around its y."""
+    return (f"  {quantity} at ({x}, ", ")" + (f" z={z}" if z else "")
+            + f" [{case}] value={_cell_str(value)}\n")
+
+
 def _render_text_verification(doc: dict, report: VerificationReport) -> str:
     lines = [f"{doc['command']}: range {report.rng.label()} "
              f"pairs={doc['pairs_checked']} engine={doc['engine']}"]
@@ -353,12 +403,8 @@ def _render_text_verification(doc: dict, report: VerificationReport) -> str:
     total = doc["violations_total"]
     lines.append(f"violations: {total}"
                  + (f" (showing {doc['violations_shown']})" if total else ""))
-    for v in doc["violations"]:
-        where = f"({v.x}, {v.y})" + (f" z={v.z}" if v.z else "")
-        lines.append(f"  {v.quantity} at {where} [{v.case}]"
-                     f" value={_cell_str(v.value)}")
-    lines.append(f"elapsed: {report.elapsed_ms} ms")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n" + _rows(doc["violations"], _text_row)
+            + f"elapsed: {report.elapsed_ms} ms\n")
 
 
 def _render_text_coverage(doc: dict, report: ConditionCoverageReport) -> str:
@@ -456,7 +502,9 @@ def _progress_printer(args):
 # Each returns (exit code, report text); main writes the report.
 
 def cmd_verify(args) -> tuple[int, str]:
-    rng = _build_range(args)
+    # an mbound sweep costs O(cells x period) plus the rows its cap keeps,
+    # whatever the side
+    rng = _build_range(args, desk_scale=args.mode != "mbound")
     # --M is checked in every mode, though only mbound reads it
     try:
         m_cap = parse_rational(args.M)
@@ -588,7 +636,9 @@ def _add_sweep(sub, with_range=True):
                          help="restrict to a parity case (repeatable), e.g. "
                               "even-even")
         sub.add_argument("--allow-large", action="store_true",
-                         help=f"permit --max - --min + 1 beyond {DESK_SCALE_MAX}")
+                         help=f"permit --max - --min + 1 beyond "
+                              f"{DESK_SCALE_MAX} (verify --mode mbound needs "
+                              f"none)")
 
 
 def _add_lambda_args(sub):

@@ -20,11 +20,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from functools import lru_cache, partial
+from itertools import chain, combinations, islice, product, repeat
 from math import lcm
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import weights
 from .arith import WIDTH_LIMIT, check_width, format_rational
@@ -76,12 +76,6 @@ QUANTITY_LABELS = {
     CHECK_MBOUND: "weight-above-M",
 }
 
-# Each check's position among one pair's flags, in the order reports list
-# them (by quantity label), so that a capped sweep keeps the head of the
-# uncapped report.
-CHECK_RANK = {check: rank for rank, check in enumerate(
-    sorted(QUANTITY_LABELS, key=QUANTITY_LABELS.get))}
-
 
 @dataclass(frozen=True)
 class RangeSpec:
@@ -121,10 +115,11 @@ class RangeSpec:
         return base
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed comparison, with the exact offending value. Triple sweeps
-    record the witness midpoint in z."""
+    record the witness midpoint in z. A plain immutable tuple of its fields,
+    so that pair sweeps build their kept flags in bulk (_walk) and reports
+    list them in sort_key order."""
 
     x: int
     y: int
@@ -297,7 +292,7 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                 worst = max(map(abs, cell_weights(cell, k, l)))
                 if worst * m_den > m_num:
                     flags[CHECK_MBOUND] = worst
-            for check in sorted(flags, key=CHECK_RANK.get):
+            for check in sorted(flags, key=QUANTITY_LABELS.get):
                 found.add(Violation(x, y, key, QUANTITY_LABELS[check],
                                     flags[check]))
 
@@ -515,6 +510,33 @@ def _check_widths(w: Sequence, terms: tuple, q: tuple, lo: int,
     check_width(max(_top(q, lo, hi), _top(neg, lo, hi)) // 2, "six-term sum")
 
 
+# A kept flag's row from its fields, built without a Python-level call.
+_row = partial(tuple.__new__, Violation)
+# One row's flags in report order: by y, then (one pair's) by quantity.
+_by_y = itemgetter(1, 3)
+
+
+def _head_runs(runs: list, room: int) -> list:
+    """Runs (ys, yp, p, q, ...) of a row, each the points y = ys + yp*l for
+    l in [p, q], cut after the least y by which `room` points are reached;
+    only the flags of one pair at that y can go past `room`."""
+    def ends(t: int) -> list:
+        # each run's last l with y <= t; yp = 0 is the column y = 1, at l = 0
+        return [min(q, (t - ys) // yp) if yp else q if ys <= t else p - 1
+                for ys, yp, p, q, *_ in runs]
+    lo = min(ys + yp * p for ys, yp, p, *_ in runs)
+    hi = max(ys + yp * q for ys, yp, _, q, *_ in runs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(max(0, e - run[2] + 1)
+               for e, run in zip(ends(mid), runs)) >= room:
+            hi = mid
+        else:
+            lo = mid + 1
+    return [run[:3] + (e,) + run[4:] for run, e in zip(runs, ends(lo))
+            if e >= run[2]]
+
+
 def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
           found: _Findings,
           progress: Optional[Callable[[int], None]] = None,
@@ -523,11 +545,12 @@ def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
     `cases` admits with the row's class. visit(x, k, row, column, spans)
     handles one of those: row and column are points as _terms reads them,
     spans the cell intervals (cell, lo, hi) in l order. It returns the pairs
-    it covered and its flags as (rank, key, quantity, ranges of l, value of
-    l), the rank ordering one pair's flags as reports list them. Every flag
-    is counted; the first `found.cap` in (x, y, rank) order are kept, and a
-    row builds at most as many as the cap has room for. With until_full the
-    walk ends after the row that fills the cap."""
+    it covered and its flags as (key, quantity, ranges of l, value of l).
+    Every flag is counted; the first `found.cap` in report order (x, y,
+    quantity) are kept. A row builds only the flags up to the y at which
+    the cap is full (_head_runs), each range of l in one run of C-level
+    iterators. With until_full the walk ends after the row that fills the
+    cap."""
     columns = _columns(rng.y_min, rng.y_max, cases)
     done = reported = 0
     for x in range(rng.x_min, rng.x_max + 1):
@@ -538,25 +561,30 @@ def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
         row = (x, 0, tx, 0)
         room = found.cap - len(found.kept)
         flagged = 0
-        first: list = []
+        runs: list = []
         for case, column, lo, hi in columns[rx]:
             spans = (_odd_odd_spans(k, lo, hi) if case == ODD_ODD
                      else ((case, lo, hi),))
             pairs, flags = visit(x, k, row, column, spans)
             done += pairs
-            ys, yp = column[0], column[1]
-            for order, key, quantity, ranges, value in flags:
+            for key, quantity, ranges, value in flags:
                 for p, q in ranges:
                     flagged += q - p + 1
-                if room:
-                    points = chain.from_iterable(range(p, q + 1)
-                                                 for p, q in ranges)
-                    first.extend(((ys + yp * l, order), Violation(
-                        x, ys + yp * l, key, quantity, value(l)))
-                        for l in islice(points, room))
+                    if room:
+                        runs.append((column[0], column[1], p, q, key,
+                                     quantity, value))
         if flagged:
-            first.sort(key=itemgetter(0))
-            found.add_counted(flagged, (v for _, v in first))
+            if flagged > room and runs:
+                runs = _head_runs(runs, room)
+            first: list = []
+            for ys, yp, p, q, key, quantity, value in runs:
+                # the column y = 1 is one point, with yp = 0
+                first += map(_row, zip(
+                    repeat(x), range(ys + yp * p, ys + yp * q + 1, yp) if yp
+                    else repeat(ys, q - p + 1), repeat(key), repeat(quantity),
+                    map(value, range(p, q + 1)), repeat(None)))
+            first.sort(key=_by_y)
+            found.add_counted(flagged, first)
             if until_full and len(found.kept) == found.cap:
                 return
         if progress is not None and done - reported >= PROGRESS_STRIDE:
@@ -720,9 +748,8 @@ def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
         for cell, lo, hi in spans:
             entry = table[cell] if cell != DIAGONAL else table[cell][k - lo + 1]
             if entry[6] > m_floor:
-                flags.append((CHECK_RANK[CHECK_MBOUND], TALLY_KEYS[cell],
-                              QUANTITY_LABELS[CHECK_MBOUND], [(lo, hi)],
-                              lambda l, v=entry[6]: v))
+                flags.append((TALLY_KEYS[cell], QUANTITY_LABELS[CHECK_MBOUND],
+                              [(lo, hi)], lambda l, v=entry[6]: v))
         return 0, flags
 
     head = _Findings(min(found.cap, total))
@@ -763,7 +790,7 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
               hi: int) -> tuple:
         """The flag of the l in [lo, hi] where the doubled quadratic q
         exceeds t."""
-        return (CHECK_RANK[check], key, QUANTITY_LABELS[check],
+        return (key, QUANTITY_LABELS[check],
                 _positive(q[0], q[1], q[2] - t, lo, hi),
                 lambda l: _at(q, l) // 2)
 
@@ -808,8 +835,7 @@ def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                                            lo, hi))
             if do_cross and simp != direct:
                 diff = tuple(s - d for s, d in zip(simp, direct))
-                flags.append((CHECK_RANK[CHECK_CROSS], key,
-                              QUANTITY_LABELS[CHECK_CROSS],
+                flags.append((key, QUANTITY_LABELS[CHECK_CROSS],
                               _nonzero(diff, lo, hi),
                               lambda l, q=diff: _at(q, l) // 2))
         return pairs, flags
@@ -846,10 +872,10 @@ def _blend_visit(lam: Fraction, ikey: str, nkey: str, checked: bool) -> Callable
                 _check_widths(s, mirrored, swapped, lo, hi)
             diff = tuple(v - co * d - p * t
                          for v, d, t in zip(left, direct, swapped))
-            flags.append((0, ikey, "lemma2-identity", _nonzero(diff, lo, hi),
+            flags.append((ikey, "lemma2-identity", _nonzero(diff, lo, hi),
                           lambda l, g=diff: Fraction(_at(g, l) // 2, q)))
             if _top(left, lo, hi) > 0:
-                flags.append((1, nkey, "lemma2-positive",
+                flags.append((nkey, "lemma2-positive",
                               _positive(*left, lo, hi),
                               lambda l, g=left: Fraction(_at(g, l) // 2, q)))
         return pairs, flags

@@ -61,6 +61,25 @@ def test_verify_desk_scale_gate_reads_the_side(capsys):
     assert json.loads(out)["pairs_checked"] == 10**4
 
 
+def test_only_mbound_passes_the_desk_scale_gate_unasked(capsys):
+    # an mbound sweep counts its pairs per cell region, whatever the side
+    code, out, _ = run_cli(["verify", "--mode", "mbound", "--M", "1",
+                            "--max", "20000", "--format", "json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pairs_checked"] == 20000**2
+    assert doc["violations_shown"] == 100
+    for argv in (["verify", "--mode", "direct"],
+                 ["conditions", "--lambda", "0", "--A", "1/2"]):
+        code, _, err = run_cli(argv + ["--max", "20000"], capsys)
+        assert code == 2 and "--allow-large" in err, argv
+    # --allow-large stays accepted
+    code, allowed, _ = run_cli(["verify", "--mode", "mbound", "--M", "1",
+                                "--max", "20000", "--allow-large",
+                                "--format", "json"], capsys)
+    assert code == 1 and allowed == out
+
+
 def test_verify_mbound_violations_exit_one(capsys):
     code, out, _ = run_cli(["verify", "--max", "30", "--mode", "mbound",
                             "--M", "1", "--format", "json"], capsys)

@@ -10,12 +10,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatzlab import cli
 from collatzlab.arith import format_rational
 from collatzlab.framework import ConditionParams, LambdaSpec, WeightVector
-from collatzlab.verifier import RangeSpec, m_bound_sweep, orbit_decay_sweep
+from collatzlab.verifier import (
+    RangeSpec,
+    VerificationReport,
+    Violation,
+    m_bound_sweep,
+    orbit_decay_sweep,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LIMIT = 2**53
@@ -155,6 +161,44 @@ REPORTS = {
 def test_verification_writers_match_the_per_dict_writers(name, timings):
     command, report = REPORTS[name]()
     doc = cli._verification_doc(command, report, timings)
+    old = ref_doc(doc)
+    assert cli._render_json(doc) == ref_render_json(old)
+    assert cli._render_csv_verification(doc) == ref_render_csv(old)
+    assert (cli._render_text_verification(doc, report)
+            == ref_render_text(old, report))
+
+
+# --- the row writer on generated rows -------------------------------------------
+
+LABELS = (st.sampled_from(["even-even", "weight-above-M", "100%", "%d", "%s",
+                           "%%", "a,b", 'say "no"', "", " lead", "x\ny",
+                           "lemma1:theta=-1/2"])
+          | st.text(max_size=6))
+COORDS = (st.integers(1, 60) | st.integers(LIMIT - 3, LIMIT + 3)
+          | st.integers(1, 2**70))
+VALUES = (st.none() | st.sampled_from([0, 2, Fraction(2), -1, Fraction(-1)])
+          | st.integers(-(2**70), 2**70) | st.integers(-LIMIT - 3, -LIMIT + 3)
+          | st.fractions())
+HEADS = st.tuples(COORDS, LABELS, LABELS, VALUES, st.none() | st.just(0)
+                  | COORDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(heads=st.lists(HEADS, min_size=1, max_size=5),
+       picks=st.lists(st.tuples(st.integers(0, 4), COORDS), max_size=30))
+# equal values of two types share no head: JSON writes 2 and "2" apart
+@example(heads=[(5, "c", "q", 2, None), (5, "c", "q", Fraction(2), None)],
+         picks=[(0, 7), (1, 8), (0, 9), (1, LIMIT)])
+def test_row_writer_matches_the_per_row_writers(heads, picks):
+    # each head takes several y values, and heads recur out of order
+    rows = tuple(Violation(x, y, case, quantity, value, z)
+                 for i, y in picks
+                 for x, case, quantity, value, z in [heads[i % len(heads)]])
+    report = VerificationReport(
+        op="m-bound", rng=RangeSpec.square(2**70), pairs_checked=len(rows),
+        per_case={}, violations=rows, violations_total=len(rows),
+        elapsed_ms=0, engine="vector")
+    doc = cli._verification_doc("verify", report, False)
     old = ref_doc(doc)
     assert cli._render_json(doc) == ref_render_json(old)
     assert cli._render_csv_verification(doc) == ref_render_csv(old)

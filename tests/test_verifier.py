@@ -3,6 +3,7 @@ lemma sweeps, condition coverage, the lambda grid search and orbit decay."""
 
 import json
 import os
+import pickle
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -580,6 +581,63 @@ def test_a_capped_mbound_sweep_walks_only_the_rows_it_keeps(walked_rows):
     assert report.violations == head.violations
     assert report.violations_total > 10**9
     assert sorted(set(walked_rows)) == list(range(1, head.violations[-1].x + 1))
+
+
+@pytest.mark.parametrize("m_cap", [0, 1])
+@pytest.mark.parametrize("rng", [
+    RangeSpec(1, 6, 1, 20),  # the row x = 1 and the column y = 1
+    RangeSpec(39, 45, 1, 24),  # both sides of k = 21, every odd-odd cell
+    RangeSpec(10**6, 10**6 + 40, 10**6 - 150, 10**6 + 150),  # deep cells
+], ids=["corner", "gates", "far"])
+def test_a_capped_mbound_sweep_builds_only_the_rows_it_keeps(rng, m_cap,
+                                                             monkeypatch):
+    # a spy on the constructor _walk builds its rows with: a row holds
+    # several runs of flags, and the cap may fall inside any of them
+    built = []
+    real = verifier._row
+
+    def spy(fields):
+        built.append(fields)
+        return real(fields)
+
+    monkeypatch.setattr(verifier, "_row", spy)
+    total = m_bound_sweep(rng, Fraction(m_cap),
+                          max_violations=0).violations_total
+    assert total > 0 and built == []
+    for cap in sorted({1, 2, 7, 19, 20, 21, 33, 100, 257, total - 1, total,
+                       total + 5}):
+        built.clear()
+        report = m_bound_sweep(rng, Fraction(m_cap), max_violations=cap)
+        assert len(built) == min(cap, total), cap
+        assert Counter(built) == Counter(report.violations)
+
+
+def test_violation_keeps_its_contract():
+    v = Violation(3, 4, "even-even", "lhs>0", Fraction(5, 2))
+    assert v == Violation(3, 4, "even-even", "lhs>0", Fraction(5, 2), None)
+    assert tuple(v) == (3, 4, "even-even", "lhs>0", Fraction(5, 2), None)
+    assert (v.x, v.y, v.case, v.quantity, v.value, v.z) == tuple(v)
+    w = Violation(x=3, y=4, case="lemma1:theta=-1", quantity="lemma1-gap<0",
+                  value=-1, z=7)
+    assert w == Violation(3, 4, "lemma1:theta=-1", "lemma1-gap<0", -1, z=7)
+    assert w.z == 7 and w != v
+    # equal rows hash alike, so they dedupe
+    assert len({v, w, Violation(3, 4, "even-even", "lhs>0",
+                                Fraction(5, 2))}) == 2
+    assert v.sort_key() == (3, 4, "lhs>0", 0)
+    assert w.sort_key() == (3, 4, "lemma1-gap<0", 7)
+    assert sorted([v, w], key=Violation.sort_key) == [w, v]
+    for name in ("x", "y", "case", "quantity", "value", "z", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0)
+    for row in (v, w):
+        back = pickle.loads(pickle.dumps(row))
+        assert back == row and type(back) is Violation
+    # a report ships whole, as a process pool would send it
+    report = m_bound_sweep(RangeSpec.square(30), Fraction(1),
+                           max_violations=50)
+    back = pickle.loads(pickle.dumps(report))
+    assert back == report and type(back.violations[0]) is Violation
 
 
 def test_mbound_progress_reports_each_stride_it_passes():
