@@ -11,10 +11,10 @@ timings are redacted unless --timings is given.
 
 JSON reports come from this module's own indent-2 writer (_render_json),
 which gives the bytes of json.dumps(..., indent=2, sort_keys=True) without
-its pure-Python encoder. Verification reports keep their Violation rows, and
-one row writer (_rows) serves JSON, CSV and text: it builds the line of each
-distinct row head (x, case, quantity, value, z) once, with y left open, and
-formats only y per row.
+its pure-Python encoder. Verification reports keep their rows as runs of y
+that share every other field (verifier.ViolationRows), and one row writer
+(_rows) serves JSON, CSV and text: it builds one line template per run and
+formats only y per row, building no Violation row.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import io
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .arith import OverflowLimitError, format_rational, parse_rational
@@ -39,7 +39,7 @@ from .verifier import (
     LambdaSearchResult,
     RangeSpec,
     VerificationReport,
-    Violation,
+    ViolationRows,
     condition_coverage,
     cross_check_simplified,
     m_bound_sweep,
@@ -151,36 +151,27 @@ def _leaf(value) -> str:
 
 
 # --- violation rows ------------------------------------------------------------
-# A report lists its rows in (x, y, quantity) order, and many share all fields
-# but y. So each writer's line is built once per head (x, case, quantity,
-# value, z), as the texts before and after y, and a row is its y joined
-# between them. The head keeps the value's type: 2 and Fraction(2) are equal
-# keys but write apart.
-
-_HEAD = itemgetter(0, 2, 3, 4, 5)
-_VALUE = itemgetter(4)
-_Y = itemgetter(1)
+# A report keeps its rows as runs (verifier.ViolationRows): per row x, ranges
+# of y whose rows share the head (x, case, quantity, value, z). A writer's
+# line(x, case, quantity, value, z) gives the texts before and after y once
+# per run; joined, with their own % escaped, they make one %-template, and
+# each y of the run is formatted into it. A row x whose runs interleave (even
+# and odd columns, the column y = 1, several quantities at one y) is put in
+# order by an index sort on y (ViolationRows.each).
 
 
-class _Heads(dict):
-    """The (before y, after y) texts of each row head, built on first use
-    by line(x, case, quantity, value, z)."""
-
-    def __init__(self, line: Callable) -> None:
-        super().__init__()
-        self.line = line
-
-    def __missing__(self, key: tuple) -> tuple:
-        head = self[key] = self.line(*key[0])
-        return head
-
-
-def _rows(rows, line: Callable, y: Callable = str) -> str:
-    """The report lines of Violation rows, each its head's texts (_Heads)
-    joined around y(row.y): the one field formatted per row."""
-    heads = _Heads(line)
-    return "".join(map(str.join, map(y, map(_Y, rows)), map(
-        heads.__getitem__, zip(map(_HEAD, rows), map(type, map(_VALUE, rows))))))
+def _rows(rows: ViolationRows, line: Callable, leaf: bool = False) -> str:
+    """The report lines of kept rows, each run's ys formatted into its
+    template; with leaf, a run that reaches the JSON integer limit writes
+    its ys as _leaf does."""
+    def lines(x: int, run: tuple):
+        ys, *head = run
+        before, after = line(x, *head)
+        template = before.replace("%", "%%") + "%s" + after.replace("%", "%%")
+        if leaf and ys[-1] >= JSON_INT_LIMIT:
+            ys = map(_leaf, ys)
+        return map(template.__mod__, ys)
+    return "".join(chain.from_iterable(rows.each(lines)))
 
 
 @functools.cache
@@ -193,34 +184,32 @@ def _row_template(nl: str) -> tuple:
         + inner + '"y": ', "," + inner + '"z": %s' + nl + "}")
 
 
-def _json_rows(rows, nl: str) -> str:
-    """JSON text of a list of Violation rows, as _json lays it out."""
+def _json_rows(rows: ViolationRows, nl: str) -> str:
+    """JSON text of a report's kept rows, as _json lays out a list."""
     before, after = _row_template(nl + "  ")
 
     def line(x, case, quantity, value, z) -> tuple:
         return (before % (_quote(case), _quote(quantity), _leaf(value),
                           _leaf(x)), after % _leaf(z))
 
-    # str writes y as _leaf does, up to the JSON limit
-    y = _leaf if max(map(abs, map(_Y, rows))) >= JSON_INT_LIMIT else str
     # each row brings its comma; the first has none
-    return "[" + _rows(rows, line, y)[1:] + nl + "]"
+    return "[" + _rows(rows, line, leaf=True)[1:] + nl + "]"
 
 
 def _json(value, nl: str) -> str:
     """JSON text of `value`, whose own line starts with `nl` (a newline and
-    its indent): the indent-2, sorted-key layout of json.dumps. A list of
-    Violation rows is written by the row writer (_json_rows)."""
+    its indent): the indent-2, sorted-key layout of json.dumps. A report's
+    kept rows are written by the row writer (_json_rows)."""
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = nl + "  "
         return ("{" + ",".join(inner + _quote(k) + ": " + _json(value[k], inner)
                                for k in sorted(value)) + nl + "}")
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, ViolationRows)):
         if not value:
             return "[]"
-        if type(value[0]) is Violation:
+        if isinstance(value, ViolationRows):
             return _json_rows(value, nl)
         inner = nl + "  "
         return ("[" + inner + ("," + inner).join([_json(v, inner) for v in value])

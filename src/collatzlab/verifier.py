@@ -118,8 +118,8 @@ class RangeSpec:
 class Violation(NamedTuple):
     """One failed comparison, with the exact offending value. Triple sweeps
     record the witness midpoint in z. A plain immutable tuple of its fields,
-    so that pair sweeps build their kept flags in bulk (_walk) and reports
-    list them in sort_key order."""
+    so that a report builds its rows in bulk when they are read
+    (ViolationRows), and lists them in sort_key order."""
 
     x: int
     y: int
@@ -132,6 +132,68 @@ class Violation(NamedTuple):
         return (self.x, self.y, self.quantity, self.z if self.z is not None else 0)
 
 
+class ViolationRows:
+    """A report's kept rows, read as a tuple of Violation rows that is built
+    on the first read. They are held per row x as (x, n, runs), each run
+    (ys, case, quantity, value, z) the rows at the y of a range ys: x's rows
+    are the runs' points by y, ties in run order, and the first n of them.
+    Writers format the runs without building rows (each)."""
+
+    def __init__(self, groups: Optional[list] = None, count: int = 0) -> None:
+        self.groups = [] if groups is None else groups
+        self.count = count
+        self._rows: Optional[tuple] = None
+
+    def add(self, x: int, n: int, runs: list) -> None:
+        self.groups.append((x, n, runs))
+        self.count += n
+        self._rows = None
+
+    def each(self, items: Callable) -> Iterable:
+        """Per row x, its rows' items in order, items(x, run) giving those
+        of one run; a row of several runs is put in order by y."""
+        for x, n, runs in self.groups:
+            if len(runs) == 1:
+                yield islice(items(x, runs[0]), n)
+                continue
+            ys = list(chain.from_iterable(run[0] for run in runs))
+            out = list(chain.from_iterable(items(x, run) for run in runs))
+            yield map(out.__getitem__, islice(
+                sorted(range(len(ys)), key=ys.__getitem__), n))
+
+    def _read(self) -> tuple:
+        if self._rows is None:
+            row = partial(tuple.__new__, Violation)
+            self._rows = tuple(chain.from_iterable(self.each(
+                lambda x, run: map(row, zip(repeat(x), run[0],
+                                            *map(repeat, run[1:]))))))
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ViolationRows):
+            other = other._read()
+        return self._read() == other if isinstance(other, tuple) else NotImplemented
+
+    def __add__(self, other) -> tuple:
+        return self._read() + (other._read() if isinstance(other, ViolationRows)
+                               else other)
+
+    def __radd__(self, other: tuple) -> tuple:
+        return other + self._read()
+
+    def __repr__(self) -> str:
+        return repr(self._read())
+
+
 class _Findings:
     """Counts every violation a sweep finds and keeps the first `cap`; a
     negative cap keeps none."""
@@ -139,20 +201,19 @@ class _Findings:
     def __init__(self, cap: int) -> None:
         self.cap = max(0, cap)
         self.total = 0
-        self.kept: list[Violation] = []
+        self.kept = ViolationRows()
 
-    def add(self, v: Violation) -> None:
-        self.total += 1
-        if len(self.kept) < self.cap:
-            self.kept.append(v)
-
-    def add_counted(self, count: int, first: Iterable[Violation]) -> None:
-        """Count `count` violations, of which `first` yields the first ones."""
+    def add_runs(self, x: int, count: int, runs: list) -> None:
+        """Count `count` violations of row x, of which `runs` (as
+        ViolationRows holds them) are the first."""
+        room = self.cap - self.kept.count
         self.total += count
-        self.kept.extend(islice(first, max(0, self.cap - len(self.kept))))
+        if room and runs:
+            self.kept.add(x, min(room, count), runs)
 
-    def sorted(self) -> tuple:
-        return tuple(sorted(self.kept, key=Violation.sort_key))
+    def add(self, x: int, y: int, case: str, quantity: str, value,
+            z: Optional[int] = None) -> None:
+        self.add_runs(x, 1, [(range(y, y + 1), case, quantity, value, z)])
 
 
 @dataclass
@@ -168,18 +229,25 @@ class CaseTally:
 
 @dataclass
 class VerificationReport:
-    """Aggregated sweep outcome; merge() sums tallies and re-sorts violations."""
+    """Aggregated sweep outcome; merge_reports sums tallies and re-sorts
+    violations. Violation rows given in order are kept as runs of one."""
 
     op: str
     rng: RangeSpec
     pairs_checked: int
     per_case: dict
-    violations: tuple
+    violations: ViolationRows
     violations_total: int
     elapsed_ms: int
     engine: str
     params: dict = field(default_factory=dict)
     max_violations: int = DEFAULT_MAX_VIOLATIONS
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.violations, ViolationRows):
+            rows = [(x, 1, [(range(y, y + 1), *head)])
+                    for x, y, *head in self.violations]
+            self.violations = ViolationRows(rows, len(rows))
 
     @property
     def ok(self) -> bool:
@@ -209,8 +277,8 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
             if tal.max_lhs is not None:
                 cur.absorb_value(tal.max_lhs)
     cap = min(a.max_violations, b.max_violations)
-    violations = tuple(sorted(a.violations + b.violations,
-                              key=Violation.sort_key))[:cap]
+    violations = sorted(a.violations + b.violations,
+                        key=Violation.sort_key)[:cap]
     rng = RangeSpec(min(a.rng.x_min, b.rng.x_min), max(a.rng.x_max, b.rng.x_max),
                     min(a.rng.y_min, b.rng.y_min), max(a.rng.y_max, b.rng.y_max),
                     a.rng.cases)
@@ -293,8 +361,7 @@ def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                 if worst * m_den > m_num:
                     flags[CHECK_MBOUND] = worst
             for check in sorted(flags, key=QUANTITY_LABELS.get):
-                found.add(Violation(x, y, key, QUANTITY_LABELS[check],
-                                    flags[check]))
+                found.add(x, y, key, QUANTITY_LABELS[check], flags[check])
 
     return pairs, per_case
 
@@ -510,31 +577,23 @@ def _check_widths(w: Sequence, terms: tuple, q: tuple, lo: int,
     check_width(max(_top(q, lo, hi), _top(neg, lo, hi)) // 2, "six-term sum")
 
 
-# A kept flag's row from its fields, built without a Python-level call.
-_row = partial(tuple.__new__, Violation)
-# One row's flags in report order: by y, then (one pair's) by quantity.
-_by_y = itemgetter(1, 3)
-
-
 def _head_runs(runs: list, room: int) -> list:
-    """Runs (ys, yp, p, q, ...) of a row, each the points y = ys + yp*l for
-    l in [p, q], cut after the least y by which `room` points are reached;
-    only the flags of one pair at that y can go past `room`."""
-    def ends(t: int) -> list:
-        # each run's last l with y <= t; yp = 0 is the column y = 1, at l = 0
-        return [min(q, (t - ys) // yp) if yp else q if ys <= t else p - 1
-                for ys, yp, p, q, *_ in runs]
-    lo = min(ys + yp * p for ys, yp, p, *_ in runs)
-    hi = max(ys + yp * q for ys, yp, _, q, *_ in runs)
+    """Runs (ys, ...) of a row, ys an ascending range of y, cut after the
+    least y by which `room` points are reached; only the flags of one pair
+    at that y can go past `room`."""
+    def heads(t: int) -> list:
+        # each run's points with y <= t
+        return [len(range(ys.start, min(ys.stop, t + 1), ys.step))
+                for ys, *_ in runs]
+    lo = min(run[0][0] for run in runs)
+    hi = max(run[0][-1] for run in runs)
     while lo < hi:
         mid = (lo + hi) // 2
-        if sum(max(0, e - run[2] + 1)
-               for e, run in zip(ends(mid), runs)) >= room:
+        if sum(heads(mid)) >= room:
             hi = mid
         else:
             lo = mid + 1
-    return [run[:3] + (e,) + run[4:] for run, e in zip(runs, ends(lo))
-            if e >= run[2]]
+    return [(run[0][:n],) + run[1:] for run, n in zip(runs, heads(lo)) if n]
 
 
 def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
@@ -545,12 +604,14 @@ def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
     `cases` admits with the row's class. visit(x, k, row, column, spans)
     handles one of those: row and column are points as _terms reads them,
     spans the cell intervals (cell, lo, hi) in l order. It returns the pairs
-    it covered and its flags as (key, quantity, ranges of l, value of l).
+    it covered and its flags as (key, quantity, ranges of l, value): a
+    constant, or a function of l where it changes along the range.
     Every flag is counted; the first `found.cap` in report order (x, y,
-    quantity) are kept. A row builds only the flags up to the y at which
-    the cap is full (_head_runs), each range of l in one run of C-level
-    iterators. With until_full the walk ends after the row that fills the
-    cap."""
+    quantity) are kept as runs of y (ViolationRows), a range of l with a
+    constant value as one run and any other as runs of one. A row keeps
+    only the runs up to the y at which the cap is full (_head_runs), and
+    builds no row. With until_full the walk ends after the row that fills
+    the cap."""
     columns = _columns(rng.y_min, rng.y_max, cases)
     done = reported = 0
     for x in range(rng.x_min, rng.x_max + 1):
@@ -567,24 +628,27 @@ def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
                      else ((case, lo, hi),))
             pairs, flags = visit(x, k, row, column, spans)
             done += pairs
+            ys, yp = column[0], column[1]
             for key, quantity, ranges, value in flags:
                 for p, q in ranges:
                     flagged += q - p + 1
                     if room:
-                        runs.append((column[0], column[1], p, q, key,
-                                     quantity, value))
+                        # the column y = 1 is one point, with yp = 0
+                        runs.append((range(ys + yp * p, ys + yp * q + 1,
+                                           yp or 1), p, key, quantity, value))
         if flagged:
             if flagged > room and runs:
                 runs = _head_runs(runs, room)
-            first: list = []
-            for ys, yp, p, q, key, quantity, value in runs:
-                # the column y = 1 is one point, with yp = 0
-                first += map(_row, zip(
-                    repeat(x), range(ys + yp * p, ys + yp * q + 1, yp) if yp
-                    else repeat(ys, q - p + 1), repeat(key), repeat(quantity),
-                    map(value, range(p, q + 1)), repeat(None)))
-            first.sort(key=_by_y)
-            found.add_counted(flagged, first)
+            kept: list = []
+            for ys, p, key, quantity, value in runs:
+                if callable(value):
+                    kept += ((range(y, y + 1), key, quantity, value(l), None)
+                             for y, l in zip(ys, range(p, p + len(ys))))
+                else:
+                    kept.append((ys, key, quantity, value, None))
+            # in quantity order, the order of one pair's rows at its y
+            kept.sort(key=itemgetter(2))
+            found.add_runs(x, flagged, kept)
             if until_full and len(found.kept) == found.cap:
                 return
         if progress is not None and done - reported >= PROGRESS_STRIDE:
@@ -749,13 +813,15 @@ def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
             entry = table[cell] if cell != DIAGONAL else table[cell][k - lo + 1]
             if entry[6] > m_floor:
                 flags.append((TALLY_KEYS[cell], QUANTITY_LABELS[CHECK_MBOUND],
-                              [(lo, hi)], lambda l, v=entry[6]: v))
+                              [(lo, hi)], entry[6]))
         return 0, flags
 
-    head = _Findings(min(found.cap, total))
+    head = _Findings(min(found.cap - len(found.kept), total))
     if head.cap:
         _walk(rng, flagged, visit, head, until_full=True)
-    found.add_counted(total, head.kept)
+    found.total += total
+    for group in head.kept.groups:
+        found.kept.add(*group)
     return done, per_case
 
 
@@ -894,7 +960,7 @@ def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
     pairs, per_case = _sweep_vector(rng, checks, m_cap, found, progress)
     return VerificationReport(
         op=op, rng=rng, pairs_checked=pairs, per_case=_sorted_cells(per_case),
-        violations=tuple(found.kept), violations_total=found.total,
+        violations=found.kept, violations_total=found.total,
         elapsed_ms=int((time.monotonic() - started) * 1000), engine="vector",
         params={"checks": "+".join(checks), "M": format_rational(m_cap)},
         max_violations=max_violations)
@@ -1031,10 +1097,10 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                          if _top(q, lo, hi) > 0]
         for x, y, q, spans in gap_fails:
             zs = chain.from_iterable(range(s, e + 1) for s, e in spans)
-            found.add_counted(sum(e - s + 1 for s, e in spans), (
-                Violation(x, y, key, "lemma1-gap<0", Fraction(
-                    p * (_at(q, z) // 2), th.denominator), z=z)
-                for z in zs))
+            found.add_runs(x, sum(e - s + 1 for s, e in spans), [
+                (range(y, y + 1), key, "lemma1-gap<0", Fraction(
+                    p * (_at(q, z) // 2), th.denominator), z)
+                for z in islice(zs, found.cap - len(found.kept))])
         if progress is not None:
             progress(checks_done)
 
@@ -1060,11 +1126,9 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                     right = ((1 - lam_v) * lhs(weight_vector, accel_T, x, y)
                              + lam_v * lhs(weight_vector, accel_T, y, x))
                     if left != right:
-                        found.add(Violation(x, y, ikey, "lemma2-identity",
-                                            left - right))
+                        found.add(x, y, ikey, "lemma2-identity", left - right)
                     if left > 0:
-                        found.add(Violation(x, y, nkey, "lemma2-positive",
-                                            left))
+                        found.add(x, y, nkey, "lemma2-positive", left)
         if progress is not None:
             progress(checks_done)
 
@@ -1072,8 +1136,8 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     engine = ("vector" if vector_ok else "scalar" if gap_fails is None
               else "mixed")
     # a stable sort: ties keep the pass order
-    violations = tuple(sorted(chain.from_iterable(f.kept for f in passes),
-                              key=Violation.sort_key)[:max(0, max_violations)])
+    violations = sorted(chain.from_iterable(f.kept for f in passes),
+                        key=Violation.sort_key)[:max(0, max_violations)]
     return VerificationReport(
         op="lemmas", rng=rng, pairs_checked=checks_done,
         per_case=_sorted_cells(per_case), violations=violations,
@@ -1456,18 +1520,16 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
             if premise(prev, cur):
                 per_case["premise-held"].pairs += 1
                 if a_den * step_sq > a_num * prev_sq:
-                    found.add(Violation(
-                        prev, cur, tally_key(prev, cur), "decay",
-                        Fraction(a_den * step_sq - a_num * prev_sq, a_den)))
+                    found.add(prev, cur, tally_key(prev, cur), "decay",
+                              Fraction(a_den * step_sq - a_num * prev_sq, a_den))
                 if telescoped and prefix_intact:
                     pw_num *= a_num
                     pw_den *= a_den
                     per_case["telescoped-steps"].pairs += 1
                     if pw_den * step_sq > pw_num * first_sq:
-                        found.add(Violation(
-                            prev, cur, tally_key(prev, cur), "telescoped",
-                            Fraction(pw_den * step_sq - pw_num * first_sq,
-                                     pw_den)))
+                        found.add(prev, cur, tally_key(prev, cur), "telescoped",
+                                  Fraction(pw_den * step_sq - pw_num * first_sq,
+                                           pw_den))
             else:
                 per_case["premise-failed"].pairs += 1
                 prefix_intact = False
@@ -1480,7 +1542,8 @@ def orbit_decay_sweep(seed_min: int, seed_max: int, params: ConditionParams, *,
     return VerificationReport(
         op="orbit-decay", rng=RangeSpec(seed_min, seed_max, 1, 1),
         pairs_checked=steps_done, per_case=_sorted_cells(per_case),
-        violations=found.sorted(), violations_total=found.total,
+        violations=sorted(found.kept, key=Violation.sort_key),
+        violations_total=found.total,
         elapsed_ms=int((time.monotonic() - started) * 1000),
         engine="dedup" if dedup else "full",
         params={"A": format_rational(params.A), "lambda": params.lam.label,

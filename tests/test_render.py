@@ -19,6 +19,7 @@ from collatzlab.verifier import (
     RangeSpec,
     VerificationReport,
     Violation,
+    ViolationRows,
     m_bound_sweep,
     orbit_decay_sweep,
 )
@@ -204,6 +205,69 @@ def test_row_writer_matches_the_per_row_writers(heads, picks):
     assert cli._render_csv_verification(doc) == ref_render_csv(old)
     assert (cli._render_text_verification(doc, report)
             == ref_render_text(old, report))
+
+
+# --- kept rows as runs against their expanded rows ------------------------------
+
+# a range of y: an even or odd column (step 2), a run of one or the column y = 1
+YS = st.builds(lambda start, step, n: range(start, start + step * n, step),
+               st.integers(1, 30) | st.integers(LIMIT - 5, LIMIT + 1),
+               st.sampled_from([1, 2]), st.integers(1, 6))
+QUANTITIES = st.sampled_from(["lhs>0", "bound-exceeded", "weight-above-M",
+                              "%d", 'a,"b"%']) | LABELS
+RUNS = st.tuples(YS, LABELS, QUANTITIES, VALUES, st.none() | COORDS)
+GROUPS = st.lists(st.tuples(COORDS, st.lists(RUNS, min_size=1, max_size=4),
+                            st.integers(1, 30)), max_size=5)
+
+
+def kept_rows(groups):
+    """ViolationRows of generated rows x, each (x, runs, count) with its runs
+    in quantity order as the row walk keeps them, and the reference: each
+    row's runs expanded, sorted by (y, quantity) and cut at its count."""
+    kept, reference = ViolationRows(), []
+    for x, runs, count in groups:
+        runs = sorted(runs, key=lambda run: run[2])
+        rows = sorted((Violation(x, y, *head) for ys, *head in runs
+                       for y in ys), key=lambda v: (v.y, v.quantity))
+        kept.add(x, min(count, len(rows)), runs)
+        reference += rows[:count]
+    return kept, tuple(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUPS)
+# interleaved even and odd columns after the column y = 1, cut mid-column
+@example([(8, [(range(1, 2), "even-1", "weight-above-M", 1, None),
+               (range(2, 12, 2), "even-even", "weight-above-M", 2, None),
+               (range(3, 13, 2), "even-odd", "weight-above-M", 2, None)], 9)])
+# lhs>0 and bound-exceeded at one pair, the count ending between them
+@example([(5, [(range(2, 3), "odd-even", "lhs>0", 7, None),
+               (range(2, 3), "odd-even", "bound-exceeded", 7, None),
+               (range(1, 4, 2), "odd-odd", "lhs>0", Fraction(-1, 3), None)],
+           2)])
+# y across 2^53 in one run, big x, values and z, and labels that are
+# %-directives or hold a comma or a quote
+@example([(LIMIT, [(range(LIMIT - 2, LIMIT + 2), "100%", "%d", LIMIT + 5, 3),
+                   (range(LIMIT - 1, LIMIT + 3, 2), 'say "no"', "a,b", None,
+                    LIMIT)], 7),
+          (LIMIT + 1, [(range(LIMIT, LIMIT + 1), "%s", "%%", -LIMIT - 1,
+                        None)], 1)])
+def test_kept_runs_write_and_read_as_their_expanded_rows(groups):
+    kept, reference = kept_rows(groups)
+    report = VerificationReport(
+        op="m-bound", rng=RangeSpec.square(2**70), pairs_checked=0,
+        per_case={}, violations=kept, violations_total=len(reference),
+        elapsed_ms=0, engine="vector")
+    doc = cli._verification_doc("verify", report, False)
+    old = ref_doc(dict(doc, violations=reference))
+    assert cli._render_json(doc) == ref_render_json(old)
+    assert cli._render_csv_verification(doc) == ref_render_csv(old)
+    assert (cli._render_text_verification(doc, report)
+            == ref_render_text(old, report))
+    # the writers built no row
+    assert kept._rows is None
+    assert len(kept) == len(reference) and kept == reference
+    assert {type(v) for v in kept} <= {Violation}
 
 
 def test_reports_cover_every_kind_of_violation_value():

@@ -590,26 +590,48 @@ def test_a_capped_mbound_sweep_walks_only_the_rows_it_keeps(walked_rows):
     RangeSpec(10**6, 10**6 + 40, 10**6 - 150, 10**6 + 150),  # deep cells
 ], ids=["corner", "gates", "far"])
 def test_a_capped_mbound_sweep_builds_only_the_rows_it_keeps(rng, m_cap,
-                                                             monkeypatch):
-    # a spy on the constructor _walk builds its rows with: a row holds
-    # several runs of flags, and the cap may fall inside any of them
-    built = []
-    real = verifier._row
+                                                             monkeypatch,
+                                                             capsys):
+    # the CLI writes a capped report from its runs in every format and
+    # builds no Violation row; a read afterwards builds exactly the rows
+    # kept. A row holds several runs of flags, and the cap may fall inside
+    # any of them.
+    reads, reports = [], []
+    read = verifier.ViolationRows._read
 
-    def spy(fields):
-        built.append(fields)
-        return real(fields)
+    def spy(rows):
+        reads.append(rows)
+        return read(rows)
 
-    monkeypatch.setattr(verifier, "_row", spy)
-    total = m_bound_sweep(rng, Fraction(m_cap),
-                          max_violations=0).violations_total
-    assert total > 0 and built == []
-    for cap in sorted({1, 2, 7, 19, 20, 21, 33, 100, 257, total - 1, total,
+    def sweep(*args, **kwargs):
+        reports.append(m_bound_sweep(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(verifier.ViolationRows, "_read", spy)
+    monkeypatch.setattr(cli, "_build_range", lambda args, desk_scale: rng)
+    monkeypatch.setattr(cli, "m_bound_sweep", sweep)
+    full = oracle(m_bound_sweep, rng, Fraction(m_cap), max_violations=10**6)
+    total = full.violations_total
+    assert total > 0
+    for cap in sorted({0, 1, 2, 7, 19, 20, 21, 33, 100, 257, total - 1, total,
                        total + 5}):
-        built.clear()
-        report = m_bound_sweep(rng, Fraction(m_cap), max_violations=cap)
-        assert len(built) == min(cap, total), cap
-        assert Counter(built) == Counter(report.violations)
+        for fmt in ("json", "csv", "text"):
+            reads.clear()
+            assert cli.main(["verify", "--mode", "mbound", "--M", str(m_cap),
+                             "--max", "1", "--violations-cap", str(cap),
+                             "--format", fmt]) == 1
+            out = capsys.readouterr().out
+            report = reports.pop()
+            assert reads == [] and report.violations._rows is None, (cap, fmt)
+            if fmt == "csv":
+                assert out.count("\nviolation,") == min(cap, total)
+            assert report.violations_total == total
+            rows = tuple(report.violations)
+            assert len(rows) == min(cap, total) == len(report.violations)
+            assert {type(v) for v in rows} <= {Violation}
+            assert rows == full.violations[:cap] == oracle(
+                m_bound_sweep, rng, Fraction(m_cap),
+                max_violations=cap).violations
 
 
 def test_violation_keeps_its_contract():
@@ -638,6 +660,61 @@ def test_violation_keeps_its_contract():
                            max_violations=50)
     back = pickle.loads(pickle.dumps(report))
     assert back == report and type(back.violations[0]) is Violation
+
+
+def test_report_rows_keep_the_tuple_contract(wrong_weights):
+    # a report's rows read as the tuple of Violation rows of the per-pair
+    # reference, and ship whole: a capped mbound report (runs), a direct
+    # report whose lhs>0 values change along l (runs of one) and a blend
+    # report with Fraction values (runs of one)
+    rng, third = PARITY_RANGES["gates"], Fraction(1, 3)
+    runs = {
+        "mbound": lambda run: run(SWEEPS["mbound"], rng, max_violations=150),
+        "direct": lambda run: run(SWEEPS["direct"], rng, max_violations=150),
+        # the per-pair blend is the reference of the interval blend
+        "blend": lambda run: verify_lemmas(
+            RangeSpec.square(12), [],
+            [third if run is shipped else per_pair(third)],
+            max_violations=150),
+    }
+    for name, sweep in runs.items():
+        report = sweep(shipped)
+        back = pickle.loads(pickle.dumps(report))
+        rows, ref = report.violations, tuple(sweep(oracle).violations)
+        assert 10 < len(rows) == len(ref) <= 150, name
+        assert {type(v) for v in ref} == {Violation}
+        assert rows == ref and ref == rows and not rows != ref
+        assert rows != ref[1:] and ref[:-1] != rows and rows != list(ref)
+        assert rows[0] == ref[0] and rows[-1] == ref[-1]
+        assert rows[3:9] == ref[3:9] and rows[::-1] == ref[::-1]
+        assert rows + rows == ref + ref == rows + ref == ref + rows
+        for other in (list(ref), None):
+            with pytest.raises(TypeError):
+                rows + other
+        assert back == report and back.violations == ref
+        assert type(back.violations[0]) is Violation
+        if name == "blend":
+            assert {type(v.value) for v in rows} == {Fraction}
+            assert any(v.value.denominator == 3 for v in rows)
+        else:
+            assert {v.quantity for v in rows} == {
+                "weight-above-M" if name == "mbound" else "lhs>0"}
+
+
+@pytest.mark.parametrize("mode", ["mbound", "direct"])
+def test_merged_split_reports_equal_the_single_run_at_every_cap(
+        mode, wrong_weights):
+    rng = RangeSpec(1, 12, 1, 14)
+    total = SWEEPS[mode](rng, max_violations=0).violations_total
+    assert total > 20
+    for cap in range(total + 2):
+        whole = SWEEPS[mode](rng, max_violations=cap)
+        for a, b in ((replace(rng, x_max=5), replace(rng, x_min=6)),
+                     (replace(rng, y_max=7), replace(rng, y_min=8))):
+            merged = merge_reports(SWEEPS[mode](a, max_violations=cap),
+                                   SWEEPS[mode](b, max_violations=cap))
+            assert same_report(merged, whole), cap
+            assert merged.violations == tuple(whole.violations)
 
 
 def test_mbound_progress_reports_each_stride_it_passes():
