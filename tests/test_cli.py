@@ -2,17 +2,21 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from collatzlab import cli, verifier
 from collatzlab.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(args, capsys):
@@ -47,9 +51,15 @@ def test_verify_cross_mode(capsys):
 
 
 def test_verify_desk_scale_gate(capsys):
-    code, _, err = run_cli(["verify", "--max", "20000"], capsys)
-    assert code == 2
-    assert "--allow-large" in err
+    # verify reads whole cell regions and takes any side; conditions and
+    # search-lambda walk every pair and keep the gate
+    code, out, _ = run_cli(["verify", "--max", "20000", "--format", "json"],
+                           capsys)
+    assert code == 0 and json.loads(out)["pairs_checked"] == 20000**2
+    for argv in (["conditions", "--lambda", "0", "--A", "1/2"],
+                 ["search-lambda", "--A", "1/2"]):
+        code, _, err = run_cli(argv + ["--max", "20000"], capsys)
+        assert code == 2 and "--allow-large" in err, argv
 
 
 def test_verify_desk_scale_gate_reads_the_side(capsys):
@@ -61,23 +71,19 @@ def test_verify_desk_scale_gate_reads_the_side(capsys):
     assert json.loads(out)["pairs_checked"] == 10**4
 
 
-def test_only_mbound_passes_the_desk_scale_gate_unasked(capsys):
-    # an mbound sweep counts its pairs per cell region, whatever the side
-    code, out, _ = run_cli(["verify", "--mode", "mbound", "--M", "1",
-                            "--max", "20000", "--format", "json"], capsys)
-    assert code == 1
+@pytest.mark.parametrize("mode", ["direct", "bounds", "simplified", "cross",
+                                  "mbound"])
+def test_every_verify_mode_passes_the_desk_scale_gate_unasked(mode, capsys):
+    # each mode costs O(cells x period) plus the rows it walks, whatever the
+    # side; --allow-large stays accepted and changes no byte
+    argv = ["verify", "--mode", mode, "--M", "1", "--max", "20000",
+            "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == (1 if mode == "mbound" else 0)
     doc = json.loads(out)
     assert doc["pairs_checked"] == 20000**2
-    assert doc["violations_shown"] == 100
-    for argv in (["verify", "--mode", "direct"],
-                 ["conditions", "--lambda", "0", "--A", "1/2"]):
-        code, _, err = run_cli(argv + ["--max", "20000"], capsys)
-        assert code == 2 and "--allow-large" in err, argv
-    # --allow-large stays accepted
-    code, allowed, _ = run_cli(["verify", "--mode", "mbound", "--M", "1",
-                                "--max", "20000", "--allow-large",
-                                "--format", "json"], capsys)
-    assert code == 1 and allowed == out
+    assert doc["violations_shown"] == (100 if mode == "mbound" else 0)
+    assert run_cli(argv + ["--allow-large"], capsys) == (code, out, "")
 
 
 def test_verify_mbound_violations_exit_one(capsys):
@@ -614,3 +620,68 @@ def test_module_invocation_matches_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["steps"] == 6
+
+
+# === per-layer counts under the benchmark's tracer ===
+
+TRACED_REQUESTS = (
+    ["verify", "--mode", "mbound", "--M", "1", "--max", "30",
+     "--violations-cap", "5", "--format", "json"],
+    ["verify", "--mode", "cross", "--max", "40", "--format", "csv"],
+    ["conditions", "--lambda", "1/2", "--A", "1/2", "--max", "12",
+     "--format", "csv"],
+    ["search-lambda", "--q", "1", "--A", "1/2", "--max", "6", "--format",
+     "json"],
+    ["decay", "--seed-max", "60", "--A", "1/2", "--lambda", "1/2", "--format",
+     "json"],
+    ["orbit", "--seed", "27", "--format", "csv"],
+)
+
+
+def test_tracer_counts_every_layer(capsys):
+    # perfbench/tracing.py wraps the names through which one module calls
+    # into another (cli.<sweep>, verifier.<callee>, ...) by name; the sweep
+    # modules must still call through them, or a layer's counts read 0.
+    # These counts are those of the tracer on one request of each command.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        main = tracer.request(cli.main)
+        codes = [main(argv) for argv in TRACED_REQUESTS]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [1, 0, 0, 0, 0, 0]
+    items = 900 + 1600 + 144 + 36 + 292
+    metrics = tracer.metrics()
+    assert {k: v for k, v in metrics.items() if not k.endswith("_s")} == {
+        "verifier.items": items,
+        "verifier.vector_share": 2500 / items,
+        "verifier.violations_total": 630,
+        "verifier.violations_recorded": 5,
+        "framework.lhs.calls": 0,
+        "framework.check_condition.calls": 53,
+        "framework.check_condition_per_item": 53 / items,
+        "framework.lambda.calls": 106,
+        "weights.weight_vector.calls": 890,
+        "weights.classify.calls": 0,
+        "weights.simplified_lhs.calls": 0,
+        "weights.calls_per_item": 890 / items,
+        "collatz.accel_T.calls": 352,
+        "collatz.stopping_time.calls": 1,
+        "arith.check_width.calls": 226,
+        "trace.uncounted_items": 0,
+    }
+    assert dict(tracer.calls) == {
+        "cli.main": 6, "verifier.m_bound_sweep": 1,
+        "verifier.cross_check_simplified": 1, "verifier.condition_coverage": 1,
+        "verifier.search_lambda": 1, "verifier.orbit_decay_sweep": 1,
+        "collatz.stopping_time": 1, "arith.parse_rational": 11,
+        "arith.format_rational": 23, "framework.lambda": 106,
+        "framework.check_condition": 53, "weights.weight_vector": 890,
+        "collatz.accel_T": 352, "arith.check_width": 226,
+    }

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collatzlab import cli
+from collatzlab import cli, render
 from collatzlab.arith import format_rational
 from collatzlab.framework import ConditionParams, LambdaSpec, WeightVector
 from collatzlab.verifier import (
@@ -63,11 +63,11 @@ def ref_render_csv(doc):
                 "pairs", "max_lhs", "bound"])
     for tal in doc["per_case"]:
         w.writerow(["tally", "", "", "", tal["case"], "", "",
-                    tal["pairs"], cli._cell_str(tal["max_lhs"]),
-                    cli._cell_str(tal["bound"])])
+                    tal["pairs"], render._cell_str(tal["max_lhs"]),
+                    render._cell_str(tal["bound"])])
     for v in doc["violations"]:
-        w.writerow(["violation", v["x"], v["y"], cli._cell_str(v["z"]),
-                    v["case"], v["quantity"], cli._cell_str(v["value"]),
+        w.writerow(["violation", v["x"], v["y"], render._cell_str(v["z"]),
+                    v["case"], v["quantity"], render._cell_str(v["value"]),
                     "", "", ""])
     return buf.getvalue()
 
@@ -78,15 +78,15 @@ def ref_render_text(doc, report):
     lines.append(f"  {'cell':<22}{'pairs':>12}{'max_lhs':>14}{'bound':>8}")
     for tal in doc["per_case"]:
         lines.append(f"  {tal['case']:<22}{tal['pairs']:>12}"
-                     f"{cli._cell_str(tal['max_lhs']):>14}"
-                     f"{cli._cell_str(tal['bound']):>8}")
+                     f"{render._cell_str(tal['max_lhs']):>14}"
+                     f"{render._cell_str(tal['bound']):>8}")
     total = doc["violations_total"]
     lines.append(f"violations: {total}"
                  + (f" (showing {doc['violations_shown']})" if total else ""))
     for v in doc["violations"]:
         where = f"({v['x']}, {v['y']})" + (f" z={v['z']}" if v["z"] else "")
         lines.append(f"  {v['quantity']} at {where} [{v['case']}]"
-                     f" value={cli._cell_str(v['value'])}")
+                     f" value={render._cell_str(v['value'])}")
     lines.append(f"elapsed: {report.elapsed_ms} ms")
     return "\n".join(lines) + "\n"
 
@@ -114,7 +114,7 @@ DOCS = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(DOCS)
 def test_json_matches_json_dumps_on_generated_documents(doc):
-    assert cli._render_json(doc) == ref_render_json(doc)
+    assert render._render_json(doc) == ref_render_json(doc)
 
 
 @pytest.mark.parametrize("doc", [
@@ -123,14 +123,14 @@ def test_json_matches_json_dumps_on_generated_documents(doc):
     {"é": "\x00", "a\nb": Fraction(-7, 3)},
 ])
 def test_json_matches_json_dumps_on_edge_documents(doc):
-    assert cli._render_json(doc) == ref_render_json(doc)
+    assert render._render_json(doc) == ref_render_json(doc)
 
 
 @pytest.mark.parametrize("doc", [1.5, {"a": 0.0}, [1, [2, {"b": -1e300}]],
                                  {"a": {1, 2}}, [object()]])
 def test_json_refuses_what_it_cannot_encode_exactly(doc):
     with pytest.raises(TypeError):
-        cli._render_json(doc)
+        render._render_json(doc)
 
 
 # --- verification reports against the per-dict writers ----------------------
@@ -161,11 +161,11 @@ REPORTS = {
 @pytest.mark.parametrize("timings", [False, True])
 def test_verification_writers_match_the_per_dict_writers(name, timings):
     command, report = REPORTS[name]()
-    doc = cli._verification_doc(command, report, timings)
+    doc = render._verification_doc(command, report, timings)
     old = ref_doc(doc)
-    assert cli._render_json(doc) == ref_render_json(old)
-    assert cli._render_csv_verification(doc) == ref_render_csv(old)
-    assert (cli._render_text_verification(doc, report)
+    assert render._render_json(doc) == ref_render_json(old)
+    assert render._render_csv_verification(doc) == ref_render_csv(old)
+    assert (render._render_text_verification(doc, report)
             == ref_render_text(old, report))
 
 
@@ -199,11 +199,11 @@ def test_row_writer_matches_the_per_row_writers(heads, picks):
         op="m-bound", rng=RangeSpec.square(2**70), pairs_checked=len(rows),
         per_case={}, violations=rows, violations_total=len(rows),
         elapsed_ms=0, engine="vector")
-    doc = cli._verification_doc("verify", report, False)
+    doc = render._verification_doc("verify", report, False)
     old = ref_doc(doc)
-    assert cli._render_json(doc) == ref_render_json(old)
-    assert cli._render_csv_verification(doc) == ref_render_csv(old)
-    assert (cli._render_text_verification(doc, report)
+    assert render._render_json(doc) == ref_render_json(old)
+    assert render._render_csv_verification(doc) == ref_render_csv(old)
+    assert (render._render_text_verification(doc, report)
             == ref_render_text(old, report))
 
 
@@ -258,11 +258,11 @@ def test_kept_runs_write_and_read_as_their_expanded_rows(groups):
         op="m-bound", rng=RangeSpec.square(2**70), pairs_checked=0,
         per_case={}, violations=kept, violations_total=len(reference),
         elapsed_ms=0, engine="vector")
-    doc = cli._verification_doc("verify", report, False)
+    doc = render._verification_doc("verify", report, False)
     old = ref_doc(dict(doc, violations=reference))
-    assert cli._render_json(doc) == ref_render_json(old)
-    assert cli._render_csv_verification(doc) == ref_render_csv(old)
-    assert (cli._render_text_verification(doc, report)
+    assert render._render_json(doc) == ref_render_json(old)
+    assert render._render_csv_verification(doc) == ref_render_csv(old)
+    assert (render._render_text_verification(doc, report)
             == ref_render_text(old, report))
     # the writers built no row
     assert kept._rows is None
@@ -291,7 +291,7 @@ def test_far_mbound_cli_report_writes_big_coordinates_as_strings(capsys):
     assert doc["violations_shown"] == 50
     assert all(isinstance(v["x"], str) and int(v["x"]) >= lo
                for v in doc["violations"])
-    assert cli._render_json(doc) == out
+    assert render._render_json(doc) == out
 
 
 # --- every pooled findings request keeps its recorded digest ------------------

@@ -12,13 +12,14 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from collatzlab import cli, verifier, weights
+from collatzlab import cells, cli, coverage, maxima, regions, verifier, weights
 from collatzlab.arith import OverflowLimitError, format_rational
 from collatzlab.collatz import accel_T
 from collatzlab.framework import (
     ConditionId,
     ConditionParams,
     LambdaSpec,
+    WeightVector,
     check_condition,
     lemma1_gap,
     metric_d,
@@ -334,7 +335,6 @@ def wrong_forms(monkeypatch):
         forms[cell] = (lambda right, error: lambda k, l:
                        right(k, l) + error(k, l))(forms[cell], error)
     monkeypatch.setattr(weights, "CELL_FORMS", tuple(forms))
-    monkeypatch.setattr(verifier, "CELL_FORMS", tuple(forms))
 
 
 def ends_mid_row(report, cap):
@@ -478,7 +478,7 @@ def admitted(rng):
 def region_counts(rng):
     """Pairs per (cell, diagonal pick) as _regions counts them."""
     counts = Counter()
-    for cell, pick, n in verifier._regions(rng, admitted(rng)):
+    for cell, pick, n in regions._regions(rng, admitted(rng)):
         counts[cell, pick] += n
     return +counts
 
@@ -492,7 +492,7 @@ def walked_counts(rng):
             counts[cell, k - lo + 1 if cell == DIAGONAL else None] += hi - lo + 1
         return 0, []
 
-    verifier._walk(rng, admitted(rng), visit, verifier._Findings(0))
+    cells._walk(rng, admitted(rng), visit, verifier._Findings(0))
     return counts
 
 
@@ -551,9 +551,10 @@ def test_mbound_matches_the_oracle_at_every_cap(where, m_cap, patched,
 
 @pytest.fixture
 def walked_rows(monkeypatch):
-    """The rows x that _walk hands to its visitor, in order."""
+    """The rows x that the region sweeps' row walk (_walk) hands to its
+    visitor, in order."""
     rows = []
-    real = verifier._walk
+    real = cells._walk
 
     def spy(rng, cases, visit, found, *args, **kwargs):
         def seen(x, *rest):
@@ -561,7 +562,8 @@ def walked_rows(monkeypatch):
             return visit(x, *rest)
         return real(rng, cases, seen, found, *args, **kwargs)
 
-    monkeypatch.setattr(verifier, "_walk", spy)
+    monkeypatch.setattr(regions, "_walk", spy)
+    monkeypatch.setattr(maxima, "_walk", spy)
     return rows
 
 
@@ -632,6 +634,175 @@ def test_a_capped_mbound_sweep_builds_only_the_rows_it_keeps(rng, m_cap,
             assert rows == full.violations[:cap] == oracle(
                 m_bound_sweep, rng, Fraction(m_cap),
                 max_violations=cap).violations
+
+
+# === the other pair-sweep modes on region maxima ===
+
+FORM_MODES = ["direct", "bounds", "simplified", "cross"]
+
+
+def test_clean_form_sweeps_walk_no_rows(walked_rows):
+    # every tally comes from the regions' row maxima, and nothing flags
+    for lo in (1, 10**15):
+        rng = RangeSpec.square(lo + 10**9 - 1, lo=lo)
+        for mode in FORM_MODES:
+            report = SWEEPS[mode](rng)
+            assert report.ok and report.pairs_checked == 10**18, mode
+            assert all(t.max_lhs <= t.bound for t in report.per_case.values())
+    assert walked_rows == []
+
+
+# weight rows for high-band and high-deep (period 11) whose forms pass 0 in
+# some rows of a residue class of k and not in the rows between
+SCATTERED = {DIAGONAL + 1: (1, -2, 2, 0, 0, -2),
+             DIAGONAL + 2: (-1, 1, 0, 0, -2, 2)}
+
+
+@pytest.mark.parametrize("mode, tables", [
+    (mode, "wrong") for mode in FORM_MODES] + [
+    ("direct", "scattered"), ("bounds", "scattered")])
+def test_form_sweeps_walk_only_the_rows_that_flag(mode, tables, walked_rows,
+                                                  request, monkeypatch):
+    # a row is walked when its largest value passes a threshold, which is
+    # exactly when it has a flag; each such row once, in order
+    if tables == "wrong":
+        request.getfixturevalue("wrong_forms")
+        request.getfixturevalue("wrong_weights")
+    else:
+        rows = list(weights.CELL_WEIGHTS)
+        for cell, row in SCATTERED.items():
+            rows[cell] = row
+        monkeypatch.setattr(weights, "CELL_WEIGHTS", tuple(rows))
+    rng = PARITY_RANGES["gates"]
+    full = oracle(SWEEPS[mode], rng, max_violations=10**6)
+    assert full.violations_total == len(full.violations) > 0
+    report = SWEEPS[mode](rng, max_violations=10**6)
+    assert same_report(report, full)
+    assert sorted(set(walked_rows)) == sorted({v.x for v in full.violations})
+    assert walked_rows == sorted(walked_rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(entry=st.tuples(st.integers(-6, 6), *[st.integers(-40, 40)] * 5),
+       p=st.sampled_from([1, 2, 10, 11]), r=st.integers(0, 10),
+       s=st.integers(0, 30), n=st.integers(1, 25),
+       start=st.tuples(st.integers(-3, 3), st.integers(-60, 60)),
+       width=st.tuples(st.integers(0, 4), st.integers(0, 30)))
+def test_row_maxima_are_the_largest_value_of_each_row(entry, p, r, s, n,
+                                                      start, width):
+    # every row k = p*j + r of a piece, l in [start(j), end(j)], appears in
+    # exactly one segment, whose quadratics' largest value at it is the
+    # row's largest doubled value
+    end = (start[0] + width[0], start[1] + width[1])
+    a, b0, b1, c0, c1, c2 = entry
+    rows = {}
+    for q, r2, i0, i1, quadratics in maxima._row_maxima(entry, p, r, s,
+                                                        s + n, end, start):
+        for i in range(i0, i1 + 1):
+            k = q * i + r2
+            assert k not in rows
+            rows[k] = max(cells._at(quad, i) for quad in quadratics)
+    expected = {}
+    for j in range(s, s + n):
+        k = p * j + r
+        expected[k] = max(a * l * l + (b0 + b1 * k) * l + c0 + (c1 + c2 * k) * k
+                          for l in range(start[0] * j + start[1],
+                                         end[0] * j + end[1] + 1))
+    assert rows == expected
+
+
+def _patched_tables(rows_seed, forms_seed):
+    """A weight table and closed forms that are off on a few cells, drawn
+    from the seeds: weight rows in [-2, 2]^6, which make forms concave or
+    convex in l on any cell, and closed forms plus a quadratic error in (k,
+    l), so that flags start and stop inside rows and inside region pieces.
+    A 1 (k or l None) reads as 0."""
+    rows, forms = list(weights.CELL_WEIGHTS), list(weights.CELL_FORMS)
+    for cell, row in rows_seed:
+        rows[cell] = row
+    for cell, (a, b, c, d, e, f) in forms_seed:
+        forms[cell] = (lambda right, a, b, c, d, e, f: lambda k, l: right(
+            k, l) + (lambda k, l: a * l * l + b * k * l + c * k * k + d * l
+                     + e * k + f)(k or 0, l or 0))(forms[cell], a, b, c, d, e,
+                                                   f)
+    return tuple(rows), tuple(forms)
+
+
+_CELLS = st.integers(0, len(weights.TALLY_KEYS) - 1)
+_ROW = st.tuples(*[st.integers(-2, 2)] * 6)
+_ERROR = st.tuples(*[st.integers(-3, 3)] * 6)
+_STARTS = [1, 2, 3, 5, 18, 19, 20, 21, 22, 39, 40, 41, 42, 43,
+           10**6 - 7, 10**6, 10**15 - 3, 10**15, 2**60 - 5, 2**60]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(FORM_MODES),
+       x0=st.sampled_from(_STARTS), y0=st.sampled_from(_STARTS),
+       dx=st.integers(0, 60), dy=st.integers(0, 60),
+       gate=st.sampled_from([None, None, (10, 11), (11, 10), (1, 1)]),
+       cases=st.none() | st.frozensets(st.sampled_from(CASE_ORDER), min_size=1),
+       cap=st.sampled_from([0, 1, 2, 17, 200, 10**6]),
+       rows=st.lists(st.tuples(_CELLS, _ROW), max_size=3),
+       errors=st.lists(st.tuples(_CELLS, _ERROR), max_size=3))
+# a concave patched even-even form far out, flagging mid-row
+@example(mode="direct", x0=10**15, y0=10**15, dx=40, dy=40, gate=None,
+         cases=None, cap=200, rows=[(4, (1, 0, -1, 1, -1, 1))], errors=[])
+# an odd-odd cell made concave in l, on the k-segments [1, 9] and [10, 20]
+@example(mode="bounds", x0=3, y0=1, dx=40, dy=60, gate=None, cases=None,
+         cap=10**6, rows=[(12, (2, 2, -2, -2, -2, 2)),
+                          (9, (-1, -2, 2, 1, 0, 1))], errors=[])
+# closed forms off by quadratics that vanish inside rows
+@example(mode="cross", x0=20, y0=18, dx=50, dy=50, gate=None, cases=None,
+         cap=17, rows=[], errors=[(5, (1, -1, 0, 0, 0, 0)),
+                                  (11, (0, 1, -1, 0, 0, 0))])
+def test_region_maxima_match_the_oracle(mode, x0, y0, dx, dy, gate, cases,
+                                        cap, rows, errors):
+    # the columns start at a gate of the rows when one is drawn, at any
+    # offset: where the deep cells begin (10/11, 11/10) or the diagonal
+    if gate is not None:
+        y0 = max(1, x0 * gate[0] // gate[1] - dy // 2)
+    rng = RangeSpec(x0, x0 + dx, y0, y0 + dy, cases)
+    table, forms = _patched_tables(rows, errors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights, "CELL_WEIGHTS", table)
+        patch.setattr(weights, "CELL_FORMS", forms)
+        report = SWEEPS[mode](rng, max_violations=cap)
+        assert same_report(report, oracle(SWEEPS[mode], rng,
+                                          max_violations=cap))
+
+
+# The least x whose row of y in [1, 30] fails a width check of
+# framework.lhs (a six-term product at y = 3); even rows pass up to about
+# 2^63.5.
+_WIDTH_EDGE = 6148914691236517209
+
+
+@pytest.mark.parametrize("rng, fails", [
+    (RangeSpec(_WIDTH_EDGE - 40, _WIDTH_EDGE - 1, 1, 30), False),
+    # rows pass up to _WIDTH_EDGE, which fails after two columns
+    (RangeSpec(_WIDTH_EDGE - 20, _WIDTH_EDGE + 5, 1, 30), True),
+    (RangeSpec(1, 30, _WIDTH_EDGE - 40, _WIDTH_EDGE - 1), False),
+    # rows 1 and 2 pass; row 3 fails in its sixth column
+    (RangeSpec(1, 30, _WIDTH_EDGE - 5, _WIDTH_EDGE + 5), True),
+    (RangeSpec.square(2**126 + 3, lo=2**126), True),
+], ids=["rows-below", "rows-across", "columns-below", "columns-across",
+        "2^126"])
+@pytest.mark.parametrize("mode", FORM_MODES)
+def test_width_checks_read_off_regions_fail_where_the_oracle_does(mode, rng,
+                                                                  fails):
+    # simplified carries no width check; the other modes raise exactly
+    # where some pair fails one, and report as the oracle does elsewhere
+    def outcome(run):
+        try:
+            return run(SWEEPS[mode], rng)
+        except OverflowLimitError:
+            return "overflow"
+    report, reference = outcome(shipped), outcome(oracle)
+    assert (reference == "overflow") == (fails and mode != "simplified")
+    if reference == "overflow":
+        assert report == "overflow"
+    else:
+        assert same_report(report, reference)
 
 
 def test_violation_keeps_its_contract():
@@ -751,7 +922,7 @@ def test_a_closed_form_cubic_in_l_raises(monkeypatch, term):
     cell = CASE_ORDER.index(ParityCase.EVEN_EVEN)
     forms[cell] = (lambda right: lambda k, l:
                    right(k, l) + term(k, l))(forms[cell])
-    monkeypatch.setattr(verifier, "CELL_FORMS", tuple(forms))
+    monkeypatch.setattr(weights, "CELL_FORMS", tuple(forms))
     for sweep in (verify_simplified, cross_check_simplified):
         with pytest.raises(ValueError, match="not quadratic"):
             sweep(RangeSpec.square(20))
@@ -759,7 +930,7 @@ def test_a_closed_form_cubic_in_l_raises(monkeypatch, term):
 
 def test_odd_odd_spans_match_the_classifier():
     for k in range(1, 90):
-        spans = list(verifier._odd_odd_spans(k, 1, 120))
+        spans = list(cells._odd_odd_spans(k, 1, 120))
         assert [lo for _, lo, _ in spans] == [1] + [
             hi + 1 for _, _, hi in spans[:-1]]
         assert spans[-1][2] == 120
@@ -781,17 +952,17 @@ def test_direct_table_matches_the_per_pair_expansion(cell, k, l, d):
         CASE_ORDER.index(weights.CELL_CASES[cell]), 3)
     x = (1, 2 * k, 2 * k + 1)[row_class]
     row = (x, 0, accel_T(x), 0)
-    column = verifier._POINTS[column_class]
+    column = cells._POINTS[column_class]
     ys, yp, ts, tp = column
     assert accel_T(ys + yp * l) == ts + tp * l
-    entry = verifier._direct_table(weights.CELL_WEIGHTS)[cell]
+    entry = cells._direct_table(weights.CELL_WEIGHTS)[cell]
     if cell == DIAGONAL:
         entry, l = entry[d + 1], k - d
     w = weights.cell_weights(cell, k, l)
-    direct = verifier._in_l(entry, 0 if x == 1 else k)
-    expanded = verifier._form(w, verifier._basis(verifier._terms(row, column)))
+    direct = cells._in_l(entry, 0 if x == 1 else k)
+    expanded = cells._form(w, cells._basis(cells._terms(row, column)))
     if cell == DIAGONAL:
-        assert verifier._at(direct, l) == verifier._at(expanded, l)
+        assert cells._at(direct, l) == cells._at(expanded, l)
     else:
         assert direct == expanded
     assert entry[6] == max(map(abs, w))
@@ -806,10 +977,10 @@ def test_closed_table_reproduces_the_closed_forms(cell, k, l, d):
     # read on its line l = k - d
     row_class, column_class = divmod(
         CASE_ORDER.index(weights.CELL_CASES[cell]), 3)
-    entry = verifier._closed_table(weights.CELL_FORMS)[cell]
+    entry = cells._closed_table(weights.CELL_FORMS)[cell]
     if cell == DIAGONAL:
         entry, l = entry[d + 1], k - d
-    value = verifier._at(verifier._in_l(entry, k), l)
+    value = cells._at(cells._in_l(entry, k), l)
     assert value == 2 * weights.CELL_FORMS[cell](
         k if row_class else None, l if column_class else None)
 
@@ -909,7 +1080,7 @@ def test_gap_quadratic_matches_the_distances(lo, side, data):
         for z in range(lo, hi + 1):
             gap = metric_d(x, y) ** 2 - 2 * (metric_d(x, z) ** 2
                                              + metric_d(z, y) ** 2)
-            assert verifier._at(q, z) == 2 * gap, (x, y, z)
+            assert cells._at(q, z) == 2 * gap, (x, y, z)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -918,8 +1089,8 @@ def test_gap_quadratic_matches_the_distances(lo, side, data):
        width=st.integers(0, 40))
 def test_top_is_the_largest_value_on_the_integers(a, b, c, lo, width):
     q = (a, b, c)
-    assert verifier._top(q, lo, lo + width) == max(
-        verifier._at(q, l) for l in range(lo, lo + width + 1))
+    assert cells._top(q, lo, lo + width) == max(
+        cells._at(q, l) for l in range(lo, lo + width + 1))
 
 
 def test_triangle_gap_flags_match_a_brute_force_list(monkeypatch):
@@ -1134,7 +1305,7 @@ def test_coverage_corrected_c4_changes_outcomes():
 def fold_coverage_per_pair(rng, params, kind, m_lambda=False):
     """condition_coverage as a per-pair fold: check_condition at every pair,
     in row-major order."""
-    cells = {key: verifier.CoverageCell() for key in verifier.COVERAGE_KEYS}
+    cells = {key: coverage.CoverageCell() for key in coverage.COVERAGE_KEYS}
     holds = fails = m_viol = ml_viol = 0
     for x in range(rng.x_min, rng.x_max + 1):
         for y in range(rng.y_min, rng.y_max + 1):
@@ -1195,7 +1366,7 @@ def test_coverage_with_a_per_pair_lambda_matches_a_per_pair_fold(kind,
         assert report.m_violations is report.m_lambda_violations is None
     if kind.number == 5:
         assert cells["1-even"].truncated
-        assert len(cells["1-even"].ratios) == verifier._WITNESS_SET_CAP
+        assert len(cells["1-even"].ratios) == coverage._WITNESS_SET_CAP
 
 
 @pytest.mark.parametrize("lam", [
@@ -1206,13 +1377,13 @@ def test_signatures_read_a_constant_lambda_without_calling_it(lam,
                                                               monkeypatch):
     rng = RangeSpec(1, 30, 1, 40)
     value = lam.constant
-    per_pair = verifier._signatures(rng, LambdaSpec(lambda x, y: value, "same"))
+    per_pair = coverage._signatures(rng, LambdaSpec(lambda x, y: value, "same"))
 
     def refuse(self, x, y):
         raise AssertionError("constant lambda called per pair")
 
     monkeypatch.setattr(LambdaSpec, "__call__", refuse)
-    assert list(verifier._signatures(rng, lam).items()) == list(per_pair.items())
+    assert list(coverage._signatures(rng, lam).items()) == list(per_pair.items())
 
 
 # === lambda grid search ===
@@ -1306,7 +1477,7 @@ def brute_force_search(rng, q, a_grid, kind, B=None, M=None,
     scored = 0
     for a in a_values:
         per_group = []
-        for group in verifier._SEARCH_GROUPS:
+        for group in coverage._SEARCH_GROUPS:
             if len(group) == 1:
                 c = group[0]
                 combos = [((v,), sat[c].get((v, v, a), 0)) for v in values]
@@ -1320,7 +1491,7 @@ def brute_force_search(rng, q, a_grid, kind, B=None, M=None,
             per_group.append([vals for vals, _ in combos])
         for pick in product(*per_group):
             assign = {}
-            for group, vals in zip(verifier._SEARCH_GROUPS, pick):
+            for group, vals in zip(coverage._SEARCH_GROUPS, pick):
                 assign.update(zip(group, vals))
             scored += 1
             cov = sum(sat[c].get((assign[c], assign[c.transpose], a), 0)
@@ -1469,3 +1640,38 @@ def test_decay_sweep_merges_over_seed_blocks():
     assert merged.pairs_checked == whole.pairs_checked
     assert {k: t.pairs for k, t in merged.per_case.items()} == \
            {k: t.pairs for k, t in whole.per_case.items()}
+
+
+def _flat(x, y):
+    # weights whose premise holds everywhere yet bound nothing, so expanding
+    # orbit steps violate
+    return WeightVector(1, 0, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_capped_decay_reports_are_heads(dedup):
+    # the kept rows are the least by sort key, ties in seed order, whatever
+    # the seed order in which they are found; split seed ranges merge to the
+    # single run at every cap
+    params = ConditionParams(LAM0, Fraction(1, 3))
+
+    def sweep(lo, hi, cap):
+        return orbit_decay_sweep(lo, hi, params, W=_flat, dedup=dedup,
+                                 max_violations=cap)
+
+    full = sweep(1, 300, 10**6)
+    total = full.violations_total
+    assert total == len(full.violations) > 100
+    assert list(full.violations) == sorted(full.violations,
+                                           key=Violation.sort_key)
+    if not dedup:
+        # seed order would have kept (26, 13) last
+        assert full.violations[49][:3] == (4, 2, "even-even")
+    for cap in sorted({0, 1, 50, total - 1, total, total + 7}):
+        capped = sweep(1, 300, cap)
+        assert capped.violations_total == total
+        assert capped.violations == full.violations[:cap]
+        for cut in (1, 77, 150, 299):
+            assert same_report(merge_reports(sweep(1, cut, cap),
+                                             sweep(cut + 1, 300, cap)),
+                               capped), (cap, cut)
