@@ -1,17 +1,19 @@
 """The maxima layer: the direct, bounds, simplified and cross checks read
 off the cell regions (regions.py) instead of row by row.
 
-On each piece of a region (_cell_pieces), k = P*j + rho and l runs over
-[start(j), end(j)], both lines in j. A cell's forms (_direct_table,
-_closed_table) are doubled quadratics in (k, l), so along any line l = u*j
-+ w a form is a doubled quadratic in j (_along). In a row, a form that is
-convex or linear in l (a >= 0, as on every odd-odd cell) is largest at an
-end of the row's interval. A concave one (a < 0; in the shipped tables
-only on rectangles) is largest next to its vertex floor((b0 +
-b1*k)/(-2a)), clamped to the interval; that floor is linear in j on each
-residue of j modulo -2a/gcd(-2a, b1*P). So on each piece the row maximum
-is the largest of one or two quadratics in j (_row_maxima), and from it
-come:
+A region's spans (regions._cell_spans, which mbound counts too) each have
+one start and one end term. A span whose terms are lines in k is one piece;
+one with a floor term of period P is a piece per residue rho of k modulo P
+(_pieces). On a piece k = P*j + rho and l runs over [start(j), end(j)],
+both lines in j. A cell's forms (_direct_table, _closed_table) are doubled
+quadratics in (k, l), so along any line l = u*j + w a form is a doubled
+quadratic in j (_along). In a row, a form that is convex or linear in l
+(a >= 0, as on every odd-odd cell) is largest at an end of the row's
+interval. A concave one (a < 0; in the shipped tables only on rectangles)
+is largest next to its vertex floor((b0 + b1*k)/(-2a)), clamped to the
+interval; that floor is linear in j on each residue of j modulo
+-2a/gcd(-2a, b1*P). So on each piece the row maximum is the largest of one
+or two quadratics in j (_row_maxima), and from it come:
 - each tally's max_lhs, by _top of those quadratics;
 - the rows that can flag, where a row maximum passes a check's threshold
   (_positive). Only those rows are walked (_walk), by the interval visitor
@@ -29,7 +31,7 @@ A sweep costs O(cells x period), plus the rows it walks.
 from __future__ import annotations
 
 from heapq import merge
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -40,17 +42,15 @@ from .cells import (
     _at,
     _check_widths,
     _closed_table,
-    _columns,
     _direct_table,
     _in_l,
     _nonzero,
     _positive,
-    _span,
     _terms,
     _top,
     _walk,
 )
-from .regions import _SEGMENTS, _le, _prune
+from .regions import _cell_spans, _pairs
 from .reports import (
     CHECK_BOUNDS,
     CHECK_CROSS,
@@ -67,7 +67,6 @@ from .weights import (
     CASE_ORDER,
     CELL_BOUNDS,
     DIAGONAL,
-    ODD_ODD,
     TALLY_KEYS,
     cell_weights,
 )
@@ -85,59 +84,19 @@ def _cuts(j0: int, j1: int, lines: Iterable) -> Iterable:
     return zip(pieces, pieces[1:])
 
 
-def _cell_pieces(rng: RangeSpec, cases: Iterable[int]):
-    """The cell regions of a range for the cases `cases` admits, as
-    _regions finds them (regions.py): (cell, pick, row class, column,
-    pieces), each piece (p, r, s, t, end, start) such that for k = p*j + r
-    and j in [s, t), l runs over the nonempty [start(j), end(j)], each end a
-    line (a, b) = a*j + b. _regions counts the same pieces without building
-    them."""
-    columns = _columns(rng.y_min, rng.y_max, cases)
-    for rx, classes in enumerate(columns):
-        k0, k1 = _span(rx, rng.x_min, rng.x_max)
-        if k0 > k1:
-            continue
-        for case, column, first, last in classes:
-            if case != ODD_ODD:
-                yield case, None, rx, column, (
-                    (1, 0, k0, k1 + 1, (0, last), (0, first)),)
-                continue
-            for lo, hi, regions in _SEGMENTS:
-                lo, hi = max(k0, lo), k1 if hi is None else min(k1, hi)
-                if lo > hi:
-                    continue
-                for cell, pick, start, end in regions:
-                    yield cell, pick, rx, column, _odd_odd_pieces(
-                        lo, hi, [(0, last, 1)] + [end] * (end is not None),
-                        [(0, first, 1)] + [start] * (start is not None))
-
-
-def _odd_odd_pieces(k0: int, k1: int, ends: list, starts: list):
-    """The pieces of the region of k in [k0, k1] and l in [max(starts),
-    min(ends)], for floor-linear terms (p, q, r) in k, cut as _region_pairs
-    and _line_pairs cut it: per residue of k modulo the terms' period, then
-    wherever two lines of a side cross or a width crosses 0."""
-    ends, starts = _prune(ends, k0, k1, True), _prune(starts, k0, k1, False)
-    # an end term below a start term by 1 at both k0 and k1 empties the region
-    if any(all(_le((p, q + r, r), t, k) for k in (k0, k1))
-           for p, q, r in ends for t in starts):
-        return
-    period = lcm(*(r for _, _, r in ends + starts))
-    for rho in range(period):
-        # k = period*j + rho makes each term linear in j
-        j0, j1 = -((rho - k0) // period), (k1 - rho) // period
-        if j0 > j1:
-            continue
-        e = [(p * period // r, (p * rho + q) // r) for p, q, r in ends]
-        f = [(p * period // r, (p * rho + q) // r) for p, q, r in starts]
-        gaps = [(a - c, b - d) for (a, b), (c, d) in chain(
-            combinations(e, 2), combinations(f, 2))]
-        gaps += [(a - c, b - d + 1) for a, b in e for c, d in f]
-        for s, t in _cuts(j0, j1, gaps):
-            end = min(e, key=lambda line: line[0] * s + line[1])
-            start = max(f, key=lambda line: line[0] * s + line[1])
-            if end[0] * s + end[1] >= start[0] * s + start[1]:
-                yield period, rho, s, t, end, start
+def _pieces(span: tuple):
+    """A span's rows (regions._spans) as pieces (p, r, s, t, end, start):
+    for k = p*j + r and j in [s, t), l runs over [start(j), end(j)], each
+    end a line (a, b) = a*j + b. p is the period of the span's terms, 1
+    where both are lines in k, and there is a piece per residue r of k."""
+    k0, k1, (p, q, r), (u, v, w) = span
+    period = lcm(r, w)
+    # the first row of each residue rho of k modulo the period
+    for k in range(k0, min(k1, k0 + period - 1) + 1):
+        rho = k % period
+        yield (period, rho, k // period, (k1 - rho) // period + 1,
+               (u * period // w, (u * rho + v) // w),
+               (p * period // r, (p * rho + q) // r))
 
 
 def _along(e: tuple, p: int, r: int, u: int, w: int) -> tuple:
@@ -152,7 +111,7 @@ def _along(e: tuple, p: int, r: int, u: int, w: int) -> tuple:
 def _row_maxima(e: tuple, p: int, r: int, s: int, t: int, end: tuple,
                 start: tuple):
     """The largest value of entry e's form in each row of a piece
-    (_cell_pieces), as segments (p, r, i0, i1, quadratics): for k = p*i +
+    (_pieces), as segments (p, r, i0, i1, quadratics): for k = p*i +
     r with i in [i0, i1], the row's largest doubled value is the largest of
     the doubled quadratics in i."""
     a, b0, b1 = e[:3]
@@ -244,7 +203,7 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
     flagged: list = []  # ranges of rows that can flag
     failing: list = []  # ranges of rows where a width check fails
     done = 0
-    for cell, pick, rx, column, pieces in _cell_pieces(rng, cases):
+    for cell, pick, rx, column, spans in _cell_spans(rng, cases):
         direct = table[cell] if pick is None else table[cell][pick]
         simp = None if closed is None else (
             closed[cell] if pick is None else closed[cell][pick])
@@ -258,15 +217,13 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
             widths = _width_entries(cell_weights(
                 cell, 0 if pick is None else pick - 1, 0), rx, column, direct)
         row = _POINTS[rx]
-        pairs = top = 0
-        for piece in pieces:
-            _, _, s, t, (a, b), (c, d) = piece
-            n = (t - s) * ((a - c) * (s + t - 1) + 2 * (b - d + 1)) // 2
+        pairs = sum(map(_pairs, spans))
+        peaks = []
+        for piece in chain.from_iterable(map(_pieces, spans)):
             maxima = list(_row_maxima(form, *piece))
             peak = max(_top(q, i0, i1) for _, _, i0, i1, quadratics in maxima
                        for q in quadratics)
-            top = max(top, peak) if pairs else peak
-            pairs += n
+            peaks.append(peak)
             if limit is not None and peak > limit:
                 flagged += _rows_above(maxima, limit, row)
             if diff is not None:
@@ -280,7 +237,7 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
         if pairs:
             tal = _tally(per_case, cell)
             tal.pairs += pairs
-            tal.absorb_value(top // 2)
+            tal.absorb_value(max(peaks) // 2)
             done += pairs
             passed = done // PROGRESS_STRIDE > (done - pairs) // PROGRESS_STRIDE
             if progress is not None and passed:

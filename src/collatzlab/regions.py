@@ -1,25 +1,28 @@
-"""Cell regions: the pairs of each cell over a whole range, counted per
-residue of k without walking rows, and the mbound sweep that reads them.
+"""Cell regions: the pairs of each cell over a whole range, laid out as
+spans of k on which both interval ends are single terms, and the mbound
+sweep that counts them without walking rows.
 
 A row class holds k on [k0, k1] (x = 1 is k = 0 alone) and a column class l
 on [first, last] (_span). Off the odd-odd case a cell's region is that
-rectangle. In an odd-odd row the cell intervals of _odd_odd_spans end at
-floor-linear terms in k, kept as (p, q, r) for floor((p*k + q)/r): first,
-last, k + c, floor((10k - 1)/11) and floor(11k/10). The high cut min(k - 2,
-floor((10k - 1)/11)) is k - 2 up to k = 21 and the other term from there,
-and the low cut max(k + 1, floor(11k/10)) is k + 1 below k = 10 and the
-other term from there. So on the k-segments [1, 9], [10, 20] and [21, oo)
-each interval is [max of its start terms, min of its end terms], and its
-pairs are counted per residue of k modulo the period of those terms (11 for
-the high cells, 10 for the low ones, 1 for the diagonal), on which every
-term is linear in the quotient. A region costs O(period), at any size.
+rectangle, one span. In an odd-odd row the cell intervals of _odd_odd_spans
+end at floor-linear terms in k, kept as (p, q, r) for floor((p*k + q)/r):
+first, last, k + c, floor((10k - 1)/11) and floor(11k/10). The high cut
+min(k - 2, floor((10k - 1)/11)) is k - 2 up to k = 21 and the other term
+from there, and the low cut max(k + 1, floor(11k/10)) is k + 1 below k = 10
+and the other term from there. So on the k-segments [1, 9], [10, 20] and
+[21, oo) each interval is [max of its start terms, min of its end terms],
+and no side holds two floor terms. The difference of two terms is then
+monotone in k, so each pair of terms switches order at most once, at a
+point one division finds. Cut there, a region is a few spans (k0, k1,
+start, end) of width at least 1 throughout (_spans), and a span's pairs
+are the sums of its ends over k (_floor_sum), O(r) each. A region costs
+O(1) spans, at any size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
-from math import lcm
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Optional
 
 from . import weights
@@ -55,89 +58,99 @@ _SEGMENTS = ((1, 9, _odd_odd_regions(_LINE[0], _LINE[3])),
              (21, None, _odd_odd_regions((10, -1, 11), (11, 0, 10))))
 
 
-def _le(s: tuple, t: tuple, k: int) -> bool:
-    """Whether the term s is at most the term t at k, as rationals."""
-    return (s[0] * k + s[1]) * t[2] <= (t[0] * k + t[1]) * s[2]
+def _spans(k0: int, k1: int, ends: list, starts: list) -> list:
+    """The region of k in [k0, k1] and l in [max(starts), min(ends)], for
+    floor-linear terms (p, q, r) in k, no two of them floors, as spans (k0,
+    k1, start, end) with one term each and end >= start throughout.
 
-
-def _prune(terms: list, k0: int, k1: int, lowest: bool) -> list:
-    """The terms of a min (lowest) or a max that no other term passes on its
-    side at both k0 and k1. Between two lines that order holds on all of
-    [k0, k1], and flooring keeps it, so the dropped terms never decide."""
-    def beats(s: tuple, t: tuple) -> bool:
-        return all(_le(s, t, k) if lowest else _le(t, s, k) for k in (k0, k1))
-    kept: list = []
-    for t in terms:
-        if not any(beats(s, t) for s in kept):
-            kept = [s for s in kept if not beats(t, s)] + [t]
-    return kept
-
-
-def _region_pairs(k0: int, k1: int, ends: list, starts: list) -> int:
-    """The sum over k in [k0, k1] of max(0, min(ends) - max(starts) + 1),
-    for floor-linear terms (p, q, r) in k."""
-    ends, starts = _prune(ends, k0, k1, True), _prune(starts, k0, k1, False)
-    # an end term below a start term by 1 at both k0 and k1 empties the region
-    if any(all(_le((p, q + r, r), t, k) for k in (k0, k1))
-           for p, q, r in ends for t in starts):
-        return 0
-    period = lcm(*(r for _, _, r in ends + starts))
-    total = 0
-    for rho in range(period):
-        # k = period*j + rho makes each term linear in j
-        j0, j1 = -((rho - k0) // period), (k1 - rho) // period
-        if j0 <= j1:
-            total += _line_pairs(
-                j0, j1, [(p * period // r, (p * rho + q) // r)
-                         for p, q, r in ends],
-                [(p * period // r, (p * rho + q) // r) for p, q, r in starts])
-    return total
-
-
-def _line_pairs(j0: int, j1: int, ends: list, starts: list) -> int:
-    """The sum over j in [j0, j1] of max(0, min(ends) - max(starts) + 1), for
-    lines (a, b) = a*j + b. Cut wherever two lines of a side cross or a
-    width crosses 0, at floor(j*) + 1 and ceil(j*), each piece has one line
-    per side and a width of one sign, which sums as an arithmetic series."""
-    gaps = [(a - c, b - d) for (a, b), (c, d) in chain(
-        combinations(ends, 2), combinations(starts, 2))]
-    gaps += [(a - c, b - d + 1) for a, b in ends for c, d in starts]
-    cuts = {j0, j1 + 1}
-    for a, b in gaps:
+    An order s >= t holds on a half-line of k, found with one division:
+    floor((p*k + q)/r) >= u*k + v where (p - r*u)*k >= r*v - q, and u*k + v
+    >= floor((p*k + q)/r) where (r*u - p)*k >= q - r*v - r + 1. Between the
+    points where an order of two terms of a side or an end >= start
+    switches, each side's extreme term and the sign of the width are
+    fixed. The orders taken (a later end at least an earlier one, an
+    earlier start at least a later one) keep a tie, which goes to the
+    earlier term, up to the next cut. Adjacent pieces with the same terms
+    are one span."""
+    cuts = {k0, k1 + 1}
+    for (p, q, r), (u, v, w) in chain(combinations(ends[::-1], 2),
+                                      combinations(starts, 2),
+                                      product(ends, starts)):
+        if w == 1:
+            a, b = p - r * u, r * v - q
+        else:
+            a, b = w * p - u, v - w * q - w + 1
         if a:
-            cuts.update((-b // a + 1, -(b // a)))
-    pieces = sorted(j for j in cuts if j0 <= j <= j1 + 1)
-    total = 0
-    for s, t in zip(pieces, pieces[1:]):
-        a, b = min(ends, key=lambda e: e[0] * s + e[1])
-        c, d = max(starts, key=lambda e: e[0] * s + e[1])
-        ws, we = (a - c) * s + b - d + 1, (a - c) * (t - 1) + b - d + 1
-        if ws + we > 0:
-            total += (t - s) * (ws + we) // 2
-    return total
+            cuts.add(-(-b // a) if a > 0 else b // a + 1)
+    cuts = sorted(c for c in cuts if k0 <= c <= k1 + 1)
+    spans: list = []
+    for c, d in zip(cuts, cuts[1:]):
+        at_ends = [(p * c + q) // r for p, q, r in ends]
+        at_starts = [(p * c + q) // r for p, q, r in starts]
+        low, high = min(at_ends), max(at_starts)
+        if low < high:
+            continue
+        start, end = starts[at_starts.index(high)], ends[at_ends.index(low)]
+        if spans and spans[-1][1] == c - 1 and spans[-1][2:] == (start, end):
+            spans[-1] = (spans[-1][0], d - 1, start, end)
+        else:
+            spans.append((c, d - 1, start, end))
+    return spans
 
 
-def _regions(rng: RangeSpec, cases: Iterable[int]):
-    """The cell regions of a range for the cases `cases` admits: (cell,
-    pick, pairs), the pick as in _odd_odd_regions; a cell may have several
-    regions, and a region no pairs. No row is walked."""
+def _floor_sum(p: int, q: int, r: int, a: int, b: int) -> int:
+    """The sum of floor((p*k + q)/r) over k in [a, b]: the sum of p*k + q,
+    less the residues (p*k + q) mod r, which repeat with period r, over r.
+    O(r) at any size."""
+    n = b - a + 1
+    if n <= 0:
+        return 0
+    total = p * (a + b) * n // 2 + q * n
+    if r == 1:
+        return total
+    full, rest = divmod(n, r)
+    cycle = [(p * k + q) % r for k in range(a, a + r)]
+    return (total - full * sum(cycle) - sum(cycle[:rest])) // r
+
+
+def _pairs(span: tuple) -> int:
+    """The pairs of a span (_spans): its ends' sum less its starts', plus
+    one per row."""
+    k0, k1, start, end = span
+    return _floor_sum(*end, k0, k1) - _floor_sum(*start, k0, k1) + k1 - k0 + 1
+
+
+def _cell_spans(rng: RangeSpec, cases: Iterable[int]):
+    """The cell regions of a range for the cases `cases` admits, as (cell,
+    pick, row class, column, spans): the pick as in _odd_odd_regions, the
+    column the point of the column class (_POINTS) in l, and spans as
+    _spans gives them. A cell may have several regions, and a region no
+    span. No row is walked."""
     columns = _columns(rng.y_min, rng.y_max, cases)
     for rx, classes in enumerate(columns):
         k0, k1 = _span(rx, rng.x_min, rng.x_max)
         if k0 > k1:
             continue
-        for case, _, first, last in classes:
+        for case, column, first, last in classes:
             if case != ODD_ODD:
-                yield case, None, (k1 - k0 + 1) * (last - first + 1)
+                yield case, None, rx, column, (
+                    (k0, k1, (0, first, 1), (0, last, 1)),)
                 continue
             for lo, hi, regions in _SEGMENTS:
                 lo, hi = max(k0, lo), k1 if hi is None else min(k1, hi)
                 if lo > hi:
                     continue
                 for cell, pick, start, end in regions:
-                    yield cell, pick, _region_pairs(
+                    yield cell, pick, rx, column, _spans(
                         lo, hi, [(0, last, 1)] + [end] * (end is not None),
                         [(0, first, 1)] + [start] * (start is not None))
+
+
+def _regions(rng: RangeSpec, cases: Iterable[int]):
+    """The cell regions of a range for the cases `cases` admits: (cell,
+    pick, pairs), as _cell_spans lays them out."""
+    for cell, pick, _, _, spans in _cell_spans(rng, cases):
+        yield cell, pick, sum(map(_pairs, spans))
 
 
 def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,

@@ -11,10 +11,10 @@ entry points, their per-pair reference and the orbit decay sweep:
 
 Every sweep is exact and has one production path. A pair sweep (labelled
 "vector") walks no row to count: it reads each cell's region over the whole
-range per residue class of k, at O(cells x period) cost at any side and any
-coordinate size. mbound counts each cell's pairs (regions.py); the other
-modes read each row's largest form value off quadratics over the region's
-pieces (maxima.py). Rows are walked only where a check can flag, or, for
+range as a few spans of k on which both interval ends are single terms, at
+O(cells x period) cost at any side and any coordinate size. mbound counts
+each span's pairs (regions.py); the other modes read each row's largest
+form value off quadratics over the spans' residue pieces (maxima.py). Rows are walked only where a check can flag, or, for
 mbound, until its violation cap is full. The per-pair pair sweep
 (_sweep_scalar) is kept as the reference the tests compare against, in
 place of _sweep_vector. Reports over disjoint ranges merge associatively

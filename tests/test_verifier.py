@@ -512,6 +512,18 @@ def walked_counts(rng):
 # rows far from the columns: every odd-odd pair is high-deep
 @example(x0=10**9, y0=10**15, dx=40, dy=40, x_shift=0, y_shift=0, gate=None,
          cases=None)
+# k from 9 to 11: both sides of k = 10, where k + 1 and floor(11k/10) swap
+# as the low cut
+@example(x0=19, y0=1, dx=4, dy=60, x_shift=0, y_shift=0, gate=None,
+         cases=None)
+# k from 100 to 140 against l from 110 to 130: inside the range, first
+# crosses floor((10k - 1)/11), floor(11k/10) and k +- 2, and last crosses
+# floor(11k/10) and k +- 2
+@example(x0=201, y0=221, dx=80, dy=40, x_shift=0, y_shift=0, gate=None,
+         cases=None)
+# the same crossings of first far out, at k = 10^12 + 20
+@example(x0=2 * 10**12 + 1, y0=2 * ((10 * (10**12 + 20) - 1) // 11) + 1,
+         dx=80, dy=40, x_shift=0, y_shift=0, gate=None, cases=None)
 def test_region_counts_match_the_row_walk(x0, y0, dx, dy, x_shift, y_shift,
                                           gate, cases):
     # a gate puts the columns at 10/11 or 11/10 of the rows, where the deep
@@ -520,6 +532,48 @@ def test_region_counts_match_the_row_walk(x0, y0, dx, dy, x_shift, y_shift,
     lo_y = y0 + y_shift if gate is None else lo_x * gate[0] // gate[1] + y_shift
     rng = RangeSpec(lo_x, lo_x + dx, lo_y, lo_y + dy, cases)
     assert region_counts(rng) == walked_counts(rng)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k0=st.sampled_from([1, 5, 9, 10, 19, 20, 21, 100, 10**6, 10**15]),
+       dk=st.integers(0, 60), k_shift=st.integers(0, 30),
+       gate=st.sampled_from([None, (10, 11), (11, 10), (1, 1)]),
+       offset=st.integers(-40, 40), width=st.integers(0, 80))
+def test_spans_are_the_row_intervals(k0, dk, k_shift, gate, offset, width):
+    # each odd-odd region's spans are disjoint k-intervals with one start
+    # and one end term each and width >= 1 throughout, and row by row they
+    # are the intervals of _odd_odd_spans
+    k0 += k_shift
+    k1 = k0 + dk
+    first = max(1, offset if gate is None else k0 * gate[0] // gate[1] + offset)
+    last = first + width
+    rng = RangeSpec(2 * k0 + 1, 2 * k1 + 1, 2 * first + 1, 2 * last + 1,
+                    frozenset([ParityCase.ODD_ODD]))
+    rows = {k: {} for k in range(k0, k1 + 1)}
+    for cell, pick, _, _, spans in regions._cell_spans(
+            rng, admitted(rng)):
+        for span, after in zip(spans, spans[1:]):
+            assert span[1] < after[0]
+        for lo, hi, start, end in spans:
+            assert len(start) == len(end) == 3
+            for k in range(lo, hi + 1):
+                l0, l1 = ((p * k + q) // r for p, q, r in (start, end))
+                assert l1 >= l0
+                assert (cell, pick) not in rows[k]
+                rows[k][cell, pick] = (l0, l1)
+    for k, intervals in rows.items():
+        assert intervals == {
+            (cell, k - lo + 1 if cell == DIAGONAL else None): (lo, hi)
+            for cell, lo, hi in cells._odd_odd_spans(k, first, last)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([0, 1, 10, 11]), r=st.sampled_from([1, 10, 11]),
+       q=st.integers(-50, 50), a=st.integers(-20, 20) | st.integers(0, 2**100),
+       n=st.integers(0, 300))
+def test_floor_sums_match_brute_force(p, q, r, a, n):
+    assert regions._floor_sum(p, q, r, a, a + n - 1) == sum(
+        (p * k + q) // r for k in range(a, a + n))
 
 
 MBOUND_RANGES = {
@@ -755,6 +809,20 @@ _STARTS = [1, 2, 3, 5, 18, 19, 20, 21, 22, 39, 40, 41, 42, 43,
 @example(mode="cross", x0=20, y0=18, dx=50, dy=50, gate=None, cases=None,
          cap=17, rows=[], errors=[(5, (1, -1, 0, 0, 0, 0)),
                                   (11, (0, 1, -1, 0, 0, 0))])
+# odd-odd cells made concave and convex on rows from k = 8 to 23, across
+# k = 9/10 and k = 20/21
+@example(mode="direct", x0=17, y0=1, dx=30, dy=60, gate=None, cases=None,
+         cap=10**6, rows=[(8, (2, 2, -2, -2, -2, 2)),
+                          (12, (-1, -2, 2, 1, 0, 1))], errors=[])
+# k from 100 to 140 against l from 110 to 130, where first and last cross
+# floor((10k - 1)/11), floor(11k/10) and k +- 2 inside the range
+@example(mode="cross", x0=201, y0=221, dx=80, dy=40, gate=None, cases=None,
+         cap=200, rows=[], errors=[(8, (1, -1, 0, 0, 0, 0)),
+                                   (9, (0, 0, 0, 1, -1, 0)),
+                                   (12, (0, 1, -1, 0, 0, 0))])
+@example(mode="bounds", x0=201, y0=221, dx=80, dy=40, gate=None, cases=None,
+         cap=10**6, rows=[(11, (2, 2, -2, -2, -2, 2)),
+                          (9, (-1, -2, 2, 1, 0, 1))], errors=[])
 def test_region_maxima_match_the_oracle(mode, x0, y0, dx, dy, gate, cases,
                                         cap, rows, errors):
     # the columns start at a gate of the rows when one is drawn, at any
