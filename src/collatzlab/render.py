@@ -3,13 +3,14 @@ coverage, the lambda search and orbits, in text, JSON and CSV.
 
 JSON reports come from this module's own indent-2 writer (_render_json),
 which gives the bytes of json.dumps(..., indent=2, sort_keys=True) without
-its pure-Python encoder: rationals render as "p/q" strings and integers
-beyond 53-bit magnitude as decimal strings, so that no reader rounds them.
+its pure-Python encoder, as pieces of one list that it joins once:
+rationals render as "p/q" strings and integers beyond 53-bit magnitude as
+decimal strings, so that no reader rounds them.
 Verification reports keep their rows as runs of y that share every other
 field (verifier.ViolationRows), and one row writer (_rows) serves JSON, CSV
-and text: it builds one line template per run and formats only y per row,
-building no Violation row. format_rational, which perfbench/tracing.py
-wraps on cli, is looked up there at call time.
+and text: it formats the texts around y once per run and joins the y texts
+between them, building no Violation row. format_rational, which
+perfbench/tracing.py wraps on cli, is looked up there at call time.
 """
 
 from __future__ import annotations
@@ -61,24 +62,40 @@ def _leaf(value) -> str:
 # A report keeps its rows as runs (verifier.ViolationRows): per row x, ranges
 # of y whose rows share the head (x, case, quantity, value, z). A writer's
 # line(x, case, quantity, value, z) gives the texts before and after y once
-# per run; joined, with their own % escaped, they make one %-template, and
-# each y of the run is formatted into it. A row x whose runs interleave (even
-# and odd columns, the column y = 1, several quantities at one y) is put in
-# order by an index sort on y (ViolationRows.each).
+# per run; where the kept ys span no more values than there are rows, each y
+# is formatted once, into a table that runs slice. A row x of one run is one
+# join of its y texts with after + before between them. A row whose runs
+# interleave (even and odd columns, the column y = 1, several quantities at
+# one y) is laid out in y slots and joined once (reports._merge); only one
+# whose slots would outnumber its rows takes a stable index sort on y.
 
 
-def _rows(rows: ViolationRows, line: Callable, leaf: bool = False) -> str:
-    """The report lines of kept rows, each run's ys formatted into its
-    template; with leaf, a run that reaches the JSON integer limit writes
-    its ys as _leaf does."""
-    def lines(x: int, run: tuple):
-        ys, *head = run
+def _rows(out: list, rows: ViolationRows, line: Callable,
+          leaf: bool = False) -> None:
+    """Append the report lines of kept rows to `out` as pieces; with leaf,
+    ys from the JSON integer limit on are written as _leaf writes them."""
+    columns = [run[0] for _, _, runs in rows.groups for run in runs]
+    if not columns:
+        return
+    lo, hi = min(ys[0] for ys in columns), max(ys[-1] for ys in columns)
+    text = _leaf if leaf and hi >= JSON_INT_LIMIT else str
+    if hi - lo < len(rows):
+        table = list(map(text, range(lo, hi + 1)))
+
+        def texts(ys: range) -> list:
+            return table[ys[0] - lo:ys[-1] - lo + 1:ys.step]
+    else:
+        def texts(ys: range):
+            return map(text, ys)
+
+    def one(x: int, ys: range, *head) -> tuple:
         before, after = line(x, *head)
-        template = before.replace("%", "%%") + "%s" + after.replace("%", "%%")
-        if leaf and ys[-1] >= JSON_INT_LIMIT:
-            ys = map(_leaf, ys)
-        return map(template.__mod__, ys)
-    return "".join(chain.from_iterable(rows.each(lines)))
+        return before, (after + before).join(texts(ys)), after
+
+    def pieces(x: int, ys: range, *head) -> tuple:
+        before, after = line(x, *head)
+        return [before] * len(ys), texts(ys), [after] * len(ys)
+    out += chain.from_iterable(rows.each(one, pieces, 3))
 
 
 @functools.cache
@@ -91,37 +108,42 @@ def _row_template(nl: str) -> tuple:
         + inner + '"y": ', "," + inner + '"z": %s' + nl + "}")
 
 
-def _json_rows(rows: ViolationRows, nl: str) -> str:
-    """JSON text of a report's kept rows, as _json lays out a list."""
+def _json_rows(out: list, rows: ViolationRows, nl: str) -> None:
+    """Append the JSON text of kept rows, as _json lays out a list."""
     before, after = _row_template(nl + "  ")
 
     def line(x, case, quantity, value, z) -> tuple:
         return (before % (_quote(case), _quote(quantity), _leaf(value),
                           _leaf(x)), after % _leaf(z))
 
+    first = len(out)
+    _rows(out, rows, line, leaf=True)
     # each row brings its comma; the first has none
-    return "[" + _rows(rows, line, leaf=True)[1:] + nl + "]"
+    out[first] = "[" + out[first][1:]
+    out.append(nl + "]")
 
 
-def _json(value, nl: str) -> str:
-    """JSON text of `value`, whose own line starts with `nl` (a newline and
-    its indent): the indent-2, sorted-key layout of json.dumps. A report's
-    kept rows are written by the row writer (_json_rows)."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+def _json(out: list, value, nl: str) -> None:
+    """Append to `out` the JSON text of `value`, whose own line starts with
+    `nl` (a newline and its indent): the indent-2, sorted-key layout of
+    json.dumps. Kept rows are written by the row writer (_json_rows)."""
+    if not isinstance(value, (dict, list, tuple, ViolationRows)):
+        out.append(_leaf(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, ViolationRows):
+        _json_rows(out, value, nl)
+    else:
         inner = nl + "  "
-        return ("{" + ",".join(inner + _quote(k) + ": " + _json(value[k], inner)
-                               for k in sorted(value)) + nl + "}")
-    if isinstance(value, (list, tuple, ViolationRows)):
-        if not value:
-            return "[]"
-        if isinstance(value, ViolationRows):
-            return _json_rows(value, nl)
-        inner = nl + "  "
-        return ("[" + inner + ("," + inner).join([_json(v, inner) for v in value])
-                + nl + "]")
-    return _leaf(value)
+        is_dict = isinstance(value, dict)
+        items = ([(_quote(k) + ": ", value[k]) for k in sorted(value)]
+                 if is_dict else [("", v) for v in value])
+        sep = ("{" if is_dict else "[") + inner
+        for key, item in items:
+            out.append(sep + key)
+            _json(out, item, inner)
+            sep = "," + inner
+        out.append(nl + ("}" if is_dict else "]"))
 
 
 def _cell_str(value) -> str:
@@ -226,7 +248,10 @@ def _search_doc(result: LambdaSearchResult, timings: bool) -> dict:
 
 
 def _render_json(doc: dict) -> str:
-    return _json(doc, "\n") + "\n"
+    out: list = []
+    _json(out, doc, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv(header: list, rows) -> str:
@@ -237,22 +262,29 @@ def _csv(header: list, rows) -> str:
     return buf.getvalue()
 
 
+@functools.lru_cache(maxsize=256)
+def _csv_labels(case: str, quantity: str) -> str:
+    """The csv module's text of a row's case and quantity and their comma."""
+    return _csv(["", case, quantity, ""], ())[1:-2]
+
+
 def _csv_row(x, case, quantity, value, z) -> tuple:
-    """A CSV violation row around its y. The csv module writes every field:
-    None as "" and a Fraction as str(), which is "p/q" in lowest terms like
-    format_rational. y is left empty, so the first ",," holds it, as
-    "violation" and x have no comma."""
-    before, _, after = _csv(["violation", x, "", z, case, quantity, value,
-                             "", "", ""], ()).partition(",,")
-    return before + ",", "," + after
+    """A CSV violation row around its y: numbers written with str as the csv
+    module writes them (a Fraction as "p/q"), and None as ""."""
+    return ("violation," + str(x) + ",",
+            "," + ("" if z is None else str(z)) + ","
+            + _csv_labels(case, quantity) + ","
+            + ("" if value is None else str(value)) + ",,,\n")
 
 
 def _render_csv_verification(doc: dict) -> str:
-    return _csv(["record", "x", "y", "z", "case", "quantity", "value",
+    out = [_csv(["record", "x", "y", "z", "case", "quantity", "value",
                  "pairs", "max_lhs", "bound"], (
         ["tally", "", "", "", tal["case"], "", "", tal["pairs"],
          _cell_str(tal["max_lhs"]), _cell_str(tal["bound"])]
-        for tal in doc["per_case"])) + _rows(doc["violations"], _csv_row)
+        for tal in doc["per_case"]))]
+    _rows(out, doc["violations"], _csv_row)
+    return "".join(out)
 
 
 def _render_csv_coverage(doc: dict) -> str:
@@ -299,8 +331,10 @@ def _render_text_verification(doc: dict, report: VerificationReport) -> str:
     total = doc["violations_total"]
     lines.append(f"violations: {total}"
                  + (f" (showing {doc['violations_shown']})" if total else ""))
-    return ("\n".join(lines) + "\n" + _rows(doc["violations"], _text_row)
-            + f"elapsed: {report.elapsed_ms} ms\n")
+    out = ["\n".join(lines) + "\n"]
+    _rows(out, doc["violations"], _text_row)
+    out.append(f"elapsed: {report.elapsed_ms} ms\n")
+    return "".join(out)
 
 
 def _render_text_coverage(doc: dict, report: ConditionCoverageReport) -> str:

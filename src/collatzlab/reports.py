@@ -14,6 +14,9 @@ from .weights import CELL_BOUNDS, TALLY_KEYS, ParityCase
 
 DEFAULT_MAX_VIOLATIONS = 10_000
 PROGRESS_STRIDE = 10**6
+# a row of several runs is laid out in y slots while they number at most
+# this many times its rows (_merge)
+SPARSE_SPAN = 4
 
 CHECK_LHS = "lhs"
 CHECK_BOUNDS = "bounds"
@@ -88,9 +91,9 @@ class Violation(NamedTuple):
 class ViolationRows:
     """A report's kept rows, read as a tuple of Violation rows that is built
     on the first read. They are held per row x as (x, n, runs), each run
-    (ys, case, quantity, value, z) the rows at the y of a range ys: x's rows
-    are the runs' points by y, ties in run order, and the first n of them.
-    Writers format the runs without building rows (each)."""
+    (ys, case, quantity, value, z) the rows at the y of a nonempty ascending
+    range ys: x's rows are the runs' points by y, ties in run order, and the
+    first n of them. Writers format the runs without building rows (each)."""
 
     def __init__(self, groups: Optional[list] = None, count: int = 0) -> None:
         self.groups = [] if groups is None else groups
@@ -102,24 +105,27 @@ class ViolationRows:
         self.count += n
         self._rows = None
 
-    def each(self, items: Callable) -> Iterable:
-        """Per row x, its rows' items in order, items(x, run) giving those
-        of one run; a row of several runs is put in order by y."""
+    def each(self, one: Callable, pieces: Callable, width: int) -> Iterable:
+        """Per row x, the pieces of its rows in order. one(x, ys, *head)
+        gives those of a row of one run, its ys cut at the row's count;
+        pieces(x, ys, *head) gives `width` sequences over a run's ys, a row's
+        pieces being one from each, and none of them empty or None. A row of
+        several runs is put in order by y (_merge)."""
         for x, n, runs in self.groups:
             if len(runs) == 1:
-                yield islice(items(x, runs[0]), n)
-                continue
-            ys = list(chain.from_iterable(run[0] for run in runs))
-            out = list(chain.from_iterable(items(x, run) for run in runs))
-            yield map(out.__getitem__, islice(
-                sorted(range(len(ys)), key=ys.__getitem__), n))
+                ys, *head = runs[0]
+                yield one(x, ys[:n], *head)
+            else:
+                yield _merge(x, n, runs, pieces, width)
 
     def _read(self) -> tuple:
         if self._rows is None:
             row = partial(tuple.__new__, Violation)
-            self._rows = tuple(chain.from_iterable(self.each(
-                lambda x, run: map(row, zip(repeat(x), run[0],
-                                            *map(repeat, run[1:]))))))
+
+            def rows(x, ys, *head):
+                return map(row, zip(repeat(x), ys, *map(repeat, head)))
+            self._rows = tuple(chain.from_iterable(
+                self.each(rows, lambda *run: (rows(*run),), 1)))
         return self._rows
 
     def __len__(self) -> int:
@@ -145,6 +151,43 @@ class ViolationRows:
 
     def __repr__(self) -> str:
         return repr(self._read())
+
+
+def _merge(x: int, n: int, runs: list, pieces: Callable,
+           width: int) -> Iterable:
+    """The pieces of row x's first n rows, by y with ties in run order.
+    Each y gets one slot of `width` pieces, or one per run where two runs
+    share a y. A run fills its slots by extended-slice assignment on its
+    range, and the row is read past the empty slots and cut at n. A row
+    whose slots would outnumber its rows SPARSE_SPAN times over (scattered
+    runs of one) is put in order by a stable index sort on y instead."""
+    total = sum(len(run[0]) for run in runs)
+    lo = min(run[0][0] for run in runs)
+    span = max(run[0][-1] for run in runs) - lo + 1
+    layers = 1
+    if span <= SPARSE_SPAN * total:
+        # the ys the runs cover: fewer than their rows where two share a y
+        marks = bytearray(span)
+        for ys, *_ in runs:
+            marks[ys[0] - lo:ys[-1] - lo + 1:ys.step] = b"\1" * len(ys)
+        if span - marks.count(0) < total:
+            layers = len(runs)
+    if span * layers > SPARSE_SPAN * total:
+        ys = list(chain.from_iterable(run[0] for run in runs))
+        rows = list(chain.from_iterable(zip(*pieces(x, *run)) for run in runs))
+        return chain.from_iterable(map(rows.__getitem__, islice(
+            sorted(range(len(ys)), key=ys.__getitem__), n)))
+    slots = [None] * (span * layers * width)
+    for layer, (ys, *head) in enumerate(runs):
+        step = ys.step * layers * width
+        at = ((ys[0] - lo) * layers + (layer if layers > 1 else 0)) * width
+        end = len(ys) * step
+        for k, seq in enumerate(pieces(x, ys, *head), at):
+            slots[k:k + end:step] = seq
+    if span * layers > total:
+        slots = [*filter(None, slots)]
+    del slots[n * width:]
+    return slots
 
 
 class _Findings:

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from collatzlab import cli, render
 from collatzlab.arith import format_rational
 from collatzlab.framework import ConditionParams, LambdaSpec, WeightVector
+from collatzlab.reports import QUANTITY_LABELS
 from collatzlab.verifier import (
     RangeSpec,
     VerificationReport,
@@ -23,6 +25,7 @@ from collatzlab.verifier import (
     m_bound_sweep,
     orbit_decay_sweep,
 )
+from collatzlab.weights import TALLY_KEYS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LIMIT = 2**53
@@ -252,6 +255,20 @@ def kept_rows(groups):
                     LIMIT)], 7),
           (LIMIT + 1, [(range(LIMIT, LIMIT + 1), "%s", "%%", -LIMIT - 1,
                         None)], 1)])
+# two runs over the same ys, the count ending inside the row: each y holds
+# one row per run, in run order
+@example([(4, [(range(2, 12, 2), "even-even", "lhs>0", 3, None),
+               (range(2, 12, 2), "even-even", "bound-exceeded", 3, None)], 7)])
+# interleaved even and odd columns whose ys cross 2^53, so that JSON writes
+# some of them as strings
+@example([(9, [(range(LIMIT - 4, LIMIT + 4, 2), "odd-even", "weight-above-M",
+                2, None),
+               (range(LIMIT - 3, LIMIT + 5, 2), "odd-odd", "weight-above-M",
+                3, None)], 7)])
+# runs of one far apart: the row is put in order by an index sort on y
+@example([(3, [(range(1, 2), "even-1", "weight-above-M", 1, None),
+               (range(10**12 + 1, 10**12 + 2), "even-odd", "weight-above-M",
+                2, None)], 2)])
 def test_kept_runs_write_and_read_as_their_expanded_rows(groups):
     kept, reference = kept_rows(groups)
     report = VerificationReport(
@@ -268,6 +285,48 @@ def test_kept_runs_write_and_read_as_their_expanded_rows(groups):
     assert kept._rows is None
     assert len(kept) == len(reference) and kept == reference
     assert {type(v) for v in kept} <= {Violation}
+
+
+def test_sparse_rows_take_memory_by_their_rows_not_their_y_span():
+    # scattered runs of one: y slots over the span would take terabytes
+    groups = [(3, [(range(y, y + 1), "even-odd", "weight-above-M", 2, None)
+                   for y in (1, 10**6 + 1, 10**12 + 1)], 3)]
+    kept, reference = kept_rows(groups)
+    report = VerificationReport(
+        op="m-bound", rng=RangeSpec.square(2**70), pairs_checked=0,
+        per_case={}, violations=kept, violations_total=len(reference),
+        elapsed_ms=0, engine="vector")
+    doc = render._verification_doc("verify", report, False)
+    tracemalloc.start()
+    try:
+        texts = (render._render_json(doc), render._render_csv_verification(doc),
+                 render._render_text_verification(doc, report))
+        rows = tuple(kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    old = ref_doc(dict(doc, violations=reference))
+    assert texts == (ref_render_json(old), ref_render_csv(old),
+                     ref_render_text(old, report))
+    assert rows == reference
+
+
+LABEL_CASES = (*TALLY_KEYS, "a,b", 'say "no"', "100%", "%s", "", "x\ny")
+LABEL_QUANTITIES = (*QUANTITY_LABELS.values(), "a,b", 'say "no"', "%%", "")
+
+
+@pytest.mark.parametrize("value", [None, 0, -1, Fraction(-1, 3), 2**70,
+                                   -(2**70)])
+def test_csv_row_heads_match_the_csv_module(value):
+    for case in LABEL_CASES:
+        for quantity in LABEL_QUANTITIES:
+            for x, z in ((1, None), (2**70, 0), (5, -1)):
+                before, after = render._csv_row(x, case, quantity, value, z)
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerow(
+                    ["violation", x, 7, z, case, quantity, value, "", "", ""])
+                assert before + "7" + after == buf.getvalue()
 
 
 def test_reports_cover_every_kind_of_violation_value():
