@@ -2,19 +2,23 @@
 off the cell regions (regions.py) instead of row by row.
 
 A region's spans (regions._cell_spans, which mbound counts too) each have
-one start and one end term. A span whose terms are lines in k is one piece;
-one with a floor term of period P is a piece per residue rho of k modulo P
-(_pieces). On a piece k = P*j + rho and l runs over [start(j), end(j)],
-both lines in j. A cell's forms (_direct_table, _closed_table) are doubled
-quadratics in (k, l), so along any line l = u*j + w a form is a doubled
+one start and one end term, a line in k or a floor term of period P. A
+cell's forms (_direct_table, _closed_table) are doubled quadratics in (k,
+l), so along any line k = p*j + r, l = u*j + w a form is a doubled
 quadratic in j (_along). In a row, a form that is convex or linear in l
 (a >= 0, as on every odd-odd cell) is largest at an end of the row's
-interval. A concave one (a < 0; in the shipped tables only on rectangles)
-is largest next to its vertex floor((b0 + b1*k)/(-2a)), clamped to the
-interval; that floor is linear in j on each residue of j modulo
--2a/gcd(-2a, b1*P). So on each piece the row maximum is the largest of one
-or two quadratics in j (_row_maxima), and from it come:
-- each tally's max_lhs, by _top of those quadratics;
+interval. So its row maxima are read one end at a time (_ends): a line end
+once, as one quadratic in k over the span, and a floor end once per
+residue r of k modulo P, on which it is a line in the quotient j. A row's
+maximum is the larger of its two ends' values. A concave form (a < 0; in
+the shipped tables only on rectangles) is largest next to its vertex
+floor((b0 + b1*k)/(-2a)), clamped to the interval. Its span is cut into a
+piece per residue of k modulo the terms' period (_pieces), on which both
+ends are lines in j, and the vertex's floor is linear in j on each residue
+of j modulo -2a/gcd(-2a, b1*P); so on each piece the row maximum is the
+larger of one or two quadratics in j (_row_maxima). Either way a span's
+row maxima are segments of quadratics (_maxima), and from them come:
+- each tally's max_lhs, by _top of those quadratics (_peak);
 - the rows that can flag, where a row maximum passes a check's threshold
   (_positive). Only those rows are walked (_walk), by the interval visitor
   of the row walk, so counts, values and caps are the row walk's. For
@@ -31,7 +35,6 @@ A sweep costs O(cells x period), plus the rows it walks.
 from __future__ import annotations
 
 from heapq import merge
-from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -113,7 +116,8 @@ def _row_maxima(e: tuple, p: int, r: int, s: int, t: int, end: tuple,
     """The largest value of entry e's form in each row of a piece
     (_pieces), as segments (p, r, i0, i1, quadratics): for k = p*i +
     r with i in [i0, i1], the row's largest doubled value is the largest of
-    the doubled quadratics in i."""
+    the doubled quadratics in i. Each row is in one segment. _maxima reads
+    only concave entries this way; a convex one's piece is its two ends."""
     a, b0, b1 = e[:3]
     if a >= 0:
         # convex or linear in l: largest at an end
@@ -145,8 +149,42 @@ def _row_maxima(e: tuple, p: int, r: int, s: int, t: int, end: tuple,
                                      for line in lines]
 
 
+def _ends(e: tuple, span: tuple) -> list:
+    """Entry e's form along each end of a span (regions._spans), as segments
+    (p, r, i0, i1, [quadratic]) like _row_maxima's: along a line end, one
+    quadratic in k (p = 1); along a floor end of period P, one per residue r
+    of k modulo P that the span holds, with k = P*i + r."""
+    k0, k1 = span[:2]
+    out = []
+    for u, v, w in span[2:3] if span[2] == span[3] else span[2:]:
+        for k in range(k0, min(k1, k0 + w - 1) + 1):
+            r = k % w
+            out.append((w, r, k // w, (k1 - r) // w,
+                        [_along(e, w, r, u, (u * r + v) // w)]))
+    return out
+
+
+def _maxima(e: tuple, span: tuple) -> list:
+    """The largest value of entry e's form in each row of a span, as
+    segments (p, r, i0, i1, quadratics) for k = p*i + r, i in [i0, i1]: a
+    row's largest doubled value is the largest of the quadratics of the
+    segments that hold it. A form convex or linear in l is largest at an end
+    of each row, so its segments are the span's ends (_ends), each read
+    once; a concave one's are the pieces' (_row_maxima), one per row."""
+    if e[0] >= 0:
+        return _ends(e, span)
+    return [segment for piece in _pieces(span)
+            for segment in _row_maxima(e, *piece)]
+
+
+def _peak(segments: list) -> int:
+    """The largest doubled value of segments (_maxima)."""
+    return max(_top(q, i0, i1) for _, _, i0, i1, quadratics in segments
+               for q in quadratics)
+
+
 def _rows_above(segments: list, bound: int, row: tuple):
-    """The rows x of segments (_row_maxima) whose largest doubled value
+    """The rows x of segments (_maxima) whose largest doubled value
     exceeds bound, as ranges of x; row is the point of the row class
     (_POINTS), x = row[0] + row[1]*k."""
     xs, xp = row[:2]
@@ -219,29 +257,26 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
         row = _POINTS[rx]
         pairs = sum(map(_pairs, spans))
         peaks = []
-        for piece in chain.from_iterable(map(_pieces, spans)):
-            maxima = list(_row_maxima(form, *piece))
-            peak = max(_top(q, i0, i1) for _, _, i0, i1, quadratics in maxima
-                       for q in quadratics)
+        for span in spans:
+            maxima = _maxima(form, span)
+            peak = _peak(maxima)
             peaks.append(peak)
             if limit is not None and peak > limit:
                 flagged += _rows_above(maxima, limit, row)
             if diff is not None:
                 for e in (diff, tuple(-v for v in diff)):
-                    flagged += _rows_above(list(_row_maxima(e, *piece)), 0,
-                                           row)
+                    flagged += _rows_above(_maxima(e, span), 0, row)
             if checked:
                 for e in widths:
-                    failing += _rows_above(list(_row_maxima(e, *piece)),
-                                           2 * WIDTH_LIMIT, row)
-        if pairs:
-            tal = _tally(per_case, cell)
-            tal.pairs += pairs
-            tal.absorb_value(max(peaks) // 2)
-            done += pairs
-            passed = done // PROGRESS_STRIDE > (done - pairs) // PROGRESS_STRIDE
-            if progress is not None and passed:
-                progress(done)
+                    failing += _rows_above(_maxima(e, span), 2 * WIDTH_LIMIT,
+                                           row)
+        tal = _tally(per_case, cell)
+        tal.pairs += pairs
+        tal.absorb_value(max(peaks) // 2)
+        done += pairs
+        passed = done // PROGRESS_STRIDE > (done - pairs) // PROGRESS_STRIDE
+        if progress is not None and passed:
+            progress(done)
 
     def width_checks(x, k, row, column, spans) -> tuple:
         terms = _terms(row, column)

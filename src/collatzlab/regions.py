@@ -4,25 +4,27 @@ sweep that counts them without walking rows.
 
 A row class holds k on [k0, k1] (x = 1 is k = 0 alone) and a column class l
 on [first, last] (_span). Off the odd-odd case a cell's region is that
-rectangle, one span. In an odd-odd row the cell intervals of _odd_odd_spans
-end at floor-linear terms in k, kept as (p, q, r) for floor((p*k + q)/r):
-first, last, k + c, floor((10k - 1)/11) and floor(11k/10). The high cut
-min(k - 2, floor((10k - 1)/11)) is k - 2 up to k = 21 and the other term
-from there, and the low cut max(k + 1, floor(11k/10)) is k + 1 below k = 10
-and the other term from there. So on the k-segments [1, 9], [10, 20] and
-[21, oo) each interval is [max of its start terms, min of its end terms],
-and no side holds two floor terms. The difference of two terms is then
-monotone in k, so each pair of terms switches order at most once, at a
-point one division finds. Cut there, a region is a few spans (k0, k1,
-start, end) of width at least 1 throughout (_spans), and a span's pairs
-are the sums of its ends over k (_floor_sum), O(r) each. A region costs
-O(1) spans, at any size.
+rectangle, one span. In an odd-odd row the cells of _odd_odd_spans lie
+between cuts: a cell's interval is [max(first, T + 1), min(last, U)] for
+the cut T before it and the cut U after it (none before the first cell or
+after the last). The cuts are k - 2, ..., k + 1 and the high cut min(k -
+2, floor((10k - 1)/11)) and low cut max(k + 1, floor(11k/10)); each of
+those two is one term on a stretch of k (_REGIONS), so on a stretch every
+cut is one floor-linear term in k, kept as (p, q, r) for floor((p*k +
+q)/r), and every term rises with k. Then T >= first and T >= last each
+hold from a point on that one division finds, and twelve such points, two
+per cut, lay out every cell (_cell_spans). A cell's interval is not empty
+from where U reaches first to where T reaches last, and on the two bands,
+from where their start is at most their end (a fixed k). Inside, it starts
+at first until T passes first and ends at U until U reaches last. So a
+cell's region is at most three spans (k0, k1, start, end) per stretch, of
+width at least 1 throughout (_spans), and a span's pairs are the sums of
+its ends over k (_floor_sum), O(r) each. A region costs O(1), at any size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, product
 from typing import Callable, Iterable, Optional
 
 from . import weights
@@ -37,65 +39,61 @@ from .reports import (
 )
 from .weights import CASE_ORDER, CELL_CASES, DIAGONAL, ODD_ODD, TALLY_KEYS
 
-_LINE = ((1, -2, 1), (1, -1, 1), (1, 0, 1), (1, 1, 1))  # k - 2, ..., k + 1
+# The cuts between the odd-odd cells of a row k, as terms (p, q, r) for
+# floor((p*k + q)/r): k - 2, k - 1, k, k + 1, floor((10k - 1)/11) and
+# floor(11k/10). Then two stand-ins: no cut before the first cell, and none
+# after the last.
+_CUTS = ((1, -2, 1), (1, -1, 1), (1, 0, 1), (1, 1, 1), (10, -1, 11),
+         (11, 0, 10))
+_FIRST, _LAST = len(_CUTS), len(_CUTS) + 1
 
 
-def _odd_odd_regions(high: tuple, low: tuple) -> tuple:
-    """The odd-odd cells of a row in l order, cut as _odd_odd_spans cuts
-    them where the high and low cuts are the terms `high` and `low`: (cell,
-    table pick, start, end) for the interval [max(first, start), min(last,
-    end)], None standing for no term. The pick is the diagonal's entry
-    d + 1, d = k - l, and None off the diagonal."""
-    ends = (high,) + _LINE + (low, None)
-    starts = (None,) + tuple((p, q + r, r) for p, q, r in ends[:-1])
-    cells = (DIAGONAL + 2, DIAGONAL + 1, DIAGONAL, DIAGONAL, DIAGONAL,
-             DIAGONAL - 1, DIAGONAL - 2)
-    return tuple(zip(cells, (None, None, 2, 1, 0, None, None), starts, ends))
+def _odd_odd_regions(*regions: tuple) -> tuple:
+    """The odd-odd cells of a row in l order, from (cell, pick, lo, hi,
+    before, after): on k in [lo, hi] (hi None for no bound) the cell's
+    interval is [max(first, T + 1), min(last, U)] for the cuts T = before
+    and U = after (indices into _CUTS, or _FIRST and _LAST), with its start
+    term T + 1 and end term U appended (None for no cut). The pick is the
+    diagonal's entry d + 1, d = k - l, and None off the diagonal."""
+    out = []
+    for region in regions:
+        before, after = region[4:]
+        start = None
+        if before != _FIRST:
+            p, q, r = _CUTS[before]
+            start = (p, q + r, r)
+        out.append(region + (start, None if after == _LAST else _CUTS[after]))
+    return tuple(out)
 
 
-_SEGMENTS = ((1, 9, _odd_odd_regions(_LINE[0], _LINE[3])),
-             (10, 20, _odd_odd_regions(_LINE[0], (11, 0, 10))),
-             (21, None, _odd_odd_regions((10, -1, 11), (11, 0, 10))))
+# The high cut min(k - 2, floor((10k - 1)/11)) is k - 2 up to k = 20 and
+# the other term from k = 21, and the low cut max(k + 1, floor(11k/10)) is
+# k + 1 up to k = 9 and the other term from k = 10. The high band,
+# floor((10k - 1)/11) + 1 <= l <= k - 2, holds a pair from k = 22 on, and
+# the low band, k + 2 <= l <= floor(11k/10), from k = 20 on.
+_REGIONS = _odd_odd_regions(
+    (DIAGONAL + 2, None, 1, 20, _FIRST, 0),  # high-deep
+    (DIAGONAL + 2, None, 21, None, _FIRST, 4),
+    (DIAGONAL + 1, None, 22, None, 4, 0),  # high-band
+    (DIAGONAL, 2, 1, None, 0, 1),  # the diagonal's l = k - 1, k, k + 1
+    (DIAGONAL, 1, 1, None, 1, 2),
+    (DIAGONAL, 0, 1, None, 2, 3),
+    (DIAGONAL - 1, None, 20, None, 3, 5),  # low-band
+    (DIAGONAL - 2, None, 1, 9, 3, _LAST),  # low-deep
+    (DIAGONAL - 2, None, 10, None, 5, _LAST))
 
 
-def _spans(k0: int, k1: int, ends: list, starts: list) -> list:
-    """The region of k in [k0, k1] and l in [max(starts), min(ends)], for
-    floor-linear terms (p, q, r) in k, no two of them floors, as spans (k0,
-    k1, start, end) with one term each and end >= start throughout.
-
-    An order s >= t holds on a half-line of k, found with one division:
-    floor((p*k + q)/r) >= u*k + v where (p - r*u)*k >= r*v - q, and u*k + v
-    >= floor((p*k + q)/r) where (r*u - p)*k >= q - r*v - r + 1. Between the
-    points where an order of two terms of a side or an end >= start
-    switches, each side's extreme term and the sign of the width are
-    fixed. The orders taken (a later end at least an earlier one, an
-    earlier start at least a later one) keep a tie, which goes to the
-    earlier term, up to the next cut. Adjacent pieces with the same terms
-    are one span."""
-    cuts = {k0, k1 + 1}
-    for (p, q, r), (u, v, w) in chain(combinations(ends[::-1], 2),
-                                      combinations(starts, 2),
-                                      product(ends, starts)):
-        if w == 1:
-            a, b = p - r * u, r * v - q
-        else:
-            a, b = w * p - u, v - w * q - w + 1
-        if a:
-            cuts.add(-(-b // a) if a > 0 else b // a + 1)
-    cuts = sorted(c for c in cuts if k0 <= c <= k1 + 1)
-    spans: list = []
-    for c, d in zip(cuts, cuts[1:]):
-        at_ends = [(p * c + q) // r for p, q, r in ends]
-        at_starts = [(p * c + q) // r for p, q, r in starts]
-        low, high = min(at_ends), max(at_starts)
-        if low < high:
-            continue
-        start, end = starts[at_starts.index(high)], ends[at_ends.index(low)]
-        if spans and spans[-1][1] == c - 1 and spans[-1][2:] == (start, end):
-            spans[-1] = (spans[-1][0], d - 1, start, end)
-        else:
-            spans.append((c, d - 1, start, end))
-    return spans
+def _spans(k0: int, k1: int, ks: int, ke: int, starts: tuple,
+           ends: tuple) -> list:
+    """A cell region of k in [k0, k1] as at most three spans (k0, k1, start,
+    end), one per stretch of k on which both ends of the interval are one
+    term each: the start is starts[0] (first) up to ks and starts[1] (the
+    cell's start term) after it, and the end is ends[0] (the cell's end
+    term) before ke and ends[1] (last) from ke on. _cell_spans reads k0,
+    k1, ks and ke off the points where the cuts reach first and last."""
+    cuts = sorted({k0, k1 + 1} | {c for c in (ks + 1, ke) if k0 < c <= k1})
+    return [(c, d - 1, starts[c > ks], ends[c >= ke])
+            for c, d in zip(cuts, cuts[1:])]
 
 
 def _floor_sum(p: int, q: int, r: int, a: int, b: int) -> int:
@@ -124,26 +122,33 @@ def _cell_spans(rng: RangeSpec, cases: Iterable[int]):
     """The cell regions of a range for the cases `cases` admits, as (cell,
     pick, row class, column, spans): the pick as in _odd_odd_regions, the
     column the point of the column class (_POINTS) in l, and spans as
-    _spans gives them. A cell may have several regions, and a region no
-    span. No row is walked."""
+    _spans gives them. A cell may have several regions, and a region with
+    no pair is left out. No row is walked."""
     columns = _columns(rng.y_min, rng.y_max, cases)
     for rx, classes in enumerate(columns):
         k0, k1 = _span(rx, rng.x_min, rng.x_max)
         if k0 > k1:
             continue
         for case, column, first, last in classes:
+            low, high = (0, first, 1), (0, last, 1)
             if case != ODD_ODD:
-                yield case, None, rx, column, (
-                    (k0, k1, (0, first, 1), (0, last, 1)),)
+                yield case, None, rx, column, ((k0, k1, low, high),)
                 continue
-            for lo, hi, regions in _SEGMENTS:
-                lo, hi = max(k0, lo), k1 if hi is None else min(k1, hi)
-                if lo > hi:
-                    continue
-                for cell, pick, start, end in regions:
+            # per cut T, the first k with T >= first (g) and the first with
+            # T >= last (h); then the pads for no cut before the first cell
+            # (its start is first throughout) and none after the last
+            # (its end is last)
+            g = [-((q - r * first) // p) for p, q, r in _CUTS] + [k1 + 1, k0]
+            h = [-((q - r * last) // p) for p, q, r in _CUTS] + [k1 + 1, k0]
+            for cell, pick, lo, hi, before, after, start, end in _REGIONS:
+                # not empty where end >= first and start <= last; a band's
+                # start <= end from its lo on
+                a = max(k0, lo, g[after])
+                b = min(k1 if hi is None else min(k1, hi), h[before] - 1)
+                if a <= b:
                     yield cell, pick, rx, column, _spans(
-                        lo, hi, [(0, last, 1)] + [end] * (end is not None),
-                        [(0, first, 1)] + [start] * (start is not None))
+                        a, b, g[before] - 1, h[after], (low, start),
+                        (end, high))
 
 
 def _regions(rng: RangeSpec, cases: Iterable[int]):
@@ -168,8 +173,6 @@ def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
     flagged: set = set()
     done = total = 0
     for cell, pick, n in _regions(rng, cases):
-        if not n:
-            continue
         _tally(per_case, cell).pairs += n
         done += n
         if (table[cell] if pick is None else table[cell][pick])[6] > m_floor:

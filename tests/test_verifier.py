@@ -539,10 +539,24 @@ def test_region_counts_match_the_row_walk(x0, y0, dx, dy, x_shift, y_shift,
        dk=st.integers(0, 60), k_shift=st.integers(0, 30),
        gate=st.sampled_from([None, (10, 11), (11, 10), (1, 1)]),
        offset=st.integers(-40, 40), width=st.integers(0, 80))
+# rows from k = 9, 10, 20, 21 and 22 on, where the high and low cuts switch
+# terms and the bands start (high-band is empty at k = 21), with columns
+# around the rows so that every cell is met
+@example(k0=9, dk=3, k_shift=0, gate=None, offset=1, width=40)
+@example(k0=10, dk=2, k_shift=0, gate=(1, 1), offset=-8, width=20)
+@example(k0=20, dk=2, k_shift=0, gate=(1, 1), offset=-5, width=12)
+@example(k0=21, dk=0, k_shift=0, gate=(1, 1), offset=-5, width=12)
+@example(k0=22, dk=0, k_shift=0, gate=(1, 1), offset=-5, width=12)
+# first crosses floor((10k - 1)/11) near k = 119, and last crosses
+# floor(11k/10) near k = 125, both where the high cut is floor((10k - 1)/11)
+@example(k0=100, dk=40, k_shift=0, gate=(10, 11), offset=18, width=30)
+# last crosses floor(11k/10) on k in [10, 20]
+@example(k0=10, dk=10, k_shift=0, gate=None, offset=1, width=15)
 def test_spans_are_the_row_intervals(k0, dk, k_shift, gate, offset, width):
     # each odd-odd region's spans are disjoint k-intervals with one start
     # and one end term each and width >= 1 throughout, and row by row they
-    # are the intervals of _odd_odd_spans
+    # are the intervals of _odd_odd_spans; a region is at most three spans,
+    # and adjacent spans differ in a term
     k0 += k_shift
     k1 = k0 + dk
     first = max(1, offset if gate is None else k0 * gate[0] // gate[1] + offset)
@@ -552,8 +566,10 @@ def test_spans_are_the_row_intervals(k0, dk, k_shift, gate, offset, width):
     rows = {k: {} for k in range(k0, k1 + 1)}
     for cell, pick, _, _, spans in regions._cell_spans(
             rng, admitted(rng)):
+        assert len(spans) <= 3
         for span, after in zip(spans, spans[1:]):
             assert span[1] < after[0]
+            assert span[2:] != after[2:]
         for lo, hi, start, end in spans:
             assert len(start) == len(end) == 3
             for k in range(lo, hi + 1):
@@ -763,6 +779,56 @@ def test_row_maxima_are_the_largest_value_of_each_row(entry, p, r, s, n,
                           for l in range(start[0] * j + start[1],
                                          end[0] * j + end[1] + 1))
     assert rows == expected
+
+
+# terms (p, r) of floor((p*k + q)/r) as the layout makes them: first or
+# last, k + c, floor((10k + q)/11) and floor((11k + q)/10)
+_SLOPES = [(0, 1), (1, 1), (10, 11), (11, 10)]
+
+
+@st.composite
+def _drawn_spans(draw):
+    """A span (k0, k1, start, end) with end >= start on every row: of 1 to
+    25 rows, so often shorter than a floor term's period, at k from 0 or
+    near 2^64, where both terms rise alike so that rows stay narrow."""
+    k0 = draw(st.integers(0, 60) | st.integers(2**64 - 40, 2**64 + 40))
+    k1 = k0 + draw(st.integers(0, 24))
+    p, r = draw(st.sampled_from(_SLOPES))
+    u, w = (p, r) if k0 > 60 else draw(st.sampled_from(_SLOPES))
+    q = draw(st.integers(-60, 60))
+    # the least offset that keeps end >= start, plus a margin
+    v = max(w * ((p * k + q) // r) - u * k for k in range(k0, k1 + 1))
+    return k0, k1, (p, q, r), (u, v + w * draw(st.integers(0, 30)), w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(entry=st.tuples(st.integers(-6, 6), *[st.integers(-40, 40)] * 5),
+       span=_drawn_spans())
+# one row, and floor ends of period 10 and 11 on spans shorter than it
+@example(entry=(-3, 7, -5, 1, 2, -1), span=(2**64, 2**64, (10, 3, 11),
+                                              (10, 30, 11)))
+@example(entry=(2, -7, 3, 0, 1, -2), span=(13, 19, (1, 2, 1), (11, 7, 10)))
+@example(entry=(-5, 40, 3, 0, -9, 1), span=(13, 19, (10, 4, 11), (1, 9, 1)))
+def test_span_maxima_are_the_largest_value_of_each_row(entry, span):
+    # the segments of a span (_maxima: its ends where the form is convex or
+    # linear in l, its pieces where concave) hold only its rows, the largest
+    # of their quadratics at a row is the row's largest doubled value, and
+    # their peak is the span's
+    k0, k1, (p, q, r), (u, v, w) = span
+    a, b0, b1, c0, c1, c2 = entry
+    expected = {
+        k: max(a * l * l + (b0 + b1 * k) * l + c0 + (c1 + c2 * k) * k
+               for l in range((p * k + q) // r, (u * k + v) // w + 1))
+        for k in range(k0, k1 + 1)}
+    segments = maxima._maxima(entry, span)
+    rows = {}
+    for q2, r2, i0, i1, quadratics in segments:
+        for i in range(i0, i1 + 1):
+            k = q2 * i + r2
+            top = max(cells._at(quad, i) for quad in quadratics)
+            rows[k] = max(rows.get(k, top), top)
+    assert rows == expected
+    assert maxima._peak(segments) == max(expected.values())
 
 
 def _patched_tables(rows_seed, forms_seed):
