@@ -1,6 +1,6 @@
 """Cell algebra of the interval engine: each cell's forms as doubled
-quadratics in the reduced coordinates, the quadratic helpers that read
-them, and the row walk.
+quadratics in the reduced coordinates, and the quadratic helpers that read
+them.
 
 Fix a row x. Along each parity class of y (y = 1, y = 2l or y = 2l + 1) the
 pair's cell is constant on at most five intervals of l, and its weights on
@@ -14,26 +14,18 @@ k; x = 2k + 1, T(x) = 3k + 2; or x = 1), so per cell each form is a doubled
 quadratic in (k, l) that _cell_table fits once per table and _in_l reads at
 row k; the diagonal has one per point d = k - l. The interval ends are
 floor-linear in k, so a sweep reads whole cell regions (regions.py) and
-walks (_walk) only the rows that flag.
+walks only the rows that flag (regions._row_walk).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product
-from operator import itemgetter, mul
-from typing import Callable, Iterable, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .arith import check_width
-from .reports import PROGRESS_STRIDE, RangeSpec, _Findings
-from .weights import (
-    CASE_ORDER,
-    CELL_CASES,
-    DIAGONAL,
-    ODD_ODD,
-    TALLY_KEYS,
-    cell_weights,
-)
+from .weights import CASE_ORDER, CELL_CASES, DIAGONAL, TALLY_KEYS, cell_weights
 
 # The point of class c (1, even, odd) at reduced coordinate n, as
 # (s, p, ts, tp): the value s + p*n, with T at it ts + tp*n. Class 0 is the
@@ -66,21 +58,10 @@ def _columns(y_min: int, y_max: int, cases: Iterable[int]) -> tuple:
     return out
 
 
-def _odd_odd_spans(k: int, first: int, last: int):
-    """The odd-odd cells of row k along l in [first, last], in l order, as
-    (cell, lo, hi): high-deep, high-band, the three diagonal points each on
-    its own (beta = k - l varies there), low-band and low-deep. The cuts
-    solve the gates of odd_odd_cell for l."""
-    cells = (DIAGONAL + 2, DIAGONAL + 1, DIAGONAL, DIAGONAL, DIAGONAL,
-             DIAGONAL - 1, DIAGONAL - 2)
-    ends = (min(k - 2, (10 * k - 1) // 11), k - 2, k - 1, k, k + 1,
-            max(k + 1, (11 * k + 10) // 10 - 1), last)
-    lo = first
-    for cell, end in zip(cells, ends):
-        hi = min(end, last)
-        if lo <= hi:
-            yield cell, lo, hi
-        lo = max(lo, end + 1)
+def _row(x: int) -> tuple:
+    """The row x as a point (_POINTS) with wp = tp = 0: (x, 0, T(x), 0)."""
+    k = x >> 1
+    return x, 0, 1 if x == 1 else 3 * k + 2 if x & 1 else k, 0
 
 
 def _terms(u: tuple, v: tuple) -> tuple:
@@ -157,6 +138,12 @@ def _closed_table(forms: tuple) -> tuple:
     return _cell_table(lambda cell, k, l: forms[cell](k, l))
 
 
+def _entry(table: tuple, cell: int, pick) -> tuple:
+    """A cell's entry of a table (_cell_table); pick is the diagonal's d + 1
+    for d = k - l, and None off the diagonal."""
+    return table[cell] if pick is None else table[cell][pick]
+
+
 def _at(q: tuple, l: int) -> int:
     a, b, c = q
     return (a * l + b) * l + c
@@ -227,85 +214,3 @@ def _check_widths(w: Sequence, terms: tuple, q: tuple, lo: int,
                     "six-term product")
     neg = tuple(-v for v in q)
     check_width(max(_top(q, lo, hi), _top(neg, lo, hi)) // 2, "six-term sum")
-
-
-def _head_runs(runs: list, room: int) -> list:
-    """Runs (ys, ...) of a row, ys an ascending range of y, cut after the
-    least y by which `room` points are reached; only the flags of one pair
-    at that y can go past `room`."""
-    def heads(t: int) -> list:
-        # each run's points with y <= t
-        return [len(range(ys.start, min(ys.stop, t + 1), ys.step))
-                for ys, *_ in runs]
-    lo = min(run[0][0] for run in runs)
-    hi = max(run[0][-1] for run in runs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sum(heads(mid)) >= room:
-            hi = mid
-        else:
-            lo = mid + 1
-    return [(run[0][:n],) + run[1:] for run, n in zip(runs, heads(lo)) if n]
-
-
-def _walk(rng: RangeSpec, cases: Iterable[int], visit: Callable,
-          found: _Findings,
-          progress: Optional[Callable[[int], None]] = None,
-          until_full: bool = False, rows: Optional[Iterable[int]] = None
-          ) -> None:
-    """Walk the rows x of a range (or the ascending rows `rows` of it) and
-    in each the column classes that
-    `cases` admits with the row's class. visit(x, k, row, column, spans)
-    handles one of those: row and column are points as _terms reads them,
-    spans the cell intervals (cell, lo, hi) in l order. It returns the pairs
-    it covered and its flags as (key, quantity, ranges of l, value): a
-    constant, or a function of l where it changes along the range.
-    Every flag is counted; the first `found.cap` in report order (x, y,
-    quantity) are kept as runs of y (ViolationRows), a range of l with a
-    constant value as one run and any other as runs of one. A row keeps
-    only the runs up to the y at which the cap is full (_head_runs), and
-    builds no row. With until_full the walk ends after the row that fills
-    the cap."""
-    columns = _columns(rng.y_min, rng.y_max, cases)
-    done = reported = 0
-    for x in range(rng.x_min, rng.x_max + 1) if rows is None else rows:
-        # row class as in _columns, k (None for x = 1) and T(x)
-        k = x >> 1
-        rx, k, tx = ((0, None, 1) if x == 1 else (2, k, 3 * k + 2) if x & 1
-                     else (1, k, k))
-        row = (x, 0, tx, 0)
-        room = found.cap - len(found.kept)
-        flagged = 0
-        runs: list = []
-        for case, column, lo, hi in columns[rx]:
-            spans = (_odd_odd_spans(k, lo, hi) if case == ODD_ODD
-                     else ((case, lo, hi),))
-            pairs, flags = visit(x, k, row, column, spans)
-            done += pairs
-            ys, yp = column[0], column[1]
-            for key, quantity, ranges, value in flags:
-                for p, q in ranges:
-                    flagged += q - p + 1
-                    if room:
-                        # the column y = 1 is one point, with yp = 0
-                        runs.append((range(ys + yp * p, ys + yp * q + 1,
-                                           yp or 1), p, key, quantity, value))
-        if flagged:
-            if flagged > room and runs:
-                runs = _head_runs(runs, room)
-            kept: list = []
-            for ys, p, key, quantity, value in runs:
-                if callable(value):
-                    kept += ((range(y, y + 1), key, quantity, value(l), None)
-                             for y, l in zip(ys, range(p, p + len(ys))))
-                else:
-                    kept.append((ys, key, quantity, value, None))
-            # in quantity order, the order of one pair's rows at its y
-            kept.sort(key=itemgetter(2))
-            found.add_runs(x, flagged, kept)
-            if until_full and len(found.kept) == found.cap:
-                return
-        if progress is not None and done - reported >= PROGRESS_STRIDE:
-            reported = done
-            progress(done)
-

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -21,11 +22,12 @@ from .cells import (
     _form,
     _nonzero,
     _positive,
+    _row,
     _terms,
     _top,
-    _walk,
 )
 from .framework import LambdaSpec, symmetrize, weighted_lhs
+from .regions import _cell_spans, _row_walk
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CaseTally,
@@ -40,39 +42,41 @@ from .weights import CASE_ORDER, cell_weights, locate
 
 
 def _blend_visit(lam: Fraction, ikey: str, nkey: str, checked: bool) -> Callable:
-    """A _walk visitor for the blend lemma at a constant lambda = p/q, scaled
-    by q: the six-term form with the blended weights (q-p)*w + p*mirror
-    against (q-p)*lhs(x, y) + p*lhs(y, x). The cell of (y, x) is constant on
-    the same intervals as that of (x, y), since transposing swaps the low and
-    high odd-odd gates."""
+    """A _row_walk visitor for the blend lemma at a constant lambda = p/q,
+    scaled by q: the six-term form with the blended weights (q-p)*w +
+    p*mirror against (q-p)*lhs(x, y) + p*lhs(y, x). The cell of (y, x) is
+    constant on the same intervals as that of (x, y), since transposing
+    swaps the low and high odd-odd gates."""
     p, q = lam.numerator, lam.denominator
     co = q - p
 
-    def visit(x, k, row, column, spans) -> tuple:
+    @lru_cache(maxsize=1)
+    def bases(x: int, column: tuple) -> tuple:
+        # the terms of (x, y) and (y, x) along a column, shared by the cells
+        # of one row's column
+        row = _row(x)
         terms, mirrored = _terms(row, column), _terms(column, row)
-        basis, mirror_basis = _basis(terms), _basis(mirrored)
-        pairs = 0
-        flags = []
-        for cell, lo, hi in spans:
-            pairs += hi - lo + 1
-            w = cell_weights(cell, k, lo)
-            s = cell_weights(*locate(column[0] + column[1] * lo, x))
-            blended = [co * a + p * b for a, b in
-                       zip(w, (s[0], s[2], s[1], s[3], s[5], s[4]))]
-            left = _form(blended, basis)
-            direct, swapped = _form(w, basis), _form(s, mirror_basis)
-            if checked:
-                _check_widths(w, terms, direct, lo, hi)
-                _check_widths(s, mirrored, swapped, lo, hi)
-            diff = tuple(v - co * d - p * t
-                         for v, d, t in zip(left, direct, swapped))
-            flags.append((ikey, "lemma2-identity", _nonzero(diff, lo, hi),
-                          lambda l, g=diff: Fraction(_at(g, l) // 2, q)))
-            if _top(left, lo, hi) > 0:
-                flags.append((nkey, "lemma2-positive",
-                              _positive(*left, lo, hi),
-                              lambda l, g=left: Fraction(_at(g, l) // 2, q)))
-        return pairs, flags
+        return terms, mirrored, _basis(terms), _basis(mirrored)
+
+    def visit(x, k, cell, pick, column, lo, hi) -> list:
+        terms, mirrored, basis, mirror_basis = bases(x, column)
+        w = cell_weights(cell, k, lo)
+        s = cell_weights(*locate(column[0] + column[1] * lo, x))
+        blended = [co * a + p * b for a, b in
+                   zip(w, (s[0], s[2], s[1], s[3], s[5], s[4]))]
+        left = _form(blended, basis)
+        direct, swapped = _form(w, basis), _form(s, mirror_basis)
+        if checked:
+            _check_widths(w, terms, direct, lo, hi)
+            _check_widths(s, mirrored, swapped, lo, hi)
+        diff = tuple(v - co * d - p * t
+                     for v, d, t in zip(left, direct, swapped))
+        flags = [(ikey, "lemma2-identity", _nonzero(diff, lo, hi),
+                  lambda l: Fraction(_at(diff, l) // 2, q))]
+        if _top(left, lo, hi) > 0:
+            flags.append((nkey, "lemma2-positive", _positive(*left, lo, hi),
+                          lambda l: Fraction(_at(left, l) // 2, q)))
+        return flags
 
     return visit
 
@@ -185,8 +189,9 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         found = _Findings(max_violations)
         passes.append(found)
         if vector_ok:
-            _walk(rng, range(len(CASE_ORDER)),
-                  _blend_visit(spec.constant, ikey, nkey, checked), found)
+            _row_walk(_cell_spans(rng, range(len(CASE_ORDER))),
+                      range(rng.x_min, rng.x_max + 1),
+                      _blend_visit(spec.constant, ikey, nkey, checked), found)
         else:
             lhs, w, step = verifier.lhs, verifier.weight_vector, verifier.accel_T
             for x in range(rng.x_min, rng.x_max + 1):

@@ -20,15 +20,15 @@ larger of one or two quadratics in j (_row_maxima). Either way a span's
 row maxima are segments of quadratics (_maxima), and from them come:
 - each tally's max_lhs, by _top of those quadratics (_peak);
 - the rows that can flag, where a row maximum passes a check's threshold
-  (_positive). Only those rows are walked (_walk), by the interval visitor
-  of the row walk, so counts, values and caps are the row walk's. For
+  (_positive). Only those rows are walked, over the same regions
+  (regions._row_walk), which counts, values and caps their flags. For
   cross, a table entry whose direct and closed coefficients agree flags
   nowhere, and one that does not flags in the rows where their difference
   is not 0;
 - the width checks of framework.lhs, where _pair_bound passes the width
   limit. A term's square and the form's magnitude are quadratics of the
   same kind, so the rows where a check fails are found the same way, and
-  the first of them is walked with the row walk's checks, which raise.
+  the first of them is walked with the per-interval checks, which raise.
 A sweep costs O(cells x period), plus the rows it walks.
 """
 
@@ -46,14 +46,15 @@ from .cells import (
     _check_widths,
     _closed_table,
     _direct_table,
+    _entry,
     _in_l,
     _nonzero,
     _positive,
+    _row,
     _terms,
     _top,
-    _walk,
 )
-from .regions import _cell_spans, _pairs
+from .regions import _cell_spans, _pairs, _row_walk
 from .reports import (
     CHECK_BOUNDS,
     CHECK_CROSS,
@@ -66,13 +67,7 @@ from .reports import (
     _pair_bound,
     _tally,
 )
-from .weights import (
-    CASE_ORDER,
-    CELL_BOUNDS,
-    DIAGONAL,
-    TALLY_KEYS,
-    cell_weights,
-)
+from .weights import CASE_ORDER, CELL_BOUNDS, TALLY_KEYS, cell_weights
 
 
 def _cuts(j0: int, j1: int, lines: Iterable) -> Iterable:
@@ -241,10 +236,10 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
     flagged: list = []  # ranges of rows that can flag
     failing: list = []  # ranges of rows where a width check fails
     done = 0
-    for cell, pick, rx, column, spans in _cell_spans(rng, cases):
-        direct = table[cell] if pick is None else table[cell][pick]
-        simp = None if closed is None else (
-            closed[cell] if pick is None else closed[cell][pick])
+    regions = list(_cell_spans(rng, cases))
+    for cell, pick, rx, column, spans in regions:
+        direct = _entry(table, cell, pick)
+        simp = None if closed is None else _entry(closed, cell, pick)
         form = direct if do_lhs else simp
         # the least doubled value a row maximum must pass to flag
         limit = min([0] * (do_direct or do_simp_check)
@@ -278,13 +273,10 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
         if progress is not None and passed:
             progress(done)
 
-    def width_checks(x, k, row, column, spans) -> tuple:
-        terms = _terms(row, column)
-        for cell, lo, hi in spans:
-            entry = table[cell] if cell != DIAGONAL else table[cell][k - lo + 1]
-            _check_widths(cell_weights(cell, k, lo), terms,
-                          _in_l(entry, k or 0), lo, hi)
-        return 0, []
+    def width_checks(x, k, cell, pick, column, lo, hi) -> list:
+        _check_widths(cell_weights(cell, k, lo), _terms(_row(x), column),
+                      _in_l(_entry(table, cell, pick), k), lo, hi)
+        return []
 
     def above(key: str, check: str, q: tuple, t: int, lo: int,
               hi: int) -> tuple:
@@ -294,38 +286,31 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
                 _positive(q[0], q[1], q[2] - t, lo, hi),
                 lambda l: _at(q, l) // 2)
 
-    def visit(x, k, row, column, spans) -> tuple:
-        # the row x = 1 has no k, and its entries do not depend on one
-        kk = k or 0
+    def visit(x, k, cell, pick, column, lo, hi) -> list:
+        key = TALLY_KEYS[cell]
         flags = []
-        for cell, lo, hi in spans:
-            pick = k - lo + 1 if cell == DIAGONAL else None  # by d = k - l
-            key = TALLY_KEYS[cell]
-            if do_lhs:
-                direct = _in_l(table[cell] if pick is None
-                               else table[cell][pick], kk)
-                top = _top(direct, lo, hi)
-                bound = 2 * CELL_BOUNDS[cell]
-                if do_direct and top > 0:
-                    flags.append(above(key, CHECK_LHS, direct, 0, lo, hi))
-                if do_bounds and top > bound:
-                    flags.append(above(key, CHECK_BOUNDS, direct, bound, lo,
-                                       hi))
-            if do_simp:
-                simp = _in_l(closed[cell] if pick is None
-                             else closed[cell][pick], kk)
-                if do_simp_check and _top(simp, lo, hi) > 0:
-                    flags.append(above(key, CHECK_SIMPLIFIED, simp, 0, lo, hi))
-            if do_cross and simp != direct:
-                diff = tuple(s - d for s, d in zip(simp, direct))
-                flags.append((key, QUANTITY_LABELS[CHECK_CROSS],
-                              _nonzero(diff, lo, hi),
-                              lambda l, q=diff: _at(q, l) // 2))
-        return 0, flags
+        if do_lhs:
+            direct = _in_l(_entry(table, cell, pick), k)
+            top = _top(direct, lo, hi)
+            bound = 2 * CELL_BOUNDS[cell]
+            if do_direct and top > 0:
+                flags.append(above(key, CHECK_LHS, direct, 0, lo, hi))
+            if do_bounds and top > bound:
+                flags.append(above(key, CHECK_BOUNDS, direct, bound, lo, hi))
+        if do_simp:
+            simp = _in_l(_entry(closed, cell, pick), k)
+            if do_simp_check and _top(simp, lo, hi) > 0:
+                flags.append(above(key, CHECK_SIMPLIFIED, simp, 0, lo, hi))
+        if do_cross and simp != direct:
+            diff = tuple(s - d for s, d in zip(simp, direct))
+            flags.append((key, QUANTITY_LABELS[CHECK_CROSS],
+                          _nonzero(diff, lo, hi),
+                          lambda l, q=diff: _at(q, l) // 2))
+        return flags
 
     if failing:
-        # the first row where a check fails raises, as in the row walk
-        _walk(rng, cases, width_checks, _Findings(0), rows=_union(failing))
+        # the first row where a check fails raises
+        _row_walk(regions, _union(failing), width_checks, _Findings(0))
     if flagged:
-        _walk(rng, cases, visit, found, rows=_union(flagged))
+        _row_walk(regions, _union(flagged), visit, found)
     return done, per_case

@@ -1,34 +1,38 @@
 """Cell regions: the pairs of each cell over a whole range, laid out as
-spans of k on which both interval ends are single terms, and the mbound
-sweep that counts them without walking rows.
+spans of k on which both interval ends are single terms; the mbound sweep
+that counts them without walking rows; and the row walk over them.
 
 A row class holds k on [k0, k1] (x = 1 is k = 0 alone) and a column class l
 on [first, last] (_span). Off the odd-odd case a cell's region is that
-rectangle, one span. In an odd-odd row the cells of _odd_odd_spans lie
-between cuts: a cell's interval is [max(first, T + 1), min(last, U)] for
-the cut T before it and the cut U after it (none before the first cell or
-after the last). The cuts are k - 2, ..., k + 1 and the high cut min(k -
-2, floor((10k - 1)/11)) and low cut max(k + 1, floor(11k/10)); each of
-those two is one term on a stretch of k (_REGIONS), so on a stretch every
-cut is one floor-linear term in k, kept as (p, q, r) for floor((p*k +
-q)/r), and every term rises with k. Then T >= first and T >= last each
-hold from a point on that one division finds, and twelve such points, two
-per cut, lay out every cell (_cell_spans). A cell's interval is not empty
-from where U reaches first to where T reaches last, and on the two bands,
-from where their start is at most their end (a fixed k). Inside, it starts
-at first until T passes first and ends at U until U reaches last. So a
-cell's region is at most three spans (k0, k1, start, end) per stretch, of
-width at least 1 throughout (_spans), and a span's pairs are the sums of
-its ends over k (_floor_sum), O(r) each. A region costs O(1), at any size.
+rectangle, one span. In an odd-odd row the cells (high-deep, high-band,
+the diagonal's three points, low-band and low-deep, in l order) lie
+between cuts, the gates of weights.odd_odd_cell solved for l: a cell's
+interval is [max(first, T + 1), min(last, U)] for the cut T before it and
+the cut U after it (none before the first cell or after the last). The
+cuts are k - 2, ..., k + 1 and the high cut min(k - 2, floor((10k -
+1)/11)) and low cut max(k + 1, floor(11k/10)); each of those two is one
+term on a stretch of k (_REGIONS), so on a stretch every cut is one
+floor-linear term in k, kept as (p, q, r) for floor((p*k + q)/r), and
+every term rises with k. Then T >= first and T >= last each hold from a
+point on that one division finds, and twelve such points, two per cut,
+lay out every cell (_cell_spans). A cell's interval is not empty from
+where U reaches first to where T reaches last, and on the two bands, from
+where their start is at most their end (a fixed k). Inside, it starts at
+first until T passes first and ends at U until U reaches last. So a cell's
+region is at most three spans (k0, k1, start, end) per stretch, of width
+at least 1 throughout (_spans), and a span's pairs are the sums of its
+ends over k (_floor_sum), O(r) each. A region costs O(1), at any size.
+The rows that a sweep must walk read their intervals off the same spans,
+one floor term per end (_row_walk).
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from . import weights
-from .cells import _columns, _direct_table, _span, _walk
+from .cells import _columns, _direct_table, _entry, _span
 from .reports import (
     CHECK_MBOUND,
     PROGRESS_STRIDE,
@@ -37,7 +41,7 @@ from .reports import (
     _Findings,
     _tally,
 )
-from .weights import CASE_ORDER, CELL_CASES, DIAGONAL, ODD_ODD, TALLY_KEYS
+from .weights import CASE_ORDER, DIAGONAL, ODD_ODD, TALLY_KEYS
 
 # The cuts between the odd-odd cells of a row k, as terms (p, q, r) for
 # floor((p*k + q)/r): k - 2, k - 1, k, k + 1, floor((10k - 1)/11) and
@@ -151,11 +155,79 @@ def _cell_spans(rng: RangeSpec, cases: Iterable[int]):
                         (end, high))
 
 
-def _regions(rng: RangeSpec, cases: Iterable[int]):
-    """The cell regions of a range for the cases `cases` admits: (cell,
-    pick, pairs), as _cell_spans lays them out."""
-    for cell, pick, _, _, spans in _cell_spans(rng, cases):
-        yield cell, pick, sum(map(_pairs, spans))
+def _head_runs(runs: list, room: int) -> list:
+    """Runs (ys, ...) of a row, ys an ascending range of y, cut after the
+    least y by which `room` points are reached; only the flags of one pair
+    at that y can go past `room`."""
+    def heads(t: int) -> list:
+        # each run's points with y <= t
+        return [len(range(ys.start, min(ys.stop, t + 1), ys.step))
+                for ys, *_ in runs]
+    lo = min(run[0][0] for run in runs)
+    hi = max(run[0][-1] for run in runs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(heads(mid)) >= room:
+            hi = mid
+        else:
+            lo = mid + 1
+    return [(run[0][:n],) + run[1:] for run, n in zip(runs, heads(lo)) if n]
+
+
+def _row_walk(regions: Iterable, rows: Iterable[int], visit: Callable,
+              found: _Findings, until_full: bool = False) -> None:
+    """Walk the ascending rows `rows` over cell regions (cell, pick, row
+    class, column, spans) as _cell_spans lays them out. In a row x at k (x
+    = 1 is k = 0), each span of its row class that holds k gives its cell
+    the interval [start(k), end(k)] of l, and visit(x, k, cell, pick,
+    column, lo, hi) returns the flags there as (key, quantity, ranges of l,
+    value): a constant, or a function of l where it changes along the
+    range. Every flag is counted; the first `found.cap` in report order (x,
+    y, quantity) are kept as runs of y (ViolationRows), a range of l with a
+    constant value as one run and any other as runs of one. A row keeps
+    only the runs up to the y at which the cap is full (_head_runs), and
+    builds no row. With until_full the walk ends after the row that fills
+    the cap."""
+    # per row class, its spans in l order within a row: cases in order,
+    # and the odd-odd cells as _REGIONS lists them
+    by_class: tuple = ([], [], [])
+    for cell, pick, rx, column, spans in regions:
+        by_class[rx].extend((span, cell, pick, column) for span in spans)
+    for x in rows:
+        k = x >> 1
+        room = found.cap - len(found.kept)
+        flagged = 0
+        runs: list = []
+        for (k0, k1, start, end), cell, pick, column in by_class[
+                0 if x == 1 else 1 + (x & 1)]:
+            if not k0 <= k <= k1:
+                continue
+            (p, q, r), (u, v, w) = start, end
+            ys, yp = column[0], column[1]
+            for key, quantity, ranges, value in visit(
+                    x, k, cell, pick, column, (p * k + q) // r,
+                    (u * k + v) // w):
+                for lo, hi in ranges:
+                    flagged += hi - lo + 1
+                    if room:
+                        # the column y = 1 is one point, with yp = 0
+                        runs.append((range(ys + yp * lo, ys + yp * hi + 1,
+                                           yp or 1), lo, key, quantity, value))
+        if flagged:
+            if flagged > room and runs:
+                runs = _head_runs(runs, room)
+            kept: list = []
+            for ys, lo, key, quantity, value in runs:
+                if callable(value):
+                    kept += ((range(y, y + 1), key, quantity, value(l), None)
+                             for y, l in zip(ys, range(lo, lo + len(ys))))
+                else:
+                    kept.append((ys, key, quantity, value, None))
+            # in quantity order, the order of one pair's rows at its y
+            kept.sort(key=itemgetter(2))
+            found.add_runs(x, flagged, kept)
+            if until_full and len(found.kept) == found.cap:
+                return
 
 
 def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
@@ -163,39 +235,37 @@ def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
     """An mbound sweep off the cell regions. A cell's weights are constant
     on it (the diagonal's per d = k - l), so a cell whose largest |w|
     (_direct_table) exceeds M flags every pair of its region: pair counts
-    and the flag total come from _regions. Only the kept flags are found by
-    walking rows (_walk), from x_min until min(cap, total) are kept."""
+    and the flag total are its spans' sums. Only the kept flags are found
+    by walking rows over those regions (_row_walk), from x_min until
+    min(cap, total) are kept."""
     # an integer weight exceeds M exactly when it exceeds floor(M)
     m_floor = m_cap.numerator // m_cap.denominator
     table = _direct_table(weights.CELL_WEIGHTS)
     per_case: dict = {}
     cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
-    flagged: set = set()
+    flagged: list = []
     done = total = 0
-    for cell, pick, n in _regions(rng, cases):
+    for region in _cell_spans(rng, cases):
+        cell, pick, _, _, spans = region
+        n = sum(map(_pairs, spans))
         _tally(per_case, cell).pairs += n
         done += n
-        if (table[cell] if pick is None else table[cell][pick])[6] > m_floor:
+        if _entry(table, cell, pick)[6] > m_floor:
             total += n
-            flagged.add(CASE_ORDER.index(CELL_CASES[cell]))
+            flagged.append(region)
         passed = done // PROGRESS_STRIDE > (done - n) // PROGRESS_STRIDE
         if progress is not None and passed:
             progress(done)
 
-    def visit(x, k, row, column, spans) -> tuple:
-        flags = []
-        for cell, lo, hi in spans:
-            entry = table[cell] if cell != DIAGONAL else table[cell][k - lo + 1]
-            if entry[6] > m_floor:
-                flags.append((TALLY_KEYS[cell], QUANTITY_LABELS[CHECK_MBOUND],
-                              [(lo, hi)], entry[6]))
-        return 0, flags
+    def visit(x, k, cell, pick, column, lo, hi) -> list:
+        return [(TALLY_KEYS[cell], QUANTITY_LABELS[CHECK_MBOUND], [(lo, hi)],
+                 _entry(table, cell, pick)[6])]
 
     head = _Findings(min(found.cap - len(found.kept), total))
     if head.cap:
-        _walk(rng, flagged, visit, head, until_full=True)
+        _row_walk(flagged, range(rng.x_min, rng.x_max + 1), visit, head,
+                  until_full=True)
     found.total += total
     for group in head.kept.groups:
         found.kept.add(*group)
     return done, per_case
-

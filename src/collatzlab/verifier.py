@@ -3,8 +3,9 @@
 This module is the facade of the sweep modules and holds the pair sweeps'
 entry points, their per-pair reference and the orbit decay sweep:
 - reports: ranges, kept violation rows, tallies and merge_reports;
-- cells: each cell's forms as doubled quadratics, and the row walk;
-- regions: cell pair counts over a whole range, and the mbound sweep;
+- cells: each cell's forms as doubled quadratics;
+- regions: cell pair counts over a whole range, the mbound sweep, and the
+  row walk over the same regions;
 - maxima: the direct, bounds, simplified and cross sweeps;
 - lemmas: the two supporting lemmas;
 - coverage: condition coverage and the lambda grid search.
@@ -13,9 +14,11 @@ Every sweep is exact and has one production path. A pair sweep (labelled
 "vector") walks no row to count: it reads each cell's region over the whole
 range as a few spans of k on which both interval ends are single terms, at
 O(cells x period) cost at any side and any coordinate size. mbound counts
-each span's pairs (regions.py); the other modes read each row's largest
-form value off quadratics over the spans' residue pieces (maxima.py). Rows are walked only where a check can flag, or, for
-mbound, until its violation cap is full. The per-pair pair sweep
+each span's pairs (regions.py); the other modes read each span's row
+maxima as segments of quadratics in k, one per end and residue where the
+form is convex in l (maxima.py). Rows are walked, over the same spans,
+only where a check can flag, or, for mbound, until its violation cap is
+full. The per-pair pair sweep
 (_sweep_scalar) is kept as the reference the tests compare against, in
 place of _sweep_vector. Reports over disjoint ranges merge associatively
 and commutatively, so partitioned runs reproduce the single-run report.

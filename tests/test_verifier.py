@@ -475,25 +475,77 @@ def admitted(rng):
     return [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
 
 
+def odd_odd_spans(k, first, last):
+    """The per-row reference of the odd-odd layout: the cells of row k along
+    l in [first, last], in l order, as (cell, lo, hi): high-deep, high-band,
+    the three diagonal points each on its own (beta = k - l varies there),
+    low-band and low-deep. The cuts solve the gates of odd_odd_cell for l."""
+    order = (DIAGONAL + 2, DIAGONAL + 1, DIAGONAL, DIAGONAL, DIAGONAL,
+             DIAGONAL - 1, DIAGONAL - 2)
+    ends = (min(k - 2, (10 * k - 1) // 11), k - 2, k - 1, k, k + 1,
+            max(k + 1, (11 * k + 10) // 10 - 1), last)
+    lo = first
+    for cell, end in zip(order, ends):
+        hi = min(end, last)
+        if lo <= hi:
+            yield cell, lo, hi
+        lo = max(lo, end + 1)
+
+
+def reference_intervals(rng):
+    """Per row x of a range, the intervals (cell, pick, lo, hi) of l of the
+    cases the range admits, cut row by row: the cases in order, an odd-odd
+    row's cells by odd_odd_spans, the pick the diagonal's d + 1 for d = k -
+    l (None off it). Builds on neither _cell_spans nor _row_walk."""
+    rows = {}
+    for x in range(rng.x_min, rng.x_max + 1):
+        k = x >> 1  # x = 1 is k = 0
+        row_class = 0 if x == 1 else 1 + (x & 1)
+        rows[x] = intervals = []
+        for case in admitted(rng):
+            first, last = cells._span(case % 3, rng.y_min, rng.y_max)
+            if case // 3 != row_class or first > last:
+                continue
+            if case != weights.ODD_ODD:
+                intervals.append((case, None, first, last))
+                continue
+            intervals += [(cell, k - lo + 1 if cell == DIAGONAL else None,
+                           lo, hi) for cell, lo, hi in odd_odd_spans(
+                               k, first, last)]
+    return rows
+
+
 def region_counts(rng):
-    """Pairs per (cell, diagonal pick) as _regions counts them."""
+    """Pairs per (cell, diagonal pick) as the spans of _cell_spans sum."""
     counts = Counter()
-    for cell, pick, n in regions._regions(rng, admitted(rng)):
-        counts[cell, pick] += n
+    for cell, pick, _, _, spans in regions._cell_spans(rng, admitted(rng)):
+        counts[cell, pick] += sum(map(regions._pairs, spans))
     return +counts
 
 
 def walked_counts(rng):
-    """Pairs per (cell, diagonal pick) as the row walk tallies them."""
+    """Pairs per (cell, diagonal pick) on the per-row reference."""
     counts = Counter()
-
-    def visit(x, k, row, column, spans):
-        for cell, lo, hi in spans:
-            counts[cell, k - lo + 1 if cell == DIAGONAL else None] += hi - lo + 1
-        return 0, []
-
-    cells._walk(rng, admitted(rng), visit, verifier._Findings(0))
+    for intervals in reference_intervals(rng).values():
+        for cell, pick, lo, hi in intervals:
+            counts[cell, pick] += hi - lo + 1
     return counts
+
+
+def walked_intervals(rng):
+    """Per row x that the row walk over the range's regions visits, the
+    (cell, pick, lo, hi) it hands its visitor, in order."""
+    rows = {}
+
+    def visit(x, k, cell, pick, column, lo, hi):
+        assert k == x >> 1
+        rows.setdefault(x, []).append((cell, pick, lo, hi))
+        return []
+
+    regions._row_walk(regions._cell_spans(rng, admitted(rng)),
+                      range(rng.x_min, rng.x_max + 1), visit,
+                      verifier._Findings(0))
+    return rows
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -524,6 +576,10 @@ def walked_counts(rng):
 # the same crossings of first far out, at k = 10^12 + 20
 @example(x0=2 * 10**12 + 1, y0=2 * ((10 * (10**12 + 20) - 1) // 11) + 1,
          dx=80, dy=40, x_shift=0, y_shift=0, gate=None, cases=None)
+# the row x = 1 and k across 10 and 21 under a case filter
+@example(x0=1, y0=1, dx=45, dy=60, x_shift=0, y_shift=0, gate=None,
+         cases=frozenset([ParityCase.ONE_ODD, ParityCase.ODD_ONE,
+                          ParityCase.ODD_ODD]))
 def test_region_counts_match_the_row_walk(x0, y0, dx, dy, x_shift, y_shift,
                                           gate, cases):
     # a gate puts the columns at 10/11 or 11/10 of the rows, where the deep
@@ -532,6 +588,11 @@ def test_region_counts_match_the_row_walk(x0, y0, dx, dy, x_shift, y_shift,
     lo_y = y0 + y_shift if gate is None else lo_x * gate[0] // gate[1] + y_shift
     rng = RangeSpec(lo_x, lo_x + dx, lo_y, lo_y + dy, cases)
     assert region_counts(rng) == walked_counts(rng)
+    # the row walk over the regions hands its visitor the reference's
+    # intervals, row by row and in order
+    assert walked_intervals(rng) == {
+        x: intervals for x, intervals in reference_intervals(rng).items()
+        if intervals}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -555,7 +616,7 @@ def test_region_counts_match_the_row_walk(x0, y0, dx, dy, x_shift, y_shift,
 def test_spans_are_the_row_intervals(k0, dk, k_shift, gate, offset, width):
     # each odd-odd region's spans are disjoint k-intervals with one start
     # and one end term each and width >= 1 throughout, and row by row they
-    # are the intervals of _odd_odd_spans; a region is at most three spans,
+    # are the intervals of odd_odd_spans; a region is at most three spans,
     # and adjacent spans differ in a term
     k0 += k_shift
     k1 = k0 + dk
@@ -580,7 +641,7 @@ def test_spans_are_the_row_intervals(k0, dk, k_shift, gate, offset, width):
     for k, intervals in rows.items():
         assert intervals == {
             (cell, k - lo + 1 if cell == DIAGONAL else None): (lo, hi)
-            for cell, lo, hi in cells._odd_odd_spans(k, first, last)}
+            for cell, lo, hi in odd_odd_spans(k, first, last)}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -621,19 +682,19 @@ def test_mbound_matches_the_oracle_at_every_cap(where, m_cap, patched,
 
 @pytest.fixture
 def walked_rows(monkeypatch):
-    """The rows x that the region sweeps' row walk (_walk) hands to its
+    """The rows x that the region sweeps' row walk (_row_walk) hands to its
     visitor, in order."""
     rows = []
-    real = cells._walk
+    real = regions._row_walk
 
-    def spy(rng, cases, visit, found, *args, **kwargs):
+    def spy(cell_regions, xs, visit, found, *args, **kwargs):
         def seen(x, *rest):
             rows.append(x)
             return visit(x, *rest)
-        return real(rng, cases, seen, found, *args, **kwargs)
+        return real(cell_regions, xs, seen, found, *args, **kwargs)
 
-    monkeypatch.setattr(regions, "_walk", spy)
-    monkeypatch.setattr(maxima, "_walk", spy)
+    monkeypatch.setattr(regions, "_row_walk", spy)
+    monkeypatch.setattr(maxima, "_row_walk", spy)
     return rows
 
 
@@ -1063,15 +1124,24 @@ def test_a_closed_form_cubic_in_l_raises(monkeypatch, term):
 
 
 def test_odd_odd_spans_match_the_classifier():
-    for k in range(1, 90):
-        spans = list(cells._odd_odd_spans(k, 1, 120))
-        assert [lo for _, lo, _ in spans] == [1] + [
-            hi + 1 for _, _, hi in spans[:-1]]
-        assert spans[-1][2] == 120
-        for cell, lo, hi in spans:
-            assert all(weights.odd_odd_cell(k, l) == cell
-                       for l in range(lo, hi + 1))
-            assert cell != DIAGONAL or lo == hi
+    # the per-row reference that the region tests compare against: rows
+    # from k = 1, across k = 9, 10, 20, 21 and 22 where the cuts switch
+    # terms and the bands start, and near 10^12; columns from l = 1 and
+    # from around each cut, in windows of width 0, 1, 3 and 40
+    for k in [*range(1, 90), 10**12 - 1, 10**12, 10**12 + 1, 10**12 + 21]:
+        cuts = ((10 * k - 1) // 11, k - 2, k - 1, k, k + 1, k + 2,
+                11 * k // 10)
+        firsts = {1} | {max(1, c + s) for c in cuts for s in (-1, 0, 1)}
+        for first, width in product(sorted(firsts), (0, 1, 3, 40)):
+            last = first + width
+            spans = list(odd_odd_spans(k, first, last))
+            assert [lo for _, lo, _ in spans] == [first] + [
+                hi + 1 for _, _, hi in spans[:-1]]
+            assert spans[-1][2] == last
+            for cell, lo, hi in spans:
+                assert all(weights.odd_odd_cell(k, l) == cell
+                           for l in range(lo, hi + 1))
+                assert cell != DIAGONAL or lo == hi
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
