@@ -1,13 +1,19 @@
 """Command-line front end: pair sweeps, condition coverage, orbits and the
 per-case lambda grid search. Each command returns its exit code and report
-text, written by render.py in text, JSON or CSV, and main writes the report
-once: to --output, else to the file named by COLLATZLAB_OUTPUT, else stdout.
+text, written in text, JSON or CSV by render.py (verify, decay) or
+writers.py (the other commands), and main writes the report once: to
+--output, else to the file named by COLLATZLAB_OUTPUT, else stdout.
 
 Exit codes: 0 success/verified, 1 findings (violations or an orbit that ran
 out of cap), 2 usage error, 3 arithmetic width overflow. JSON and CSV output
 is byte-identical across runs and any --jobs value: rationals render as
 "p/q" strings, integers beyond 53-bit magnitude as decimal strings, and
 timings are redacted unless --timings is given.
+
+main parses argv with the parser of the subcommand that argv[0] names, as
+the full parser would hand it on, and runs the full parser only when argv
+is empty, names no subcommand or leaves arguments over: help, usage errors
+and their exit code 2 are argparse's own text either way.
 
 Every verify mode reads whole cell regions, at O(cells x period) cost plus
 the rows that flag, so verify takes any side; conditions and search-lambda
@@ -47,7 +53,7 @@ if __name__ == "__main__":
     # collatzlab.cli, which is then this module, not a second copy of it
     sys.modules.setdefault(__spec__.name, sys.modules[__name__])
 
-from . import render  # noqa: E402 - after the alias above
+from . import render, writers  # noqa: E402 - after the alias above
 
 DESK_SCALE_MAX = 10_000
 
@@ -188,7 +194,7 @@ def cmd_conditions(args) -> tuple[int, str]:
                                 corrected_c4=args.corrected_c4,
                                 m_lambda=args.m_lambda,
                                 progress=_progress_printer(args))
-    return 0, render.coverage(args, report)
+    return 0, writers.coverage(args, report)
 
 
 def cmd_orbit(args) -> tuple[int, str]:
@@ -197,7 +203,7 @@ def cmd_orbit(args) -> tuple[int, str]:
     if args.cap < 1:
         raise UsageError(f"--cap must be >= 1, got {args.cap}")
     record = stopping_time(args.map, args.seed, args.cap, keep_path=args.path)
-    return 0 if record.steps is not None else 1, render.orbit(args, record)
+    return 0 if record.steps is not None else 1, writers.orbit(args, record)
 
 
 def cmd_search(args) -> tuple[int, str]:
@@ -215,7 +221,7 @@ def cmd_search(args) -> tuple[int, str]:
     if result.budget_exhausted:
         print("note: search budget exhausted; each case group kept only its "
               "top candidates, which hold the best assignment", file=sys.stderr)
-    return 0, render.search(args, result)
+    return 0, writers.search(args, result)
 
 
 def cmd_decay(args) -> tuple[int, str]:
@@ -348,14 +354,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built by the first main() call."""
-    return build_parser()
+def _parser() -> tuple:
+    """The one parser of this process, built by the first main() call, and
+    its subcommand parsers by name."""
+    parser = build_parser()
+    subs, = (action for action in parser._actions
+             if isinstance(action, argparse._SubParsersAction))
+    return parser, subs.choices
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed by the parser of the subcommand it names, as the full
+    parser would hand it on; the full parser runs only where that leaves
+    anything to report (help, a usage error), which it then writes."""
+    parser, commands = _parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command and write its report: the one writer of every report."""
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code, report = args.fn(args)
     except UsageError as e:

@@ -12,7 +12,8 @@ once, as one quadratic in k over the span, and a floor end once per
 residue r of k modulo P, on which it is a line in the quotient j. A row's
 maximum is the larger of its two ends' values. A concave form (a < 0; in
 the shipped tables only on rectangles) is largest next to its vertex
-floor((b0 + b1*k)/(-2a)), clamped to the interval. Its span is cut into a
+floor((b0 + b1*k)/(-2a)), clamped to the interval: on a span of one row
+that row's maximum is read at once (_top), and a longer span is cut into a
 piece per residue of k modulo the terms' period (_pieces), on which both
 ends are lines in j, and the vertex's floor is linear in j on each residue
 of j modulo -2a/gcd(-2a, b1*P); so on each piece the row maximum is the
@@ -165,9 +166,14 @@ def _maxima(e: tuple, span: tuple) -> list:
     row's largest doubled value is the largest of the quadratics of the
     segments that hold it. A form convex or linear in l is largest at an end
     of each row, so its segments are the span's ends (_ends), each read
-    once; a concave one's are the pieces' (_row_maxima), one per row."""
+    once; a concave one's are the pieces' (_row_maxima), one per row, or on
+    a span of one row (an x = 1 row of a rectangle) that row's maximum."""
     if e[0] >= 0:
         return _ends(e, span)
+    k0, k1, (p, q, r), (u, v, w) = span
+    if k0 == k1:
+        return [(1, k0, 0, 0, [(0, 0, _top(_in_l(e, k0), (p * k0 + q) // r,
+                                           (u * k0 + v) // w))])]
     return [segment for piece in _pieces(span)
             for segment in _row_maxima(e, *piece)]
 

@@ -1,11 +1,15 @@
-"""Report writers of the command line: verification reports, condition
-coverage, the lambda search and orbits, in text, JSON and CSV.
+"""Report writers of the verify and decay commands in text, JSON and CSV,
+and the exact encoders that writers.py shares for the other commands.
 
-JSON reports come from this module's own indent-2 writer (_render_json),
-which gives the bytes of json.dumps(..., indent=2, sort_keys=True) without
-its pure-Python encoder, as pieces of one list that it joins once:
+JSON reports give the bytes of json.dumps(..., indent=2, sort_keys=True)
+without its pure-Python encoder, as pieces of one list joined once:
 rationals render as "p/q" strings and integers beyond 53-bit magnitude as
-decimal strings, so that no reader rounds them.
+decimal strings, so that no reader rounds them. The head of a verification
+report is written from fixed templates (_JSON_HEAD, _JSON_TALLY, the CSV
+tally line) in json.dumps's sorted-key order and the CSV header's column
+order, each value through _leaf or _cell_str and each CSV label quoted
+once by the csv module (_csv_labels); other documents go through the
+generic indent-2 writer (_render_json).
 Verification reports keep their rows as runs of y that share every other
 field (verifier.ViolationRows), and one row writer (_rows) serves JSON, CSV
 and text: it formats the texts around y once per run and joins the y texts
@@ -24,14 +28,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from . import cli
-from .verifier import (
-    ConditionCoverageReport,
-    LambdaSearchResult,
-    RangeSpec,
-    VerificationReport,
-    ViolationRows,
-)
-from .weights import CASE_ORDER
+from .verifier import RangeSpec, VerificationReport, ViolationRows
 
 JSON_INT_LIMIT = 2**53
 
@@ -126,13 +123,11 @@ def _json_rows(out: list, rows: ViolationRows, nl: str) -> None:
 def _json(out: list, value, nl: str) -> None:
     """Append to `out` the JSON text of `value`, whose own line starts with
     `nl` (a newline and its indent): the indent-2, sorted-key layout of
-    json.dumps. Kept rows are written by the row writer (_json_rows)."""
-    if not isinstance(value, (dict, list, tuple, ViolationRows)):
+    json.dumps."""
+    if not isinstance(value, (dict, list, tuple)):
         out.append(_leaf(value))
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, ViolationRows):
-        _json_rows(out, value, nl)
     else:
         inner = nl + "  "
         is_dict = isinstance(value, dict)
@@ -182,75 +177,53 @@ def _verification_doc(command: str, report: VerificationReport,
     }
 
 
-def _coverage_doc(report: ConditionCoverageReport, timings: bool) -> dict:
-    cells = []
-    for key, cell in report.cells.items():
-        cells.append({
-            "cell": key,
-            "pairs": cell.pairs,
-            "holds_first": cell.holds_first,
-            "holds_mirrored": cell.holds_mirrored,
-            "fails": cell.fails,
-            "example_hold": list(cell.example_hold) if cell.example_hold else None,
-            "example_fail": list(cell.example_fail) if cell.example_fail else None,
-            "weight_tuples": [list(t) for t in sorted(cell.weight_tuples)],
-            "ratios": sorted(cell.ratios),
-            "b_sums": sorted(cell.b_sums),
-            "witness_sets_truncated": cell.truncated,
-        })
-    return {
-        "command": "conditions",
-        "params": {
-            "lambda": report.lam_label,
-            "A": report.A,
-            "B": report.B,
-            "M": report.M,
-            "theorem": report.kind.theorem,
-            "condition": report.kind.number,
-            "corrected_c4": report.corrected_c4,
-            "m_lambda": report.m_lambda,
-        },
-        "range": _range_doc(report.rng),
-        "pairs_checked": report.pairs_checked,
-        "holds_total": report.holds_total,
-        "fails_total": report.fails_total,
-        "m_violations": report.m_violations,
-        "m_lambda_violations": report.m_lambda_violations,
-        "cells": cells,
-        "elapsed_ms": report.elapsed_ms if timings else None,
-    }
-
-
-def _search_doc(result: LambdaSearchResult, timings: bool) -> dict:
-    return {
-        "command": "search-lambda",
-        "params": {
-            "q": result.q,
-            "A_grid": list(result.a_grid),
-            "theorem": result.kind.theorem,
-            "condition": result.kind.number,
-            "budget": result.budget,
-        },
-        "range": _range_doc(result.rng),
-        "assignments_scored": result.assignments_scored,
-        "budget_exhausted": result.budget_exhausted,
-        "best_lambda": {k: result.best_lambda[k]
-                        for k in sorted(result.best_lambda)},
-        "best_A": result.best_a,
-        "covered": result.covered,
-        "total": result.total,
-        "coverage": result.coverage,
-        "cell_coverage": {k: list(v) for k, v in
-                          sorted(result.cell_coverage.items())},
-        "irreducible_cells": sorted(result.irreducible_cells),
-        "elapsed_ms": result.elapsed_ms if timings else None,
-    }
-
-
 def _render_json(doc: dict) -> str:
     out: list = []
     _json(out, doc, "\n")
     out.append("\n")
+    return "".join(out)
+
+
+# --- verification report heads --------------------------------------------------
+
+_JSON_HEAD = ('{\n  "command": %s,\n  "elapsed_ms": %s,\n  "engine": %s,\n'
+              '  "pairs_checked": %s,\n  "params": %s,\n  "per_case": %s,\n'
+              '  "range": {%s\n    "x_max": %s,\n    "x_min": %s,\n'
+              '    "y_max": %s,\n    "y_min": %s\n  },\n  "violations": ')
+_JSON_TALLY = ('{\n      "bound": %s,\n      "case": %s,\n      "max_lhs": %s,'
+               '\n      "pairs": %s\n    }')
+
+
+def _json_list(texts: list, nl: str) -> str:
+    """The JSON list of item texts, its own line starting with `nl`."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]" if texts else "[]"
+
+
+def _render_json_verification(doc: dict) -> str:
+    """A verification document (_verification_doc) as _render_json would
+    write it, its params' values being scalars."""
+    params, rng = doc["params"], doc["range"]
+    cases = ("\n    \"cases\": " + _json_list(list(map(_leaf, rng["cases"])),
+                                            "\n    ") + ","
+             if "cases" in rng else "")
+    out = [_JSON_HEAD % (
+        _leaf(doc["command"]), _leaf(doc["elapsed_ms"]), _leaf(doc["engine"]),
+        _leaf(doc["pairs_checked"]),
+        "{" + ",".join("\n    " + _quote(k) + ": " + _leaf(params[k])
+                       for k in sorted(params)) + "\n  }" if params else "{}",
+        _json_list([_JSON_TALLY % (_leaf(t["bound"]), _leaf(t["case"]),
+                                   _leaf(t["max_lhs"]), _leaf(t["pairs"]))
+                    for t in doc["per_case"]], "\n  "),
+        cases, _leaf(rng["x_max"]), _leaf(rng["x_min"]), _leaf(rng["y_max"]),
+        _leaf(rng["y_min"]))]
+    if doc["violations"]:
+        _json_rows(out, doc["violations"], "\n  ")
+    else:
+        out.append("[]")
+    out.append(',\n  "violations_shown": %s,\n  "violations_total": %s\n}\n'
+               % (_leaf(doc["violations_shown"]),
+                  _leaf(doc["violations_total"])))
     return "".join(out)
 
 
@@ -263,9 +236,10 @@ def _csv(header: list, rows) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _csv_labels(case: str, quantity: str) -> str:
-    """The csv module's text of a row's case and quantity and their comma."""
-    return _csv(["", case, quantity, ""], ())[1:-2]
+def _csv_labels(*labels: str) -> str:
+    """The csv module's text of labels (a row's case and quantity, a tally's
+    case) and the commas between them."""
+    return _csv(["", *labels, ""], ())[1:-2]
 
 
 def _csv_row(x, case, quantity, value, z) -> tuple:
@@ -278,40 +252,13 @@ def _csv_row(x, case, quantity, value, z) -> tuple:
 
 
 def _render_csv_verification(doc: dict) -> str:
-    out = [_csv(["record", "x", "y", "z", "case", "quantity", "value",
-                 "pairs", "max_lhs", "bound"], (
-        ["tally", "", "", "", tal["case"], "", "", tal["pairs"],
-         _cell_str(tal["max_lhs"]), _cell_str(tal["bound"])]
-        for tal in doc["per_case"]))]
+    out = ["record,x,y,z,case,quantity,value,pairs,max_lhs,bound\n"]
+    out += ["tally,,,,%s,,,%s,%s,%s\n" % (
+        _csv_labels(tal["case"]), _cell_str(tal["pairs"]),
+        _cell_str(tal["max_lhs"]), _cell_str(tal["bound"]))
+        for tal in doc["per_case"]]
     _rows(out, doc["violations"], _csv_row)
     return "".join(out)
-
-
-def _render_csv_coverage(doc: dict) -> str:
-    return _csv(["record", "cell", "pairs", "holds_first", "holds_mirrored",
-                 "fails", "example_hold", "example_fail", "weight_tuples",
-                 "ratios", "b_sums"], ([
-        "cell", c["cell"], c["pairs"], c["holds_first"],
-        c["holds_mirrored"], c["fails"],
-        " ".join(map(str, c["example_hold"])) if c["example_hold"] else "",
-        " ".join(map(str, c["example_fail"])) if c["example_fail"] else "",
-        ";".join(",".join(map(str, t)) for t in c["weight_tuples"]),
-        ";".join(_cell_str(r) for r in c["ratios"]),
-        ";".join(_cell_str(b) for b in c["b_sums"]),
-    ] for c in doc["cells"]))
-
-
-def _render_csv_orbit(doc: dict) -> str:
-    return _csv(["map", "seed", "cap", "steps", "peak", "reached_one"],
-                [[doc["map"], doc["seed"], doc["cap"], _cell_str(doc["steps"]),
-                  doc["peak"], doc["reached_one"]]])
-
-
-def _render_csv_search(doc: dict) -> str:
-    return _csv(["case", "lambda", "covered", "total"], (
-        [case.label, _cell_str(doc["best_lambda"][case.label]),
-         *doc["cell_coverage"].get(case.label, (0, 0))]
-        for case in CASE_ORDER))
 
 
 def _text_row(x, case, quantity, value, z) -> tuple:
@@ -337,77 +284,11 @@ def _render_text_verification(doc: dict, report: VerificationReport) -> str:
     return "".join(out)
 
 
-def _render_text_coverage(doc: dict, report: ConditionCoverageReport) -> str:
-    p = doc["params"]
-    lines = [
-        f"conditions: theorem {p['theorem']} condition {p['condition']} "
-        f"lambda={p['lambda']} A={_cell_str(p['A'])} B={_cell_str(p['B'])} "
-        f"M={_cell_str(p['M'])}",
-        f"range {report.rng.label()} pairs={doc['pairs_checked']} "
-        f"holds={doc['holds_total']} fails={doc['fails_total']}",
-    ]
-    if doc["m_violations"] is not None:
-        lines.append(f"raw |w|>M pairs: {doc['m_violations']}")
-    if doc["m_lambda_violations"] is not None:
-        lines.append(f"blended |w|>M pairs: {doc['m_lambda_violations']}")
-    lines.append(f"  {'cell':<16}{'pairs':>10}{'first':>10}{'mirrored':>10}"
-                 f"{'fails':>10}  exemplars")
-    for c in doc["cells"]:
-        hold = f"hold={tuple(c['example_hold'])}" if c["example_hold"] else ""
-        fail = f"fail={tuple(c['example_fail'])}" if c["example_fail"] else ""
-        lines.append(f"  {c['cell']:<16}{c['pairs']:>10}{c['holds_first']:>10}"
-                     f"{c['holds_mirrored']:>10}{c['fails']:>10}  {hold} {fail}")
-        if c["weight_tuples"]:
-            combos = " ".join("(" + ",".join(map(str, t)) + ")"
-                              for t in c["weight_tuples"])
-            ratios = ",".join(_cell_str(r) for r in c["ratios"])
-            bsums = ",".join(_cell_str(b) for b in c["b_sums"])
-            lines.append(f"      holding weight tuples: {combos}")
-            lines.append(f"      ratios: {ratios}   B-sums: {bsums}")
-    lines.append(f"elapsed: {report.elapsed_ms} ms")
-    return "\n".join(lines) + "\n"
-
-
-def _render_text_search(doc: dict, result: LambdaSearchResult) -> str:
-    lines = [
-        f"search-lambda: q={doc['params']['q']} "
-        f"A-grid={[ _cell_str(a) for a in doc['params']['A_grid'] ]} "
-        f"theorem {doc['params']['theorem']} condition {doc['params']['condition']}",
-        f"range {result.rng.label()} assignments scored: "
-        f"{doc['assignments_scored']}"
-        + (" (budget exhausted, pruned search)" if doc["budget_exhausted"] else ""),
-        f"best coverage: {doc['covered']}/{doc['total']} "
-        f"({_cell_str(result.coverage)}) at A={_cell_str(result.best_a)}",
-        "best lambda per case:",
-    ]
-    for case in CASE_ORDER:
-        lines.append(f"  {case.label:<12} {_cell_str(result.best_lambda[case.label])}")
-    lines.append("per-cell coverage with this assignment:")
-    for k, (got, tot) in sorted(result.cell_coverage.items()):
-        lines.append(f"  {k:<12} {got}/{tot}")
-    if doc["irreducible_cells"]:
-        lines.append("cells no grid assignment fully covers: "
-                     + ", ".join(doc["irreducible_cells"]))
-    lines.append(f"elapsed: {result.elapsed_ms} ms")
-    return "\n".join(lines) + "\n"
-
-
-def _render_text_orbit(doc: dict, record) -> str:
-    lines = [f"orbit: map {record.map_name} seed {record.seed} cap {doc['cap']}"]
-    if record.steps is None:
-        lines.append(f"did not reach 1 within {doc['cap']} steps; "
-                     f"peak so far {record.peak}")
-    else:
-        lines.append(f"reached 1 after {record.steps} steps; peak {record.peak}")
-    if record.path is not None:
-        lines.append("path: " + " ".join(str(p) for p in record.path))
-    return "\n".join(lines) + "\n"
-
-
-def _render(args, doc: dict, source, as_csv, as_text) -> str:
+def _render(args, doc: dict, source, as_csv, as_text,
+            as_json=_render_json) -> str:
     """`doc` in --format; text also reads the command's result, `source`."""
     if args.format == "json":
-        return _render_json(doc)
+        return as_json(doc)
     if args.format == "csv":
         return as_csv(doc)
     return as_text(doc, source)
@@ -419,29 +300,8 @@ def verification(args, command: str,
                  report: VerificationReport) -> tuple[int, str]:
     """The exit code of a verify or decay report, and its text."""
     doc = _verification_doc(command, report, args.timings)
-    return (0 if report.ok else 1, _render(args, doc, report,
-            _render_csv_verification, _render_text_verification))
+    return (0 if report.ok else 1, _render(
+        args, doc, report, _render_csv_verification,
+        _render_text_verification, _render_json_verification))
 
 
-def coverage(args, report: ConditionCoverageReport) -> str:
-    return _render(args, _coverage_doc(report, args.timings), report,
-                   _render_csv_coverage, _render_text_coverage)
-
-
-def search(args, result: LambdaSearchResult) -> str:
-    return _render(args, _search_doc(result, args.timings), result,
-                   _render_csv_search, _render_text_search)
-
-
-def orbit(args, record) -> str:
-    doc = {
-        "command": "orbit",
-        "map": record.map_name,
-        "seed": record.seed,
-        "cap": args.cap,
-        "steps": record.steps,
-        "peak": record.peak,
-        "reached_one": record.steps is not None,
-        "path": list(record.path) if record.path is not None else None,
-    }
-    return _render(args, doc, record, _render_csv_orbit, _render_text_orbit)

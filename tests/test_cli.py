@@ -550,6 +550,51 @@ def test_environment_is_read_on_every_call(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["pairs_checked"] == 400
 
 
+# help, usage errors (no, an unknown or a half subcommand, an unknown option
+# or argument, an option after "--", an option orbit does not take) and
+# argparse's prefix and "=" forms
+USAGE_ARGV = (
+    [], ["-h"], ["frob"], ["verify"], ["verify", "--max", "5", "--bogus"],
+    ["verify", "--max", "5", "extra"], ["verify", "-h"], ["verify", "--he"],
+    ["verify", "--ma", "5", "--form", "json"], ["verify", "--max=5"],
+    ["verify", "--max", "5", "--", "x"], ["orbit", "--seed", "27", "--timings"],
+)
+
+
+def _parsed(parse, argv):
+    """vars() of parse(argv)'s namespace, or else its exit code, stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+def test_subcommand_parse_matches_the_full_parser():
+    # main parses with the named subcommand's parser alone, and falls back
+    # to the full parser for help and usage errors: every pooled benchmark
+    # request and every usage argv reads as a fresh full parser reads it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    pooled = [list(req.argv) for name in workloads.WORKLOADS
+              for stratum in workloads.pool(name) for req in stratum]
+    assert len(pooled) > 1000
+    exits = []
+    for argv in pooled + list(USAGE_ARGV):
+        want = _parsed(lambda a: cli.build_parser().parse_args(a), argv)
+        assert _parsed(cli._parse_args, argv) == want, argv
+        if isinstance(want, tuple):
+            exits.append(argv)
+    # all but the prefix and "=" forms exit
+    assert exits == [argv for argv in USAGE_ARGV
+                     if argv[1:2] not in (["--ma"], ["--max=5"])]
+
+
 # === entry point ===
 
 def test_console_script_runs():

@@ -18,6 +18,7 @@ from collatzlab.arith import format_rational
 from collatzlab.framework import ConditionParams, LambdaSpec, WeightVector
 from collatzlab.reports import QUANTITY_LABELS
 from collatzlab.verifier import (
+    CaseTally,
     RangeSpec,
     VerificationReport,
     Violation,
@@ -25,7 +26,7 @@ from collatzlab.verifier import (
     m_bound_sweep,
     orbit_decay_sweep,
 )
-from collatzlab.weights import TALLY_KEYS
+from collatzlab.weights import CASE_BY_LABEL, TALLY_KEYS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LIMIT = 2**53
@@ -149,7 +150,35 @@ def _flat(x, y):
     return WeightVector(1, 0, 0, 0, 0, 1)
 
 
+def _edge(pairs, low):
+    """A report without rows whose counts, bounds and tally values sit at
+    the JSON integer limit: pairs_checked, a tally's pairs and max_lhs at
+    `pairs`, the range from `low`, a tally with no max_lhs and one whose
+    label the csv module quotes."""
+    return VerificationReport(
+        op="m-bound", rng=RangeSpec(low, low + 5, low - 2, low + 1),
+        pairs_checked=pairs, per_case={
+            "even-even": CaseTally(pairs, pairs, 2),
+            "odd-1": CaseTally(7, None, None),
+            'say "no", 1%': CaseTally(1, Fraction(-7, 3), 0),
+            "odd-odd:diagonal": CaseTally(pairs + 1, -pairs, pairs)},
+        violations=(), violations_total=0, elapsed_ms=pairs, engine="vector",
+        params={"checks": "mbound", "M": "1"})
+
+
+def _filtered(lo, hi, *labels):
+    return m_bound_sweep(RangeSpec(lo, hi, lo, hi, frozenset(
+        map(CASE_BY_LABEL.get, labels))), Fraction(1), max_violations=100)
+
+
 REPORTS = {
+    "limit-1": lambda: ("verify", _edge(LIMIT - 1, LIMIT - 1)),
+    "limit": lambda: ("verify", _edge(LIMIT, LIMIT)),
+    "beyond-limit": lambda: ("decay", _edge(2**70, LIMIT + 1)),
+    # a case filter on a range across the limit, and one that leaves no pair
+    "case-filter": lambda: ("verify", _filtered(LIMIT - 9, LIMIT + 9,
+                                                "odd-odd", "even-even")),
+    "empty-filter": lambda: ("verify", _filtered(2, 2, "odd-odd")),
     "mbound-near": lambda: ("verify", _mbound(1, 60, Fraction(1), 500)),
     "mbound-3/2": lambda: ("verify", _mbound(10**6, 40, Fraction(3, 2), 300)),
     "mbound-far": lambda: ("verify", _mbound(2**60, 30, Fraction(1), 200)),
@@ -166,10 +195,17 @@ def test_verification_writers_match_the_per_dict_writers(name, timings):
     command, report = REPORTS[name]()
     doc = render._verification_doc(command, report, timings)
     old = ref_doc(doc)
-    assert render._render_json(doc) == ref_render_json(old)
+    assert render._render_json_verification(doc) == ref_render_json(old)
     assert render._render_csv_verification(doc) == ref_render_csv(old)
     assert (render._render_text_verification(doc, report)
             == ref_render_text(old, report))
+
+
+def test_edge_reports_hold_what_they_cover():
+    assert not REPORTS["empty-filter"]()[1].per_case
+    report = REPORTS["case-filter"]()[1]
+    assert report.per_case and report.violations
+    assert len(report.rng.cases) == 2
 
 
 # --- the row writer on generated rows -------------------------------------------
@@ -204,7 +240,7 @@ def test_row_writer_matches_the_per_row_writers(heads, picks):
         elapsed_ms=0, engine="vector")
     doc = render._verification_doc("verify", report, False)
     old = ref_doc(doc)
-    assert render._render_json(doc) == ref_render_json(old)
+    assert render._render_json_verification(doc) == ref_render_json(old)
     assert render._render_csv_verification(doc) == ref_render_csv(old)
     assert (render._render_text_verification(doc, report)
             == ref_render_text(old, report))
@@ -277,7 +313,7 @@ def test_kept_runs_write_and_read_as_their_expanded_rows(groups):
         elapsed_ms=0, engine="vector")
     doc = render._verification_doc("verify", report, False)
     old = ref_doc(dict(doc, violations=reference))
-    assert render._render_json(doc) == ref_render_json(old)
+    assert render._render_json_verification(doc) == ref_render_json(old)
     assert render._render_csv_verification(doc) == ref_render_csv(old)
     assert (render._render_text_verification(doc, report)
             == ref_render_text(old, report))
@@ -299,7 +335,8 @@ def test_sparse_rows_take_memory_by_their_rows_not_their_y_span():
     doc = render._verification_doc("verify", report, False)
     tracemalloc.start()
     try:
-        texts = (render._render_json(doc), render._render_csv_verification(doc),
+        texts = (render._render_json_verification(doc),
+                 render._render_csv_verification(doc),
                  render._render_text_verification(doc, report))
         rows = tuple(kept)
         peak = tracemalloc.get_traced_memory()[1]

@@ -870,6 +870,11 @@ def _drawn_spans(draw):
                                               (10, 30, 11)))
 @example(entry=(2, -7, 3, 0, 1, -2), span=(13, 19, (1, 2, 1), (11, 7, 10)))
 @example(entry=(-5, 40, 3, 0, -9, 1), span=(13, 19, (10, 4, 11), (1, 9, 1)))
+# concave rows of one (the x = 1 rows of the rectangles), between first and
+# last columns that are one column or several around the vertex
+@example(entry=(-3, 20, 1, 0, 0, 0), span=(0, 0, (0, 9, 1), (0, 9, 1)))
+@example(entry=(-2, 30, -1, 5, 0, 1), span=(0, 0, (0, 1, 1), (0, 60, 1)))
+@example(entry=(-1, -7, 2, 3, 1, 0), span=(40, 40, (0, 2, 1), (0, 50, 1)))
 def test_span_maxima_are_the_largest_value_of_each_row(entry, span):
     # the segments of a span (_maxima: its ends where the form is convex or
     # linear in l, its pieces where concave) hold only its rows, the largest
