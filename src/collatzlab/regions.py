@@ -23,7 +23,9 @@ region is at most three spans (k0, k1, start, end) per stretch, of width
 at least 1 throughout (_spans), and a span's pairs are the sums of its
 ends over k (_floor_sum), O(r) each. A region costs O(1), at any size.
 The rows that a sweep must walk read their intervals off the same spans,
-one floor term per end (_row_walk).
+one floor term per end (_row_walk). A region whose flag is a constant (each
+of mbound's) carries it, so the walk makes its runs with no call per row
+and cell; other regions' flags come from a visitor.
 """
 from __future__ import annotations
 
@@ -174,59 +176,92 @@ def _head_runs(runs: list, room: int) -> list:
     return [(run[0][:n],) + run[1:] for run, n in zip(runs, heads(lo)) if n]
 
 
-def _row_walk(regions: Iterable, rows: Iterable[int], visit: Callable,
-              found: _Findings, until_full: bool = False) -> None:
+def _row_walk(regions: Iterable, rows: Iterable[int],
+              visit: Optional[Callable], found: _Findings,
+              until_full: bool = False) -> None:
     """Walk the ascending rows `rows` over cell regions (cell, pick, row
-    class, column, spans) as _cell_spans lays them out. In a row x at k (x
-    = 1 is k = 0), each span of its row class that holds k gives its cell
-    the interval [start(k), end(k)] of l, and visit(x, k, cell, pick,
-    column, lo, hi) returns the flags there as (key, quantity, ranges of l,
-    value): a constant, or a function of l where it changes along the
-    range. Every flag is counted; the first `found.cap` in report order (x,
-    y, quantity) are kept as runs of y (ViolationRows), a range of l with a
-    constant value as one run and any other as runs of one. A row keeps
-    only the runs up to the y at which the cap is full (_head_runs), and
-    builds no row. With until_full the walk ends after the row that fills
-    the cap."""
+    class, column, spans) as _cell_spans lays them out, each with an
+    optional flag appended. In a row x at k (x = 1 is k = 0), each span of
+    its row class that holds k gives its cell the interval [start(k),
+    end(k)] of l. A region's flag, a constant (key, quantity, value), flags
+    that whole interval; where it has none, visit(x, k, cell, pick, column,
+    lo, hi) returns the flags there as (key, quantity, ranges of l, value):
+    a constant, or a function of l where it changes along the range. Every
+    flag is counted; the first `found.cap` in report order (x, y, quantity)
+    are kept as runs of y (ViolationRows), a range of l with a constant
+    value as one run and any other as runs of one. Adjacent runs of one
+    flag (one object, which regions may share) whose ys continue at one
+    step are one run, and a row is put in quantity order only where its
+    flags hold several quantities. A row keeps only the runs up to the y at
+    which the cap is full (_head_runs), and builds no row. With until_full
+    the walk ends after the row that fills the cap."""
     # per row class, its spans in l order within a row: cases in order,
     # and the odd-odd cells as _REGIONS lists them
     by_class: tuple = ([], [], [])
-    for cell, pick, rx, column, spans in regions:
-        by_class[rx].extend((span, cell, pick, column) for span in spans)
+    quantities = set()
+    for cell, pick, rx, column, spans, *flag in regions:
+        flag = flag[0] if flag else None
+        quantities.add(None if flag is None else flag[1])
+        by_class[rx].extend(
+            (k0, k1, *start, *end, column[0], column[1], flag, cell, pick,
+             column) for k0, k1, start, end in spans)
+    # a row of one quantity is in report order as it is found
+    ordered = len(quantities) == 1 and None not in quantities
     for x in rows:
         k = x >> 1
-        room = found.cap - len(found.kept)
+        room = found.cap - found.kept.count
         flagged = 0
         runs: list = []
-        for (k0, k1, start, end), cell, pick, column in by_class[
-                0 if x == 1 else 1 + (x & 1)]:
+        # the flag of the last run, and whether a visitor gave a run
+        last = visited = None
+        for (k0, k1, p, q, r, u, v, w, ys, yp, flag, cell, pick,
+             column) in by_class[0 if x == 1 else 1 + (x & 1)]:
             if not k0 <= k <= k1:
                 continue
-            (p, q, r), (u, v, w) = start, end
-            ys, yp = column[0], column[1]
+            lo, hi = (p * k + q) // r, (u * k + v) // w
+            if flag is not None:
+                flagged += hi - lo + 1
+                if room:
+                    # the column y = 1 is one point, with yp = 0
+                    y0, step = ys + yp * lo, yp or 1
+                    if flag is last:
+                        run = runs[-1][0]
+                        if run.step == step and run[-1] + step == y0:
+                            runs[-1] = (range(run.start, ys + yp * hi + 1,
+                                              step), *flag, None)
+                            continue
+                    runs.append((range(y0, ys + yp * hi + 1, step), *flag,
+                                 None))
+                    last = flag
+                continue
+            last = None
             for key, quantity, ranges, value in visit(
-                    x, k, cell, pick, column, (p * k + q) // r,
-                    (u * k + v) // w):
+                    x, k, cell, pick, column, lo, hi):
                 for lo, hi in ranges:
                     flagged += hi - lo + 1
                     if room:
-                        # the column y = 1 is one point, with yp = 0
+                        visited = True
                         runs.append((range(ys + yp * lo, ys + yp * hi + 1,
-                                           yp or 1), lo, key, quantity, value))
+                                           yp or 1), key, quantity, value,
+                                     lo))
         if flagged:
             if flagged > room and runs:
                 runs = _head_runs(runs, room)
-            kept: list = []
-            for ys, lo, key, quantity, value in runs:
-                if callable(value):
-                    kept += ((range(y, y + 1), key, quantity, value(l), None)
-                             for y, l in zip(ys, range(lo, lo + len(ys))))
-                else:
-                    kept.append((ys, key, quantity, value, None))
-            # in quantity order, the order of one pair's rows at its y
-            kept.sort(key=itemgetter(2))
-            found.add_runs(x, flagged, kept)
-            if until_full and len(found.kept) == found.cap:
+            if visited:
+                kept: list = []
+                for ys, key, quantity, value, lo in runs:
+                    if callable(value):
+                        kept += ((range(y, y + 1), key, quantity, value(l),
+                                  None) for y, l in zip(
+                                      ys, range(lo, lo + len(ys))))
+                    else:
+                        kept.append((ys, key, quantity, value, None))
+                runs = kept
+            if not ordered:
+                # in quantity order, the order of one pair's rows at its y
+                runs.sort(key=itemgetter(2))
+            found.add_runs(x, flagged, runs)
+            if until_full and found.kept.count == found.cap:
                 return
 
 
@@ -236,34 +271,35 @@ def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
     on it (the diagonal's per d = k - l), so a cell whose largest |w|
     (_direct_table) exceeds M flags every pair of its region: pair counts
     and the flag total are its spans' sums. Only the kept flags are found
-    by walking rows over those regions (_row_walk), from x_min until
-    min(cap, total) are kept."""
+    by walking rows over those regions (_row_walk), each carrying its
+    constant flag, from x_min until min(cap, total) are kept."""
     # an integer weight exceeds M exactly when it exceeds floor(M)
     m_floor = m_cap.numerator // m_cap.denominator
     table = _direct_table(weights.CELL_WEIGHTS)
     per_case: dict = {}
     cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
     flagged: list = []
+    flags: dict = {}
     done = total = 0
     for region in _cell_spans(rng, cases):
         cell, pick, _, _, spans = region
         n = sum(map(_pairs, spans))
         _tally(per_case, cell).pairs += n
         done += n
-        if _entry(table, cell, pick)[6] > m_floor:
+        top = _entry(table, cell, pick)[6]
+        if top > m_floor:
             total += n
-            flagged.append(region)
+            # the diagonal's picks of one value share their flag, so that
+            # the walk joins their runs
+            flagged.append(region + (flags.setdefault((cell, top), (
+                TALLY_KEYS[cell], QUANTITY_LABELS[CHECK_MBOUND], top)),))
         passed = done // PROGRESS_STRIDE > (done - n) // PROGRESS_STRIDE
         if progress is not None and passed:
             progress(done)
 
-    def visit(x, k, cell, pick, column, lo, hi) -> list:
-        return [(TALLY_KEYS[cell], QUANTITY_LABELS[CHECK_MBOUND], [(lo, hi)],
-                 _entry(table, cell, pick)[6])]
-
     head = _Findings(min(found.cap - len(found.kept), total))
     if head.cap:
-        _row_walk(flagged, range(rng.x_min, rng.x_max + 1), visit, head,
+        _row_walk(flagged, range(rng.x_min, rng.x_max + 1), None, head,
                   until_full=True)
     found.total += total
     for group in head.kept.groups:

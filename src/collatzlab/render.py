@@ -12,9 +12,11 @@ once by the csv module (_csv_labels); other documents go through the
 generic indent-2 writer (_render_json).
 Verification reports keep their rows as runs of y that share every other
 field (verifier.ViolationRows), and one row writer (_rows) serves JSON, CSV
-and text: it formats the texts around y once per run and joins the y texts
-between them, building no Violation row. format_rational, which
-perfbench/tracing.py wraps on cli, is looked up there at call time.
+and text: it formats the texts around x and y once per distinct run head
+in a report and lays the y texts out between them, building no Violation
+row. format_rational, which perfbench/tracing.py wraps on cli, is looked up
+there at call time (_rational), and cli only then imported, since cli
+imports this module.
 """
 
 from __future__ import annotations
@@ -22,18 +24,32 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
-from . import cli
+from .reports import _layout, _merge
 from .verifier import RangeSpec, VerificationReport, ViolationRows
 
 JSON_INT_LIMIT = 2**53
 
 
 # --- exact JSON/CSV encoding -------------------------------------------------
+
+_CLI = __package__ + ".cli"
+
+
+def _rational(value: Fraction) -> str:
+    """The "p/q" text of a rational from cli.format_rational, looked up on
+    cli at call time (perfbench/tracing.py wraps it there). cli imports
+    this module, so cli is imported here, where a rational is written, and
+    not while this module loads."""
+    cli = sys.modules.get(_CLI)
+    if cli is None:
+        from . import cli
+    return cli.format_rational(value)
+
 
 def _leaf(value) -> str:
     """JSON text of a scalar: integers of magnitude >= 2**53 as decimal
@@ -51,67 +67,114 @@ def _leaf(value) -> str:
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, Fraction):
-        return _quote(cli.format_rational(value))
+        return _quote(_rational(value))
     raise TypeError(f"cannot encode {type(value).__name__} exactly")
 
 
 # --- violation rows ------------------------------------------------------------
 # A report keeps its rows as runs (verifier.ViolationRows): per row x, ranges
 # of y whose rows share the head (x, case, quantity, value, z). A writer's
-# line(x, case, quantity, value, z) gives the texts before and after y once
-# per run; where the kept ys span no more values than there are rows, each y
-# is formatted once, into a table that runs slice. A row x of one run is one
+# line(case, quantity, value, z) gives the texts around x and y, formatted
+# once per distinct head in a report; each row puts its x text between them.
+# Where the kept ys span no more values than there are rows, each y is
+# formatted once, into a table that runs slice. A row x of one run is one
 # join of its y texts with after + before between them. A row whose runs
-# interleave (even and odd columns, the column y = 1, several quantities at
-# one y) is laid out in y slots and joined once (reports._merge); only one
-# whose slots would outnumber its rows takes a stable index sort on y.
+# interleave without sharing a y (even and odd columns, the column y = 1) is
+# laid out in two slots per y (reports._merge): the y and the text after it
+# where the row's texts before y agree (CSV rows, rows of one quantity in
+# text), else the text before y and the y where its texts after y agree
+# (JSON rows of one z). Other rows (several quantities at one y, or texts
+# that agree on neither side) take three slots per y, and one whose slots
+# would outnumber its rows a stable index sort on y. Every piece goes to the
+# report's one output list.
 
 
 def _rows(out: list, rows: ViolationRows, line: Callable,
           leaf: bool = False) -> None:
     """Append the report lines of kept rows to `out` as pieces; with leaf,
-    ys from the JSON integer limit on are written as _leaf writes them."""
+    x and the ys from the JSON integer limit on are written as _leaf writes
+    them."""
     columns = [run[0] for _, _, runs in rows.groups for run in runs]
     if not columns:
         return
-    lo, hi = min(ys[0] for ys in columns), max(ys[-1] for ys in columns)
+    lo = min([ys.start for ys in columns])
+    hi = max([ys[-1] for ys in columns])
     text = _leaf if leaf and hi >= JSON_INT_LIMIT else str
     if hi - lo < len(rows):
         table = list(map(text, range(lo, hi + 1)))
 
         def texts(ys: range) -> list:
-            return table[ys[0] - lo:ys[-1] - lo + 1:ys.step]
+            return table[ys.start - lo:ys.stop - lo:ys.step]
     else:
         def texts(ys: range):
             return map(text, ys)
+    heads: dict = {}
 
-    def one(x: int, ys: range, *head) -> tuple:
-        before, after = line(x, *head)
-        return before, (after + before).join(texts(ys)), after
+    def head(run: tuple) -> tuple:
+        _, case, quantity, value, z = run
+        # 2 == Fraction(2), with one hash, yet the two are written apart
+        key = (case, quantity, value, type(value), z)
+        found = heads.get(key)
+        if found is None:
+            found = heads[key] = line(case, quantity, value, z)
+        return found
 
-    def pieces(x: int, ys: range, *head) -> tuple:
-        before, after = line(x, *head)
-        return [before] * len(ys), texts(ys), [after] * len(ys)
-    out += chain.from_iterable(rows.each(one, pieces, 3))
+    x_text = _leaf if leaf else str
+    for x, n, runs in rows.groups:
+        xs = x_text(x)
+        if len(runs) == 1:
+            run = runs[0]
+            pre, mid, after = head(run)
+            before = pre + xs + mid
+            out += before, (after + before).join(texts(run[0][:n])), after
+            continue
+        lines = list(map(head, runs))
+        layout = _layout(runs)
+        pre, mid, after = lines[0]
+        if layout[3] == 1 and all(t[0] == pre and t[1] == mid for t in lines):
+            before = pre + xs + mid
+            slots = _merge(n, runs, [
+                (texts(run[0]), [t[2] + before] * len(run[0]))
+                for run, t in zip(runs, lines)], 2, layout)
+            # the row's last y is followed by its own text after y alone
+            slots[-1] = slots[-1][:-len(before)]
+            out.append(before)
+            out += slots
+        elif layout[3] == 1 and all(t[2] == after for t in lines):
+            slots = _merge(n, runs, [
+                ([after + t[0] + xs + t[1]] * len(run[0]), texts(run[0]))
+                for run, t in zip(runs, lines)], 2, layout)
+            # no row comes before the row's first y to end with a text
+            # after y
+            slots[0] = slots[0][len(after):]
+            out += slots
+            out.append(after)
+        else:
+            out += _merge(n, runs, [
+                ([t[0] + xs + t[1]] * len(run[0]), texts(run[0]),
+                 [t[2]] * len(run[0])) for run, t in zip(runs, lines)], 3,
+                layout)
 
 
 @functools.cache
 def _row_template(nl: str) -> tuple:
-    """%-templates of a JSON Violation row whose own line starts with `nl`,
-    from the comma before it: its text before y and after y."""
+    """Templates of a JSON Violation row whose own line starts with `nl`,
+    from the comma before it: its text before x (a %-template of case,
+    quantity and value), between x and y, and after y (of z)."""
     inner = nl + "  "
     return ("," + nl + "{" + "".join(
-        f'{inner}"{name}": %s,' for name in ("case", "quantity", "value", "x"))
-        + inner + '"y": ', "," + inner + '"z": %s' + nl + "}")
+        f'{inner}"{name}": %s,' for name in ("case", "quantity", "value"))
+        + inner + '"x": ', "," + inner + '"y": ',
+        "," + inner + '"z": %s' + nl + "}")
 
 
 def _json_rows(out: list, rows: ViolationRows, nl: str) -> None:
     """Append the JSON text of kept rows, as _json lays out a list."""
-    before, after = _row_template(nl + "  ")
+    before, mid, after = _row_template(nl + "  ")
 
-    def line(x, case, quantity, value, z) -> tuple:
-        return (before % (_quote(case), _quote(quantity), _leaf(value),
-                          _leaf(x)), after % _leaf(z))
+    def line(case, quantity, value, z) -> tuple:
+        return (before % (_quote(case), _quote(quantity), _leaf(value)), mid,
+                after % _leaf(z))
 
     first = len(out)
     _rows(out, rows, line, leaf=True)
@@ -145,7 +208,7 @@ def _cell_str(value) -> str:
     if value is None:
         return ""
     if isinstance(value, Fraction):
-        return cli.format_rational(value)
+        return _rational(value)
     return str(value)
 
 
@@ -242,10 +305,10 @@ def _csv_labels(*labels: str) -> str:
     return _csv(["", *labels, ""], ())[1:-2]
 
 
-def _csv_row(x, case, quantity, value, z) -> tuple:
-    """A CSV violation row around its y: numbers written with str as the csv
-    module writes them (a Fraction as "p/q"), and None as ""."""
-    return ("violation," + str(x) + ",",
+def _csv_row(case, quantity, value, z) -> tuple:
+    """A CSV violation row around its x and y: numbers written with str as
+    the csv module writes them (a Fraction as "p/q"), and None as ""."""
+    return ("violation,", ",",
             "," + ("" if z is None else str(z)) + ","
             + _csv_labels(case, quantity) + ","
             + ("" if value is None else str(value)) + ",,,\n")
@@ -261,9 +324,9 @@ def _render_csv_verification(doc: dict) -> str:
     return "".join(out)
 
 
-def _text_row(x, case, quantity, value, z) -> tuple:
-    """A text violation line around its y."""
-    return (f"  {quantity} at ({x}, ", ")" + (f" z={z}" if z else "")
+def _text_row(case, quantity, value, z) -> tuple:
+    """A text violation line around its x and y."""
+    return (f"  {quantity} at (", ", ", ")" + (f" z={z}" if z else "")
             + f" [{case}] value={_cell_str(value)}\n")
 
 

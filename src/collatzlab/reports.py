@@ -1,14 +1,17 @@
 """Sweep reports over pair ranges: the range, the violation rows a report
 keeps (as runs of y, read as a tuple of Violation rows), the per-cell
 tallies, and merge_reports, which joins reports over disjoint ranges of one
-sweep so that partitioned runs reproduce the single-run report."""
+sweep so that partitioned runs reproduce the single-run report. A row x of
+several runs is put in y order by laying its pieces out in y slots
+(_layout, _merge), which the row writer (render._rows) and the first read
+of the rows share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .weights import CELL_BOUNDS, TALLY_KEYS, ParityCase
 
@@ -93,7 +96,7 @@ class ViolationRows:
     on the first read. They are held per row x as (x, n, runs), each run
     (ys, case, quantity, value, z) the rows at the y of a nonempty ascending
     range ys: x's rows are the runs' points by y, ties in run order, and the
-    first n of them. Writers format the runs without building rows (each)."""
+    first n of them. Writers format the runs without building rows."""
 
     def __init__(self, groups: Optional[list] = None, count: int = 0) -> None:
         self.groups = [] if groups is None else groups
@@ -105,27 +108,21 @@ class ViolationRows:
         self.count += n
         self._rows = None
 
-    def each(self, one: Callable, pieces: Callable, width: int) -> Iterable:
-        """Per row x, the pieces of its rows in order. one(x, ys, *head)
-        gives those of a row of one run, its ys cut at the row's count;
-        pieces(x, ys, *head) gives `width` sequences over a run's ys, a row's
-        pieces being one from each, and none of them empty or None. A row of
-        several runs is put in order by y (_merge)."""
-        for x, n, runs in self.groups:
-            if len(runs) == 1:
-                ys, *head = runs[0]
-                yield one(x, ys[:n], *head)
-            else:
-                yield _merge(x, n, runs, pieces, width)
-
     def _read(self) -> tuple:
         if self._rows is None:
             row = partial(tuple.__new__, Violation)
 
             def rows(x, ys, *head):
                 return map(row, zip(repeat(x), ys, *map(repeat, head)))
+
+            def read(x, n, runs):
+                if len(runs) == 1:
+                    ys, *head = runs[0]
+                    return rows(x, ys[:n], *head)
+                return _merge(n, runs, [(rows(x, *run),) for run in runs], 1,
+                              _layout(runs))
             self._rows = tuple(chain.from_iterable(
-                self.each(rows, lambda *run: (rows(*run),), 1)))
+                read(*group) for group in self.groups))
         return self._rows
 
     def __len__(self) -> int:
@@ -153,36 +150,49 @@ class ViolationRows:
         return repr(self._read())
 
 
-def _merge(x: int, n: int, runs: list, pieces: Callable,
-           width: int) -> Iterable:
-    """The pieces of row x's first n rows, by y with ties in run order.
-    Each y gets one slot of `width` pieces, or one per run where two runs
-    share a y. A run fills its slots by extended-slice assignment on its
-    range, and the row is read past the empty slots and cut at n. A row
-    whose slots would outnumber its rows SPARSE_SPAN times over (scattered
-    runs of one) is put in order by a stable index sort on y instead."""
-    total = sum(len(run[0]) for run in runs)
-    lo = min(run[0][0] for run in runs)
-    span = max(run[0][-1] for run in runs) - lo + 1
-    layers = 1
-    if span <= SPARSE_SPAN * total:
-        # the ys the runs cover: fewer than their rows where two share a y
-        marks = bytearray(span)
-        for ys, *_ in runs:
-            marks[ys[0] - lo:ys[-1] - lo + 1:ys.step] = b"\1" * len(ys)
-        if span - marks.count(0) < total:
-            layers = len(runs)
+def _layout(runs: list) -> tuple:
+    """(lo, span, total, layers) of a row of several runs (ys, ...): its
+    least y, the span of its ys, its rows, and the slots each y takes: one
+    where no two runs share a y, one per run where two do, and none where
+    those slots would outnumber the rows SPARSE_SPAN times over."""
+    columns = [run[0] for run in runs]
+    total = sum(map(len, columns))
+    lo = min([ys.start for ys in columns])
+    span = max([ys[-1] for ys in columns]) - lo + 1
+    if span > SPARSE_SPAN * total:
+        return lo, span, total, 0
+    # the ys the runs cover: fewer than their rows where two share a y
+    marks = bytearray(span)
+    for ys in columns:
+        marks[ys.start - lo:ys.stop - lo:ys.step] = b"\1" * len(ys)
+    layers = 1 if span - marks.count(0) == total else len(runs)
     if span * layers > SPARSE_SPAN * total:
+        layers = 0
+    return lo, span, total, layers
+
+
+def _merge(n: int, runs: list, pieces: list, width: int,
+           layout: tuple) -> Iterable:
+    """The pieces of a row's first n rows, by y with ties in run order:
+    pieces holds per run `width` sequences over its ys, a row's pieces
+    being one from each, none of them empty or None. Each y gets the slots
+    of its layout (_layout), `width` pieces each, and a run fills its slots
+    by extended-slice assignment on its range; the row is read past the
+    empty slots and cut at n. A row with no layers (scattered runs of one)
+    is put in order by a stable index sort on y instead."""
+    lo, span, total, layers = layout
+    if not layers:
         ys = list(chain.from_iterable(run[0] for run in runs))
-        rows = list(chain.from_iterable(zip(*pieces(x, *run)) for run in runs))
+        rows = list(chain.from_iterable(zip(*seqs) for seqs in pieces))
         return chain.from_iterable(map(rows.__getitem__, islice(
             sorted(range(len(ys)), key=ys.__getitem__), n)))
     slots = [None] * (span * layers * width)
-    for layer, (ys, *head) in enumerate(runs):
+    for layer, (run, seqs) in enumerate(zip(runs, pieces)):
+        ys = run[0]
         step = ys.step * layers * width
-        at = ((ys[0] - lo) * layers + (layer if layers > 1 else 0)) * width
+        at = ((ys.start - lo) * layers + (layer if layers > 1 else 0)) * width
         end = len(ys) * step
-        for k, seq in enumerate(pieces(x, ys, *head), at):
+        for k, seq in enumerate(seqs, at):
             slots[k:k + end:step] = seq
     if span * layers > total:
         slots = [*filter(None, slots)]

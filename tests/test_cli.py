@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -657,6 +658,23 @@ def test_runs_on_the_standard_library_alone(capsys):
     for argv, got in zip(STDLIB_REQUESTS, results):
         code, out, _ = run_cli(argv + ["--format", "json"], capsys)
         assert got == [code, out], argv
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in (SRC / "collatzlab").glob("*.py")))
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # no import cycle leaves a module half made when it is the first one
+    # a program imports
+    name = "collatzlab" if module == "__init__" else f"collatzlab.{module}"
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", f"import {name}"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_invocation_matches_entry_point():

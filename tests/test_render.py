@@ -305,6 +305,12 @@ def kept_rows(groups):
 @example([(3, [(range(1, 2), "even-1", "weight-above-M", 1, None),
                (range(10**12 + 1, 10**12 + 2), "even-odd", "weight-above-M",
                 2, None)], 2)])
+# two rows that share a head but for the type of its value: 2 and 2/1 are
+# equal and hash alike, yet JSON writes them apart, so each row formats its
+# own head
+@example([(5, [(range(1, 4), "odd-even", "weight-above-M", 2, None)], 3),
+          (6, [(range(1, 4), "odd-even", "weight-above-M", Fraction(2, 1),
+                None)], 3)])
 def test_kept_runs_write_and_read_as_their_expanded_rows(groups):
     kept, reference = kept_rows(groups)
     report = VerificationReport(
@@ -349,6 +355,35 @@ def test_sparse_rows_take_memory_by_their_rows_not_their_y_span():
     assert rows == reference
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("lo, hi, m_cap, cap", [
+    (1, 1269, Fraction(3, 2), 8902),
+    (36008368538203, 36008368538309, Fraction(3, 2), 5601),
+    (1, 3000, Fraction(1), 10**5),
+], ids=["near", "far", "ci-100k"])
+def test_writing_kept_rows_does_not_double_the_report(lo, hi, m_cap, cap,
+                                                      fmt):
+    # the largest near and far findings requests of the benchmark pool and
+    # the CI's 10^5-row request: every piece of the rows goes to the
+    # report's one output list, so the writer's peak stays below two copies
+    # of the text, which per-row joined strings would reach
+    report = m_bound_sweep(RangeSpec.square(hi, lo=lo), m_cap,
+                           max_violations=cap)
+    assert len(report.violations) == cap
+    doc = render._verification_doc("verify", report, False)
+    write = {"json": lambda: render._render_json_verification(doc),
+             "csv": lambda: render._render_csv_verification(doc),
+             "text": lambda: render._render_text_verification(doc, report)}
+    tracemalloc.start()
+    try:
+        text = write[fmt]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("weight-above-M") == cap
+    assert peak < 2 * len(text)
+
+
 LABEL_CASES = (*TALLY_KEYS, "a,b", 'say "no"', "100%", "%s", "", "x\ny")
 LABEL_QUANTITIES = (*QUANTITY_LABELS.values(), "a,b", 'say "no"', "%%", "")
 
@@ -359,11 +394,11 @@ def test_csv_row_heads_match_the_csv_module(value):
     for case in LABEL_CASES:
         for quantity in LABEL_QUANTITIES:
             for x, z in ((1, None), (2**70, 0), (5, -1)):
-                before, after = render._csv_row(x, case, quantity, value, z)
+                pre, mid, after = render._csv_row(case, quantity, value, z)
                 buf = io.StringIO()
                 csv.writer(buf, lineterminator="\n").writerow(
                     ["violation", x, 7, z, case, quantity, value, "", "", ""])
-                assert before + "7" + after == buf.getvalue()
+                assert pre + str(x) + mid + "7" + after == buf.getvalue()
 
 
 def test_reports_cover_every_kind_of_violation_value():

@@ -680,18 +680,43 @@ def test_mbound_matches_the_oracle_at_every_cap(where, m_cap, patched,
         assert report.violations == full.violations[:cap]
 
 
+def test_a_far_mbound_head_joins_the_runs_of_one_head():
+    # far out, an odd row flags its high band, the diagonal's three points
+    # and its low band: the points share one head, so the walk joins them
+    # into one run, and no row keeps two adjacent runs of one head whose ys
+    # continue at one step
+    lo = 36008368538203
+    rng = RangeSpec.square(lo + 106, lo=lo)
+    full = oracle(m_bound_sweep, rng, Fraction(3, 2), max_violations=10**6)
+    total = full.violations_total
+    for cap in (1, 7, 100, total):
+        report = m_bound_sweep(rng, Fraction(3, 2), max_violations=cap)
+        groups = report.violations.groups
+        for x, _, runs in groups:
+            for (a, *head), (b, *after) in zip(runs, runs[1:]):
+                assert not (head == after and a.step == b.step
+                            and a[-1] + a.step == b[0]), (cap, x)
+        if cap > 100:
+            assert any(run[1] == "odd-odd:diagonal" and len(run[0]) == 3
+                       for _, _, runs in groups for run in runs)
+        assert report.violations == full.violations[:cap]
+        assert same_report(report, oracle(m_bound_sweep, rng, Fraction(3, 2),
+                                          max_violations=cap))
+
+
 @pytest.fixture
 def walked_rows(monkeypatch):
-    """The rows x that the region sweeps' row walk (_row_walk) hands to its
-    visitor, in order."""
+    """The rows x that the region sweeps' row walk (_row_walk) walks, in
+    order."""
     rows = []
     real = regions._row_walk
 
-    def spy(cell_regions, xs, visit, found, *args, **kwargs):
-        def seen(x, *rest):
-            rows.append(x)
-            return visit(x, *rest)
-        return real(cell_regions, xs, seen, found, *args, **kwargs)
+    def spy(cell_regions, xs, *args, **kwargs):
+        def seen():
+            for x in xs:
+                rows.append(x)
+                yield x
+        return real(cell_regions, seen(), *args, **kwargs)
 
     monkeypatch.setattr(regions, "_row_walk", spy)
     monkeypatch.setattr(maxima, "_row_walk", spy)
