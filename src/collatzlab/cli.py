@@ -10,10 +10,12 @@ is byte-identical across runs and any --jobs value: rationals render as
 "p/q" strings, integers beyond 53-bit magnitude as decimal strings, and
 timings are redacted unless --timings is given.
 
-main parses argv with the parser of the subcommand that argv[0] names, as
-the full parser would hand it on, and runs the full parser only when argv
-is empty, names no subcommand or leaves arguments over: help, usage errors
-and their exit code 2 are argparse's own text either way.
+Each subcommand's options are declared once, in options.py. main reads
+argv off that table (options.decode) into the namespace the argparse
+parser built from it would return; an argv the table reader declines
+(help, a usage error, a prefix or --opt=value form, a value starting
+with "-") goes to argparse, which is imported only then, so help, usage
+errors and their exit code 2 are argparse's own.
 
 Every verify mode reads whole cell regions, at O(cells x period) cost plus
 the rows that flag, so verify takes any side; conditions and search-lambda
@@ -22,7 +24,6 @@ still walk every pair and keep the desk-scale gate (--allow-large).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
@@ -33,10 +34,9 @@ from .arith import (  # noqa: F401 - perfbench/tracing.py wraps format_rational
     format_rational,
     parse_rational,
 )
-from .collatz import DEFAULT_CAP, stopping_time
+from .collatz import stopping_time
 from .framework import ConditionId, ConditionParams, LambdaSpec
 from .verifier import (
-    DEFAULT_SEARCH_BUDGET,
     RangeSpec,
     condition_coverage,
     cross_check_simplified,
@@ -53,11 +53,8 @@ if __name__ == "__main__":
     # collatzlab.cli, which is then this module, not a second copy of it
     sys.modules.setdefault(__spec__.name, sys.modules[__name__])
 
-from . import render, writers  # noqa: E402 - after the alias above
-
-DESK_SCALE_MAX = 10_000
-
-ENV_OUTPUT = "COLLATZLAB_OUTPUT"
+from . import options, render  # noqa: E402 - after the alias above
+from .options import DESK_SCALE_MAX, ENV_OUTPUT  # noqa: E402
 
 
 class UsageError(ValueError):
@@ -194,6 +191,7 @@ def cmd_conditions(args) -> tuple[int, str]:
                                 corrected_c4=args.corrected_c4,
                                 m_lambda=args.m_lambda,
                                 progress=_progress_printer(args))
+    from . import writers
     return 0, writers.coverage(args, report)
 
 
@@ -203,6 +201,7 @@ def cmd_orbit(args) -> tuple[int, str]:
     if args.cap < 1:
         raise UsageError(f"--cap must be >= 1, got {args.cap}")
     record = stopping_time(args.map, args.seed, args.cap, keep_path=args.path)
+    from . import writers
     return 0 if record.steps is not None else 1, writers.orbit(args, record)
 
 
@@ -221,6 +220,7 @@ def cmd_search(args) -> tuple[int, str]:
     if result.budget_exhausted:
         print("note: search budget exhausted; each case group kept only its "
               "top candidates, which hold the best assignment", file=sys.stderr)
+    from . import writers
     return 0, writers.search(args, result)
 
 
@@ -239,147 +239,38 @@ def cmd_decay(args) -> tuple[int, str]:
     return render.verification(args, "decay", report)
 
 
-# --- parser --------------------------------------------------------------------
+# --- argv ----------------------------------------------------------------------
 
-def _add_output(sub):
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--output", default=None,
-                     help=f"write the report here (default stdout, env {ENV_OUTPUT})")
-
-
-def _add_sweep(sub, with_range=True):
-    """--format, --output, --timings, --progress and the pair range."""
-    _add_output(sub)
-    sub.add_argument("--timings", action="store_true",
-                     help="include elapsed_ms in JSON/CSV (breaks byte-for-byte "
-                          "reproducibility)")
-    sub.add_argument("--progress", action="store_true",
-                     help="print progress to stderr")
-    if with_range:
-        sub.add_argument("--max", type=int, required=True,
-                         help="upper bound for both coordinates")
-        sub.add_argument("--min", type=int, default=1)
-        sub.add_argument("--case", action="append", default=None,
-                         metavar="LABEL",
-                         help="restrict to a parity case (repeatable), e.g. "
-                              "even-even")
-        sub.add_argument("--allow-large", action="store_true",
-                         help=f"permit --max - --min + 1 beyond "
-                              f"{DESK_SCALE_MAX} (accepted by verify, which "
-                              f"needs none)")
+COMMANDS = {"verify": cmd_verify, "conditions": cmd_conditions,
+            "orbit": cmd_orbit, "search-lambda": cmd_search,
+            "decay": cmd_decay}
 
 
-def _add_lambda_args(sub):
-    sub.add_argument("--lambda", default="0", dest="lambda",
-                     help='blend spec: a rational like "0", "1", "1/2", or a '
-                          'per-case table "even-even:1/2,*:0"')
-    sub.add_argument("--A", required=True, help="ratio cap in (0,1), e.g. 1/2")
-
-
-def _add_condition_args(sub):
-    """The condition system's options other than --lambda and --A."""
-    sub.add_argument("--B", default="2", help="branch sum lower bound (family 3)")
-    sub.add_argument("--M", default="2", help="weight magnitude cap (family 3)")
-    sub.add_argument("--theorem", type=int, choices=(1, 2, 3), default=3)
-    sub.add_argument("--condition", type=int, choices=(1, 2, 3, 4, 5), default=5)
-    sub.add_argument("--corrected-c4", action="store_true",
-                     help="use the symmetric variant of condition 4's second "
-                          "clause instead of the form as printed")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="collatzlab",
-        description="Exact-arithmetic verification of the six-weight "
-                    "contraction inequality on the Collatz maps.")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("verify", help="pair sweeps of the weighted inequality")
-    _add_sweep(p)
-    p.add_argument("--mode", choices=("direct", "simplified", "cross",
-                                      "bounds", "mbound"), default="direct")
-    p.add_argument("--M", default="2", help="cap for --mode mbound")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: every sweep runs in one "
-                        "thread, and reports do not depend on it")
-    p.add_argument("--violations-cap", type=int, default=100,
-                   help="max violations recorded and shown; the true total "
-                        "is always reported")
-    p.set_defaults(fn=cmd_verify)
-
-    p = subs.add_parser("conditions", help="condition coverage map over a range")
-    _add_sweep(p)
-    _add_lambda_args(p)
-    _add_condition_args(p)
-    p.add_argument("--m-lambda", action="store_true",
-                   help="also cap the blended weights by M")
-    p.set_defaults(fn=cmd_conditions)
-
-    p = subs.add_parser("orbit", help="trajectory and stopping time of one seed")
-    _add_output(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--map", choices=("C", "T"), default="T")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--path", action="store_true", help="include the full path")
-    p.set_defaults(fn=cmd_orbit)
-
-    p = subs.add_parser("search-lambda",
-                        help="grid-search per-case lambda assignments")
-    _add_sweep(p)
-    p.add_argument("--q", type=int, default=1,
-                   help="lambda grid denominator; values are 0, 1/q, ..., 1")
-    p.add_argument("--A", required=True,
-                   help="comma-separated A grid, e.g. 1/2 or 1/4,1/2,3/4")
-    _add_condition_args(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.set_defaults(fn=cmd_search)
-
-    p = subs.add_parser("decay", help="orbit decay sweep over a seed range; "
-                                      "the premise is always the family-1 "
-                                      "condition (5)")
-    _add_sweep(p, with_range=False)
-    _add_lambda_args(p)
-    p.add_argument("--seed-min", type=int, default=1)
-    p.add_argument("--seed-max", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--full-orbits", action="store_true",
-                   help="walk every orbit fully instead of stopping below the "
-                        "seed")
-    p.add_argument("--no-telescoped", action="store_true")
-    p.add_argument("--violations-cap", type=int, default=100,
-                   help="max violations recorded and shown")
-    p.set_defaults(fn=cmd_decay)
-
-    return parser
+def build_parser():
+    """The full argparse parser of every subcommand (options.SUBCOMMANDS)."""
+    return options.build_parser(COMMANDS)
 
 
 @functools.cache
-def _parser() -> tuple:
-    """The one parser of this process, built by the first main() call, and
-    its subcommand parsers by name."""
-    parser = build_parser()
-    subs, = (action for action in parser._actions
-             if isinstance(action, argparse._SubParsersAction))
-    return parser, subs.choices
+def _parser():
+    """The one argparse parser of this process, built by the first argv
+    that the table reader declines."""
+    return build_parser()
 
 
-def _parse_args(argv: list) -> argparse.Namespace:
-    """argv parsed by the parser of the subcommand it names, as the full
-    parser would hand it on; the full parser runs only where that leaves
-    anything to report (help, a usage error), which it then writes."""
-    parser, commands = _parser()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.subcommand = argv[0]
-            return args
-    return parser.parse_args(argv)
+def _parse_args(argv: list):
+    """An argv the table reader declines, read by argparse, which writes
+    help and usage errors and exits."""
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command and write its report: the one writer of every report."""
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = options.decode(argv, COMMANDS)
+    if args is None:
+        args = _parse_args(argv)
     try:
         code, report = args.fn(args)
     except UsageError as e:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
+from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .weights import CELL_BOUNDS, TALLY_KEYS, ParityCase
@@ -156,16 +157,25 @@ def _layout(runs: list) -> tuple:
     where no two runs share a y, one per run where two do, and none where
     those slots would outnumber the rows SPARSE_SPAN times over."""
     columns = [run[0] for run in runs]
+    ends = [(ys.start, ys[-1], ys.step) for ys in columns]
     total = sum(map(len, columns))
-    lo = min([ys.start for ys in columns])
-    span = max([ys[-1] for ys in columns]) - lo + 1
+    lo = min([start for start, _, _ in ends])
+    span = max([last for _, last, _ in ends]) - lo + 1
     if span > SPARSE_SPAN * total:
         return lo, span, total, 0
-    # the ys the runs cover: fewer than their rows where two share a y
-    marks = bytearray(span)
-    for ys in columns:
-        marks[ys.start - lo:ys.stop - lo:ys.step] = b"\1" * len(ys)
-    layers = 1 if span - marks.count(0) == total else len(runs)
+    layers = 1
+    # two runs share no y where their spans do not overlap or their starts
+    # differ modulo the gcd of their steps; past a pair that passes neither
+    # test, the ys the runs cover are counted, fewer than their rows where
+    # two share a y
+    for (a, a_last, a_step), (b, b_last, b_step) in combinations(ends, 2):
+        if a <= b_last and b <= a_last and not (a - b) % gcd(a_step, b_step):
+            marks = bytearray(span)
+            for ys in columns:
+                marks[ys.start - lo:ys.stop - lo:ys.step] = b"\1" * len(ys)
+            if span - marks.count(0) != total:
+                layers = len(runs)
+            break
     if span * layers > SPARSE_SPAN * total:
         layers = 0
     return lo, span, total, layers
@@ -262,7 +272,8 @@ class VerificationReport:
 
 def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationReport:
     """Combine reports over disjoint ranges of the same sweep: the same op,
-    params and case filter. The merged report keeps the smaller violation
+    params and case filter, and ranges whose union is a rectangle, the
+    merged report's range. The merged report keeps the smaller violation
     cap, the one at which both heads are known."""
     if a.op != b.op:
         raise ValueError(f"cannot merge {a.op!r} with {b.op!r}")
@@ -270,6 +281,17 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
         raise ValueError(f"cannot merge params {a.params} with {b.params}")
     if a.rng.cases != b.rng.cases:
         raise ValueError("cannot merge reports with different case filters")
+    rng = RangeSpec(min(a.rng.x_min, b.rng.x_min), max(a.rng.x_max, b.rng.x_max),
+                    min(a.rng.y_min, b.rng.y_min), max(a.rng.y_max, b.rng.y_max),
+                    a.rng.cases)
+    if (a.rng.x_min <= b.rng.x_max and b.rng.x_min <= a.rng.x_max
+            and a.rng.y_min <= b.rng.y_max and b.rng.y_min <= a.rng.y_max):
+        raise ValueError(f"cannot merge overlapping ranges {a.rng.label()} "
+                         f"and {b.rng.label()}")
+    # disjoint, so they cover their bounding box only where they fill it
+    if a.rng.grid_count() + b.rng.grid_count() != rng.grid_count():
+        raise ValueError(f"ranges {a.rng.label()} and {b.rng.label()} do not "
+                         f"make up the rectangle {rng.label()}")
     per_case: dict[str, CaseTally] = {}
     for src in (a.per_case, b.per_case):
         for key, tal in src.items():
@@ -285,9 +307,6 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
     cap = min(a.max_violations, b.max_violations)
     violations = sorted(a.violations + b.violations,
                         key=Violation.sort_key)[:cap]
-    rng = RangeSpec(min(a.rng.x_min, b.rng.x_min), max(a.rng.x_max, b.rng.x_max),
-                    min(a.rng.y_min, b.rng.y_min), max(a.rng.y_max, b.rng.y_max),
-                    a.rng.cases)
     return VerificationReport(
         op=a.op, rng=rng, pairs_checked=a.pairs_checked + b.pairs_checked,
         per_case=_sorted_cells(per_case), violations=violations,

@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from collatzlab import cli, verifier
+from collatzlab import cli, options, verifier
 from collatzlab.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -528,8 +529,9 @@ def test_jobs_env_var(monkeypatch, capsys):
 
 
 def test_environment_is_read_on_every_call(tmp_path, monkeypatch, capsys):
-    # one parser serves every call in the process, yet each call reads the
-    # environment defaults afresh and explicit options still win
+    # argv read off the option table build no parser, and one parser serves
+    # every declined argv in the process; each call reads the environment
+    # defaults afresh and explicit options still win
     builds = []
     real_build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser",
@@ -543,6 +545,12 @@ def test_environment_is_read_on_every_call(tmp_path, monkeypatch, capsys):
         assert main(args + ["--output", str(tmp_path / "c.json")]) == 0
         monkeypatch.delenv("COLLATZLAB_OUTPUT")
         assert main(args) == 0
+        assert builds == []
+        # "--max=20" is argparse's form alone: declined, parsed by argparse
+        declined = ["verify", "--max=20", "--format", "json", "--output",
+                    str(tmp_path / "d.json")]
+        for _ in range(2):
+            assert main(declined) == 0
     finally:
         cli._parser.cache_clear()
     assert builds == [1]
@@ -552,14 +560,23 @@ def test_environment_is_read_on_every_call(tmp_path, monkeypatch, capsys):
 
 
 # help, usage errors (no, an unknown or a half subcommand, an unknown option
-# or argument, an option after "--", an option orbit does not take) and
-# argparse's prefix and "=" forms
+# or argument, an option after "--", an option orbit does not take, a value
+# its choices reject, an option with no value), argparse's prefix and "="
+# forms, and values argparse reads its own way (ACCEPTED_USAGE_ARGV)
+ACCEPTED_USAGE_ARGV = (
+    ["verify", "--ma", "5", "--form", "json"], ["verify", "--max=5"],
+    ["verify", "--max", "5", "--max", "6"],
+    ["verify", "--max", "5", "--case", "odd-odd", "--case", "1-1"],
+    ["verify", "--min", "-3", "--max", "5"], ["verify", "--M", "", "--max", "5"],
+    ["verify", "--max", " 7"], ["verify", "--max", "1_000"],
+)
 USAGE_ARGV = (
     [], ["-h"], ["frob"], ["verify"], ["verify", "--max", "5", "--bogus"],
     ["verify", "--max", "5", "extra"], ["verify", "-h"], ["verify", "--he"],
-    ["verify", "--ma", "5", "--form", "json"], ["verify", "--max=5"],
     ["verify", "--max", "5", "--", "x"], ["orbit", "--seed", "27", "--timings"],
-)
+    ["orbit", "--timings", "--seed", "27"],
+    ["verify", "--max", "5", "--format", "JSON"], ["verify", "--max"],
+) + ACCEPTED_USAGE_ARGV
 
 
 def _parsed(parse, argv):
@@ -573,17 +590,20 @@ def _parsed(parse, argv):
             return e.code, out.getvalue(), err.getvalue()
 
 
-def test_subcommand_parse_matches_the_full_parser():
-    # main parses with the named subcommand's parser alone, and falls back
-    # to the full parser for help and usage errors: every pooled benchmark
-    # request and every usage argv reads as a fresh full parser reads it
+def _pooled_argv() -> list:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    pooled = [list(req.argv) for name in workloads.WORKLOADS
-              for stratum in workloads.pool(name) for req in stratum]
+    return [list(req.argv) for name in workloads.WORKLOADS
+            for stratum in workloads.pool(name) for req in stratum]
+
+
+def test_subcommand_parse_matches_the_full_parser():
+    # main's argparse path reads every pooled benchmark request and every
+    # usage argv as a fresh full parser reads it
+    pooled = _pooled_argv()
     assert len(pooled) > 1000
     exits = []
     for argv in pooled + list(USAGE_ARGV):
@@ -591,9 +611,129 @@ def test_subcommand_parse_matches_the_full_parser():
         assert _parsed(cli._parse_args, argv) == want, argv
         if isinstance(want, tuple):
             exits.append(argv)
-    # all but the prefix and "=" forms exit
+    # all but the accepted forms exit
     assert exits == [argv for argv in USAGE_ARGV
-                     if argv[1:2] not in (["--ma"], ["--max=5"])]
+                     if argv not in ACCEPTED_USAGE_ARGV]
+
+
+def _decodes_as_the_full_parser(parser, argv) -> bool:
+    """Whether the table reader takes argv, which it may only do where it
+    reads argv as the full parser does."""
+    got = options.decode(argv, cli.COMMANDS)
+    if got is not None:
+        assert vars(got) == _parsed(parser.parse_args, argv), argv
+    return got is not None
+
+
+def test_table_reader_reads_every_pooled_request_as_the_full_parser():
+    # the benchmark measures the table reader: it takes every pooled
+    # request, each as argparse reads it; it declines every argv argparse
+    # reports on or reads its own way, except options given twice and
+    # values that int() reads past their text
+    parser = cli.build_parser()
+    pooled = _pooled_argv()
+    assert all(_decodes_as_the_full_parser(parser, argv) for argv in pooled)
+    taken = [argv for argv in USAGE_ARGV
+             if _decodes_as_the_full_parser(parser, argv)]
+    assert taken == [
+        ["verify", "--max", "5", "--max", "6"],
+        ["verify", "--max", "5", "--case", "odd-odd", "--case", "1-1"],
+        ["verify", "--max", " 7"], ["verify", "--max", "1_000"]]
+
+
+OPTIONS = sorted({opt for _, opts in options.SUBCOMMANDS.values()
+                  for opt in opts}, key=repr)
+FLAGS = sorted({opt.flag for opt in OPTIONS})
+VALUES = ("5", "12", "1", "0", "", " 7", "1_000", "x", "1/2", "2", "json",
+          "JSON", "csv", "text", "odd-odd", "1-1", "mbound", "3", "T", "C",
+          "-3", "-1/2", "-x", "-", "--", "--max", "--ma", "-h", "--help")
+
+
+def _valid(opt) -> st.SearchStrategy:
+    """opt's option string, and a value its type and choices accept."""
+    if opt.kind == options.FLAG:
+        return st.just([opt.flag])
+    values = (opt.choices or (("5", "12", "1") if opt.type is int
+                              else ("1/2", "2", "odd-odd", "1-1")))
+    return st.sampled_from(values).map(lambda v: [opt.flag, str(v)])
+
+
+# tokens that may turn a valid argv into one the table reader declines
+OTHER = st.one_of(
+    st.sampled_from(FLAGS).map(lambda flag: [flag]),
+    st.sampled_from(VALUES).map(lambda value: [value]),
+    st.sampled_from(FLAGS).flatmap(
+        lambda flag: st.integers(2, len(flag) - 1).map(lambda k: [flag[:k]])),
+    st.builds(lambda flag, value: [f"{flag}={value}"],
+              st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+)
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A subcommand, mostly its required options, valid options mostly of
+    its own, at times its options with any value, and at times up to two
+    other tokens put in anywhere."""
+    command = draw(st.sampled_from([*options.SUBCOMMANDS, "frob"]))
+    own = options.SUBCOMMANDS.get(command, (None, OPTIONS))[1]
+    argv = [command]
+    if draw(st.integers(0, 3)):
+        for opt in own:
+            if opt.required:
+                argv += [opt.flag, "5"]
+    pairs = st.sampled_from([*own * 4, *OPTIONS]).flatmap(_valid)
+    if draw(st.booleans()):
+        pairs = st.one_of(pairs, st.tuples(
+            st.sampled_from([opt.flag for opt in own]),
+            st.sampled_from(VALUES)).map(list))
+    for tokens in draw(st.lists(pairs, max_size=6)):
+        argv += tokens
+    others = st.lists(st.tuples(st.integers(0, 20), OTHER), max_size=2)
+    for at, tokens in draw(others) if draw(st.booleans()) else ():
+        at = min(at, len(argv))
+        argv[at:at] = tokens
+    return argv
+
+
+PARSER = cli.build_parser()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+def test_table_reader_declines_or_reads_as_the_full_parser(argv):
+    _decodes_as_the_full_parser(PARSER, argv)
+
+
+FRESH_MAIN = """
+import contextlib, io, json, sys
+from collatzlab.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(), err.getvalue(),
+                  [m for m in ("argparse", "collatzlab.writers")
+                   if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify", "--max", "2", "--format", "json"], []),
+    (["verify", "--ma", "2", "--format", "json"], ["argparse"]),
+])
+def test_a_fresh_verify_loads_argparse_only_for_a_declined_argv(argv, loaded):
+    # a verify start loads neither argparse nor the other commands'
+    # writers; the prefix form, which the table reader declines, is read
+    # by argparse as a fresh full parser reads it
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, json.dumps(argv)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, err, modules = json.loads(proc.stdout)
+    assert modules == loaded
+    args = cli.build_parser().parse_args(argv)
+    assert [code, out, err] == [*args.fn(args), ""]
 
 
 # === entry point ===

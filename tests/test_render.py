@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collatzlab import cli, render
+from collatzlab import cli, render, reports
 from collatzlab.arith import format_rational
 from collatzlab.framework import ConditionParams, LambdaSpec, WeightVector
 from collatzlab.reports import QUANTITY_LABELS
@@ -327,6 +327,36 @@ def test_kept_runs_write_and_read_as_their_expanded_rows(groups):
     assert kept._rows is None
     assert len(kept) == len(reference) and kept == reference
     assert {type(v) for v in kept} <= {Violation}
+
+
+def layout_by_marks(runs):
+    """reports._layout with every row's covered ys counted in a bytearray:
+    the exact answer, which the pair tests may only skip."""
+    columns = [run[0] for run in runs]
+    total = sum(map(len, columns))
+    lo = min(ys.start for ys in columns)
+    span = max(ys[-1] for ys in columns) - lo + 1
+    if span > reports.SPARSE_SPAN * total:
+        return lo, span, total, 0
+    marks = bytearray(span)
+    for ys in columns:
+        marks[ys.start - lo:ys.stop - lo:ys.step] = b"\1" * len(ys)
+    layers = 1 if span - marks.count(0) == total else len(runs)
+    if span * layers > reports.SPARSE_SPAN * total:
+        layers = 0
+    return lo, span, total, layers
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.builds(lambda start, step, n: (range(start, start + step * n,
+                                                        step),),
+                          st.integers(1, 40), st.integers(1, 6),
+                          st.integers(1, 12)), min_size=2, max_size=6))
+# runs that meet only outside the overlap of their spans: starts agree
+# modulo the gcd of their steps, yet no y is shared
+@example([(range(1, 13, 6),), (range(5, 13, 4),)])
+def test_layout_pair_tests_match_the_bytearray_count(runs):
+    assert reports._layout(runs) == layout_by_marks(runs)
 
 
 def test_sparse_rows_take_memory_by_their_rows_not_their_y_span():

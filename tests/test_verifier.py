@@ -245,6 +245,25 @@ def test_merge_rejects_different_case_filters():
             merge_reports(first, second)
 
 
+def test_merge_rejects_ranges_it_would_misstate():
+    # a diagonal pair of squares would claim 400 pairs for 200 checked, and
+    # a report merged with itself would count its pairs twice
+    a = m_bound_sweep(RangeSpec.square(10), Fraction(1))
+    b = m_bound_sweep(RangeSpec(11, 20, 11, 20), Fraction(1))
+    with pytest.raises(ValueError, match="rectangle"):
+        merge_reports(a, b)
+    for first, second in ((a, a), (a, m_bound_sweep(RangeSpec(5, 15, 1, 10),
+                                                     Fraction(1)))):
+        with pytest.raises(ValueError, match="overlapping"):
+            merge_reports(first, second)
+    # neighbours along either axis merge, in either order
+    for c in (m_bound_sweep(RangeSpec(11, 20, 1, 10), Fraction(1)),
+              m_bound_sweep(RangeSpec(1, 10, 11, 20), Fraction(1))):
+        for first, second in ((a, c), (c, a)):
+            merged = merge_reports(first, second)
+            assert merged.pairs_checked == merged.rng.grid_count() == 200
+
+
 def test_merge_with_violations_is_order_insensitive():
     a = oracle(m_bound_sweep, RangeSpec(1, 20, 1, 40), Fraction(1))
     b = oracle(m_bound_sweep, RangeSpec(21, 40, 1, 40), Fraction(1))
