@@ -251,7 +251,9 @@ def lemma1_gap(theta: Exact, x: int, y: int, z: int) -> Exact:
 
         theta*d(x,y)^2 - 2*min(theta, 0)*(d(x,z)^2 + d(z,y)^2)
 
-    which is nonnegative for every real theta and all points.
+    which is theta*(x - y)^2 for theta >= 0 and, since 2(a^2 + b^2) -
+    (a + b)^2 = (a - b)^2 with a = x - z and b = z - y, -theta*(x + y -
+    2z)^2 for theta < 0: nonnegative for every real theta and all points.
     """
     d_xy = metric_d(x, y) ** 2
     d_xz = metric_d(x, z) ** 2

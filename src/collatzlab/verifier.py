@@ -25,8 +25,8 @@ and commutatively, so partitioned runs reproduce the single-run report.
 
 The names that perfbench/tracing.py wraps (weight_vector, lhs,
 check_condition, accel_T, format_rational and the rest imported below) and
-those that tests replace (_sweep_vector, check_condition, _gap_rows) are
-looked up on this module at call time, by the sweep modules too.
+those that tests replace (_sweep_vector, check_condition) are looked up on
+this module at call time, by the sweep modules too.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .coverage import (
     search_lambda,
 )
 from .framework import ConditionId, ConditionParams, check_condition, lhs
-from .lemmas import _gap_rows, verify_lemmas  # noqa: F401 - tests replace _gap_rows
+from .lemmas import verify_lemmas
 from .maxima import _sweep_forms
 from .regions import _sweep_mbound
 from .reports import (

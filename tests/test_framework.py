@@ -175,9 +175,16 @@ def test_gap_nonnegative_small_exhaustive():
 
 @settings(max_examples=300, derandomize=True)
 @given(x=st.integers(1, 1000), y=st.integers(1, 1000), z=st.integers(1, 1000),
-       theta=st.fractions(min_value=-10, max_value=10, max_denominator=7))
-def test_gap_nonnegative_random(x, y, z, theta):
-    assert lemma1_gap(theta, x, y, z) >= 0
+       theta=st.fractions(min_value=-10, max_value=10, max_denominator=7),
+       base=st.integers(0, 2**60))
+def test_gap_nonnegative_random(x, y, z, theta, base):
+    # the gap is a closed form at any offset, which is what lets
+    # verify_lemmas count the triangle-gap lemma's triples unchecked
+    x, y, z = base + x, base + y, base + z
+    gap = lemma1_gap(theta, x, y, z)
+    assert gap == (-theta * (x + y - 2 * z) ** 2 if theta < 0
+                   else theta * (x - y) ** 2)
+    assert gap >= 0
 
 
 # === condition systems ===

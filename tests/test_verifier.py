@@ -22,7 +22,6 @@ from collatzlab.framework import (
     WeightVector,
     check_condition,
     lemma1_gap,
-    metric_d,
 )
 from collatzlab.verifier import (
     CaseTally,
@@ -1031,20 +1030,30 @@ _WIDTH_EDGE = 6148914691236517209
     (RangeSpec.square(2**126 + 3, lo=2**126), True),
 ], ids=["rows-below", "rows-across", "columns-below", "columns-across",
         "2^126"])
-@pytest.mark.parametrize("mode", FORM_MODES)
+@pytest.mark.parametrize("mode", FORM_MODES + ["blend-0", "blend-1/2",
+                                               "blend-1"])
 def test_width_checks_read_off_regions_fail_where_the_oracle_does(mode, rng,
                                                                   fails):
-    # simplified carries no width check; the other modes raise exactly
-    # where some pair fails one, and report as the oracle does elsewhere
+    # simplified carries no width check; the other modes, and the interval
+    # blend at one lambda against the per-pair blend, raise with the same
+    # message exactly where some pair fails one, and report as the
+    # reference does elsewhere
     def outcome(run):
         try:
-            return run(SWEEPS[mode], rng)
-        except OverflowLimitError:
-            return "overflow"
+            if mode in FORM_MODES:
+                return run(SWEEPS[mode], rng)
+            lam = Fraction(mode.split("-")[1])
+            if run is shipped:
+                return verify_lemmas(rng, [], [lam])
+            return replace(verify_lemmas(rng, [], [per_pair(lam)]),
+                           engine="vector")
+        except OverflowLimitError as exc:
+            return "overflow", str(exc)
     report, reference = outcome(shipped), outcome(oracle)
-    assert (reference == "overflow") == (fails and mode != "simplified")
-    if reference == "overflow":
-        assert report == "overflow"
+    overflow = isinstance(reference, tuple)
+    assert overflow == (fails and mode != "simplified")
+    if overflow:
+        assert report == reference
     else:
         assert same_report(report, reference)
 
@@ -1320,20 +1329,35 @@ def test_lemma_sweep_engine_parity():
         assert list(both.per_case) == sorted(both.per_case)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(lo=st.integers(1, 10**15), side=st.integers(1, 50), data=st.data())
-def test_gap_quadratic_matches_the_distances(lo, side, data):
-    hi = lo + side - 1
-    rows = list(verifier._gap_rows(lo, hi))
-    assert [x for x, _ in rows] == list(range(lo, hi + 1))
-    x = data.draw(st.integers(lo, hi), label="x")
-    forms = rows[x - lo][1]
-    assert len(forms) == side
-    for y, q in zip(range(lo, hi + 1), forms):
-        for z in range(lo, hi + 1):
-            gap = metric_d(x, y) ** 2 - 2 * (metric_d(x, z) ** 2
-                                             + metric_d(z, y) ** 2)
-            assert cells._at(q, z) == 2 * gap, (x, y, z)
+def test_triangle_gap_lemma_counts_its_triples_at_any_size():
+    # the pass is an identity (framework.lemma1_gap): it counts each
+    # theta's triples and makes no width check, even at 2^126
+    far = verify_lemmas(RangeSpec.square(2**126 + 3, lo=2**126),
+                        [-1, Fraction(1, 2)], [])
+    assert far.pairs_checked == 2 * 4**3
+    assert far.violations_total == 0 and far.violations == ()
+    # and costs nothing per triple
+    big = verify_lemmas(RangeSpec.square(10**9),
+                        [-3, Fraction(-1, 2), 0, 2], [])
+    assert big.pairs_checked == 4 * 10**27
+    assert big.per_case["lemma1:theta=-1/2"].pairs == 10**27
+    assert big.violations_total == 0
+
+
+_POINT = st.one_of(st.integers(1, 2**70).map(cells._row),
+                   st.sampled_from(cells._POINTS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s=st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6),
+       u=_POINT, v=_POINT)
+def test_blend_swaps_the_terms_of_a_transposed_pair(s, u, v):
+    # the terms of (v, u) are those of (u, v) in the order (0, 2, 1, 3, 5,
+    # 4), so the interval blend's form is its identity's right side by
+    # linearity, for every weight row
+    swapped = [s[i] for i in (0, 2, 1, 3, 5, 4)]
+    assert (cells._form(swapped, cells._basis(cells._terms(u, v)))
+            == cells._form(s, cells._basis(cells._terms(v, u))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1346,71 +1370,15 @@ def test_top_is_the_largest_value_on_the_integers(a, b, c, lo, width):
         cells._at(q, l) for l in range(lo, lo + width + 1))
 
 
-def test_triangle_gap_flags_match_a_brute_force_list(monkeypatch):
-    # the lemma holds everywhere, so raise every gap quadratic by 3 to make
-    # the interval path flag the z next to the midpoint of x and y
-    rows = verifier._gap_rows
-    monkeypatch.setattr(verifier, "_gap_rows", lambda lo, hi: (
-        (x, [(a, b, c + 6) for a, b, c in forms]) for x, forms in rows(lo, hi)))
-    theta, lo, hi = Fraction(-3, 2), 5, 16
-    key = "lemma1:theta=-3/2"
-    flags = [Violation(x, y, key, "lemma1-gap<0", Fraction(-3 * (gap + 3), 2),
-                       z=z)
-             for x in range(lo, hi + 1) for y in range(lo, hi + 1)
-             for z in range(lo, hi + 1)
-             for gap in [(x - y) ** 2 - 2 * ((x - z) ** 2 + (z - y) ** 2)]
-             if gap + 3 > 0]
-    rng = RangeSpec.square(hi, lo=lo)
-    full = verify_lemmas(rng, [theta], [], max_violations=10**6)
-    assert full.violations == tuple(sorted(flags, key=Violation.sort_key))
-    assert full.violations_total == len(flags)
-    assert ends_mid_row(full, 100)
-    capped = verify_lemmas(rng, [theta], [], max_violations=100)
-    assert capped.violations == tuple(sorted(flags[:100],
-                                             key=Violation.sort_key))
-    assert capped.violations_total == len(flags)
-
-
-def test_triangle_gap_flags_of_two_thetas_come_from_one_scan(monkeypatch):
-    # as above, with two negative thetas under a cap that ends inside the
-    # second theta's flags: both emit the same triples, read off one scan
-    rows = verifier._gap_rows
-    scans = []
-
-    def raised(lo, hi):
-        scans.append((lo, hi))
-        return ((x, [(a, b, c + 6) for a, b, c in forms])
-                for x, forms in rows(lo, hi))
-
-    monkeypatch.setattr(verifier, "_gap_rows", raised)
-    thetas, lo, hi = [Fraction(-3, 2), -1], 5, 16
-    flags = [Violation(x, y, f"lemma1:theta={label}", "lemma1-gap<0",
-                       th * (gap + 3), z=z)
-             for th, label in zip(map(Fraction, thetas), ("-3/2", "-1"))
-             for x in range(lo, hi + 1) for y in range(lo, hi + 1)
-             for z in range(lo, hi + 1)
-             for gap in [(x - y) ** 2 - 2 * ((x - z) ** 2 + (z - y) ** 2)]
-             if gap + 3 > 0]
-    cap = len(flags) // 2 + 37
-    rng = RangeSpec.square(hi, lo=lo)
-    report = verify_lemmas(rng, thetas, [], max_violations=cap)
-    assert scans == [(lo, hi)]
-    assert report.violations == tuple(sorted(flags,
-                                             key=Violation.sort_key))[:cap]
-    assert report.violations_total == len(flags)
-    assert report.per_case["lemma1:theta=-1"].pairs == (hi - lo + 1) ** 3
-
-
-def test_capped_lemma_reports_are_prefixes(monkeypatch, wrong_weights):
-    # a raised gap and the wrong even-even row make a negative theta and
-    # both lambdas flag, with pairs interleaved across the three passes
-    rows = verifier._gap_rows
-    monkeypatch.setattr(verifier, "_gap_rows", lambda lo, hi: (
-        (x, [(a, b, c + 6) for a, b, c in forms]) for x, forms in rows(lo, hi)))
+def test_capped_lemma_reports_are_prefixes(wrong_weights):
+    # the wrong even-even row makes both lambdas flag, with pairs
+    # interleaved across the two passes; theta = -1 counts and flags none
     args = (RangeSpec.square(12), [-1], [Fraction(1, 3), Fraction(1, 2)])
     full = verify_lemmas(*args, max_violations=10**6)
     assert {v.case.split(":")[0] for v in full.violations} == {
-        "lemma1", "lemma2-nonpositive"}
+        "lemma2-nonpositive"}
+    assert {v.case for v in full.violations} == {
+        "lemma2-nonpositive:lambda=1/3", "lemma2-nonpositive:lambda=1/2"}
     for cap in range(1, full.violations_total + 1):
         capped = verify_lemmas(*args, max_violations=cap)
         assert capped.violations == full.violations[:cap], cap
