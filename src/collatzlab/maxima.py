@@ -18,14 +18,19 @@ piece per residue of k modulo the terms' period (_pieces), on which both
 ends are lines in j, and the vertex's floor is linear in j on each residue
 of j modulo -2a/gcd(-2a, b1*P); so on each piece the row maximum is the
 larger of one or two quadratics in j (_row_maxima). Either way a span's
-row maxima are segments of quadratics (_maxima), and from them come:
-- each tally's max_lhs, by _top of those quadratics (_peak);
+row maxima are segments of quadratics (_maxima). A sweep reads off them:
+- each tally's max_lhs, the largest of its spans' peaks (_span_peak).
+  Where the form is convex or linear in l the peak needs no segment: it is
+  _top of the span's end quadratics, a line end's over [k0, k1] and a
+  floor end's per residue, from a table per entry and term (_floor_end). A
+  concave form's peak is that of its segments (_peak);
 - the rows that can flag, where a row maximum passes a check's threshold
-  (_positive). Only those rows are walked, over the same regions
-  (regions._row_walk), which counts, values and caps their flags. For
-  cross, a table entry whose direct and closed coefficients agree flags
-  nowhere, and one that does not flags in the rows where their difference
-  is not 0;
+  (_positive). Segments are built only for a span whose peak passes it, so
+  a clean sweep builds none for a convex form. Only those rows are walked,
+  over the same regions (regions._row_walk), which counts, values and caps
+  their flags. For cross, a table entry whose direct and closed
+  coefficients agree flags nowhere, and one that does not flags in the
+  rows where their difference is not 0;
 - the width checks of framework.lhs, where _pair_bound passes the width
   limit. A term's square and the form's magnitude are quadratics of the
   same kind, so the rows where a check fails are found the same way, and
@@ -35,8 +40,11 @@ A sweep costs O(cells x period), plus the rows it walks.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import merge
+from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import weights
@@ -184,6 +192,37 @@ def _peak(segments: list) -> int:
                for q in quadratics)
 
 
+@lru_cache(maxsize=64)
+def _floor_end(e: tuple, term: tuple) -> tuple:
+    """Entry e's form along a floor end term (u, v, w) of a span, per
+    residue r of k modulo w: with k = w*i + r, a doubled quadratic in i, as
+    _ends makes it. A floor end is a floor cut of regions._CUTS or one
+    past it, so a table has few keys; the bound serves patched tables."""
+    u, v, w = term
+    return tuple(_along(e, w, r, u, (u * r + v) // w) for r in range(w))
+
+
+def _span_peak(e: tuple, span: tuple) -> int:
+    """The largest doubled value of entry e's form on a span, as
+    _peak(_maxima(e, span)) gives it. A form convex or linear in l is read
+    off the span's ends without building segments: a line end's value is
+    one quadratic in k over the span, a floor end's one per residue
+    (_floor_end). A concave one's comes from its segments."""
+    if e[0] < 0:
+        return _peak(_maxima(e, span))
+    k0, k1, start, end = span
+    tops = []
+    for term in (start,) if start == end else (start, end):
+        u, v, w = term
+        if w == 1:
+            tops.append(_top(_along(e, 1, 0, u, v), k0, k1))
+        else:
+            along = _floor_end(e, term)
+            tops += (_top(along[k % w], k // w, (k1 - k % w) // w)
+                     for k in range(k0, min(k1, k0 + w - 1) + 1))
+    return max(tops)
+
+
 def _rows_above(segments: list, bound: int, row: tuple):
     """The rows x of segments (_maxima) whose largest doubled value
     exceeds bound, as ranges of x; row is the point of the row class
@@ -226,8 +265,10 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
     cell regions. Both forms are read from their own tables: the direct
     form from _direct_table (CELL_WEIGHTS alone), the closed form from
     _closed_table (CELL_FORMS alone), so cross compares two independent
-    derivations. Tallies come from the regions' row maxima; flags from
-    walking only the rows whose maximum passes a threshold."""
+    derivations. Tallies come from the spans' peaks, summed over each run
+    of a cell's regions; flags from walking only the rows whose maximum
+    passes a threshold, found on segments built only for spans that can
+    flag, for a cross difference or for a width check."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     do_direct = CHECK_LHS in checks
@@ -243,41 +284,46 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
     failing: list = []  # ranges of rows where a width check fails
     done = 0
     regions = list(_cell_spans(rng, cases))
-    for cell, pick, rx, column, spans in regions:
-        direct = _entry(table, cell, pick)
-        simp = None if closed is None else _entry(closed, cell, pick)
-        form = direct if do_lhs else simp
+    # _cell_spans gives a cell's regions one after another
+    for cell, group in groupby(regions, itemgetter(0)):
+        cell_pairs, cell_peak = 0, None
         # the least doubled value a row maximum must pass to flag
         limit = min([0] * (do_direct or do_simp_check)
                     + [2 * CELL_BOUNDS[cell]] * do_bounds, default=None)
-        diff = (tuple(c - d for c, d in zip(simp, direct[:6]))
-                if do_cross and simp != direct[:6] else None)
-        if checked:
-            widths = _width_entries(cell_weights(
-                cell, 0 if pick is None else pick - 1, 0), rx, column, direct)
-        row = _POINTS[rx]
-        pairs = sum(map(_pairs, spans))
-        peaks = []
-        for span in spans:
-            maxima = _maxima(form, span)
-            peak = _peak(maxima)
-            peaks.append(peak)
-            if limit is not None and peak > limit:
-                flagged += _rows_above(maxima, limit, row)
-            if diff is not None:
-                for e in (diff, tuple(-v for v in diff)):
-                    flagged += _rows_above(_maxima(e, span), 0, row)
+        for _, pick, rx, column, spans in group:
+            direct = _entry(table, cell, pick)
+            simp = None if closed is None else _entry(closed, cell, pick)
+            form = direct if do_lhs else simp
+            diff = (tuple(c - d for c, d in zip(simp, direct[:6]))
+                    if do_cross and simp != direct[:6] else None)
             if checked:
-                for e in widths:
-                    failing += _rows_above(_maxima(e, span), 2 * WIDTH_LIMIT,
-                                           row)
+                widths = _width_entries(cell_weights(
+                    cell, 0 if pick is None else pick - 1, 0), rx, column,
+                    direct)
+            row = _POINTS[rx]
+            pairs = sum(map(_pairs, spans))
+            for span in spans:
+                peak = _span_peak(form, span)
+                if cell_peak is None or peak > cell_peak:
+                    cell_peak = peak
+                # segments are built only where rows are read off them
+                if limit is not None and peak > limit:
+                    flagged += _rows_above(_maxima(form, span), limit, row)
+                if diff is not None:
+                    for e in (diff, tuple(-v for v in diff)):
+                        flagged += _rows_above(_maxima(e, span), 0, row)
+                if checked:
+                    for e in widths:
+                        failing += _rows_above(_maxima(e, span),
+                                               2 * WIDTH_LIMIT, row)
+            cell_pairs += pairs
+            done += pairs
+            passed = done // PROGRESS_STRIDE > (done - pairs) // PROGRESS_STRIDE
+            if progress is not None and passed:
+                progress(done)
         tal = _tally(per_case, cell)
-        tal.pairs += pairs
-        tal.absorb_value(max(peaks) // 2)
-        done += pairs
-        passed = done // PROGRESS_STRIDE > (done - pairs) // PROGRESS_STRIDE
-        if progress is not None and passed:
-            progress(done)
+        tal.pairs += cell_pairs
+        tal.absorb_value(cell_peak // 2)
 
     def width_checks(x, k, cell, pick, column, lo, hi) -> list:
         _check_widths(cell_weights(cell, k, lo), _terms(_row(x), column),

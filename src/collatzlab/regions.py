@@ -119,9 +119,14 @@ def _floor_sum(p: int, q: int, r: int, a: int, b: int) -> int:
 
 def _pairs(span: tuple) -> int:
     """The pairs of a span (_spans): its ends' sum less its starts', plus
-    one per row."""
+    one per row. Where both ends are lines, the sum of (u - p)*k + v - q + 1
+    over the rows, whose (k0 + k1)*n is even."""
     k0, k1, start, end = span
-    return _floor_sum(*end, k0, k1) - _floor_sum(*start, k0, k1) + k1 - k0 + 1
+    n = k1 - k0 + 1
+    if start[2] == end[2] == 1:
+        return (end[0] - start[0]) * (k0 + k1) * n // 2 + (
+            end[1] - start[1] + 1) * n
+    return _floor_sum(*end, k0, k1) - _floor_sum(*start, k0, k1) + n
 
 
 def _cell_spans(rng: RangeSpec, cases: Iterable[int]):

@@ -14,14 +14,15 @@ Every sweep is exact and has one production path. A pair sweep (labelled
 "vector") walks no row to count: it reads each cell's region over the whole
 range as a few spans of k on which both interval ends are single terms, at
 O(cells x period) cost at any side and any coordinate size. mbound counts
-each span's pairs (regions.py); the other modes read each span's row
-maxima as segments of quadratics in k, one per end and residue where the
-form is convex in l (maxima.py). Rows are walked, over the same spans,
+each span's pairs (regions.py); the other modes read each span's peak off
+its end terms where the form is convex in l, one quadratic per end and
+residue, and build row maxima as segments only for a concave form or
+where rows can flag (maxima.py). Rows are walked, over the same spans,
 only where a check can flag, or, for mbound, until its violation cap is
-full. The per-pair pair sweep
-(_sweep_scalar) is kept as the reference the tests compare against, in
-place of _sweep_vector. Reports over disjoint ranges merge associatively
-and commutatively, so partitioned runs reproduce the single-run report.
+full. The tests keep a per-pair pair sweep as the reference, which they
+put in place of _sweep_vector. Reports over disjoint ranges merge
+associatively and commutatively, so partitioned runs reproduce the
+single-run report.
 
 The names that perfbench/tracing.py wraps (weight_vector, lhs,
 check_condition, accel_T, format_rational and the rest imported below) and
@@ -36,7 +37,6 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import weights
 from .arith import format_rational
 from .collatz import DEFAULT_CAP, accel_T
 from .coverage import (
@@ -46,7 +46,12 @@ from .coverage import (
     condition_coverage,
     search_lambda,
 )
-from .framework import ConditionId, ConditionParams, check_condition, lhs
+from .framework import (
+    ConditionId,
+    ConditionParams,
+    check_condition,
+    lhs,  # noqa: F401 - perfbench/tracing.py wraps it and lemmas reads it here
+)
 from .lemmas import verify_lemmas
 from .maxima import _sweep_forms
 from .regions import _sweep_mbound
@@ -57,8 +62,6 @@ from .reports import (
     CHECK_MBOUND,
     CHECK_SIMPLIFIED,
     DEFAULT_MAX_VIOLATIONS,
-    PROGRESS_STRIDE,
-    QUANTITY_LABELS,
     CaseTally,
     RangeSpec,
     VerificationReport,
@@ -66,16 +69,11 @@ from .reports import (
     ViolationRows,
     _Findings,
     _sorted_cells,
-    _tally,
     merge_reports,
 )
 from .weights import (
-    CELL_CASES,
-    TALLY_KEYS,
     bound_for_key,  # noqa: F401 - perfbench/tracing.py wraps it by name
-    cell_weights,
     classify,  # noqa: F401 - perfbench/tracing.py wraps it by name
-    locate,
     simplified_lhs,  # noqa: F401 - perfbench/tracing.py wraps it by name
     tally_key,
     weight_vector,
@@ -92,62 +90,6 @@ __all__ = [
 
 
 # --- pair sweeps -----------------------------------------------------------
-
-def _sweep_scalar(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
-                  found: _Findings,
-                  progress: Optional[Callable[[int], None]]) -> tuple:
-    """Pure-Python exact sweep, pair by pair; the reference the interval
-    engine must match, which tests run in place of _sweep_vector. Each pair
-    is located once; its six-term form is evaluated independently, by
-    framework.lhs."""
-    do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
-    do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
-    do_bounds = CHECK_BOUNDS in checks
-    do_cross = CHECK_CROSS in checks
-    do_m = CHECK_MBOUND in checks
-    m_num, m_den = m_cap.numerator, m_cap.denominator
-
-    per_case: dict[str, CaseTally] = {}
-    pairs = 0
-    done = 0
-
-    for x in range(rng.x_min, rng.x_max + 1):
-        for y in range(rng.y_min, rng.y_max + 1):
-            done += 1
-            if progress is not None and done % PROGRESS_STRIDE == 0:
-                progress(done)
-            cell, k, l = locate(x, y)
-            if not rng.admits(CELL_CASES[cell]):
-                continue
-            pairs += 1
-            key = TALLY_KEYS[cell]
-            tal = _tally(per_case, cell)
-            tal.pairs += 1
-
-            direct = lhs(weight_vector, accel_T, x, y) if do_lhs else None
-            simp = weights.CELL_FORMS[cell](k, l) if do_simp else None
-            value = direct if direct is not None else simp
-            if value is not None:
-                tal.absorb_value(value)
-
-            flags = {}
-            if CHECK_LHS in checks and direct > 0:
-                flags[CHECK_LHS] = direct
-            if do_bounds and direct > tal.bound:
-                flags[CHECK_BOUNDS] = direct
-            if CHECK_SIMPLIFIED in checks and simp > 0:
-                flags[CHECK_SIMPLIFIED] = simp
-            if do_cross and direct != simp:
-                flags[CHECK_CROSS] = simp - direct
-            if do_m:
-                worst = max(map(abs, cell_weights(cell, k, l)))
-                if worst * m_den > m_num:
-                    flags[CHECK_MBOUND] = worst
-            for check in sorted(flags, key=QUANTITY_LABELS.get):
-                found.add(x, y, key, QUANTITY_LABELS[check], flags[check])
-
-    return pairs, per_case
-
 
 def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
                   found: _Findings,

@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from collatzlab import cli, options, verifier
 from collatzlab.cli import main
+from test_verifier import sweep_scalar
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def run_cli(args, capsys):
@@ -115,8 +117,7 @@ def test_verify_engines_agree_beyond_int64(capsys, monkeypatch):
     docs = {}
     for engine in ("vector", "scalar"):
         if engine == "scalar":
-            monkeypatch.setattr(verifier, "_sweep_vector",
-                                verifier._sweep_scalar)
+            monkeypatch.setattr(verifier, "_sweep_vector", sweep_scalar)
         for jobs in ("1", "2"):
             code, out, _ = run_cli(args + ["--jobs", jobs], capsys)
             assert code == 1
@@ -128,8 +129,10 @@ def test_verify_engines_agree_beyond_int64(capsys, monkeypatch):
 
 # Runs the command line with the per-pair reference in place of the interval
 # engine.
-ORACLE_CLI = ("import sys; from collatzlab import cli, verifier; "
-              "verifier._sweep_vector = verifier._sweep_scalar; "
+ORACLE_CLI = (f"import sys; sys.path.insert(0, {str(TESTS)!r}); "
+              "from collatzlab import cli, verifier; "
+              "from test_verifier import sweep_scalar; "
+              "verifier._sweep_vector = sweep_scalar; "
               "sys.exit(cli.main(sys.argv[1:]))")
 
 
@@ -137,7 +140,7 @@ ORACLE_CLI = ("import sys; from collatzlab import cli, verifier; "
 def test_verify_overflow_policy_beyond_127_bits(engine, capsys, monkeypatch):
     # auto is the sweep as shipped, scalar the per-pair reference
     if engine == "scalar":
-        monkeypatch.setattr(verifier, "_sweep_vector", verifier._sweep_scalar)
+        monkeypatch.setattr(verifier, "_sweep_vector", sweep_scalar)
     child = ["-m", "collatzlab.cli"] if engine == "auto" else ["-c", ORACLE_CLI]
     lo = 2**126
     for mode, want in (("direct", 3), ("bounds", 3), ("cross", 3),

@@ -22,6 +22,17 @@ from collatzlab.framework import (
     WeightVector,
     check_condition,
     lemma1_gap,
+    lhs,
+)
+from collatzlab.reports import (
+    CHECK_BOUNDS,
+    CHECK_CROSS,
+    CHECK_LHS,
+    CHECK_MBOUND,
+    CHECK_SIMPLIFIED,
+    PROGRESS_STRIDE,
+    QUANTITY_LABELS,
+    _tally,
 )
 from collatzlab.verifier import (
     CaseTally,
@@ -40,9 +51,13 @@ from collatzlab.verifier import (
 )
 from collatzlab.weights import (
     CASE_ORDER,
+    CELL_CASES,
     DIAGONAL,
+    TALLY_KEYS,
     ParityCase,
+    cell_weights,
     classify,
+    locate,
     weight_vector,
 )
 
@@ -60,11 +75,56 @@ def same_report(a, b):
     return replace(a, elapsed_ms=0) == replace(b, elapsed_ms=0)
 
 
+def sweep_scalar(rng, checks, m_cap, found, progress):
+    """The per-pair pair sweep, in pure Python: the reference the interval
+    engine must match, with verifier._sweep_vector's signature. Each pair
+    is located once; its six-term form is evaluated independently, by
+    framework.lhs."""
+    do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
+    do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
+    m_num, m_den = m_cap.numerator, m_cap.denominator
+    per_case = {}
+    pairs = done = 0
+    for x in range(rng.x_min, rng.x_max + 1):
+        for y in range(rng.y_min, rng.y_max + 1):
+            done += 1
+            if progress is not None and done % PROGRESS_STRIDE == 0:
+                progress(done)
+            cell, k, l = locate(x, y)
+            if not rng.admits(CELL_CASES[cell]):
+                continue
+            pairs += 1
+            tal = _tally(per_case, cell)
+            tal.pairs += 1
+            direct = lhs(weight_vector, accel_T, x, y) if do_lhs else None
+            simp = weights.CELL_FORMS[cell](k, l) if do_simp else None
+            value = direct if direct is not None else simp
+            if value is not None:
+                tal.absorb_value(value)
+            flags = {}
+            if CHECK_LHS in checks and direct > 0:
+                flags[CHECK_LHS] = direct
+            if CHECK_BOUNDS in checks and direct > tal.bound:
+                flags[CHECK_BOUNDS] = direct
+            if CHECK_SIMPLIFIED in checks and simp > 0:
+                flags[CHECK_SIMPLIFIED] = simp
+            if CHECK_CROSS in checks and direct != simp:
+                flags[CHECK_CROSS] = simp - direct
+            if CHECK_MBOUND in checks:
+                worst = max(map(abs, cell_weights(cell, k, l)))
+                if worst * m_den > m_num:
+                    flags[CHECK_MBOUND] = worst
+            for check in sorted(flags, key=QUANTITY_LABELS.get):
+                found.add(x, y, TALLY_KEYS[cell], QUANTITY_LABELS[check],
+                          flags[check])
+    return pairs, per_case
+
+
 def oracle(fn, *args, **kwargs):
-    """fn(*args, **kwargs) with the per-pair reference, _sweep_scalar, in
+    """fn(*args, **kwargs) with the per-pair reference, sweep_scalar, in
     place of the interval engine; its reports still say "vector"."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verifier, "_sweep_vector", verifier._sweep_scalar)
+        patch.setattr(verifier, "_sweep_vector", sweep_scalar)
         return fn(*args, **kwargs)
 
 
@@ -940,6 +1000,30 @@ def test_span_maxima_are_the_largest_value_of_each_row(entry, span):
     assert maxima._peak(segments) == max(expected.values())
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(entry=st.tuples(st.integers(-6, 6), *[st.integers(-40, 40)] * 5),
+       span=_drawn_spans())
+@example(entry=(-3, 7, -5, 1, 2, -1), span=(2**64, 2**64, (10, 3, 11),
+                                              (10, 30, 11)))
+@example(entry=(2, -7, 3, 0, 1, -2), span=(13, 19, (1, 2, 1), (11, 7, 10)))
+@example(entry=(-5, 40, 3, 0, -9, 1), span=(13, 19, (10, 4, 11), (1, 9, 1)))
+@example(entry=(-3, 20, 1, 0, 0, 0), span=(0, 0, (0, 9, 1), (0, 9, 1)))
+@example(entry=(-2, 30, -1, 5, 0, 1), span=(0, 0, (0, 1, 1), (0, 60, 1)))
+@example(entry=(-1, -7, 2, 3, 1, 0), span=(40, 40, (0, 2, 1), (0, 50, 1)))
+# convex entries on floor ends shorter than their period, one end or both,
+# on two floor ends across a whole period near 2^64, and on a span of one
+# period that peaks in its last residue
+@example(entry=(1, 0, 0, 0, 0, 0), span=(0, 10, (10, 0, 11), (10, 50, 11)))
+@example(entry=(1, -9, 2, 4, -3, 1), span=(13, 17, (10, 4, 11), (11, 9, 10)))
+@example(entry=(0, 5, -2, 1, 0, 3), span=(5, 5, (11, 2, 10), (11, 2, 10)))
+@example(entry=(3, -40, -6, 7, 2, -1), span=(2**64 - 5, 2**64 + 7,
+                                             (10, -1, 11), (10, 40, 11)))
+def test_span_peak_is_the_peak_of_the_span_maxima(entry, span):
+    # a span's peak read off its end terms is the peak of its segments
+    assert maxima._span_peak(entry, span) == maxima._peak(
+        maxima._maxima(entry, span))
+
+
 def _patched_tables(rows_seed, forms_seed):
     """A weight table and closed forms that are off on a few cells, drawn
     from the seeds: weight rows in [-2, 2]^6, which make forms concave or
@@ -1018,6 +1102,9 @@ def test_region_maxima_match_the_oracle(mode, x0, y0, dx, dy, gate, cases,
 # framework.lhs (a six-term product at y = 3); even rows pass up to about
 # 2^63.5.
 _WIDTH_EDGE = 6148914691236517209
+# The least odd y at which lhs(y, 1) fails a width check (a six-term
+# product), below any y at which lhs(1, y) or lhs(2, y) does.
+_MIRRORED_EDGE = 8695878550221854809
 
 
 @pytest.mark.parametrize("rng, fails", [
@@ -1028,8 +1115,11 @@ _WIDTH_EDGE = 6148914691236517209
     # rows 1 and 2 pass; row 3 fails in its sixth column
     (RangeSpec(1, 30, _WIDTH_EDGE - 5, _WIDTH_EDGE + 5), True),
     (RangeSpec.square(2**126 + 3, lo=2**126), True),
+    # lhs(x, y) stays inside the limit in rows 1 and 2 up to y =
+    # 9223372036854775811; only the blend's lhs(y, x) passes it
+    (RangeSpec(1, 2, _MIRRORED_EDGE - 6, _MIRRORED_EDGE + 6), "mirrored"),
 ], ids=["rows-below", "rows-across", "columns-below", "columns-across",
-        "2^126"])
+        "2^126", "mirrored-only"])
 @pytest.mark.parametrize("mode", FORM_MODES + ["blend-0", "blend-1/2",
                                                "blend-1"])
 def test_width_checks_read_off_regions_fail_where_the_oracle_does(mode, rng,
@@ -1037,7 +1127,8 @@ def test_width_checks_read_off_regions_fail_where_the_oracle_does(mode, rng,
     # simplified carries no width check; the other modes, and the interval
     # blend at one lambda against the per-pair blend, raise with the same
     # message exactly where some pair fails one, and report as the
-    # reference does elsewhere
+    # reference does elsewhere. The blend checks lhs(y, x) too, so it alone
+    # fails where only that does ("mirrored")
     def outcome(run):
         try:
             if mode in FORM_MODES:
@@ -1051,7 +1142,8 @@ def test_width_checks_read_off_regions_fail_where_the_oracle_does(mode, rng,
             return "overflow", str(exc)
     report, reference = outcome(shipped), outcome(oracle)
     overflow = isinstance(reference, tuple)
-    assert overflow == (fails and mode != "simplified")
+    assert overflow == (fails is True and mode != "simplified"
+                        or fails == "mirrored" and mode not in FORM_MODES)
     if overflow:
         assert report == reference
     else:
@@ -1146,7 +1238,7 @@ def test_mbound_progress_reports_each_stride_it_passes():
     seen = []
     report = m_bound_sweep(RangeSpec.square(3000), Fraction(1),
                            progress=seen.append)
-    strides = [n // verifier.PROGRESS_STRIDE for n in seen]
+    strides = [n // PROGRESS_STRIDE for n in seen]
     assert seen == sorted(seen) and seen[-1] <= report.pairs_checked
     assert len(set(strides)) == len(strides) > 1
 
@@ -1245,6 +1337,17 @@ def test_closed_table_reproduces_the_closed_forms(cell, k, l, d):
     value = cells._at(cells._in_l(entry, k), l)
     assert value == 2 * weights.CELL_FORMS[cell](
         k if row_class else None, l if column_class else None)
+
+
+def test_closed_table_is_the_direct_table_on_every_entry():
+    # the shipped closed forms are the six-term forms, entry by entry, so a
+    # cross sweep flags on no range
+    direct = cells._direct_table(weights.CELL_WEIGHTS)
+    closed = cells._closed_table(weights.CELL_FORMS)
+    for cell in range(len(weights.TALLY_KEYS)):
+        for pick in (0, 1, 2) if cell == DIAGONAL else (None,):
+            assert (cells._entry(closed, cell, pick)
+                    == cells._entry(direct, cell, pick)[:6]), (cell, pick)
 
 
 def test_merge_keeps_cell_order_sorted():
