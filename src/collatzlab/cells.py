@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product
-from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .arith import check_width
@@ -75,17 +74,6 @@ def _terms(u: tuple, v: tuple) -> tuple:
             (us - uts, up - utp), (vs - vts, vp - vtp))
 
 
-def _basis(terms: tuple) -> tuple:
-    """Per weight, the doubled quadratic of its term: 2(s + p*l)^2."""
-    return ([2 * p * p for _, p in terms], [4 * s * p for s, p in terms],
-            [2 * s * s for s, _ in terms])
-
-
-def _form(w: Sequence, basis: tuple) -> tuple:
-    """The six-term form with weights w, as a doubled quadratic."""
-    return tuple(sum(map(mul, w, coefs)) for coefs in basis)
-
-
 def _fit(f: Callable, what: str) -> tuple:
     """The doubled (a, b0, b1, c0, c1, c2) of a form with 2f(k, l) = a*l^2 +
     (b0 + b1*k)*l + c0 + (c1 + c2*k)*k, read off {0, 1, 2}^2; one that is not
@@ -104,6 +92,12 @@ def _fit(f: Callable, what: str) -> tuple:
 def _in_l(e: tuple, k: int) -> tuple:
     """A table entry's form (_fit) at row k, as a doubled quadratic in l."""
     return e[0], e[1] + e[2] * k, e[3] + (e[4] + e[5] * k) * k
+
+
+def _swap(e: tuple) -> tuple:
+    """The entry (_fit) of g(k, l) = f(l, k) for a table entry e of f."""
+    a, b0, b1, c0, c1, c2 = e[:6]
+    return c2, c1, b1, c0, b0, a
 
 
 def _cell_table(form: Callable, tail: Callable = lambda cell, d: ()) -> tuple:

@@ -18,8 +18,10 @@ with "-") goes to argparse, which is imported only then, so help, usage
 errors and their exit code 2 are argparse's own.
 
 Every verify mode reads whole cell regions, at O(cells x period) cost plus
-the rows that flag, so verify takes any side; conditions and search-lambda
-still walk every pair and keep the desk-scale gate (--allow-large).
+the rows that flag, so verify takes any side and has no --progress;
+conditions and search-lambda still walk every pair and keep the desk-scale
+gate (--allow-large), and they and decay, which walks seeds, print
+--progress lines to stderr.
 """
 
 from __future__ import annotations
@@ -150,8 +152,7 @@ def cmd_verify(args) -> tuple[int, str]:
         m_cap = parse_rational(args.M)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    kwargs = dict(max_violations=max(0, args.violations_cap),
-                  progress=_progress_printer(args))
+    kwargs = dict(max_violations=max(0, args.violations_cap))
     if args.mode == "mbound":
         report = m_bound_sweep(rng, m_cap, **kwargs)
     elif args.mode == "simplified":

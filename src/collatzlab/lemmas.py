@@ -10,19 +10,20 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from . import verifier
+from . import verifier, weights
 from .arith import WIDTH_LIMIT
 from .cells import (
     _at,
-    _basis,
     _check_widths,
-    _form,
+    _direct_table,
+    _entry,
+    _in_l,
     _positive,
     _row,
+    _swap,
     _terms,
     _top,
 )
@@ -38,7 +39,7 @@ from .reports import (
     _pair_bound,
     _sorted_cells,
 )
-from .weights import CASE_ORDER, cell_weights, locate
+from .weights import CASE_ORDER, CELL_TRANSPOSE, cell_weights
 
 
 def _blend_visit(lam: Fraction, nkey: str, checked: bool) -> Callable:
@@ -46,30 +47,27 @@ def _blend_visit(lam: Fraction, nkey: str, checked: bool) -> Callable:
     lambda = p/q, scaled by q: the six-term form with the blended weights
     (q-p)*w + p*mirror. That form is (q-p)*lhs(x, y) + p*lhs(y, x) for any
     table, since the terms of (y, x) are those of (x, y) in the order
-    (0, 2, 1, 3, 5, 4), so the identity needs no check here. The cell of
-    (y, x) is constant on the same intervals as that of (x, y), since
-    transposing swaps the low and high odd-odd gates."""
+    (0, 2, 1, 3, 5, 4), so the identity needs no check here. The pair (y,
+    x) lies in the transposed cell (weights.CELL_TRANSPOSE) at reduced
+    coordinates (l, k), the diagonal's at d = l - k, so on a cell the
+    blended form is (q-p)*E + p*swap(E') for E the cell's _direct_table
+    entry and E' the transposed cell's at pick 2 - pick (cells._swap)."""
     p, q = lam.numerator, lam.denominator
-    co = q - p
-
-    @lru_cache(maxsize=1)
-    def bases(x: int, column: tuple) -> tuple:
-        # the terms of (x, y) and (y, x) along a column, shared by the cells
-        # of one row's column
-        row = _row(x)
-        terms = _terms(row, column)
-        return terms, _terms(column, row), _basis(terms)
+    table = _direct_table(weights.CELL_WEIGHTS)
 
     def visit(x, k, cell, pick, column, lo, hi) -> list:
-        terms, mirrored, basis = bases(x, column)
-        w = cell_weights(cell, k, lo)
-        s = cell_weights(*locate(column[0] + column[1] * lo, x))
+        direct = _entry(table, cell, pick)
+        mirror = _swap(_entry(table, CELL_TRANSPOSE[cell],
+                              None if pick is None else 2 - pick))
         if checked:
             # the width checks of lhs(x, y) and lhs(y, x)
-            _check_widths(w, terms, _form(w, basis), lo, hi)
-            _check_widths(s, mirrored, _form(s, _basis(mirrored)), lo, hi)
-        left = _form([co * a + p * b for a, b in
-                      zip(w, (s[0], s[2], s[1], s[3], s[5], s[4]))], basis)
+            row = _row(x)
+            _check_widths(cell_weights(cell, k, lo), _terms(row, column),
+                          _in_l(direct, k), lo, hi)
+            _check_widths(cell_weights(CELL_TRANSPOSE[cell], lo, k),
+                          _terms(column, row), _in_l(mirror, k), lo, hi)
+        left = _in_l(tuple((q - p) * a + p * b
+                           for a, b in zip(direct, mirror)), k)
         if _top(left, lo, hi) <= 0:
             return []
         return [(nkey, "lemma2-positive", _positive(*left, lo, hi),
@@ -97,11 +95,10 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     the pair sweeps (_blend_visit), where the identity holds by linearity
     and only nonpositivity is checked; otherwise it runs pair by pair and
     checks both. The report's engine names the blend that ran: "vector"
-    (interval blends), "scalar" (the per-pair blend) or "mixed" (the
-    per-pair blend beside a theta < 0). Each lambda keeps its own first
-    flags, which it finds in report order, and the report keeps the first
-    of their merge. Neither lemma is per parity case, so a range with a
-    case filter is rejected.
+    (interval blends) or "scalar" (the per-pair blend). Each lambda keeps
+    its own first flags, which it finds in report order, and the report
+    keeps the first of their merge. Neither lemma is per parity case, so a
+    range with a case filter is rejected.
     """
     if rng.cases is not None:
         raise ValueError("the lemmas hold over whole ranges; "
@@ -158,8 +155,7 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         if progress is not None:
             progress(checks_done)
 
-    engine = ("vector" if vector_ok else "mixed"
-              if any(Fraction(t) < 0 for t in thetas) else "scalar")
+    engine = "vector" if vector_ok else "scalar"
     # a stable sort: ties keep the pass order
     violations = sorted(chain.from_iterable(f.kept for f in passes),
                         key=Violation.sort_key)[:max(0, max_violations)]

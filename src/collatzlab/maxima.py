@@ -45,7 +45,7 @@ from heapq import merge
 from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import weights
 from .arith import WIDTH_LIMIT
@@ -69,7 +69,6 @@ from .reports import (
     CHECK_CROSS,
     CHECK_LHS,
     CHECK_SIMPLIFIED,
-    PROGRESS_STRIDE,
     QUANTITY_LABELS,
     RangeSpec,
     _Findings,
@@ -160,11 +159,11 @@ def _ends(e: tuple, span: tuple) -> list:
     of k modulo P that the span holds, with k = P*i + r."""
     k0, k1 = span[:2]
     out = []
-    for u, v, w in span[2:3] if span[2] == span[3] else span[2:]:
+    for term in span[2:3] if span[2] == span[3] else span[2:]:
+        along, w = _floor_end(e, term), term[2]
         for k in range(k0, min(k1, k0 + w - 1) + 1):
             r = k % w
-            out.append((w, r, k // w, (k1 - r) // w,
-                        [_along(e, w, r, u, (u * r + v) // w)]))
+            out.append((w, r, k // w, (k1 - r) // w, [along[r]]))
     return out
 
 
@@ -194,10 +193,11 @@ def _peak(segments: list) -> int:
 
 @lru_cache(maxsize=64)
 def _floor_end(e: tuple, term: tuple) -> tuple:
-    """Entry e's form along a floor end term (u, v, w) of a span, per
-    residue r of k modulo w: with k = w*i + r, a doubled quadratic in i, as
-    _ends makes it. A floor end is a floor cut of regions._CUTS or one
-    past it, so a table has few keys; the bound serves patched tables."""
+    """Entry e's form along an end term (u, v, w) of a span, per residue r
+    of k modulo w: with k = w*i + r, a doubled quadratic in i (_ends reads
+    it; a line end, w = 1, has one). A floor end is a floor cut of
+    regions._CUTS or one past it, so a table has few keys; the bound serves
+    patched tables."""
     u, v, w = term
     return tuple(_along(e, w, r, u, (u * r + v) // w) for r in range(w))
 
@@ -259,8 +259,8 @@ def _width_entries(w: Sequence, rx: int, column: tuple, e: tuple) -> list:
     return out
 
 
-def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
-                 progress: Optional[Callable[[int], None]]) -> tuple:
+def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
+                 found: _Findings) -> tuple:
     """A pair sweep of the direct, bounds, simplified or cross check off the
     cell regions. Both forms are read from their own tables: the direct
     form from _direct_table (CELL_WEIGHTS alone), the closed form from
@@ -301,7 +301,7 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
                     cell, 0 if pick is None else pick - 1, 0), rx, column,
                     direct)
             row = _POINTS[rx]
-            pairs = sum(map(_pairs, spans))
+            cell_pairs += sum(map(_pairs, spans))
             for span in spans:
                 peak = _span_peak(form, span)
                 if cell_peak is None or peak > cell_peak:
@@ -316,11 +316,7 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str], found: _Findings,
                     for e in widths:
                         failing += _rows_above(_maxima(e, span),
                                                2 * WIDTH_LIMIT, row)
-            cell_pairs += pairs
-            done += pairs
-            passed = done // PROGRESS_STRIDE > (done - pairs) // PROGRESS_STRIDE
-            if progress is not None and passed:
-                progress(done)
+        done += cell_pairs
         tal = _tally(per_case, cell)
         tal.pairs += cell_pairs
         tal.absorb_value(cell_peak // 2)

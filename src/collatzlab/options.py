@@ -65,11 +65,10 @@ _OUTPUT = (
            help=f"write the report here (default stdout, env {ENV_OUTPUT})"),
 )
 
-_SWEEP = _OUTPUT + (
-    _flag("--timings", "include elapsed_ms in JSON/CSV (breaks byte-for-byte "
-                       "reproducibility)"),
-    _flag("--progress", "print progress to stderr"),
-)
+_TIMINGS = _flag("--timings", "include elapsed_ms in JSON/CSV (breaks "
+                              "byte-for-byte reproducibility)")
+
+_SWEEP = _OUTPUT + (_TIMINGS, _flag("--progress", "print progress to stderr"))
 
 _RANGE = (
     _value("--max", type=int, required=True,
@@ -100,7 +99,8 @@ _CONDITION = (
 
 # subcommand -> (help, options in add_argument order)
 SUBCOMMANDS = {
-    "verify": ("pair sweeps of the weighted inequality", _SWEEP + _RANGE + (
+    "verify": ("pair sweeps of the weighted inequality",
+               _OUTPUT + (_TIMINGS,) + _RANGE + (
         _value("--mode", choices=("direct", "simplified", "cross", "bounds",
                                   "mbound"), default="direct"),
         _value("--M", default="2", help="cap for --mode mbound"),

@@ -25,7 +25,7 @@ ends over k (_floor_sum), O(r) each. A region costs O(1), at any size.
 The rows that a sweep must walk read their intervals off the same spans,
 one floor term per end (_row_walk). A region whose flag is a constant (each
 of mbound's) carries it, so the walk makes its runs with no call per row
-and cell; other regions' flags come from a visitor.
+and cell; the other walks' flags come from a visitor.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from . import weights
 from .cells import _columns, _direct_table, _entry, _span
 from .reports import (
     CHECK_MBOUND,
-    PROGRESS_STRIDE,
     QUANTITY_LABELS,
     RangeSpec,
     _Findings,
@@ -185,16 +184,16 @@ def _row_walk(regions: Iterable, rows: Iterable[int],
               visit: Optional[Callable], found: _Findings,
               until_full: bool = False) -> None:
     """Walk the ascending rows `rows` over cell regions (cell, pick, row
-    class, column, spans) as _cell_spans lays them out, each with an
-    optional flag appended. In a row x at k (x = 1 is k = 0), each span of
-    its row class that holds k gives its cell the interval [start(k),
-    end(k)] of l. A region's flag, a constant (key, quantity, value), flags
-    that whole interval; where it has none, visit(x, k, cell, pick, column,
-    lo, hi) returns the flags there as (key, quantity, ranges of l, value):
-    a constant, or a function of l where it changes along the range. Every
-    flag is counted; the first `found.cap` in report order (x, y, quantity)
-    are kept as runs of y (ViolationRows), a range of l with a constant
-    value as one run and any other as runs of one. Adjacent runs of one
+    class, column, spans) as _cell_spans lays them out. In a row x at k (x
+    = 1 is k = 0), each span of its row class that holds k gives its cell
+    the interval [start(k), end(k)] of l. Either every region carries a
+    constant flag (key, quantity, value) appended, which flags that whole
+    interval, or none does and visit(x, k, cell, pick, column, lo, hi)
+    returns the flags there as (key, quantity, ranges of l, value), the
+    value a function of l; never both. Every flag is counted; the first
+    `found.cap` in report order (x, y, quantity) are kept as runs (ys,
+    case, quantity, value) of y (ViolationRows): a constant flag's range of
+    l as one run, a visitor's as runs of one. Adjacent runs of one constant
     flag (one object, which regions may share) whose ys continue at one
     step are one run, and a row is put in quantity order only where its
     flags hold several quantities. A row keeps only the runs up to the y at
@@ -217,8 +216,7 @@ def _row_walk(regions: Iterable, rows: Iterable[int],
         room = found.cap - found.kept.count
         flagged = 0
         runs: list = []
-        # the flag of the last run, and whether a visitor gave a run
-        last = visited = None
+        last = None  # the flag of the last run
         for (k0, k1, p, q, r, u, v, w, ys, yp, flag, cell, pick,
              column) in by_class[0 if x == 1 else 1 + (x & 1)]:
             if not k0 <= k <= k1:
@@ -233,35 +231,28 @@ def _row_walk(regions: Iterable, rows: Iterable[int],
                         run = runs[-1][0]
                         if run.step == step and run[-1] + step == y0:
                             runs[-1] = (range(run.start, ys + yp * hi + 1,
-                                              step), *flag, None)
+                                              step), *flag)
                             continue
-                    runs.append((range(y0, ys + yp * hi + 1, step), *flag,
-                                 None))
+                    runs.append((range(y0, ys + yp * hi + 1, step), *flag))
                     last = flag
                 continue
-            last = None
             for key, quantity, ranges, value in visit(
                     x, k, cell, pick, column, lo, hi):
                 for lo, hi in ranges:
                     flagged += hi - lo + 1
                     if room:
-                        visited = True
+                        # the run's first l rides along until its values
+                        # are read
                         runs.append((range(ys + yp * lo, ys + yp * hi + 1,
                                            yp or 1), key, quantity, value,
                                      lo))
         if flagged:
             if flagged > room and runs:
                 runs = _head_runs(runs, room)
-            if visited:
-                kept: list = []
-                for ys, key, quantity, value, lo in runs:
-                    if callable(value):
-                        kept += ((range(y, y + 1), key, quantity, value(l),
-                                  None) for y, l in zip(
-                                      ys, range(lo, lo + len(ys))))
-                    else:
-                        kept.append((ys, key, quantity, value, None))
-                runs = kept
+            if visit is not None:
+                runs = [(range(y, y + 1), key, quantity, value(l))
+                        for ys, key, quantity, value, lo in runs
+                        for y, l in zip(ys, range(lo, lo + len(ys)))]
             if not ordered:
                 # in quantity order, the order of one pair's rows at its y
                 runs.sort(key=itemgetter(2))
@@ -270,8 +261,7 @@ def _row_walk(regions: Iterable, rows: Iterable[int],
                 return
 
 
-def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
-                  progress: Optional[Callable[[int], None]]) -> tuple:
+def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings) -> tuple:
     """An mbound sweep off the cell regions. A cell's weights are constant
     on it (the diagonal's per d = k - l), so a cell whose largest |w|
     (_direct_table) exceeds M flags every pair of its region: pair counts
@@ -298,9 +288,6 @@ def _sweep_mbound(rng: RangeSpec, m_cap: Fraction, found: _Findings,
             # the walk joins their runs
             flagged.append(region + (flags.setdefault((cell, top), (
                 TALLY_KEYS[cell], QUANTITY_LABELS[CHECK_MBOUND], top)),))
-        passed = done // PROGRESS_STRIDE > (done - n) // PROGRESS_STRIDE
-        if progress is not None and passed:
-            progress(done)
 
     head = _Findings(min(found.cap - len(found.kept), total))
     if head.cap:

@@ -4,14 +4,15 @@ and the exact encoders that writers.py shares for the other commands.
 JSON reports give the bytes of json.dumps(..., indent=2, sort_keys=True)
 without its pure-Python encoder, as pieces of one list joined once:
 rationals render as "p/q" strings and integers beyond 53-bit magnitude as
-decimal strings, so that no reader rounds them. The head of a verification
-report is written from fixed templates (_JSON_HEAD, _JSON_TALLY, the CSV
-tally line) in json.dumps's sorted-key order and the CSV header's column
-order, each value through _leaf or _cell_str and each CSV label quoted
-once by the csv module (_csv_labels); other documents go through the
+decimal strings, so that no reader rounds them. The three verification
+writers read the VerificationReport itself, building no document: its head
+is written from fixed templates (_JSON_HEAD, _JSON_TALLY, the CSV tally
+line) in json.dumps's sorted-key order and the CSV header's column order,
+each value through _leaf or _cell_str and each CSV label quoted once by
+the csv module (_csv_labels); the other commands' documents go through the
 generic indent-2 writer (_render_json).
 Verification reports keep their rows as runs of y that share every other
-field (verifier.ViolationRows), and one row writer (_rows) serves JSON, CSV
+field (reports.ViolationRows), and one row writer (_rows) serves JSON, CSV
 and text: it formats the texts around x and y once per distinct run head
 in a report and lays the y texts out between them, building no Violation
 row. format_rational, which perfbench/tracing.py wraps on cli, is looked up
@@ -30,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from .reports import _layout, _merge
-from .verifier import RangeSpec, VerificationReport, ViolationRows
+from .verifier import VerificationReport, ViolationRows
 
 JSON_INT_LIMIT = 2**53
 
@@ -72,21 +73,22 @@ def _leaf(value) -> str:
 
 
 # --- violation rows ------------------------------------------------------------
-# A report keeps its rows as runs (verifier.ViolationRows): per row x, ranges
-# of y whose rows share the head (x, case, quantity, value, z). A writer's
-# line(case, quantity, value, z) gives the texts around x and y, formatted
-# once per distinct head in a report; each row puts its x text between them.
-# Where the kept ys span no more values than there are rows, each y is
-# formatted once, into a table that runs slice. A row x of one run is one
-# join of its y texts with after + before between them. A row whose runs
-# interleave without sharing a y (even and odd columns, the column y = 1) is
-# laid out in two slots per y (reports._merge): the y and the text after it
-# where the row's texts before y agree (CSV rows, rows of one quantity in
-# text), else the text before y and the y where its texts after y agree
-# (JSON rows of one z). Other rows (several quantities at one y, or texts
-# that agree on neither side) take three slots per y, and one whose slots
-# would outnumber its rows a stable index sort on y. Every piece goes to the
-# report's one output list.
+# A report keeps its rows as runs (reports.ViolationRows): per row x, ranges
+# of y whose rows share the head (x, case, quantity, value). A writer's
+# line(case, quantity, value) gives the texts around x and y, formatted once
+# per distinct head in a report; each row puts its x text between them. z is
+# no field: JSON rows end with the constant "z": null and CSV rows leave the
+# z column empty. Where the kept ys span no more values than there are rows,
+# each y is formatted once, into a table that runs slice. A row x of one run
+# is one join of its y texts with after + before between them. A row whose
+# runs interleave without sharing a y (even and odd columns, the column y =
+# 1) is laid out in one slot per y (reports._merge), of two pieces: the y
+# and the text after it where the row's texts before y agree (CSV rows, rows
+# of one quantity in text), else the text before y and the y where its
+# texts after y agree (every JSON row). Other such rows take three pieces
+# per y, and a row whose runs share a y, or whose slots would outnumber its
+# rows, a stable index sort on y. Every piece goes to the report's one
+# output list.
 
 
 def _rows(out: list, rows: ViolationRows, line: Callable,
@@ -111,12 +113,12 @@ def _rows(out: list, rows: ViolationRows, line: Callable,
     heads: dict = {}
 
     def head(run: tuple) -> tuple:
-        _, case, quantity, value, z = run
+        _, case, quantity, value = run
         # 2 == Fraction(2), with one hash, yet the two are written apart
-        key = (case, quantity, value, type(value), z)
+        key = (case, quantity, value, type(value))
         found = heads.get(key)
         if found is None:
-            found = heads[key] = line(case, quantity, value, z)
+            found = heads[key] = line(case, quantity, value)
         return found
 
     x_text = _leaf if leaf else str
@@ -131,7 +133,7 @@ def _rows(out: list, rows: ViolationRows, line: Callable,
         lines = list(map(head, runs))
         layout = _layout(runs)
         pre, mid, after = lines[0]
-        if layout[3] == 1 and all(t[0] == pre and t[1] == mid for t in lines):
+        if layout[3] and all(t[0] == pre and t[1] == mid for t in lines):
             before = pre + xs + mid
             slots = _merge(n, runs, [
                 (texts(run[0]), [t[2] + before] * len(run[0]))
@@ -140,7 +142,7 @@ def _rows(out: list, rows: ViolationRows, line: Callable,
             slots[-1] = slots[-1][:-len(before)]
             out.append(before)
             out += slots
-        elif layout[3] == 1 and all(t[2] == after for t in lines):
+        elif layout[3] and all(t[2] == after for t in lines):
             slots = _merge(n, runs, [
                 ([after + t[0] + xs + t[1]] * len(run[0]), texts(run[0]))
                 for run, t in zip(runs, lines)], 2, layout)
@@ -160,21 +162,22 @@ def _rows(out: list, rows: ViolationRows, line: Callable,
 def _row_template(nl: str) -> tuple:
     """Templates of a JSON Violation row whose own line starts with `nl`,
     from the comma before it: its text before x (a %-template of case,
-    quantity and value), between x and y, and after y (of z)."""
+    quantity and value), between x and y, and after y, the constant
+    "z": null."""
     inner = nl + "  "
     return ("," + nl + "{" + "".join(
         f'{inner}"{name}": %s,' for name in ("case", "quantity", "value"))
         + inner + '"x": ', "," + inner + '"y": ',
-        "," + inner + '"z": %s' + nl + "}")
+        "," + inner + '"z": null' + nl + "}")
 
 
 def _json_rows(out: list, rows: ViolationRows, nl: str) -> None:
     """Append the JSON text of kept rows, as _json lays out a list."""
     before, mid, after = _row_template(nl + "  ")
 
-    def line(case, quantity, value, z) -> tuple:
+    def line(case, quantity, value) -> tuple:
         return (before % (_quote(case), _quote(quantity), _leaf(value)), mid,
-                after % _leaf(z))
+                after)
 
     first = len(out)
     _rows(out, rows, line, leaf=True)
@@ -212,34 +215,6 @@ def _cell_str(value) -> str:
     return str(value)
 
 
-def _range_doc(rng: RangeSpec) -> dict:
-    doc = {"x_min": rng.x_min, "x_max": rng.x_max,
-           "y_min": rng.y_min, "y_max": rng.y_max}
-    if rng.cases:
-        doc["cases"] = sorted(c.label for c in rng.cases)
-    return doc
-
-
-def _verification_doc(command: str, report: VerificationReport,
-                      timings: bool) -> dict:
-    return {
-        "command": command,
-        "engine": report.engine,
-        "params": dict(report.params),
-        "range": _range_doc(report.rng),
-        "pairs_checked": report.pairs_checked,
-        "per_case": [
-            {"case": key, "pairs": tal.pairs, "max_lhs": tal.max_lhs,
-             "bound": tal.bound}
-            for key, tal in report.per_case.items()
-        ],
-        "violations": report.violations,
-        "violations_total": report.violations_total,
-        "violations_shown": len(report.violations),
-        "elapsed_ms": report.elapsed_ms if timings else None,
-    }
-
-
 def _render_json(doc: dict) -> str:
     out: list = []
     _json(out, doc, "\n")
@@ -263,30 +238,32 @@ def _json_list(texts: list, nl: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + nl + "]" if texts else "[]"
 
 
-def _render_json_verification(doc: dict) -> str:
-    """A verification document (_verification_doc) as _render_json would
-    write it, its params' values being scalars."""
-    params, rng = doc["params"], doc["range"]
-    cases = ("\n    \"cases\": " + _json_list(list(map(_leaf, rng["cases"])),
-                                            "\n    ") + ","
-             if "cases" in rng else "")
+def _render_json_verification(command: str, report: VerificationReport,
+                              timings: bool) -> str:
+    """A verification report as _render_json writes its document, its
+    params' values being scalars: the range's cases as sorted labels, the
+    tallies as a list and elapsed_ms only with timings."""
+    params, rng = report.params, report.rng
+    cases = ("\n    \"cases\": " + _json_list(
+        [*map(_quote, sorted(c.label for c in rng.cases))], "\n    ")
+        + "," if rng.cases else "")
     out = [_JSON_HEAD % (
-        _leaf(doc["command"]), _leaf(doc["elapsed_ms"]), _leaf(doc["engine"]),
-        _leaf(doc["pairs_checked"]),
+        _leaf(command), _leaf(report.elapsed_ms if timings else None),
+        _leaf(report.engine), _leaf(report.pairs_checked),
         "{" + ",".join("\n    " + _quote(k) + ": " + _leaf(params[k])
                        for k in sorted(params)) + "\n  }" if params else "{}",
-        _json_list([_JSON_TALLY % (_leaf(t["bound"]), _leaf(t["case"]),
-                                   _leaf(t["max_lhs"]), _leaf(t["pairs"]))
-                    for t in doc["per_case"]], "\n  "),
-        cases, _leaf(rng["x_max"]), _leaf(rng["x_min"]), _leaf(rng["y_max"]),
-        _leaf(rng["y_min"]))]
-    if doc["violations"]:
-        _json_rows(out, doc["violations"], "\n  ")
+        _json_list([_JSON_TALLY % (_leaf(t.bound), _leaf(key), _leaf(t.max_lhs),
+                                   _leaf(t.pairs))
+                    for key, t in report.per_case.items()], "\n  "),
+        cases, _leaf(rng.x_max), _leaf(rng.x_min), _leaf(rng.y_max),
+        _leaf(rng.y_min))]
+    if report.violations:
+        _json_rows(out, report.violations, "\n  ")
     else:
         out.append("[]")
     out.append(',\n  "violations_shown": %s,\n  "violations_total": %s\n}\n'
-               % (_leaf(doc["violations_shown"]),
-                  _leaf(doc["violations_total"])))
+               % (_leaf(len(report.violations)),
+                  _leaf(report.violations_total)))
     return "".join(out)
 
 
@@ -305,66 +282,58 @@ def _csv_labels(*labels: str) -> str:
     return _csv(["", *labels, ""], ())[1:-2]
 
 
-def _csv_row(case, quantity, value, z) -> tuple:
-    """A CSV violation row around its x and y: numbers written with str as
-    the csv module writes them (a Fraction as "p/q"), and None as ""."""
-    return ("violation,", ",",
-            "," + ("" if z is None else str(z)) + ","
-            + _csv_labels(case, quantity) + ","
+def _csv_row(case, quantity, value) -> tuple:
+    """A CSV violation row around its x and y, its z field empty: numbers
+    written with str as the csv module writes them (a Fraction as "p/q"),
+    and None as ""."""
+    return ("violation,", ",", ",," + _csv_labels(case, quantity) + ","
             + ("" if value is None else str(value)) + ",,,\n")
 
 
-def _render_csv_verification(doc: dict) -> str:
+def _render_csv_verification(report: VerificationReport) -> str:
     out = ["record,x,y,z,case,quantity,value,pairs,max_lhs,bound\n"]
     out += ["tally,,,,%s,,,%s,%s,%s\n" % (
-        _csv_labels(tal["case"]), _cell_str(tal["pairs"]),
-        _cell_str(tal["max_lhs"]), _cell_str(tal["bound"]))
-        for tal in doc["per_case"]]
-    _rows(out, doc["violations"], _csv_row)
+        _csv_labels(key), _cell_str(tal.pairs), _cell_str(tal.max_lhs),
+        _cell_str(tal.bound)) for key, tal in report.per_case.items()]
+    _rows(out, report.violations, _csv_row)
     return "".join(out)
 
 
-def _text_row(case, quantity, value, z) -> tuple:
+def _text_row(case, quantity, value) -> tuple:
     """A text violation line around its x and y."""
-    return (f"  {quantity} at (", ", ", ")" + (f" z={z}" if z else "")
-            + f" [{case}] value={_cell_str(value)}\n")
+    return (f"  {quantity} at (", ", ",
+            f") [{case}] value={_cell_str(value)}\n")
 
 
-def _render_text_verification(doc: dict, report: VerificationReport) -> str:
-    lines = [f"{doc['command']}: range {report.rng.label()} "
-             f"pairs={doc['pairs_checked']} engine={doc['engine']}"]
+def _render_text_verification(command: str,
+                              report: VerificationReport) -> str:
+    lines = [f"{command}: range {report.rng.label()} "
+             f"pairs={report.pairs_checked} engine={report.engine}"]
     lines.append(f"  {'cell':<22}{'pairs':>12}{'max_lhs':>14}{'bound':>8}")
-    for tal in doc["per_case"]:
-        lines.append(f"  {tal['case']:<22}{tal['pairs']:>12}"
-                     f"{_cell_str(tal['max_lhs']):>14}"
-                     f"{_cell_str(tal['bound']):>8}")
-    total = doc["violations_total"]
-    lines.append(f"violations: {total}"
-                 + (f" (showing {doc['violations_shown']})" if total else ""))
+    for key, tal in report.per_case.items():
+        lines.append(f"  {key:<22}{tal.pairs:>12}"
+                     f"{_cell_str(tal.max_lhs):>14}{_cell_str(tal.bound):>8}")
+    total = report.violations_total
+    lines.append(f"violations: {total}" + (
+        f" (showing {len(report.violations)})" if total else ""))
     out = ["\n".join(lines) + "\n"]
-    _rows(out, doc["violations"], _text_row)
+    _rows(out, report.violations, _text_row)
     out.append(f"elapsed: {report.elapsed_ms} ms\n")
     return "".join(out)
-
-
-def _render(args, doc: dict, source, as_csv, as_text,
-            as_json=_render_json) -> str:
-    """`doc` in --format; text also reads the command's result, `source`."""
-    if args.format == "json":
-        return as_json(doc)
-    if args.format == "csv":
-        return as_csv(doc)
-    return as_text(doc, source)
 
 
 # --- one report per command: (args, result) to the text of --format --------
 
 def verification(args, command: str,
                  report: VerificationReport) -> tuple[int, str]:
-    """The exit code of a verify or decay report, and its text."""
-    doc = _verification_doc(command, report, args.timings)
-    return (0 if report.ok else 1, _render(
-        args, doc, report, _render_csv_verification,
-        _render_text_verification, _render_json_verification))
+    """The exit code of a verify or decay report, and its text in
+    --format."""
+    if args.format == "json":
+        text = _render_json_verification(command, report, args.timings)
+    elif args.format == "csv":
+        text = _render_csv_verification(report)
+    else:
+        text = _render_text_verification(command, report)
+    return 0 if report.ok else 1, text
 
 

@@ -2,9 +2,10 @@
 keeps (as runs of y, read as a tuple of Violation rows), the per-cell
 tallies, and merge_reports, which joins reports over disjoint ranges of one
 sweep so that partitioned runs reproduce the single-run report. A row x of
-several runs is put in y order by laying its pieces out in y slots
-(_layout, _merge), which the row writer (render._rows) and the first read
-of the rows share."""
+several runs is put in y order by laying its pieces out in one slot per y
+where no two runs share a y, and by a stable index sort otherwise (_layout,
+_merge), which the row writer (render._rows) and the first read of the rows
+share."""
 
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from .weights import CELL_BOUNDS, TALLY_KEYS, ParityCase
 
 DEFAULT_MAX_VIOLATIONS = 10_000
 PROGRESS_STRIDE = 10**6
-# a row of several runs is laid out in y slots while they number at most
-# this many times its rows (_merge)
+# a row of several runs is laid out in y slots while its y span is at most
+# this many times its rows (_layout)
 SPARSE_SPAN = 4
 
 CHECK_LHS = "lhs"
@@ -76,26 +77,25 @@ class RangeSpec:
 
 
 class Violation(NamedTuple):
-    """One failed comparison, with the exact offending value. Triple sweeps
-    record the witness midpoint in z. A plain immutable tuple of its fields,
-    so that a report builds its rows in bulk when they are read
-    (ViolationRows), and lists them in sort_key order."""
+    """One failed comparison, with the exact offending value. A plain
+    immutable tuple of its fields, so that a report builds its rows in bulk
+    when they are read (ViolationRows), and lists them in sort_key order.
+    The writers' z column is a constant (render), not a field."""
 
     x: int
     y: int
     case: str
     quantity: str
     value: object
-    z: Optional[int] = None
 
     def sort_key(self) -> tuple:
-        return (self.x, self.y, self.quantity, self.z if self.z is not None else 0)
+        return (self.x, self.y, self.quantity)
 
 
 class ViolationRows:
     """A report's kept rows, read as a tuple of Violation rows that is built
     on the first read. They are held per row x as (x, n, runs), each run
-    (ys, case, quantity, value, z) the rows at the y of a nonempty ascending
+    (ys, case, quantity, value) the rows at the y of a nonempty ascending
     range ys: x's rows are the runs' points by y, ties in run order, and the
     first n of them. Writers format the runs without building rows."""
 
@@ -152,18 +152,17 @@ class ViolationRows:
 
 
 def _layout(runs: list) -> tuple:
-    """(lo, span, total, layers) of a row of several runs (ys, ...): its
-    least y, the span of its ys, its rows, and the slots each y takes: one
-    where no two runs share a y, one per run where two do, and none where
-    those slots would outnumber the rows SPARSE_SPAN times over."""
+    """(lo, span, total, slots) of a row of several runs (ys, ...): its
+    least y, the span of its ys, its rows, and whether it takes one slot
+    per y: not where two runs share a y, nor where the slots would
+    outnumber the rows SPARSE_SPAN times over."""
     columns = [run[0] for run in runs]
     ends = [(ys.start, ys[-1], ys.step) for ys in columns]
     total = sum(map(len, columns))
     lo = min([start for start, _, _ in ends])
     span = max([last for _, last, _ in ends]) - lo + 1
     if span > SPARSE_SPAN * total:
-        return lo, span, total, 0
-    layers = 1
+        return lo, span, total, False
     # two runs share no y where their spans do not overlap or their starts
     # differ modulo the gcd of their steps; past a pair that passes neither
     # test, the ys the runs cover are counted, fewer than their rows where
@@ -173,38 +172,33 @@ def _layout(runs: list) -> tuple:
             marks = bytearray(span)
             for ys in columns:
                 marks[ys.start - lo:ys.stop - lo:ys.step] = b"\1" * len(ys)
-            if span - marks.count(0) != total:
-                layers = len(runs)
-            break
-    if span * layers > SPARSE_SPAN * total:
-        layers = 0
-    return lo, span, total, layers
+            return lo, span, total, span - marks.count(0) == total
+    return lo, span, total, True
 
 
 def _merge(n: int, runs: list, pieces: list, width: int,
            layout: tuple) -> Iterable:
     """The pieces of a row's first n rows, by y with ties in run order:
     pieces holds per run `width` sequences over its ys, a row's pieces
-    being one from each, none of them empty or None. Each y gets the slots
-    of its layout (_layout), `width` pieces each, and a run fills its slots
-    by extended-slice assignment on its range; the row is read past the
-    empty slots and cut at n. A row with no layers (scattered runs of one)
-    is put in order by a stable index sort on y instead."""
-    lo, span, total, layers = layout
-    if not layers:
+    being one from each, none of them empty or None. A row that takes slots
+    (_layout) gives each y `width` of them, and a run fills its slots by
+    extended-slice assignment on its range; the row is read past the empty
+    slots and cut at n. Any other row is put in order by a stable index
+    sort on y."""
+    lo, span, total, slotted = layout
+    if not slotted:
         ys = list(chain.from_iterable(run[0] for run in runs))
         rows = list(chain.from_iterable(zip(*seqs) for seqs in pieces))
         return chain.from_iterable(map(rows.__getitem__, islice(
             sorted(range(len(ys)), key=ys.__getitem__), n)))
-    slots = [None] * (span * layers * width)
-    for layer, (run, seqs) in enumerate(zip(runs, pieces)):
+    slots = [None] * (span * width)
+    for run, seqs in zip(runs, pieces):
         ys = run[0]
-        step = ys.step * layers * width
-        at = ((ys.start - lo) * layers + (layer if layers > 1 else 0)) * width
+        step = ys.step * width
         end = len(ys) * step
-        for k, seq in enumerate(seqs, at):
+        for k, seq in enumerate(seqs, (ys.start - lo) * width):
             slots[k:k + end:step] = seq
-    if span * layers > total:
+    if span > total:
         slots = [*filter(None, slots)]
     del slots[n * width:]
     return slots
@@ -227,9 +221,8 @@ class _Findings:
         if room and runs:
             self.kept.add(x, min(room, count), runs)
 
-    def add(self, x: int, y: int, case: str, quantity: str, value,
-            z: Optional[int] = None) -> None:
-        self.add_runs(x, 1, [(range(y, y + 1), case, quantity, value, z)])
+    def add(self, x: int, y: int, case: str, quantity: str, value) -> None:
+        self.add_runs(x, 1, [(range(y, y + 1), case, quantity, value)])
 
 
 @dataclass

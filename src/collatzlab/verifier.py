@@ -92,25 +92,23 @@ __all__ = [
 # --- pair sweeps -----------------------------------------------------------
 
 def _sweep_vector(rng: RangeSpec, checks: Sequence[str], m_cap: Fraction,
-                  found: _Findings,
-                  progress: Optional[Callable[[int], None]]) -> tuple:
+                  found: _Findings) -> tuple:
     """The production pair sweep off the cell regions: mbound, which m_bound_sweep
     asks for alone, on their pair counts (_sweep_mbound), and every other
     check on their row maxima (_sweep_forms)."""
     if CHECK_MBOUND in checks:
-        return _sweep_mbound(rng, m_cap, found, progress)
-    return _sweep_forms(rng, checks, found, progress)
+        return _sweep_mbound(rng, m_cap, found)
+    return _sweep_forms(rng, checks, found)
 
 
 def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
                     m_cap: Fraction = Fraction(2),
-                    max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                    progress: Optional[Callable[[int], None]] = None
+                    max_violations: int = DEFAULT_MAX_VIOLATIONS
                     ) -> VerificationReport:
     """One pair sweep, on the interval engine (labelled "vector")."""
     started = time.monotonic()
     found = _Findings(max_violations)
-    pairs, per_case = _sweep_vector(rng, checks, m_cap, found, progress)
+    pairs, per_case = _sweep_vector(rng, checks, m_cap, found)
     return VerificationReport(
         op=op, rng=rng, pairs_checked=pairs, per_case=_sorted_cells(per_case),
         violations=found.kept, violations_total=found.total,
@@ -120,42 +118,38 @@ def _run_pair_sweep(op: str, rng: RangeSpec, checks: Sequence[str],
 
 
 def verify_pseudocontraction(rng: RangeSpec, *, bounds: bool = True,
-                             max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                             progress: Optional[Callable[[int], None]] = None
+                             max_violations: int = DEFAULT_MAX_VIOLATIONS
                              ) -> VerificationReport:
     """Check the contraction inequality lhs <= 0 (and, by default, the
     sharpened per-case bounds) for every pair in range."""
     checks = (CHECK_LHS, CHECK_BOUNDS) if bounds else (CHECK_LHS,)
     return _run_pair_sweep("verify", rng, checks,
-                           max_violations=max_violations, progress=progress)
+                           max_violations=max_violations)
 
 
 def verify_simplified(rng: RangeSpec, *,
-                      max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                      progress: Optional[Callable[[int], None]] = None
+                      max_violations: int = DEFAULT_MAX_VIOLATIONS
                       ) -> VerificationReport:
     """Check the per-case closed forms are <= 0 for every pair in range."""
     return _run_pair_sweep("verify-simplified", rng, (CHECK_SIMPLIFIED,),
-                           max_violations=max_violations, progress=progress)
+                           max_violations=max_violations)
 
 
 def cross_check_simplified(rng: RangeSpec, *,
-                           max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                           progress: Optional[Callable[[int], None]] = None
+                           max_violations: int = DEFAULT_MAX_VIOLATIONS
                            ) -> VerificationReport:
     """Assert the closed forms equal the direct six-term evaluation on every
     pair (zero tolerance)."""
     return _run_pair_sweep("cross-check", rng, (CHECK_CROSS,),
-                           max_violations=max_violations, progress=progress)
+                           max_violations=max_violations)
 
 
 def m_bound_sweep(rng: RangeSpec, m_cap: Fraction = Fraction(2), *,
-                  max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                  progress: Optional[Callable[[int], None]] = None
+                  max_violations: int = DEFAULT_MAX_VIOLATIONS
                   ) -> VerificationReport:
     """Check |w| <= M for all six raw weights over every pair in range."""
     return _run_pair_sweep("m-bound", rng, (CHECK_MBOUND,), m_cap=m_cap,
-                           max_violations=max_violations, progress=progress)
+                           max_violations=max_violations)
 
 
 

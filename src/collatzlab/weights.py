@@ -134,6 +134,11 @@ TALLY_KEYS = tuple([c.label for c in CASE_ORDER[:ODD_ODD]]
 CELL_CASES = CASE_ORDER[:ODD_ODD] + (ParityCase.ODD_ODD,) * len(_SUBCASES)
 DIAGONAL = TALLY_KEYS.index("odd-odd:diagonal")
 _CELL_BY_KEY = {key: cell for cell, key in enumerate(TALLY_KEYS)}
+# the cell of the swapped pair (y, x): the transposed case, and off the
+# diagonal the odd-odd subcase across it (low and high swap)
+CELL_TRANSPOSE = tuple(
+    [CASE_ORDER.index(c.transpose) for c in CASE_ORDER[:ODD_ODD]]
+    + [2 * DIAGONAL - cell for cell in range(ODD_ODD, len(TALLY_KEYS))])
 
 
 def low_gate(k, l):

@@ -1,14 +1,32 @@
 """Report writers of the conditions, search-lambda and orbit commands, in
-text, JSON and CSV. Their JSON comes from render's indent-2 writer
-(render._render_json) and their CSV from the csv module; every rational
-goes through render._cell_str, which looks up format_rational on cli at
-call time. Verification reports are render.py's own."""
+text, JSON and CSV. Each builds its report's document once: its JSON comes
+from render's indent-2 writer (render._render_json) and its CSV from the
+csv module; every rational goes through render._cell_str, which looks up
+format_rational on cli at call time. Verification reports are render.py's
+own."""
 
 from __future__ import annotations
 
-from .render import _cell_str, _csv, _range_doc, _render
-from .verifier import ConditionCoverageReport, LambdaSearchResult
+from .render import _cell_str, _csv, _render_json
+from .verifier import ConditionCoverageReport, LambdaSearchResult, RangeSpec
 from .weights import CASE_ORDER
+
+
+def _range_doc(rng: RangeSpec) -> dict:
+    doc = {"x_min": rng.x_min, "x_max": rng.x_max,
+           "y_min": rng.y_min, "y_max": rng.y_max}
+    if rng.cases:
+        doc["cases"] = sorted(c.label for c in rng.cases)
+    return doc
+
+
+def _render(args, doc: dict, source, as_csv, as_text) -> str:
+    """`doc` in --format; text also reads the command's result, `source`."""
+    if args.format == "json":
+        return _render_json(doc)
+    if args.format == "csv":
+        return as_csv(doc)
+    return as_text(doc, source)
 
 
 def _coverage_doc(report: ConditionCoverageReport, timings: bool) -> dict:

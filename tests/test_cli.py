@@ -493,8 +493,17 @@ def test_orbit_rejects_options_it_would_ignore(option, capsys):
     assert option in capsys.readouterr().err
 
 
+def test_verify_takes_no_progress(capsys):
+    # a region sweep ends in milliseconds at any side, so verify has no
+    # progress to report
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max", "5", "--progress"])
+    assert exc.value.code == 2
+    assert "--progress" in capsys.readouterr().err
+
+
 def test_progress_goes_to_stderr_only(capsys):
-    argv = ["verify", "--max", "1500", "--format", "json"]
+    argv = ["decay", "--seed-max", "20000", "--A", "1/2", "--format", "json"]
     _, plain, _ = run_cli(argv, capsys)
     code, out, err = run_cli(argv + ["--progress"], capsys)
     assert code == 0

@@ -52,12 +52,32 @@ def ref_render_json(doc):
     return json.dumps(ref_enc(doc), indent=2, sort_keys=True) + "\n"
 
 
-def ref_doc(doc):
-    """The report document with one dict per violation row."""
-    return dict(doc, violations=[
-        {"x": v.x, "y": v.y, "z": v.z, "case": v.case,
-         "quantity": v.quantity, "value": v.value}
-        for v in doc["violations"]])
+def ref_doc(command, report, timings=False, rows=None):
+    """The report's document with one dict per violation row (`rows`, by
+    default the report's own), each with the constant "z": None."""
+    rng = report.rng
+    bounds = {"x_min": rng.x_min, "x_max": rng.x_max,
+              "y_min": rng.y_min, "y_max": rng.y_max}
+    if rng.cases:
+        bounds["cases"] = sorted(c.label for c in rng.cases)
+    rows = report.violations if rows is None else rows
+    return {
+        "command": command,
+        "engine": report.engine,
+        "params": dict(report.params),
+        "range": bounds,
+        "pairs_checked": report.pairs_checked,
+        "per_case": [
+            {"case": key, "pairs": tal.pairs, "max_lhs": tal.max_lhs,
+             "bound": tal.bound}
+            for key, tal in report.per_case.items()],
+        "violations": [
+            {"x": v.x, "y": v.y, "z": None, "case": v.case,
+             "quantity": v.quantity, "value": v.value} for v in rows],
+        "violations_total": report.violations_total,
+        "violations_shown": len(rows),
+        "elapsed_ms": report.elapsed_ms if timings else None,
+    }
 
 
 def ref_render_csv(doc):
@@ -70,9 +90,8 @@ def ref_render_csv(doc):
                     tal["pairs"], render._cell_str(tal["max_lhs"]),
                     render._cell_str(tal["bound"])])
     for v in doc["violations"]:
-        w.writerow(["violation", v["x"], v["y"], render._cell_str(v["z"]),
-                    v["case"], v["quantity"], render._cell_str(v["value"]),
-                    "", "", ""])
+        w.writerow(["violation", v["x"], v["y"], "", v["case"],
+                    v["quantity"], render._cell_str(v["value"]), "", "", ""])
     return buf.getvalue()
 
 
@@ -88,11 +107,25 @@ def ref_render_text(doc, report):
     lines.append(f"violations: {total}"
                  + (f" (showing {doc['violations_shown']})" if total else ""))
     for v in doc["violations"]:
-        where = f"({v['x']}, {v['y']})" + (f" z={v['z']}" if v["z"] else "")
-        lines.append(f"  {v['quantity']} at {where} [{v['case']}]"
+        lines.append(f"  {v['quantity']} at ({v['x']}, {v['y']}) [{v['case']}]"
                      f" value={render._cell_str(v['value'])}")
     lines.append(f"elapsed: {report.elapsed_ms} ms")
     return "\n".join(lines) + "\n"
+
+
+def writes(command, report, timings=False):
+    """The report's JSON, CSV and text, as render writes them."""
+    return (render._render_json_verification(command, report, timings),
+            render._render_csv_verification(report),
+            render._render_text_verification(command, report))
+
+
+def ref_writes(command, report, timings=False, rows=None):
+    """The reference JSON, CSV and text of the report, with `rows` as in
+    ref_doc."""
+    doc = ref_doc(command, report, timings, rows)
+    return ref_render_json(doc), ref_render_csv(doc), ref_render_text(
+        doc, report)
 
 
 # --- the JSON writer on generated documents ----------------------------------
@@ -193,12 +226,8 @@ REPORTS = {
 @pytest.mark.parametrize("timings", [False, True])
 def test_verification_writers_match_the_per_dict_writers(name, timings):
     command, report = REPORTS[name]()
-    doc = render._verification_doc(command, report, timings)
-    old = ref_doc(doc)
-    assert render._render_json_verification(doc) == ref_render_json(old)
-    assert render._render_csv_verification(doc) == ref_render_csv(old)
-    assert (render._render_text_verification(doc, report)
-            == ref_render_text(old, report))
+    assert writes(command, report, timings) == ref_writes(command, report,
+                                                           timings)
 
 
 def test_edge_reports_hold_what_they_cover():
@@ -219,31 +248,25 @@ COORDS = (st.integers(1, 60) | st.integers(LIMIT - 3, LIMIT + 3)
 VALUES = (st.none() | st.sampled_from([0, 2, Fraction(2), -1, Fraction(-1)])
           | st.integers(-(2**70), 2**70) | st.integers(-LIMIT - 3, -LIMIT + 3)
           | st.fractions())
-HEADS = st.tuples(COORDS, LABELS, LABELS, VALUES, st.none() | st.just(0)
-                  | COORDS)
+HEADS = st.tuples(COORDS, LABELS, LABELS, VALUES)
 
 
 @settings(max_examples=300, deadline=None)
 @given(heads=st.lists(HEADS, min_size=1, max_size=5),
        picks=st.lists(st.tuples(st.integers(0, 4), COORDS), max_size=30))
 # equal values of two types share no head: JSON writes 2 and "2" apart
-@example(heads=[(5, "c", "q", 2, None), (5, "c", "q", Fraction(2), None)],
+@example(heads=[(5, "c", "q", 2), (5, "c", "q", Fraction(2))],
          picks=[(0, 7), (1, 8), (0, 9), (1, LIMIT)])
 def test_row_writer_matches_the_per_row_writers(heads, picks):
     # each head takes several y values, and heads recur out of order
-    rows = tuple(Violation(x, y, case, quantity, value, z)
+    rows = tuple(Violation(x, y, case, quantity, value)
                  for i, y in picks
-                 for x, case, quantity, value, z in [heads[i % len(heads)]])
+                 for x, case, quantity, value in [heads[i % len(heads)]])
     report = VerificationReport(
         op="m-bound", rng=RangeSpec.square(2**70), pairs_checked=len(rows),
         per_case={}, violations=rows, violations_total=len(rows),
         elapsed_ms=0, engine="vector")
-    doc = render._verification_doc("verify", report, False)
-    old = ref_doc(doc)
-    assert render._render_json_verification(doc) == ref_render_json(old)
-    assert render._render_csv_verification(doc) == ref_render_csv(old)
-    assert (render._render_text_verification(doc, report)
-            == ref_render_text(old, report))
+    assert writes("verify", report) == ref_writes("verify", report)
 
 
 # --- kept rows as runs against their expanded rows ------------------------------
@@ -254,7 +277,7 @@ YS = st.builds(lambda start, step, n: range(start, start + step * n, step),
                st.sampled_from([1, 2]), st.integers(1, 6))
 QUANTITIES = st.sampled_from(["lhs>0", "bound-exceeded", "weight-above-M",
                               "%d", 'a,"b"%']) | LABELS
-RUNS = st.tuples(YS, LABELS, QUANTITIES, VALUES, st.none() | COORDS)
+RUNS = st.tuples(YS, LABELS, QUANTITIES, VALUES)
 GROUPS = st.lists(st.tuples(COORDS, st.lists(RUNS, min_size=1, max_size=4),
                             st.integers(1, 30)), max_size=5)
 
@@ -276,53 +299,47 @@ def kept_rows(groups):
 @settings(max_examples=300, deadline=None)
 @given(GROUPS)
 # interleaved even and odd columns after the column y = 1, cut mid-column
-@example([(8, [(range(1, 2), "even-1", "weight-above-M", 1, None),
-               (range(2, 12, 2), "even-even", "weight-above-M", 2, None),
-               (range(3, 13, 2), "even-odd", "weight-above-M", 2, None)], 9)])
+@example([(8, [(range(1, 2), "even-1", "weight-above-M", 1),
+               (range(2, 12, 2), "even-even", "weight-above-M", 2),
+               (range(3, 13, 2), "even-odd", "weight-above-M", 2)], 9)])
 # lhs>0 and bound-exceeded at one pair, the count ending between them
-@example([(5, [(range(2, 3), "odd-even", "lhs>0", 7, None),
-               (range(2, 3), "odd-even", "bound-exceeded", 7, None),
-               (range(1, 4, 2), "odd-odd", "lhs>0", Fraction(-1, 3), None)],
-           2)])
-# y across 2^53 in one run, big x, values and z, and labels that are
+@example([(5, [(range(2, 3), "odd-even", "lhs>0", 7),
+               (range(2, 3), "odd-even", "bound-exceeded", 7),
+               (range(1, 4, 2), "odd-odd", "lhs>0", Fraction(-1, 3))], 2)])
+# y across 2^53 in one run, big x and values, and labels that are
 # %-directives or hold a comma or a quote
-@example([(LIMIT, [(range(LIMIT - 2, LIMIT + 2), "100%", "%d", LIMIT + 5, 3),
-                   (range(LIMIT - 1, LIMIT + 3, 2), 'say "no"', "a,b", None,
-                    LIMIT)], 7),
-          (LIMIT + 1, [(range(LIMIT, LIMIT + 1), "%s", "%%", -LIMIT - 1,
-                        None)], 1)])
+@example([(LIMIT, [(range(LIMIT - 2, LIMIT + 2), "100%", "%d", LIMIT + 5),
+                   (range(LIMIT - 1, LIMIT + 3, 2), 'say "no"', "a,b", None)],
+           7),
+          (LIMIT + 1, [(range(LIMIT, LIMIT + 1), "%s", "%%", -LIMIT - 1)], 1)])
 # two runs over the same ys, the count ending inside the row: each y holds
 # one row per run, in run order
-@example([(4, [(range(2, 12, 2), "even-even", "lhs>0", 3, None),
-               (range(2, 12, 2), "even-even", "bound-exceeded", 3, None)], 7)])
+@example([(4, [(range(2, 12, 2), "even-even", "lhs>0", 3),
+               (range(2, 12, 2), "even-even", "bound-exceeded", 3)], 7)])
 # interleaved even and odd columns whose ys cross 2^53, so that JSON writes
 # some of them as strings
 @example([(9, [(range(LIMIT - 4, LIMIT + 4, 2), "odd-even", "weight-above-M",
-                2, None),
+                2),
                (range(LIMIT - 3, LIMIT + 5, 2), "odd-odd", "weight-above-M",
-                3, None)], 7)])
+                3)], 7)])
 # runs of one far apart: the row is put in order by an index sort on y
-@example([(3, [(range(1, 2), "even-1", "weight-above-M", 1, None),
+@example([(3, [(range(1, 2), "even-1", "weight-above-M", 1),
                (range(10**12 + 1, 10**12 + 2), "even-odd", "weight-above-M",
-                2, None)], 2)])
+                2)], 2)])
 # two rows that share a head but for the type of its value: 2 and 2/1 are
 # equal and hash alike, yet JSON writes them apart, so each row formats its
 # own head
-@example([(5, [(range(1, 4), "odd-even", "weight-above-M", 2, None)], 3),
-          (6, [(range(1, 4), "odd-even", "weight-above-M", Fraction(2, 1),
-                None)], 3)])
+@example([(5, [(range(1, 4), "odd-even", "weight-above-M", 2)], 3),
+          (6, [(range(1, 4), "odd-even", "weight-above-M",
+                Fraction(2, 1))], 3)])
 def test_kept_runs_write_and_read_as_their_expanded_rows(groups):
     kept, reference = kept_rows(groups)
     report = VerificationReport(
         op="m-bound", rng=RangeSpec.square(2**70), pairs_checked=0,
         per_case={}, violations=kept, violations_total=len(reference),
         elapsed_ms=0, engine="vector")
-    doc = render._verification_doc("verify", report, False)
-    old = ref_doc(dict(doc, violations=reference))
-    assert render._render_json_verification(doc) == ref_render_json(old)
-    assert render._render_csv_verification(doc) == ref_render_csv(old)
-    assert (render._render_text_verification(doc, report)
-            == ref_render_text(old, report))
+    assert writes("verify", report) == ref_writes("verify", report,
+                                                  rows=reference)
     # the writers built no row
     assert kept._rows is None
     assert len(kept) == len(reference) and kept == reference
@@ -341,10 +358,8 @@ def layout_by_marks(runs):
     marks = bytearray(span)
     for ys in columns:
         marks[ys.start - lo:ys.stop - lo:ys.step] = b"\1" * len(ys)
-    layers = 1 if span - marks.count(0) == total else len(runs)
-    if span * layers > reports.SPARSE_SPAN * total:
-        layers = 0
-    return lo, span, total, layers
+    # runs that share a y take the index sort, as sparse rows do
+    return lo, span, total, int(span - marks.count(0) == total)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -361,27 +376,22 @@ def test_layout_pair_tests_match_the_bytearray_count(runs):
 
 def test_sparse_rows_take_memory_by_their_rows_not_their_y_span():
     # scattered runs of one: y slots over the span would take terabytes
-    groups = [(3, [(range(y, y + 1), "even-odd", "weight-above-M", 2, None)
+    groups = [(3, [(range(y, y + 1), "even-odd", "weight-above-M", 2)
                    for y in (1, 10**6 + 1, 10**12 + 1)], 3)]
     kept, reference = kept_rows(groups)
     report = VerificationReport(
         op="m-bound", rng=RangeSpec.square(2**70), pairs_checked=0,
         per_case={}, violations=kept, violations_total=len(reference),
         elapsed_ms=0, engine="vector")
-    doc = render._verification_doc("verify", report, False)
     tracemalloc.start()
     try:
-        texts = (render._render_json_verification(doc),
-                 render._render_csv_verification(doc),
-                 render._render_text_verification(doc, report))
+        texts = writes("verify", report)
         rows = tuple(kept)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    old = ref_doc(dict(doc, violations=reference))
-    assert texts == (ref_render_json(old), ref_render_csv(old),
-                     ref_render_text(old, report))
+    assert texts == ref_writes("verify", report, rows=reference)
     assert rows == reference
 
 
@@ -400,10 +410,11 @@ def test_writing_kept_rows_does_not_double_the_report(lo, hi, m_cap, cap,
     report = m_bound_sweep(RangeSpec.square(hi, lo=lo), m_cap,
                            max_violations=cap)
     assert len(report.violations) == cap
-    doc = render._verification_doc("verify", report, False)
-    write = {"json": lambda: render._render_json_verification(doc),
-             "csv": lambda: render._render_csv_verification(doc),
-             "text": lambda: render._render_text_verification(doc, report)}
+    write = {
+        "json": lambda: render._render_json_verification("verify", report,
+                                                         False),
+        "csv": lambda: render._render_csv_verification(report),
+        "text": lambda: render._render_text_verification("verify", report)}
     tracemalloc.start()
     try:
         text = write[fmt]()
@@ -423,11 +434,11 @@ LABEL_QUANTITIES = (*QUANTITY_LABELS.values(), "a,b", 'say "no"', "%%", "")
 def test_csv_row_heads_match_the_csv_module(value):
     for case in LABEL_CASES:
         for quantity in LABEL_QUANTITIES:
-            for x, z in ((1, None), (2**70, 0), (5, -1)):
-                pre, mid, after = render._csv_row(case, quantity, value, z)
+            for x in (1, 2**70, 5):
+                pre, mid, after = render._csv_row(case, quantity, value)
                 buf = io.StringIO()
                 csv.writer(buf, lineterminator="\n").writerow(
-                    ["violation", x, 7, z, case, quantity, value, "", "", ""])
+                    ["violation", x, 7, "", case, quantity, value, "", "", ""])
                 assert pre + str(x) + mid + "7" + after == buf.getvalue()
 
 
@@ -439,6 +450,25 @@ def test_reports_cover_every_kind_of_violation_value():
     assert {v.quantity for v in decay} == {"decay", "telescoped"}
     near = REPORTS["mbound-near"]()[1].violations
     assert near and all(type(v.value) is int for v in near)
+
+
+def test_z_is_a_writer_constant_of_every_violation_row():
+    # rows of several runs (interleaved columns) and of one; z is no field
+    # of a row, so JSON writes "z": null, CSV an empty z field under the
+    # unchanged header, and text no z
+    command, report = REPORTS["mbound-near"]()
+    assert any(len(runs) > 1 for _, _, runs in report.violations.groups)
+    json_text, csv_text, text = writes(command, report)
+    rows = json.loads(json_text)["violations"]
+    assert len(rows) == len(report.violations) > 0
+    assert all(row.keys() == {"case", "quantity", "value", "x", "y", "z"}
+               and row["z"] is None for row in rows)
+    assert csv_text.startswith(
+        "record,x,y,z,case,quantity,value,pairs,max_lhs,bound\n")
+    cells = [row for row in csv.DictReader(io.StringIO(csv_text))
+             if row["record"] == "violation"]
+    assert len(cells) == len(rows) and all(row["z"] == "" for row in cells)
+    assert text.count(" at (") == len(rows) and " z=" not in text
 
 
 def test_far_mbound_cli_report_writes_big_coordinates_as_strings(capsys):

@@ -30,7 +30,6 @@ from collatzlab.reports import (
     CHECK_LHS,
     CHECK_MBOUND,
     CHECK_SIMPLIFIED,
-    PROGRESS_STRIDE,
     QUANTITY_LABELS,
     _tally,
 )
@@ -75,7 +74,7 @@ def same_report(a, b):
     return replace(a, elapsed_ms=0) == replace(b, elapsed_ms=0)
 
 
-def sweep_scalar(rng, checks, m_cap, found, progress):
+def sweep_scalar(rng, checks, m_cap, found):
     """The per-pair pair sweep, in pure Python: the reference the interval
     engine must match, with verifier._sweep_vector's signature. Each pair
     is located once; its six-term form is evaluated independently, by
@@ -84,12 +83,9 @@ def sweep_scalar(rng, checks, m_cap, found, progress):
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     m_num, m_den = m_cap.numerator, m_cap.denominator
     per_case = {}
-    pairs = done = 0
+    pairs = 0
     for x in range(rng.x_min, rng.x_max + 1):
         for y in range(rng.y_min, rng.y_max + 1):
-            done += 1
-            if progress is not None and done % PROGRESS_STRIDE == 0:
-                progress(done)
             cell, k, l = locate(x, y)
             if not rng.admits(CELL_CASES[cell]):
                 continue
@@ -1152,20 +1148,21 @@ def test_width_checks_read_off_regions_fail_where_the_oracle_does(mode, rng,
 
 def test_violation_keeps_its_contract():
     v = Violation(3, 4, "even-even", "lhs>0", Fraction(5, 2))
-    assert v == Violation(3, 4, "even-even", "lhs>0", Fraction(5, 2), None)
-    assert tuple(v) == (3, 4, "even-even", "lhs>0", Fraction(5, 2), None)
-    assert (v.x, v.y, v.case, v.quantity, v.value, v.z) == tuple(v)
-    w = Violation(x=3, y=4, case="lemma1:theta=-1", quantity="lemma1-gap<0",
-                  value=-1, z=7)
-    assert w == Violation(3, 4, "lemma1:theta=-1", "lemma1-gap<0", -1, z=7)
-    assert w.z == 7 and w != v
+    assert tuple(v) == (3, 4, "even-even", "lhs>0", Fraction(5, 2))
+    assert (v.x, v.y, v.case, v.quantity, v.value) == tuple(v)
+    # z is a writer constant, not a field
+    assert Violation._fields == ("x", "y", "case", "quantity", "value")
+    w = Violation(x=3, y=4, case="even-even", quantity="bound-exceeded",
+                  value=7)
+    assert w == Violation(3, 4, "even-even", "bound-exceeded", 7)
+    assert w != v
     # equal rows hash alike, so they dedupe
     assert len({v, w, Violation(3, 4, "even-even", "lhs>0",
                                 Fraction(5, 2))}) == 2
-    assert v.sort_key() == (3, 4, "lhs>0", 0)
-    assert w.sort_key() == (3, 4, "lemma1-gap<0", 7)
+    assert v.sort_key() == (3, 4, "lhs>0")
+    assert w.sort_key() == (3, 4, "bound-exceeded")
     assert sorted([v, w], key=Violation.sort_key) == [w, v]
-    for name in ("x", "y", "case", "quantity", "value", "z", "other"):
+    for name in ("x", "y", "case", "quantity", "value", "other"):
         with pytest.raises(AttributeError):
             setattr(v, name, 0)
     for row in (v, w):
@@ -1233,16 +1230,6 @@ def test_merged_split_reports_equal_the_single_run_at_every_cap(
             assert merged.violations == tuple(whole.violations)
 
 
-def test_mbound_progress_reports_each_stride_it_passes():
-    # one call after each region that takes the count past another stride
-    seen = []
-    report = m_bound_sweep(RangeSpec.square(3000), Fraction(1),
-                           progress=seen.append)
-    strides = [n // PROGRESS_STRIDE for n in seen]
-    assert seen == sorted(seen) and seen[-1] <= report.pairs_checked
-    assert len(set(strides)) == len(strides) > 1
-
-
 def test_closed_forms_are_quadratic_in_l_off_the_diagonal():
     # every closed form but the diagonal's is a quadratic in l at fixed k,
     # as the interval engine's fit in (k, l) requires
@@ -1294,6 +1281,17 @@ def test_odd_odd_spans_match_the_classifier():
                 assert cell != DIAGONAL or lo == hi
 
 
+def basis(terms):
+    """Per weight, the doubled quadratic of its term: 2(s + p*l)^2."""
+    return ([2 * p * p for _, p in terms], [4 * s * p for s, p in terms],
+            [2 * s * s for s, _ in terms])
+
+
+def form(w, basis):
+    """The six-term form with weights w, as a doubled quadratic in l."""
+    return tuple(sum(a * b for a, b in zip(w, coefs)) for coefs in basis)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cell=st.integers(0, len(weights.TALLY_KEYS) - 1),
        k=st.integers(1, 10**15), l=st.integers(1, 10**15),
@@ -1314,12 +1312,25 @@ def test_direct_table_matches_the_per_pair_expansion(cell, k, l, d):
         entry, l = entry[d + 1], k - d
     w = weights.cell_weights(cell, k, l)
     direct = cells._in_l(entry, 0 if x == 1 else k)
-    expanded = cells._form(w, cells._basis(cells._terms(row, column)))
+    expanded = form(w, basis(cells._terms(row, column)))
     if cell == DIAGONAL:
         assert cells._at(direct, l) == cells._at(expanded, l)
     else:
         assert direct == expanded
     assert entry[6] == max(map(abs, w))
+    # the pair (y, x): the transposed cell's entry at d' = -d, swapped
+    # (cells._swap), is lhs(y, x) as a quadratic in l at row k
+    mirror = weights.CELL_TRANSPOSE[cell]
+    entry = cells._direct_table(weights.CELL_WEIGHTS)[mirror]
+    if cell == DIAGONAL:
+        entry = entry[1 - d]
+    swapped = cells._in_l(cells._swap(entry), 0 if x == 1 else k)
+    expanded = form(weights.cell_weights(mirror, l, k),
+                    basis(cells._terms(column, row)))
+    if cell == DIAGONAL:
+        assert cells._at(swapped, l) == cells._at(expanded, l)
+    else:
+        assert swapped == expanded
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1389,7 +1400,7 @@ def triangle_gap_oracle(rng, thetas):
     for theta in map(Fraction, thetas):
         key = f"lemma1:theta={format_rational(theta)}"
         per_case[key] = CaseTally(len(axis) ** 3)
-        flags += [Violation(x, y, key, "lemma1-gap<0", gap, z=z)
+        flags += [Violation(x, y, key, "lemma1-gap<0", gap)
                   for x, y, z in product(axis, repeat=3)
                   for gap in [lemma1_gap(theta, x, y, z)] if gap < 0]
     return VerificationReport(
@@ -1459,8 +1470,8 @@ def test_blend_swaps_the_terms_of_a_transposed_pair(s, u, v):
     # 4), so the interval blend's form is its identity's right side by
     # linearity, for every weight row
     swapped = [s[i] for i in (0, 2, 1, 3, 5, 4)]
-    assert (cells._form(swapped, cells._basis(cells._terms(u, v)))
-            == cells._form(s, cells._basis(cells._terms(v, u))))
+    assert (form(swapped, basis(cells._terms(u, v)))
+            == form(s, basis(cells._terms(v, u))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1503,7 +1514,8 @@ def test_lemma_sweep_engine_label_names_what_ran():
     per_case = LambdaSpec(lambda x, y: Fraction(x % 2), "x mod 2")
     square = RangeSpec.square(12)
     assert verify_lemmas(square, [], [per_case]).engine == "scalar"
-    assert verify_lemmas(square, [-1], [per_case]).engine == "mixed"
+    # a theta < 0 runs no engine, so it leaves the label to the blend
+    assert verify_lemmas(square, [-1], [per_case]).engine == "scalar"
     assert verify_lemmas(square, [-1], half).engine == "vector"
 
 
