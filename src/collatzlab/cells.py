@@ -193,8 +193,6 @@ def _positive(a: int, b: int, c: int, lo: int, hi: int) -> list:
 def _nonzero(q: tuple, lo: int, hi: int) -> list:
     """The integers of [lo, hi] where a quadratic is not 0, as sorted ranges."""
     a, b, c = q
-    if not (a or b or c):
-        return []
     return sorted(_positive(a, b, c, lo, hi) + _positive(-a, -b, -c, lo, hi))
 
 

@@ -152,6 +152,8 @@ def cmd_verify(args) -> tuple[int, str]:
         m_cap = parse_rational(args.M)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    if m_cap < 0:
+        raise UsageError(f"--M must be >= 0, got {args.M}")
     kwargs = dict(max_violations=max(0, args.violations_cap))
     if args.mode == "mbound":
         report = m_bound_sweep(rng, m_cap, **kwargs)

@@ -2,8 +2,6 @@
 
 The triangle-gap lemma is an identity in (x, y, z), so its pass only
 counts; the blend lemma is checked pair by pair or over cell intervals.
-The names that perfbench/tracing.py wraps (lhs, weight_vector, accel_T,
-format_rational) are looked up on verifier at call time.
 """
 
 from __future__ import annotations
@@ -13,8 +11,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from . import verifier, weights
-from .arith import WIDTH_LIMIT
+from . import weights
+from .arith import WIDTH_LIMIT, format_rational
 from .cells import (
     _at,
     _check_widths,
@@ -27,7 +25,8 @@ from .cells import (
     _terms,
     _top,
 )
-from .framework import LambdaSpec, symmetrize, weighted_lhs
+from .collatz import accel_T
+from .framework import LambdaSpec, lhs, symmetrize, weighted_lhs
 from .regions import _cell_spans, _row_walk
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
@@ -39,7 +38,7 @@ from .reports import (
     _pair_bound,
     _sorted_cells,
 )
-from .weights import CASE_ORDER, CELL_TRANSPOSE, cell_weights
+from .weights import CASE_ORDER, CELL_TRANSPOSE, cell_weights, weight_vector
 
 
 def _blend_visit(lam: Fraction, nkey: str, checked: bool) -> Callable:
@@ -121,7 +120,7 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     # Triangle-gap lemma over triples: an identity, counted per theta.
     triples = (rng.x_max - rng.x_min + 1) ** 3
     for theta in map(Fraction, thetas):
-        note(f"lemma1:theta={verifier.format_rational(theta)}", triples)
+        note(f"lemma1:theta={format_rational(theta)}", triples)
         if theta < 0 and progress is not None:
             progress(checks_done)
 
@@ -140,14 +139,13 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
                       range(rng.x_min, rng.x_max + 1),
                       _blend_visit(spec.constant, nkey, checked), found)
         else:
-            lhs, w, step = verifier.lhs, verifier.weight_vector, verifier.accel_T
             for x in range(rng.x_min, rng.x_max + 1):
                 for y in range(rng.y_min, rng.y_max + 1):
                     lam_v = spec(x, y)
-                    blended = symmetrize(w, spec, x, y)
-                    left = weighted_lhs(blended, step, x, y)
-                    right = ((1 - lam_v) * lhs(w, step, x, y)
-                             + lam_v * lhs(w, step, y, x))
+                    blended = symmetrize(weight_vector, spec, x, y)
+                    left = weighted_lhs(blended, accel_T, x, y)
+                    right = ((1 - lam_v) * lhs(weight_vector, accel_T, x, y)
+                             + lam_v * lhs(weight_vector, accel_T, y, x))
                     if left != right:
                         found.add(x, y, ikey, "lemma2-identity", left - right)
                     if left > 0:
@@ -165,7 +163,7 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         violations_total=sum(f.total for f in passes),
         elapsed_ms=int((time.monotonic() - started) * 1000),
         engine=engine,
-        params={"thetas": ",".join(verifier.format_rational(Fraction(t))
+        params={"thetas": ",".join(format_rational(Fraction(t))
                                    for t in thetas),
                 "lambdas": ";".join(s.label for s in specs)},
         max_violations=max_violations)

@@ -5,20 +5,17 @@ A region's spans (regions._cell_spans, which mbound counts too) each have
 one start and one end term, a line in k or a floor term of period P. A
 cell's forms (_direct_table, _closed_table) are doubled quadratics in (k,
 l), so along any line k = p*j + r, l = u*j + w a form is a doubled
-quadratic in j (_along). In a row, a form that is convex or linear in l
-(a >= 0, as on every odd-odd cell) is largest at an end of the row's
-interval. So its row maxima are read one end at a time (_ends): a line end
-once, as one quadratic in k over the span, and a floor end once per
-residue r of k modulo P, on which it is a line in the quotient j. A row's
-maximum is the larger of its two ends' values. A concave form (a < 0; in
-the shipped tables only on rectangles) is largest next to its vertex
-floor((b0 + b1*k)/(-2a)), clamped to the interval: on a span of one row
-that row's maximum is read at once (_top), and a longer span is cut into a
-piece per residue of k modulo the terms' period (_pieces), on which both
-ends are lines in j, and the vertex's floor is linear in j on each residue
-of j modulo -2a/gcd(-2a, b1*P); so on each piece the row maximum is the
-larger of one or two quadratics in j (_row_maxima). Either way a span's
-row maxima are segments of quadratics (_maxima). A sweep reads off them:
+quadratic in j (_along). A span is cut into a piece per residue of k
+modulo its terms' period (_pieces), on which both ends are lines in j. In
+a row, a form that is convex or linear in l (a >= 0, as on every odd-odd
+cell) is largest at an end of the row's interval, so on a piece its row
+maximum is the larger of its two ends' quadratics in j. A concave form (a
+< 0; in the shipped tables only on rectangles) is largest next to its
+vertex floor((b0 + b1*k)/(-2a)), clamped to the interval, and the
+vertex's floor is linear in j on each residue of j modulo -2a/gcd(-2a,
+b1*P); so on each piece the row maximum is the larger of one or two
+quadratics in j. Either way a span's row maxima are segments of
+quadratics (_row_maxima, _maxima). A sweep reads off them:
 - each tally's max_lhs, the largest of its spans' peaks (_span_peak).
   Where the form is convex or linear in l the peak needs no segment: it is
   _top of the span's end quadratics, a line end's over [k0, k1] and a
@@ -33,8 +30,10 @@ row maxima are segments of quadratics (_maxima). A sweep reads off them:
   rows where their difference is not 0;
 - the width checks of framework.lhs, where _pair_bound passes the width
   limit. A term's square and the form's magnitude are quadratics of the
-  same kind, so the rows where a check fails are found the same way, and
-  the first of them is walked with the per-interval checks, which raise.
+  same kind, so the rows where a check fails are found the same way. One
+  visitor walks both kinds of rows, and where the checks apply it runs a
+  row's per-interval width checks before its flags: the first row where a
+  check fails raises, so rows walked for their flags all pass.
 A sweep costs O(cells x period), plus the rows it walks.
 """
 
@@ -119,8 +118,8 @@ def _row_maxima(e: tuple, p: int, r: int, s: int, t: int, end: tuple,
     """The largest value of entry e's form in each row of a piece
     (_pieces), as segments (p, r, i0, i1, quadratics): for k = p*i +
     r with i in [i0, i1], the row's largest doubled value is the largest of
-    the doubled quadratics in i. Each row is in one segment. _maxima reads
-    only concave entries this way; a convex one's piece is its two ends."""
+    the doubled quadratics in i. Each row is in one segment; a form convex
+    or linear in l has one per piece, of its two ends."""
     a, b0, b1 = e[:3]
     if a >= 0:
         # convex or linear in l: largest at an end
@@ -152,35 +151,12 @@ def _row_maxima(e: tuple, p: int, r: int, s: int, t: int, end: tuple,
                                      for line in lines]
 
 
-def _ends(e: tuple, span: tuple) -> list:
-    """Entry e's form along each end of a span (regions._spans), as segments
-    (p, r, i0, i1, [quadratic]) like _row_maxima's: along a line end, one
-    quadratic in k (p = 1); along a floor end of period P, one per residue r
-    of k modulo P that the span holds, with k = P*i + r."""
-    k0, k1 = span[:2]
-    out = []
-    for term in span[2:3] if span[2] == span[3] else span[2:]:
-        along, w = _floor_end(e, term), term[2]
-        for k in range(k0, min(k1, k0 + w - 1) + 1):
-            r = k % w
-            out.append((w, r, k // w, (k1 - r) // w, [along[r]]))
-    return out
-
-
 def _maxima(e: tuple, span: tuple) -> list:
     """The largest value of entry e's form in each row of a span, as
     segments (p, r, i0, i1, quadratics) for k = p*i + r, i in [i0, i1]: a
     row's largest doubled value is the largest of the quadratics of the
-    segments that hold it. A form convex or linear in l is largest at an end
-    of each row, so its segments are the span's ends (_ends), each read
-    once; a concave one's are the pieces' (_row_maxima), one per row, or on
-    a span of one row (an x = 1 row of a rectangle) that row's maximum."""
-    if e[0] >= 0:
-        return _ends(e, span)
-    k0, k1, (p, q, r), (u, v, w) = span
-    if k0 == k1:
-        return [(1, k0, 0, 0, [(0, 0, _top(_in_l(e, k0), (p * k0 + q) // r,
-                                           (u * k0 + v) // w))])]
+    segments that hold it. They are the pieces' (_pieces, _row_maxima),
+    whatever the form's shape in l."""
     return [segment for piece in _pieces(span)
             for segment in _row_maxima(e, *piece)]
 
@@ -194,8 +170,8 @@ def _peak(segments: list) -> int:
 @lru_cache(maxsize=64)
 def _floor_end(e: tuple, term: tuple) -> tuple:
     """Entry e's form along an end term (u, v, w) of a span, per residue r
-    of k modulo w: with k = w*i + r, a doubled quadratic in i (_ends reads
-    it; a line end, w = 1, has one). A floor end is a floor cut of
+    of k modulo w: with k = w*i + r, a doubled quadratic in i (_span_peak
+    reads it for a floor end). A floor end is a floor cut of
     regions._CUTS or one past it, so a table has few keys; the bound serves
     patched tables."""
     u, v, w = term
@@ -321,11 +297,6 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
         tal.pairs += cell_pairs
         tal.absorb_value(cell_peak // 2)
 
-    def width_checks(x, k, cell, pick, column, lo, hi) -> list:
-        _check_widths(cell_weights(cell, k, lo), _terms(_row(x), column),
-                      _in_l(_entry(table, cell, pick), k), lo, hi)
-        return []
-
     def above(key: str, check: str, q: tuple, t: int, lo: int,
               hi: int) -> tuple:
         """The flag of the l in [lo, hi] where the doubled quadratic q
@@ -339,6 +310,9 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
         flags = []
         if do_lhs:
             direct = _in_l(_entry(table, cell, pick), k)
+            if checked:
+                _check_widths(cell_weights(cell, k, lo),
+                              _terms(_row(x), column), direct, lo, hi)
             top = _top(direct, lo, hi)
             bound = 2 * CELL_BOUNDS[cell]
             if do_direct and top > 0:
@@ -358,7 +332,8 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
 
     if failing:
         # the first row where a check fails raises
-        _row_walk(regions, _union(failing), width_checks, _Findings(0))
+        _row_walk(regions, _union(failing), visit, _Findings(0))
     if flagged:
+        # every row here passes its width checks: a failing one raised
         _row_walk(regions, _union(flagged), visit, found)
     return done, per_case

@@ -50,7 +50,7 @@ from .framework import (
     ConditionId,
     ConditionParams,
     check_condition,
-    lhs,  # noqa: F401 - perfbench/tracing.py wraps it and lemmas reads it here
+    lhs,  # noqa: F401 - perfbench/tracing.py wraps it
 )
 from .lemmas import verify_lemmas
 from .maxima import _sweep_forms

@@ -458,11 +458,47 @@ def test_reports_keep_their_bytes(argv, monkeypatch):
 
 @pytest.mark.parametrize("mode", VERIFY_MODES)
 def test_verify_rejects_a_malformed_m_in_every_mode(mode, capsys):
-    # only mbound reads --M, but a malformed number is a usage error in all
-    code, out, err = run_cli(["verify", "--max", "5", "--mode", mode,
-                              "--M", "abc"], capsys)
+    # only mbound reads --M, but a malformed or negative number is a usage
+    # error in all
+    for m, message in ((["--M", "abc"], "not an exact rational"),
+                       (["--M", "-1"], "--M must be >= 0, got -1"),
+                       (["--M=-1/2"], "--M must be >= 0, got -1/2")):
+        code, out, err = run_cli(["verify", "--max", "5", "--mode", mode]
+                                 + m, capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+# command lines that a check in cli refuses as a usage error, each with
+# its message
+USAGE_ERRORS = [
+    (["conditions", "--A", "1/2", "--max", "5", "--lambda", spec], message)
+    for spec, message in (
+        ("1/0", "bad lambda spec: zero denominator"),
+        ("even-even:1/2,odd", "bad lambda entry 'odd'"),
+        ("even-even:x,*:0", "bad lambda value in 'even-even:x'"),
+        ("*:0,*:1", "duplicate '*' entry"),
+        ("even-two:1,*:0", "unknown parity case 'even-two'"),
+        ("1-1:0,1-1:1,*:0", "duplicate case '1-1'"),
+        ("*:2", "lambda[1-1] = 2 is outside [0, 1]"))
+] + [
+    (["verify", "--min", "0", "--max", "5"], "need 1 <= --min <= --max"),
+    (["verify", "--min", "6", "--max", "5"], "need 1 <= --min <= --max"),
+    (["verify", "--max", "5", "--M", "1/0"], "zero denominator"),
+    (["orbit", "--seed", "0"], "--seed must be >= 1, got 0"),
+    (["orbit", "--seed", "5", "--cap", "0"], "--cap must be >= 1, got 0"),
+    (["decay", "--seed-min", "5", "--seed-max", "4", "--A", "1/2"],
+     "need 1 <= --seed-min <= --seed-max"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join(argv))
+    for argv, message in USAGE_ERRORS])
+def test_usage_errors_exit_2_with_their_message(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
-    assert "not an exact rational" in err
+    assert err.startswith("error: ") and message in err
 
 
 ONE_PER_COMMAND = [

@@ -975,10 +975,9 @@ def _drawn_spans(draw):
 @example(entry=(-2, 30, -1, 5, 0, 1), span=(0, 0, (0, 1, 1), (0, 60, 1)))
 @example(entry=(-1, -7, 2, 3, 1, 0), span=(40, 40, (0, 2, 1), (0, 50, 1)))
 def test_span_maxima_are_the_largest_value_of_each_row(entry, span):
-    # the segments of a span (_maxima: its ends where the form is convex or
-    # linear in l, its pieces where concave) hold only its rows, the largest
-    # of their quadratics at a row is the row's largest doubled value, and
-    # their peak is the span's
+    # the segments of a span (_maxima: its pieces, whatever the form's
+    # shape in l) hold only its rows, the largest of their quadratics at a
+    # row is the row's largest doubled value, and their peak is the span's
     k0, k1, (p, q, r), (u, v, w) = span
     a, b0, b1, c0, c1, c2 = entry
     expected = {
