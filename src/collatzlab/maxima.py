@@ -16,14 +16,19 @@ vertex's floor is linear in j on each residue of j modulo -2a/gcd(-2a,
 b1*P); so on each piece the row maximum is the larger of one or two
 quadratics in j. Either way a span's row maxima are segments of
 quadratics (_row_maxima, _maxima). A sweep reads off them:
-- each tally's max_lhs, the largest of its spans' peaks (_span_peak).
-  Where the form is convex or linear in l the peak needs no segment: it is
+- each tally's max_lhs, the largest of its spans' peaks (_span_peak),
+  which need no segment. Where the form is convex or linear in l a peak is
   _top of the span's end quadratics, a line end's over [k0, k1] and a
-  floor end's per residue, from a table per entry and term (_floor_end). A
-  concave form's peak is that of its segments (_peak);
+  floor end's per residue, from a table per entry and term (_floor_end).
+  A concave form's peak on a rectangle is read off the rectangle in closed
+  form (_rectangle_peak): a part in l plus a part in k where b1 = 0, its
+  first or last row where c2 >= 0, and otherwise a line of best l (or of
+  best k) clamped to the rectangle, where 2a (or 2*c2) divides b1. Only a
+  concave form on floor ends or with neither divisor, which no shipped
+  table holds, takes the peak of its segments (_peak);
 - the rows that can flag, where a row maximum passes a check's threshold
   (_positive). Segments are built only for a span whose peak passes it, so
-  a clean sweep builds none for a convex form. Only those rows are walked,
+  a clean sweep builds none. Only those rows are walked,
   over the same regions (regions._row_walk), which counts, values and caps
   their flags. For cross, a table entry whose direct and closed
   coefficients agree flags nowhere, and one that does not flags in the
@@ -178,15 +183,62 @@ def _floor_end(e: tuple, term: tuple) -> tuple:
     return tuple(_along(e, w, r, u, (u * r + v) // w) for r in range(w))
 
 
+def _rectangle_peak(e: tuple, k0: int, k1: int, l0: int, l1: int):
+    """The largest doubled value of a concave entry e (a < 0) on the
+    rectangle [k0, k1] x [l0, l1] in closed form (_span_peak's cases), or
+    None where none holds."""
+    a, b0, b1, c0, c1, c2 = e[:6]
+    if not b1:
+        # a part in l plus a part in k
+        return _top((a, b0, 0), l0, l1) + _top((c2, c1, c0), k0, k1)
+    if c2 >= 0:
+        # each column is convex or linear in k: largest in a first or last row
+        return max(_top(_in_l(e, k0), l0, l1), _top(_in_l(e, k1), l0, l1))
+    if b1 % (2 * a):
+        if b1 % (2 * c2):
+            return None
+        # a column's vertex has an integer slope in l: read the rectangle
+        # across, as the entry of f(l, k) (cells._swap)
+        a, b0, c1, c2 = c2, c1, b0, a
+        e, k0, k1, l0, l1 = (a, b0, b1, c0, c1, c2), l0, l1, k0, k1
+    # a row's vertex (b0 + b1*k)/d is s*k + b0/d, s = b1/d not 0; the
+    # integer nearest it, s*k + t, is the row's best l, and where that
+    # leaves [l0, l1], the end it passed is
+    d = -2 * a
+    s, t = b1 // d, (2 * b0 + d) // (2 * d)
+    # the line is in [l0, l1] for k in [i0, i1]; the best l is lo before i0
+    # and hi after i1
+    lo, hi = (l0, l1) if s > 0 else (l1, l0)
+    i0, i1 = -((t - lo) // s), (hi - t) // s
+    return max(_top(_along(e, 1, 0, u, w), x, y) for u, w, x, y in (
+        (0, lo, k0, min(k1, i0 - 1)), (s, t, max(k0, i0), min(k1, i1)),
+        (0, hi, max(k0, i1 + 1), k1)) if x <= y)
+
+
 def _span_peak(e: tuple, span: tuple) -> int:
     """The largest doubled value of entry e's form on a span, as
     _peak(_maxima(e, span)) gives it. A form convex or linear in l is read
-    off the span's ends without building segments: a line end's value is
-    one quadratic in k over the span, a floor end's one per residue
-    (_floor_end). A concave one's comes from its segments."""
-    if e[0] < 0:
-        return _peak(_maxima(e, span))
+    off the span's ends: a line end's value is one quadratic in k over the
+    span, a floor end's one per residue (_floor_end). A concave form (a <
+    0) on a rectangle, a span with ends (0, l0, 1) and (0, l1, 1), is read
+    in closed form (_rectangle_peak) in three of four cases:
+    - b1 = 0: a part in l plus a part in k, each _top on its own side;
+    - c2 >= 0: each column is convex or linear in k, so the peak is the
+      larger _top of the first and the last row;
+    - b1 != 0, c2 < 0, and 2a divides b1 (or 2*c2 does; then the
+      rectangle is read across, with k and l swapped): a row's best l is
+      a line of k clamped to [l0, l1], so the peak is the largest _top of
+      at most three quadratics in k, on the rows below, inside and above
+      the clamp (for even-even, k = l);
+    - otherwise, and on any span with a floor end, the peak of its
+      segments (_maxima), which no shipped entry needs."""
     k0, k1, start, end = span
+    if e[0] < 0:
+        if start[0] == end[0] == 0 and start[2] == end[2] == 1:
+            peak = _rectangle_peak(e, k0, k1, start[1], end[1])
+            if peak is not None:
+                return peak
+        return _peak(_maxima(e, span))
     tops = []
     for term in (start,) if start == end else (start, end):
         u, v, w = term

@@ -16,8 +16,9 @@ range as a few spans of k on which both interval ends are single terms, at
 O(cells x period) cost at any side and any coordinate size. mbound counts
 each span's pairs (regions.py); the other modes read each span's peak off
 its end terms where the form is convex in l, one quadratic per end and
-residue, and build row maxima as segments only for a concave form or
-where rows can flag (maxima.py). Rows are walked, over the same spans,
+residue, and off the rectangle in closed form where it is concave, and
+build row maxima as segments only where rows can flag (maxima.py), so a
+clean sweep builds none. Rows are walked, over the same spans,
 only where a check can flag, or, for mbound, until its violation cap is
 full. The tests keep a per-pair pair sweep as the reference, which they
 put in place of _sweep_vector. Reports over disjoint ranges merge

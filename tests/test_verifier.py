@@ -882,6 +882,31 @@ def test_clean_form_sweeps_walk_no_rows(walked_rows):
     assert walked_rows == []
 
 
+@pytest.mark.parametrize("rng", [
+    RangeSpec.square(2000),  # the x = 1 rows and the 10/11 floor ends
+    RangeSpec.square(10**15 + 239, lo=10**15),
+], ids=["near", "far"])
+@pytest.mark.parametrize("mode", FORM_MODES)
+def test_clean_form_sweeps_build_no_row_maxima(mode, rng, monkeypatch):
+    # every span's peak is read off its end terms or, for a concave form,
+    # off its rectangle in closed form: a clean sweep builds no segments,
+    # and its report is the one read off the segments
+    built = []
+    segments = maxima._maxima
+
+    def counted(e, span):
+        built.append(span)
+        return segments(e, span)
+
+    monkeypatch.setattr(maxima, "_maxima", counted)
+    report = SWEEPS[mode](rng)
+    assert report.ok and built == []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maxima, "_span_peak",
+                      lambda e, span: maxima._peak(segments(e, span)))
+        assert same_report(SWEEPS[mode](rng), report)
+
+
 # weight rows for high-band and high-deep (period 11) whose forms pass 0 in
 # some rows of a residue class of k and not in the rows between
 SCATTERED = {DIAGONAL + 1: (1, -2, 2, 0, 0, -2),
@@ -1017,6 +1042,79 @@ def test_span_peak_is_the_peak_of_the_span_maxima(entry, span):
     # a span's peak read off its end terms is the peak of its segments
     assert maxima._span_peak(entry, span) == maxima._peak(
         maxima._maxima(entry, span))
+
+
+_NEAR = [0, 10**6, 10**15, 2**64 - 40, 2**64 + 40]
+
+
+@st.composite
+def _concave_rectangles(draw):
+    """A concave entry (a < 0) and a rectangle span (k0, k1, (0, l0, 1), (0,
+    l1, 1)) of 1 to 200 rows and columns near 0, 10^6, 10^15 or 2^64: b1
+    0, a multiple of 2a or of 2*c2, or free, c2 of any sign, and columns
+    below, around or above the row vertex (b0 + b1*k0)/(-2a)."""
+    a, c2 = draw(st.integers(-12, -1)), draw(st.integers(-12, 12))
+    b1 = draw(st.just(0) | st.integers(-4, 4).map(lambda n: 2 * a * n)
+              | st.integers(-4, 4).map(lambda n: 2 * c2 * n)
+              | st.integers(-60, 60))
+    size = st.integers(1, 40) | st.integers(1, 200)
+    rows, columns = draw(size), draw(size)
+    k0 = max(0, draw(st.sampled_from(_NEAR)) + draw(st.integers(-40, 40)))
+    l0 = draw(st.sampled_from(_NEAR).map(lambda n: max(0, n - 40))
+              | st.just(k0)) + draw(st.integers(-40, 40))
+    # the row vertex at k0 lies above the columns, among them or below them
+    v = l0 + draw(st.sampled_from([columns + draw(st.integers(0, 50)),
+                                   draw(st.integers(0, columns)),
+                                   -draw(st.integers(1, 50))]))
+    # and the column vertex at l0 near the rows
+    u = k0 + draw(st.integers(-50, rows + 50))
+    entry = (a, -2 * a * v - b1 * k0 + draw(st.integers(-20, 20)), b1,
+             draw(st.integers(-100, 100)),
+             -2 * c2 * u - b1 * l0 + draw(st.integers(-20, 20)), c2)
+    return entry, (k0, k0 + rows - 1, (0, l0, 1), (0, l0 + columns - 1, 1))
+
+
+# a pooled sweep-far square (--min 417402035661 --max 417402035740): its
+# even rows and even columns, and its odd columns
+_FAR_EVEN = (208701017831, 208701017870, (0, 208701017831, 1),
+             (0, 208701017870, 1))
+_FAR_ODD = (208701017831, 208701017870, (0, 208701017830, 1),
+            (0, 208701017869, 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=_concave_rectangles())
+# the shipped concave entries: 1-even, 1-odd, even-even and even-odd
+@example(drawn=((-4, 4, 0, 0, 0, 0), _FAR_EVEN))
+@example(drawn=((-12, 8, 0, 4, 0, 0), _FAR_ODD))
+@example(drawn=((-4, 0, 4, 0, 0, -2), _FAR_EVEN))
+@example(drawn=((-4, 0, 0, 2, 0, 0), _FAR_ODD))
+# 2a = -6 and 2*c2 = -10 divide no b1 = 7: the segments give the peak
+@example(drawn=((-3, 5, 7, 0, 2, -5), (0, 30, (0, -5, 1), (0, 20, 1))))
+@example(drawn=((-3, 5, 7, 0, 2, -5), _FAR_EVEN))
+def test_concave_rectangle_peak_is_the_rectangle_maximum(drawn):
+    # a concave form's peak on a rectangle is read in closed form where b1
+    # is 0, c2 >= 0, or 2a or 2*c2 divides b1, and off its segments only
+    # otherwise; either way it is the peak of the segments and the largest
+    # doubled value of any pair, on the rectangle and on each of its rows
+    # and columns
+    entry, span = drawn
+    k0, k1, (_, l0, _), (_, l1, _) = span
+    a, b0, b1, c0, c1, c2 = entry
+    peak = maxima._span_peak(entry, span)
+    assert peak == maxima._peak(maxima._maxima(entry, span))
+    closed = not b1 or c2 >= 0 or not b1 % (2 * a) or not b1 % (2 * c2)
+    assert (maxima._rectangle_peak(entry, k0, k1, l0, l1) is None) != closed
+    if k1 - k0 < 40 and l1 - l0 < 40:
+        grid = {(k, l): a * l * l + (b0 + b1 * k) * l + c0 + (c1 + c2 * k) * k
+                for k in range(k0, k1 + 1) for l in range(l0, l1 + 1)}
+        assert peak == max(grid.values())
+        for k in range(k0, k1 + 1):
+            assert maxima._span_peak(entry, (k, k) + span[2:]) == max(
+                grid[k, l] for l in range(l0, l1 + 1))
+        for l in range(l0, l1 + 1):
+            assert maxima._span_peak(entry, (k0, k1, (0, l, 1), (
+                0, l, 1))) == max(grid[k, l] for k in range(k0, k1 + 1))
 
 
 def _patched_tables(rows_seed, forms_seed):
