@@ -1,10 +1,12 @@
 """Checked-width exact arithmetic helpers.
 
 Python integers never wrap, so every computation in this package is exact.
-The width limit below exists so that runaway quantities (a diverging orbit,
-a sweep over absurd ranges) abort loudly instead of consuming unbounded
+The width limit below exists so that runaway quantities (a diverging orbit
+or decay iterate, whose growth no range bounds in advance, and the per-pair
+six-term form of framework.lhs) abort loudly instead of consuming unbounded
 memory, and so callers can rely on a documented magnitude contract: at
-least 127-bit signed magnitudes are always accepted.
+least 127-bit signed magnitudes are always accepted. The region sweeps,
+whose values are quadratics in the range's bounds, carry no check.
 """
 
 from __future__ import annotations

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .arith import check_width
 from .weights import CASE_ORDER, CELL_CASES, DIAGONAL, TALLY_KEYS, cell_weights
 
 # The point of class c (1, even, odd) at reduced coordinate n, as
@@ -195,14 +194,3 @@ def _nonzero(q: tuple, lo: int, hi: int) -> list:
     a, b, c = q
     return sorted(_positive(a, b, c, lo, hi) + _positive(-a, -b, -c, lo, hi))
 
-
-def _check_widths(w: Sequence, terms: tuple, q: tuple, lo: int,
-                  hi: int) -> None:
-    """The width checks of the scalar lhs over an interval: each term is
-    largest at an end (a square is convex in l), the form at an end or next
-    to its vertex."""
-    for wi, (s, p) in zip(w, terms):
-        check_width(abs(wi) * max((s + p * lo) ** 2, (s + p * hi) ** 2),
-                    "six-term product")
-    neg = tuple(-v for v in q)
-    check_width(max(_top(q, lo, hi), _top(neg, lo, hi)) // 2, "six-term sum")

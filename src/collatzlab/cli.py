@@ -5,7 +5,8 @@ writers.py (the other commands), and main writes the report once: to
 --output, else to the file named by COLLATZLAB_OUTPUT, else stdout.
 
 Exit codes: 0 success/verified, 1 findings (violations or an orbit that ran
-out of cap), 2 usage error, 3 arithmetic width overflow. JSON and CSV output
+out of cap), 2 usage error, 3 arithmetic width overflow (an orbit or decay
+iterate past the 127-bit budget of arith.py). JSON and CSV output
 is byte-identical across runs and any --jobs value: rationals render as
 "p/q" strings, integers beyond 53-bit magnitude as decimal strings, and
 timings are redacted unless --timings is given.
@@ -18,7 +19,8 @@ with "-") goes to argparse, which is imported only then, so help, usage
 errors and their exit code 2 are argparse's own.
 
 Every verify mode reads whole cell regions, at O(cells x period) cost plus
-the rows that flag, so verify takes any side and has no --progress;
+the rows that flag, exactly at any size the writers can print (a longer
+--max is a usage error), so verify takes any side and has no --progress;
 conditions and search-lambda still walk every pair and keep the desk-scale
 gate (--allow-large), and they and decay, which walks seeds, print
 --progress lines to stderr.
@@ -147,6 +149,13 @@ def cmd_verify(args) -> tuple[int, str]:
     # every mode costs O(cells x period) plus the rows it walks, whatever
     # the side
     rng = _build_range(args, desk_scale=False)
+    # a report value is under 100 * max^2 (12 * T(max)^2 <= 48 * max^2, a
+    # cross difference twice that), which str() must print
+    digits, width = sys.get_int_max_str_digits(), len(str(args.max))
+    if digits and 2 * width + 2 > digits:
+        raise UsageError(f"--max has {width} digits, over the "
+                         f"{(digits - 2) // 2} whose report values fit the "
+                         f"{digits}-digit limit of int-to-text conversion")
     # --M is checked in every mode, though only mbound reads it
     try:
         m_cap = parse_rational(args.M)

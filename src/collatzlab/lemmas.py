@@ -12,19 +12,8 @@ from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from . import weights
-from .arith import WIDTH_LIMIT, format_rational
-from .cells import (
-    _at,
-    _check_widths,
-    _direct_table,
-    _entry,
-    _in_l,
-    _positive,
-    _row,
-    _swap,
-    _terms,
-    _top,
-)
+from .arith import format_rational
+from .cells import _at, _direct_table, _entry, _in_l, _positive, _swap, _top
 from .collatz import accel_T
 from .framework import LambdaSpec, lhs, symmetrize, weighted_lhs
 from .regions import _cell_spans, _row_walk
@@ -35,13 +24,12 @@ from .reports import (
     VerificationReport,
     Violation,
     _Findings,
-    _pair_bound,
     _sorted_cells,
 )
-from .weights import CASE_ORDER, CELL_TRANSPOSE, cell_weights, weight_vector
+from .weights import CASE_ORDER, CELL_TRANSPOSE, weight_vector
 
 
-def _blend_visit(lam: Fraction, nkey: str, checked: bool) -> Callable:
+def _blend_visit(lam: Fraction, nkey: str) -> Callable:
     """A _row_walk visitor for the blend lemma's nonpositivity at a constant
     lambda = p/q, scaled by q: the six-term form with the blended weights
     (q-p)*w + p*mirror. That form is (q-p)*lhs(x, y) + p*lhs(y, x) for any
@@ -58,13 +46,6 @@ def _blend_visit(lam: Fraction, nkey: str, checked: bool) -> Callable:
         direct = _entry(table, cell, pick)
         mirror = _swap(_entry(table, CELL_TRANSPOSE[cell],
                               None if pick is None else 2 - pick))
-        if checked:
-            # the width checks of lhs(x, y) and lhs(y, x)
-            row = _row(x)
-            _check_widths(cell_weights(cell, k, lo), _terms(row, column),
-                          _in_l(direct, k), lo, hi)
-            _check_widths(cell_weights(CELL_TRANSPOSE[cell], lo, k),
-                          _terms(column, row), _in_l(mirror, k), lo, hi)
         left = _in_l(tuple((q - p) * a + p * b
                            for a, b in zip(direct, mirror)), k)
         if _top(left, lo, hi) <= 0:
@@ -92,8 +73,10 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
     lambda*lhs(y, x) exactly, and must be <= 0 (with the tabulated weights).
     When every lambda is constant, the blend runs on the cell intervals of
     the pair sweeps (_blend_visit), where the identity holds by linearity
-    and only nonpositivity is checked; otherwise it runs pair by pair and
-    checks both. The report's engine names the blend that ran: "vector"
+    and only nonpositivity is checked, at any coordinate size; otherwise it
+    runs pair by pair, checks both, and past the 127-bit width limit raises
+    OverflowLimitError through weighted_lhs. The report's engine names the
+    blend that ran: "vector"
     (interval blends) or "scalar" (the per-pair blend). Each lambda keeps
     its own first flags, which it finds in report order, and the report
     keeps the first of their merge. Neither lemma is per parity case, so a
@@ -126,7 +109,6 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
 
     # Blend lemma over pairs.
     vector_ok = all(s.constant is not None for s in specs)
-    checked = _pair_bound(rng) > WIDTH_LIMIT
     for spec in specs:
         ikey = f"lemma2-identity:lambda={spec.label}"
         nkey = f"lemma2-nonpositive:lambda={spec.label}"
@@ -137,7 +119,7 @@ def verify_lemmas(rng: RangeSpec, thetas: Sequence, lambdas: Sequence, *,
         if vector_ok:
             _row_walk(_cell_spans(rng, range(len(CASE_ORDER))),
                       range(rng.x_min, rng.x_max + 1),
-                      _blend_visit(spec.constant, nkey, checked), found)
+                      _blend_visit(spec.constant, nkey), found)
         else:
             for x in range(rng.x_min, rng.x_max + 1):
                 for y in range(rng.y_min, rng.y_max + 1):

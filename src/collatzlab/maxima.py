@@ -32,14 +32,10 @@ quadratics (_row_maxima, _maxima). A sweep reads off them:
   over the same regions (regions._row_walk), which counts, values and caps
   their flags. For cross, a table entry whose direct and closed
   coefficients agree flags nowhere, and one that does not flags in the
-  rows where their difference is not 0;
-- the width checks of framework.lhs, where _pair_bound passes the width
-  limit. A term's square and the form's magnitude are quadratics of the
-  same kind, so the rows where a check fails are found the same way. One
-  visitor walks both kinds of rows, and where the checks apply it runs a
-  row's per-interval width checks before its flags: the first row where a
-  check fails raises, so rows walked for their flags all pass.
-A sweep costs O(cells x period), plus the rows it walks.
+  rows where their difference is not 0.
+A sweep costs O(cells x period), plus the rows it walks, on exact integers
+at any coordinate size: every value it computes is a quadratic in the
+coordinates, so it has no width check.
 """
 
 from __future__ import annotations
@@ -52,19 +48,15 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import weights
-from .arith import WIDTH_LIMIT
 from .cells import (
     _POINTS,
     _at,
-    _check_widths,
     _closed_table,
     _direct_table,
     _entry,
     _in_l,
     _nonzero,
     _positive,
-    _row,
-    _terms,
     _top,
 )
 from .regions import _cell_spans, _pairs, _row_walk
@@ -76,10 +68,9 @@ from .reports import (
     QUANTITY_LABELS,
     RangeSpec,
     _Findings,
-    _pair_bound,
     _tally,
 )
-from .weights import CASE_ORDER, CELL_BOUNDS, TALLY_KEYS, cell_weights
+from .weights import CASE_ORDER, CELL_BOUNDS, TALLY_KEYS
 
 
 def _cuts(j0: int, j1: int, lines: Iterable) -> Iterable:
@@ -272,21 +263,6 @@ def _union(ranges: list) -> Iterable[int]:
             last = x
 
 
-def _width_entries(w: Sequence, rx: int, column: tuple, e: tuple) -> list:
-    """The quantities the width checks of framework.lhs bound, as doubled
-    forms in (k, l) like table entries: each term's square times its |w|
-    (term i is x_i + y_i*k + z_i*l), and the form e and its negation."""
-    xs, xp, ts, tp = _POINTS[rx]
-    out = [e, tuple(-c for c in e[:6])]
-    for wi, (x, z), (y, _) in zip(w, _terms((xs, 0, ts, 0), column),
-                                  _terms((xp, 0, tp, 0), (0, 0, 0, 0))):
-        n = 2 * abs(wi)
-        if n:
-            out.append((n * z * z, 2 * n * x * z, 2 * n * y * z, n * x * x,
-                        2 * n * x * y, n * y * y))
-    return out
-
-
 def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
                  found: _Findings) -> tuple:
     """A pair sweep of the direct, bounds, simplified or cross check off the
@@ -296,20 +272,18 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
     derivations. Tallies come from the spans' peaks, summed over each run
     of a cell's regions; flags from walking only the rows whose maximum
     passes a threshold, found on segments built only for spans that can
-    flag, for a cross difference or for a width check."""
+    flag."""
     do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
     do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
     do_direct = CHECK_LHS in checks
     do_bounds = CHECK_BOUNDS in checks
     do_simp_check = CHECK_SIMPLIFIED in checks
     do_cross = CHECK_CROSS in checks
-    checked = do_lhs and _pair_bound(rng) > WIDTH_LIMIT
     table = _direct_table(weights.CELL_WEIGHTS)
     closed = _closed_table(weights.CELL_FORMS) if do_simp else None
     per_case: dict = {}
     cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
     flagged: list = []  # ranges of rows that can flag
-    failing: list = []  # ranges of rows where a width check fails
     done = 0
     regions = list(_cell_spans(rng, cases))
     # _cell_spans gives a cell's regions one after another
@@ -318,16 +292,12 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
         # the least doubled value a row maximum must pass to flag
         limit = min([0] * (do_direct or do_simp_check)
                     + [2 * CELL_BOUNDS[cell]] * do_bounds, default=None)
-        for _, pick, rx, column, spans in group:
+        for _, pick, rx, _, spans in group:
             direct = _entry(table, cell, pick)
             simp = None if closed is None else _entry(closed, cell, pick)
             form = direct if do_lhs else simp
             diff = (tuple(c - d for c, d in zip(simp, direct[:6]))
                     if do_cross and simp != direct[:6] else None)
-            if checked:
-                widths = _width_entries(cell_weights(
-                    cell, 0 if pick is None else pick - 1, 0), rx, column,
-                    direct)
             row = _POINTS[rx]
             cell_pairs += sum(map(_pairs, spans))
             for span in spans:
@@ -340,10 +310,6 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
                 if diff is not None:
                     for e in (diff, tuple(-v for v in diff)):
                         flagged += _rows_above(_maxima(e, span), 0, row)
-                if checked:
-                    for e in widths:
-                        failing += _rows_above(_maxima(e, span),
-                                               2 * WIDTH_LIMIT, row)
         done += cell_pairs
         tal = _tally(per_case, cell)
         tal.pairs += cell_pairs
@@ -362,9 +328,6 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
         flags = []
         if do_lhs:
             direct = _in_l(_entry(table, cell, pick), k)
-            if checked:
-                _check_widths(cell_weights(cell, k, lo),
-                              _terms(_row(x), column), direct, lo, hi)
             top = _top(direct, lo, hi)
             bound = 2 * CELL_BOUNDS[cell]
             if do_direct and top > 0:
@@ -382,10 +345,6 @@ def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
                           lambda l, q=diff: _at(q, l) // 2))
         return flags
 
-    if failing:
-        # the first row where a check fails raises
-        _row_walk(regions, _union(failing), visit, _Findings(0))
     if flagged:
-        # every row here passes its width checks: a failing one raised
         _row_walk(regions, _union(flagged), visit, found)
     return done, per_case

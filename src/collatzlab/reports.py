@@ -308,18 +308,6 @@ def merge_reports(a: VerificationReport, b: VerificationReport) -> VerificationR
         params=dict(a.params), max_violations=cap)
 
 
-def _pair_bound(rng: RangeSpec) -> int:
-    """Exact bound on the magnitude of every intermediate of the six-term
-    form over this range: all six weights lie in [-2, 2] and distances are
-    bounded by the largest map image. Only ranges where it exceeds the arith
-    width limit can fail the scalar lhs's width checks, so only those get
-    them in the interval engine."""
-    n = max(rng.x_max, rng.y_max)
-    top = (3 * n + 1) // 2
-    dist = max(n, top)
-    return 12 * dist * dist
-
-
 def _sorted_cells(per_case: dict) -> dict:
     return {k: per_case[k] for k in sorted(per_case)}
 

@@ -18,10 +18,11 @@ each span's pairs (regions.py); the other modes read each span's peak off
 its end terms where the form is convex in l, one quadratic per end and
 residue, and off the rectangle in closed form where it is concave, and
 build row maxima as segments only where rows can flag (maxima.py), so a
-clean sweep builds none. Rows are walked, over the same spans,
-only where a check can flag, or, for mbound, until its violation cap is
-full. The tests keep a per-pair pair sweep as the reference, which they
-put in place of _sweep_vector. Reports over disjoint ranges merge
+clean sweep builds none. Rows are walked, over the same spans, only where
+a check can flag, or, for mbound, until its violation cap is full. Its
+values are quadratics in the coordinates, so unlike framework.lhs, the
+per-pair reference the tests put in place of _sweep_vector, it has no
+127-bit width check. Reports over disjoint ranges merge
 associatively and commutatively, so partitioned runs reproduce the
 single-run report.
 

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzlab import cli, options, verifier
+from collatzlab import cli, framework, options, verifier
 from collatzlab.cli import main
-from test_verifier import sweep_scalar
+from test_verifier import no_width_check, sweep_scalar
 
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
@@ -136,26 +136,81 @@ ORACLE_CLI = (f"import sys; sys.path.insert(0, {str(TESTS)!r}); "
               "sys.exit(cli.main(sys.argv[1:]))")
 
 
+VERIFY_MODES = ("direct", "bounds", "simplified", "cross", "mbound")
+
+
 @pytest.mark.parametrize("engine", ["auto", "scalar"])
-def test_verify_overflow_policy_beyond_127_bits(engine, capsys, monkeypatch):
-    # auto is the sweep as shipped, scalar the per-pair reference
+def test_verify_overflow_policy_beyond_127_bits(engine, capsys):
+    # auto is the sweep as shipped, scalar the per-pair reference with its
+    # width checks (framework.check_width) made the identity: no verify
+    # mode has a width check, so each reports past 127 bits, and the
+    # reference writes the same bytes
+    child = ["-m", "collatzlab.cli"]
     if engine == "scalar":
-        monkeypatch.setattr(verifier, "_sweep_vector", sweep_scalar)
-    child = ["-m", "collatzlab.cli"] if engine == "auto" else ["-c", ORACLE_CLI]
+        child = ["-c", "from collatzlab import framework; "
+                 "framework.check_width = lambda value, what='': value; "
+                 + ORACLE_CLI]
     lo = 2**126
-    for mode, want in (("direct", 3), ("bounds", 3), ("cross", 3),
-                       ("simplified", 0), ("mbound", 0)):
+    for mode in VERIFY_MODES:
         args = ["verify", "--min", str(lo), "--max", str(lo + 3),
-                "--allow-large", "--mode", mode]
-        code, _, err = run_cli(args + ["--jobs", "1"], capsys)
-        assert code == want, mode
-        assert ("overflow" in err) == (want == 3), mode
+                "--allow-large", "--mode", mode, "--format", "json"]
+        code, out, err = run_cli(args + ["--jobs", "1"], capsys)
+        assert (code, err) == (0, ""), mode
+        doc = json.loads(out)
+        assert doc["pairs_checked"] == 16 and doc["violations_total"] == 0
+        if engine == "scalar":
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verifier, "_sweep_vector", sweep_scalar)
+                patch.setattr(framework, "check_width", no_width_check)
+                assert run_cli(args + ["--jobs", "1"], capsys) == (0, out, "")
         # in a child process with a deadline, so that a sweep that never
         # returns fails the test instead of hanging the suite
         proc = subprocess.run([sys.executable, *child, *args, "--jobs", "2"],
                               capture_output=True, text=True, timeout=60)
-        assert proc.returncode == want, mode
-        assert ("overflow" in proc.stderr) == (want == 3), mode
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), mode
+
+
+@pytest.mark.parametrize("digits", [4300, 640])
+def test_verify_refuses_a_max_the_writers_cannot_print(digits, capsys):
+    # report values grow like max^2, and str() prints at most
+    # sys.get_int_max_str_digits() digits: verify refuses a --max whose
+    # values could pass that (exit 2, no traceback) and writes every
+    # format at the largest --max it accepts; 0 means no limit. 4300 is
+    # Python's default limit
+    huge = [str(10**3000), str(10**3000 + 5)]
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(digits)
+        top = 10 ** ((digits - 2) // 2) - 1  # the largest --max accepted
+        for mode in VERIFY_MODES:
+            if digits == 4300:
+                code, out, err = run_cli(["verify", "--mode", mode, "--min",
+                                          huge[0], "--max", huge[1]], capsys)
+                assert (code, out) == (2, ""), mode
+                assert err.startswith("error: --max has 3001 digits"), mode
+            code, out, err = run_cli(["verify", "--mode", mode, "--max",
+                                      str(top + 1)], capsys)
+            assert (code, out) == (2, ""), mode
+            assert err.startswith(f"error: --max has {len(str(top)) + 1} "
+                                  "digits"), mode
+            for fmt in ("json", "csv", "text"):
+                code, out, err = run_cli(
+                    ["verify", "--mode", mode, "--min", str(top - 11),
+                     "--max", str(top), "--format", fmt], capsys)
+                assert (code, err) == (0, ""), (mode, fmt)
+                if fmt == "json":
+                    assert json.loads(out)["pairs_checked"] == 144
+                elif fmt == "csv":
+                    assert "\ntally," in out, mode
+                else:
+                    assert str(top) in out, mode
+        # without a limit the same argv reports
+        sys.set_int_max_str_digits(0)
+        code, _, err = run_cli(["verify", "--min", huge[0], "--max", huge[1]],
+                               capsys)
+        assert (code, err) == (0, "")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_verify_has_no_engine_option(capsys):

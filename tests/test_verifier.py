@@ -12,7 +12,16 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from collatzlab import cells, cli, coverage, maxima, regions, verifier, weights
+from collatzlab import (
+    cells,
+    cli,
+    coverage,
+    framework,
+    maxima,
+    regions,
+    verifier,
+    weights,
+)
 from collatzlab.arith import OverflowLimitError, format_rational
 from collatzlab.collatz import accel_T
 from collatzlab.framework import (
@@ -124,6 +133,20 @@ def oracle(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def no_width_check(value, what="value"):
+    """framework.check_width made the identity, so that framework.lhs is
+    exact at any coordinate size."""
+    return value
+
+
+def check_free(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the width checks of the per-pair six-term
+    form (framework.check_width) replaced by the identity."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(framework, "check_width", no_width_check)
+        return fn(*args, **kwargs)
+
+
 # === pair sweeps ===
 
 def test_verify_clean_hundred_square():
@@ -223,13 +246,17 @@ def test_engines_agree_on_random_rectangles(x0, y0, dx, dy, x_shift, y_shift,
 
 @pytest.mark.parametrize("engine", ["auto", "scalar"])
 def test_six_term_overflow_raises_on_both_engines(engine):
-    # auto is the sweep as shipped, scalar the per-pair reference
+    # auto is the sweep as shipped, scalar the per-pair reference. Only the
+    # per-pair form keeps its width checks: the region sweep reports past
+    # them, as the reference does with its checks made the identity
     rng = RangeSpec.square(2**126 + 3, lo=2**126)
-    with pytest.raises(OverflowLimitError):
-        if engine == "auto":
-            verify_pseudocontraction(rng)
-        else:
+    reference = check_free(oracle, verify_pseudocontraction, rng)
+    if engine == "auto":
+        assert same_report(verify_pseudocontraction(rng), reference)
+    else:
+        with pytest.raises(OverflowLimitError):
             oracle(verify_pseudocontraction, rng)
+    assert reference.ok and reference.pairs_checked == 16
 
 
 def test_engines_agree_on_violations_too():
@@ -885,7 +912,10 @@ def test_clean_form_sweeps_walk_no_rows(walked_rows):
 @pytest.mark.parametrize("rng", [
     RangeSpec.square(2000),  # the x = 1 rows and the 10/11 floor ends
     RangeSpec.square(10**15 + 239, lo=10**15),
-], ids=["near", "far"])
+    # side 10^9 past the 127-bit width budget of the per-pair form
+    RangeSpec.square(2**64 + 10**9 - 1, lo=2**64),
+    RangeSpec.square(10**30 + 10**9 - 1, lo=10**30),
+], ids=["near", "far", "2^64", "10^30"])
 @pytest.mark.parametrize("mode", FORM_MODES)
 def test_clean_form_sweeps_build_no_row_maxima(mode, rng, monkeypatch):
     # every span's peak is read off its end terms or, for a concave form,
@@ -901,6 +931,7 @@ def test_clean_form_sweeps_build_no_row_maxima(mode, rng, monkeypatch):
     monkeypatch.setattr(maxima, "_maxima", counted)
     report = SWEEPS[mode](rng)
     assert report.ok and built == []
+    assert report.pairs_checked == rng.grid_count()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maxima, "_span_peak",
                       lambda e, span: maxima._peak(segments(e, span)))
@@ -1200,47 +1231,37 @@ _WIDTH_EDGE = 6148914691236517209
 _MIRRORED_EDGE = 8695878550221854809
 
 
-@pytest.mark.parametrize("rng, fails", [
-    (RangeSpec(_WIDTH_EDGE - 40, _WIDTH_EDGE - 1, 1, 30), False),
+@pytest.mark.parametrize("rng", [
+    RangeSpec(_WIDTH_EDGE - 40, _WIDTH_EDGE - 1, 1, 30),
     # rows pass up to _WIDTH_EDGE, which fails after two columns
-    (RangeSpec(_WIDTH_EDGE - 20, _WIDTH_EDGE + 5, 1, 30), True),
-    (RangeSpec(1, 30, _WIDTH_EDGE - 40, _WIDTH_EDGE - 1), False),
+    RangeSpec(_WIDTH_EDGE - 20, _WIDTH_EDGE + 5, 1, 30),
+    RangeSpec(1, 30, _WIDTH_EDGE - 40, _WIDTH_EDGE - 1),
     # rows 1 and 2 pass; row 3 fails in its sixth column
-    (RangeSpec(1, 30, _WIDTH_EDGE - 5, _WIDTH_EDGE + 5), True),
-    (RangeSpec.square(2**126 + 3, lo=2**126), True),
+    RangeSpec(1, 30, _WIDTH_EDGE - 5, _WIDTH_EDGE + 5),
+    RangeSpec.square(2**126 + 3, lo=2**126),
     # lhs(x, y) stays inside the limit in rows 1 and 2 up to y =
     # 9223372036854775811; only the blend's lhs(y, x) passes it
-    (RangeSpec(1, 2, _MIRRORED_EDGE - 6, _MIRRORED_EDGE + 6), "mirrored"),
+    RangeSpec(1, 2, _MIRRORED_EDGE - 6, _MIRRORED_EDGE + 6),
+    RangeSpec.square(10**30 + 30, lo=10**30),
 ], ids=["rows-below", "rows-across", "columns-below", "columns-across",
-        "2^126", "mirrored-only"])
+        "2^126", "mirrored-only", "10^30"])
 @pytest.mark.parametrize("mode", FORM_MODES + ["blend-0", "blend-1/2",
                                                "blend-1"])
-def test_width_checks_read_off_regions_fail_where_the_oracle_does(mode, rng,
-                                                                  fails):
-    # simplified carries no width check; the other modes, and the interval
-    # blend at one lambda against the per-pair blend, raise with the same
-    # message exactly where some pair fails one, and report as the
-    # reference does elsewhere. The blend checks lhs(y, x) too, so it alone
-    # fails where only that does ("mirrored")
-    def outcome(run):
-        try:
-            if mode in FORM_MODES:
-                return run(SWEEPS[mode], rng)
-            lam = Fraction(mode.split("-")[1])
-            if run is shipped:
-                return verify_lemmas(rng, [], [lam])
-            return replace(verify_lemmas(rng, [], [per_pair(lam)]),
-                           engine="vector")
-        except OverflowLimitError as exc:
-            return "overflow", str(exc)
-    report, reference = outcome(shipped), outcome(oracle)
-    overflow = isinstance(reference, tuple)
-    assert overflow == (fails is True and mode != "simplified"
-                        or fails == "mirrored" and mode not in FORM_MODES)
-    if overflow:
-        assert report == reference
+def test_width_checks_read_off_regions_fail_where_the_oracle_does(mode, rng):
+    # the region sweeps and the interval blend carry no width check: on
+    # either side of where a pair of framework.lhs fails one, and far past
+    # it, they report as the per-pair reference does with its checks made
+    # the identity. The blend's reference evaluates lhs(y, x) too
+    # ("mirrored")
+    if mode in FORM_MODES:
+        report = SWEEPS[mode](rng)
+        reference = check_free(oracle, SWEEPS[mode], rng)
     else:
-        assert same_report(report, reference)
+        lam = Fraction(mode.split("-")[1])
+        report = verify_lemmas(rng, [], [lam])
+        reference = replace(check_free(verify_lemmas, rng, [], [per_pair(lam)]),
+                            engine="vector")
+    assert same_report(report, reference)
 
 
 def test_violation_keeps_its_contract():
