@@ -99,16 +99,24 @@ def _swap(e: tuple) -> tuple:
     return c2, c1, b1, c0, b0, a
 
 
+def _per_pick(make: Callable) -> tuple:
+    """A table of make(cell, pick) per cell, which _entry reads: pick is
+    the diagonal's d + 1 per k - l = d in (-1, 0, 1), and None off it."""
+    return tuple(tuple(make(cell, pick) for pick in range(3))
+                 if cell == DIAGONAL else make(cell, None)
+                 for cell in range(len(CELL_CASES)))
+
+
 def _cell_table(form: Callable, tail: Callable = lambda cell, d: ()) -> tuple:
-    """Per cell, form(cell, k, l) fitted with None for the reduced coordinate
-    of a 1, then tail(cell, d); the diagonal has one per k - l in (-1, 0, 1)."""
-    def fit(cell: int, d: int) -> tuple:
+    """Per cell (_per_pick), form(cell, k, l) fitted with None for the
+    reduced coordinate of a 1, then tail(cell, d), d = 0 off the diagonal."""
+    def fit(cell: int, pick) -> tuple:
         rows, columns = _CELL_CLASSES[cell]
+        d = 0 if pick is None else pick - 1
         return _fit(lambda k, l: form(cell, k if rows else None, (
             k - d if cell == DIAGONAL else l) if columns else None),
             TALLY_KEYS[cell]) + tail(cell, d)
-    return tuple(tuple(fit(cell, d) for d in (-1, 0, 1)) if cell == DIAGONAL
-                 else fit(cell, 0) for cell in range(len(CELL_CASES)))
+    return _per_pick(fit)
 
 
 @lru_cache(maxsize=8)
@@ -132,7 +140,7 @@ def _closed_table(forms: tuple) -> tuple:
 
 
 def _entry(table: tuple, cell: int, pick) -> tuple:
-    """A cell's entry of a table (_cell_table); pick is the diagonal's d + 1
+    """A cell's entry of a table (_per_pick); pick is the diagonal's d + 1
     for d = k - l, and None off the diagonal."""
     return table[cell] if pick is None else table[cell][pick]
 
@@ -187,10 +195,4 @@ def _positive(a: int, b: int, c: int, lo: int, hi: int) -> list:
     if len(out) == 2 and out[0][1] + 1 == out[1][0]:
         out = [(out[0][0], out[1][1])]
     return out
-
-
-def _nonzero(q: tuple, lo: int, hi: int) -> list:
-    """The integers of [lo, hi] where a quadratic is not 0, as sorted ranges."""
-    a, b, c = q
-    return sorted(_positive(a, b, c, lo, hi) + _positive(-a, -b, -c, lo, hi))
 

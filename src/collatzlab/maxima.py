@@ -1,5 +1,9 @@
-"""The maxima layer: the direct, bounds, simplified and cross checks read
-off the cell regions (regions.py) instead of row by row.
+"""The maxima layer: every quadratic check read off the cell regions
+(regions.py) instead of row by row. A check is a doubled-form table entry
+per cell, a doubled threshold, a key, a quantity and a value map: the
+direct, bounds, simplified and cross checks (_form_checks), and the blend
+lemma's nonpositivity at a constant lambda (lemmas._blend_checks), all
+run by _check_regions.
 
 A region's spans (regions._cell_spans, which mbound counts too) each have
 one start and one end term, a line in k or a floor term of period P. A
@@ -21,18 +25,14 @@ quadratics (_row_maxima, _maxima). A sweep reads off them:
   _top of the span's end quadratics, a line end's over [k0, k1] and a
   floor end's per residue, from a table per entry and term (_floor_end).
   A concave form's peak on a rectangle is read off the rectangle in closed
-  form (_rectangle_peak): a part in l plus a part in k where b1 = 0, its
-  first or last row where c2 >= 0, and otherwise a line of best l (or of
-  best k) clamped to the rectangle, where 2a (or 2*c2) divides b1. Only a
-  concave form on floor ends or with neither divisor, which no shipped
-  table holds, takes the peak of its segments (_peak);
+  form (_rectangle_peak): a part in l plus a part in k where b1 = 0, and
+  otherwise, per residue of k, a line of best l (or of best k) clamped to
+  the rectangle. Only a concave form on floor ends, which no shipped table
+  holds, takes the peak of its segments (_peak);
 - the rows that can flag, where a row maximum passes a check's threshold
   (_positive). Segments are built only for a span whose peak passes it, so
-  a clean sweep builds none. Only those rows are walked,
-  over the same regions (regions._row_walk), which counts, values and caps
-  their flags. For cross, a table entry whose direct and closed
-  coefficients agree flags nowhere, and one that does not flags in the
-  rows where their difference is not 0.
+  a clean sweep builds none. Only those rows are walked, over the same
+  regions (regions._row_walk), which counts, values and caps their flags.
 A sweep costs O(cells x period), plus the rows it walks, on exact integers
 at any coordinate size: every value it computes is a quadratic in the
 coordinates, so it has no width check.
@@ -42,9 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import merge
-from itertools import groupby
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import weights
@@ -55,7 +53,7 @@ from .cells import (
     _direct_table,
     _entry,
     _in_l,
-    _nonzero,
+    _per_pick,
     _positive,
     _top,
 )
@@ -174,36 +172,36 @@ def _floor_end(e: tuple, term: tuple) -> tuple:
     return tuple(_along(e, w, r, u, (u * r + v) // w) for r in range(w))
 
 
-def _rectangle_peak(e: tuple, k0: int, k1: int, l0: int, l1: int):
+def _rectangle_peak(e: tuple, k0: int, k1: int, l0: int, l1: int) -> int:
     """The largest doubled value of a concave entry e (a < 0) on the
-    rectangle [k0, k1] x [l0, l1] in closed form (_span_peak's cases), or
-    None where none holds."""
+    rectangle [k0, k1] x [l0, l1] in closed form (_span_peak's cases)."""
     a, b0, b1, c0, c1, c2 = e[:6]
     if not b1:
         # a part in l plus a part in k
         return _top((a, b0, 0), l0, l1) + _top((c2, c1, c0), k0, k1)
-    if c2 >= 0:
-        # each column is convex or linear in k: largest in a first or last row
-        return max(_top(_in_l(e, k0), l0, l1), _top(_in_l(e, k1), l0, l1))
-    if b1 % (2 * a):
-        if b1 % (2 * c2):
-            return None
-        # a column's vertex has an integer slope in l: read the rectangle
-        # across, as the entry of f(l, k) (cells._swap)
+    if c2 < 0 and 2 * c2 // gcd(2 * c2, b1) > 2 * a // gcd(2 * a, b1):
+        # a column's best k repeats with a shorter period than a row's best
+        # l: read the rectangle across, as the entry of f(l, k) (cells._swap)
         a, b0, c1, c2 = c2, c1, b0, a
         e, k0, k1, l0, l1 = (a, b0, b1, c0, c1, c2), l0, l1, k0, k1
-    # a row's vertex (b0 + b1*k)/d is s*k + b0/d, s = b1/d not 0; the
-    # integer nearest it, s*k + t, is the row's best l, and where that
-    # leaves [l0, l1], the end it passed is
+    # a row's best l is the integer nearest its vertex (b0 + b1*k)/d, and
+    # where that leaves [l0, l1], the end it passed; on each residue r of k
+    # modulo m, k = m*j + r, that integer is the line s*j + t in j
     d = -2 * a
-    s, t = b1 // d, (2 * b0 + d) // (2 * d)
-    # the line is in [l0, l1] for k in [i0, i1]; the best l is lo before i0
-    # and hi after i1
+    m = d // gcd(d, b1)
+    s = b1 * m // d
     lo, hi = (l0, l1) if s > 0 else (l1, l0)
-    i0, i1 = -((t - lo) // s), (hi - t) // s
-    return max(_top(_along(e, 1, 0, u, w), x, y) for u, w, x, y in (
-        (0, lo, k0, min(k1, i0 - 1)), (s, t, max(k0, i0), min(k1, i1)),
-        (0, hi, max(k0, i1 + 1), k1)) if x <= y)
+    tops = []
+    for r in range(m):
+        t = (2 * (b0 + b1 * r) + d) // (2 * d)
+        # the rows of the residue are j in [j0, j1], and the line is in
+        # [l0, l1] for j in [i0, i1]: the best l is lo before i0, hi after i1
+        j0, j1 = -((r - k0) // m), (k1 - r) // m
+        i0, i1 = -((t - lo) // s), (hi - t) // s
+        tops += [_top(_along(e, m, r, u, w), x, y) for u, w, x, y in (
+            (0, lo, j0, min(j1, i0 - 1)), (s, t, max(j0, i0), min(j1, i1)),
+            (0, hi, max(j0, i1 + 1), j1)) if x <= y]
+    return max(tops)
 
 
 def _span_peak(e: tuple, span: tuple) -> int:
@@ -212,23 +210,21 @@ def _span_peak(e: tuple, span: tuple) -> int:
     off the span's ends: a line end's value is one quadratic in k over the
     span, a floor end's one per residue (_floor_end). A concave form (a <
     0) on a rectangle, a span with ends (0, l0, 1) and (0, l1, 1), is read
-    in closed form (_rectangle_peak) in three of four cases:
+    in closed form (_rectangle_peak):
     - b1 = 0: a part in l plus a part in k, each _top on its own side;
-    - c2 >= 0: each column is convex or linear in k, so the peak is the
-      larger _top of the first and the last row;
-    - b1 != 0, c2 < 0, and 2a divides b1 (or 2*c2 does; then the
-      rectangle is read across, with k and l swapped): a row's best l is
-      a line of k clamped to [l0, l1], so the peak is the largest _top of
-      at most three quadratics in k, on the rows below, inside and above
-      the clamp (for even-even, k = l);
-    - otherwise, and on any span with a floor end, the peak of its
-      segments (_maxima), which no shipped entry needs."""
+    - otherwise a row's best l is the integer nearest its vertex, which on
+      each residue of k modulo m = -2a/gcd(2a, b1) is a line in j for k =
+      m*j + r, clamped to [l0, l1]; so the peak is the largest _top of at
+      most three quadratics in j per residue, on the rows below, inside
+      and above the clamp. Where a column's best k has a shorter period,
+      the rectangle is read across, with k and l swapped (for even-even,
+      k = l).
+    A concave form on a span with a floor end, which no shipped entry
+    holds, takes the peak of its segments (_maxima)."""
     k0, k1, start, end = span
     if e[0] < 0:
         if start[0] == end[0] == 0 and start[2] == end[2] == 1:
-            peak = _rectangle_peak(e, k0, k1, start[1], end[1])
-            if peak is not None:
-                return peak
+            return _rectangle_peak(e, k0, k1, start[1], end[1])
         return _peak(_maxima(e, span))
     tops = []
     for term in (start,) if start == end else (start, end):
@@ -263,88 +259,95 @@ def _union(ranges: list) -> Iterable[int]:
             last = x
 
 
-def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
-                 found: _Findings) -> tuple:
-    """A pair sweep of the direct, bounds, simplified or cross check off the
-    cell regions. Both forms are read from their own tables: the direct
-    form from _direct_table (CELL_WEIGHTS alone), the closed form from
-    _closed_table (CELL_FORMS alone), so cross compares two independent
-    derivations. Tallies come from the spans' peaks, summed over each run
-    of a cell's regions; flags from walking only the rows whose maximum
-    passes a threshold, found on segments built only for spans that can
-    flag."""
-    do_lhs = CHECK_LHS in checks or CHECK_BOUNDS in checks or CHECK_CROSS in checks
-    do_simp = CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks
-    do_direct = CHECK_LHS in checks
-    do_bounds = CHECK_BOUNDS in checks
-    do_simp_check = CHECK_SIMPLIFIED in checks
-    do_cross = CHECK_CROSS in checks
-    table = _direct_table(weights.CELL_WEIGHTS)
-    closed = _closed_table(weights.CELL_FORMS) if do_simp else None
-    per_case: dict = {}
-    cases = [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]
+def _check_regions(regions: list, table: tuple, found: _Findings) -> list:
+    """Run quadratic checks over cell regions (regions._cell_spans), giving
+    per region the largest doubled value of its tallied form. The table
+    (cells._per_pick) holds per cell that form's entry and its checks
+    (entry, threshold, key, quantity, value), each flagging the pairs where
+    its entry's doubled value v exceeds its doubled threshold, valued
+    value(v). A span's peak is read once per entry; row maxima are built
+    only where it passes a threshold, and only those rows are walked."""
     flagged: list = []  # ranges of rows that can flag
-    done = 0
-    regions = list(_cell_spans(rng, cases))
-    # _cell_spans gives a cell's regions one after another
-    for cell, group in groupby(regions, itemgetter(0)):
-        cell_pairs, cell_peak = 0, None
-        # the least doubled value a row maximum must pass to flag
-        limit = min([0] * (do_direct or do_simp_check)
-                    + [2 * CELL_BOUNDS[cell]] * do_bounds, default=None)
-        for _, pick, rx, _, spans in group:
-            direct = _entry(table, cell, pick)
-            simp = None if closed is None else _entry(closed, cell, pick)
-            form = direct if do_lhs else simp
-            diff = (tuple(c - d for c, d in zip(simp, direct[:6]))
-                    if do_cross and simp != direct[:6] else None)
-            row = _POINTS[rx]
-            cell_pairs += sum(map(_pairs, spans))
-            for span in spans:
-                peak = _span_peak(form, span)
-                if cell_peak is None or peak > cell_peak:
-                    cell_peak = peak
+    peaks = []
+    for cell, pick, rx, _, spans in regions:
+        tallied, checks = _entry(table, cell, pick)
+        peak = None
+        for span in spans:
+            top = _span_peak(tallied, span)
+            if peak is None or top > peak:
+                peak = top
+            for entry, threshold, _, _, _ in checks:
                 # segments are built only where rows are read off them
-                if limit is not None and peak > limit:
-                    flagged += _rows_above(_maxima(form, span), limit, row)
-                if diff is not None:
-                    for e in (diff, tuple(-v for v in diff)):
-                        flagged += _rows_above(_maxima(e, span), 0, row)
-        done += cell_pairs
-        tal = _tally(per_case, cell)
-        tal.pairs += cell_pairs
-        tal.absorb_value(cell_peak // 2)
+                if (top if entry is tallied
+                        else _span_peak(entry, span)) > threshold:
+                    flagged += _rows_above(_maxima(entry, span), threshold,
+                                           _POINTS[rx])
+        peaks.append(peak)
 
-    def above(key: str, check: str, q: tuple, t: int, lo: int,
-              hi: int) -> tuple:
-        """The flag of the l in [lo, hi] where the doubled quadratic q
-        exceeds t."""
-        return (key, QUANTITY_LABELS[check],
-                _positive(q[0], q[1], q[2] - t, lo, hi),
-                lambda l: _at(q, l) // 2)
-
-    def visit(x, k, cell, pick, column, lo, hi) -> list:
-        key = TALLY_KEYS[cell]
+    def visit(x, k, cell, pick, lo, hi) -> list:
         flags = []
-        if do_lhs:
-            direct = _in_l(_entry(table, cell, pick), k)
-            top = _top(direct, lo, hi)
-            bound = 2 * CELL_BOUNDS[cell]
-            if do_direct and top > 0:
-                flags.append(above(key, CHECK_LHS, direct, 0, lo, hi))
-            if do_bounds and top > bound:
-                flags.append(above(key, CHECK_BOUNDS, direct, bound, lo, hi))
-        if do_simp:
-            simp = _in_l(_entry(closed, cell, pick), k)
-            if do_simp_check and _top(simp, lo, hi) > 0:
-                flags.append(above(key, CHECK_SIMPLIFIED, simp, 0, lo, hi))
-        if do_cross and simp != direct:
-            diff = tuple(s - d for s, d in zip(simp, direct))
-            flags.append((key, QUANTITY_LABELS[CHECK_CROSS],
-                          _nonzero(diff, lo, hi),
-                          lambda l, q=diff: _at(q, l) // 2))
+        for entry, threshold, key, quantity, value in _entry(
+                table, cell, pick)[1]:
+            q = _in_l(entry, k)
+            if _top(q, lo, hi) > threshold:
+                flags.append((key, quantity, _positive(
+                    q[0], q[1], q[2] - threshold, lo, hi),
+                    lambda l, q=q, value=value: value(_at(q, l))))
         return flags
 
     if flagged:
         _row_walk(regions, _union(flagged), visit, found)
+    return peaks
+
+
+@lru_cache(maxsize=16)
+def _form_checks(checks: tuple, rows: tuple, forms: tuple) -> tuple:
+    """The _check_regions table of a form sweep of `checks`, with the
+    direct form read off _direct_table(rows) and the closed form off
+    _closed_table(forms), so that cross compares two independent
+    derivations. Tallies read the direct form, unless only simplified is
+    checked. Cross checks the closed form less the direct one, once per
+    sign, where that difference is not 0."""
+    table = _direct_table(rows)
+    closed = (_closed_table(forms)
+              if CHECK_SIMPLIFIED in checks or CHECK_CROSS in checks else None)
+    tallied = table if set(checks) - {CHECK_SIMPLIFIED} else closed
+
+    def cell_checks(cell: int, pick) -> tuple:
+        direct = _entry(table, cell, pick)
+        simp = closed and _entry(closed, cell, pick)
+        diff = simp and tuple(c - d for c, d in zip(simp, direct))
+        # per check, its (entry, doubled threshold, value map)s
+        reads = {
+            CHECK_LHS: [(direct, 0, lambda v: v // 2)],
+            CHECK_BOUNDS: [(direct, 2 * CELL_BOUNDS[cell], lambda v: v // 2)],
+            CHECK_SIMPLIFIED: [(simp, 0, lambda v: v // 2)],
+            CHECK_CROSS: [(diff, 0, lambda v: v // 2),
+                          (tuple(-c for c in diff), 0, lambda v: -v // 2)]
+            if diff and any(diff) else []}
+        return _entry(tallied, cell, pick), tuple(
+            (entry, threshold, TALLY_KEYS[cell], QUANTITY_LABELS[check], value)
+            for check in checks for entry, threshold, value in reads[check])
+
+    return _per_pick(cell_checks)
+
+
+def _sweep_forms(rng: RangeSpec, checks: Sequence[str],
+                 found: _Findings) -> tuple:
+    """A pair sweep of the direct, bounds, simplified or cross check off the
+    cell regions (_form_checks, _check_regions). A cell's tally sums its
+    regions' pairs and takes the largest of their peaks."""
+    per_case: dict = {}
+    done = 0
+    regions = list(_cell_spans(
+        rng, [c for c, case in enumerate(CASE_ORDER) if rng.admits(case)]))
+    table = _form_checks(tuple(checks), weights.CELL_WEIGHTS,
+                         weights.CELL_FORMS)
+    for (cell, _, _, _, spans), peak in zip(
+            regions, _check_regions(regions, table, found)):
+        pairs = sum(map(_pairs, spans))
+        done += pairs
+        tal = _tally(per_case, cell)
+        tal.pairs += pairs
+        tal.absorb_value(peak // 2)
     return done, per_case

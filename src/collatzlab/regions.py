@@ -186,11 +186,12 @@ def _row_walk(regions: Iterable, rows: Iterable[int],
     """Walk the ascending rows `rows` over cell regions (cell, pick, row
     class, column, spans) as _cell_spans lays them out. In a row x at k (x
     = 1 is k = 0), each span of its row class that holds k gives its cell
-    the interval [start(k), end(k)] of l. Either every region carries a
-    constant flag (key, quantity, value) appended, which flags that whole
-    interval, or none does and visit(x, k, cell, pick, column, lo, hi)
-    returns the flags there as (key, quantity, ranges of l, value), the
-    value a function of l; never both. Every flag is counted; the first
+    the interval [start(k), end(k)] of l, and its column the ys of those l.
+    Either every region carries a constant flag (key, quantity, value)
+    appended, which flags that whole interval, or none does and visit(x,
+    k, cell, pick, lo, hi) returns the flags there as (key, quantity,
+    ranges of l, value), the value a function of l; never both. The ranges
+    of one row need not be in l order. Every flag is counted; the first
     `found.cap` in report order (x, y, quantity) are kept as runs (ys,
     case, quantity, value) of y (ViolationRows): a constant flag's range of
     l as one run, a visitor's as runs of one. Adjacent runs of one constant
@@ -207,8 +208,8 @@ def _row_walk(regions: Iterable, rows: Iterable[int],
         flag = flag[0] if flag else None
         quantities.add(None if flag is None else flag[1])
         by_class[rx].extend(
-            (k0, k1, *start, *end, column[0], column[1], flag, cell, pick,
-             column) for k0, k1, start, end in spans)
+            (k0, k1, *start, *end, column[0], column[1], flag, cell, pick)
+            for k0, k1, start, end in spans)
     # a row of one quantity is in report order as it is found
     ordered = len(quantities) == 1 and None not in quantities
     for x in rows:
@@ -217,8 +218,8 @@ def _row_walk(regions: Iterable, rows: Iterable[int],
         flagged = 0
         runs: list = []
         last = None  # the flag of the last run
-        for (k0, k1, p, q, r, u, v, w, ys, yp, flag, cell, pick,
-             column) in by_class[0 if x == 1 else 1 + (x & 1)]:
+        for (k0, k1, p, q, r, u, v, w, ys, yp, flag, cell,
+             pick) in by_class[0 if x == 1 else 1 + (x & 1)]:
             if not k0 <= k <= k1:
                 continue
             lo, hi = (p * k + q) // r, (u * k + v) // w
@@ -236,8 +237,8 @@ def _row_walk(regions: Iterable, rows: Iterable[int],
                     runs.append((range(y0, ys + yp * hi + 1, step), *flag))
                     last = flag
                 continue
-            for key, quantity, ranges, value in visit(
-                    x, k, cell, pick, column, lo, hi):
+            for key, quantity, ranges, value in visit(x, k, cell, pick, lo,
+                                                      hi):
                 for lo, hi in ranges:
                     flagged += hi - lo + 1
                     if room:

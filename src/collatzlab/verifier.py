@@ -6,7 +6,8 @@ entry points, their per-pair reference and the orbit decay sweep:
 - cells: each cell's forms as doubled quadratics;
 - regions: cell pair counts over a whole range, the mbound sweep, and the
   row walk over the same regions;
-- maxima: the direct, bounds, simplified and cross sweeps;
+- maxima: every quadratic check on one path, the direct, bounds,
+  simplified and cross sweeps and the blend lemma at a constant lambda;
 - lemmas: the two supporting lemmas;
 - coverage: condition coverage and the lambda grid search.
 
@@ -18,8 +19,9 @@ each span's pairs (regions.py); the other modes read each span's peak off
 its end terms where the form is convex in l, one quadratic per end and
 residue, and off the rectangle in closed form where it is concave, and
 build row maxima as segments only where rows can flag (maxima.py), so a
-clean sweep builds none. Rows are walked, over the same spans, only where
-a check can flag, or, for mbound, until its violation cap is full. Its
+clean sweep builds none; the blend lemma at a constant lambda is one more
+such check. Rows are walked, over the same spans, only where a check can
+flag, or, for mbound, until its violation cap is full. Its
 values are quadratics in the coordinates, so unlike framework.lhs, the
 per-pair reference the tests put in place of _sweep_vector, it has no
 127-bit width check. Reports over disjoint ranges merge

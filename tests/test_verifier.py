@@ -638,7 +638,7 @@ def walked_intervals(rng):
     (cell, pick, lo, hi) it hands its visitor, in order."""
     rows = {}
 
-    def visit(x, k, cell, pick, column, lo, hi):
+    def visit(x, k, cell, pick, lo, hi):
         assert k == x >> 1
         rows.setdefault(x, []).append((cell, pick, lo, hi))
         return []
@@ -899,13 +899,16 @@ FORM_MODES = ["direct", "bounds", "simplified", "cross"]
 
 
 def test_clean_form_sweeps_walk_no_rows(walked_rows):
-    # every tally comes from the regions' row maxima, and nothing flags
+    # every tally comes from the regions' row maxima, and nothing flags;
+    # nor does the blend lemma at a constant lambda
     for lo in (1, 10**15):
         rng = RangeSpec.square(lo + 10**9 - 1, lo=lo)
         for mode in FORM_MODES:
             report = SWEEPS[mode](rng)
             assert report.ok and report.pairs_checked == 10**18, mode
             assert all(t.max_lhs <= t.bound for t in report.per_case.values())
+        blend = verify_lemmas(rng, [], BLEND_LAMBDAS)
+        assert blend.ok and blend.pairs_checked == 8 * 10**18
     assert walked_rows == []
 
 
@@ -916,11 +919,15 @@ def test_clean_form_sweeps_walk_no_rows(walked_rows):
     RangeSpec.square(2**64 + 10**9 - 1, lo=2**64),
     RangeSpec.square(10**30 + 10**9 - 1, lo=10**30),
 ], ids=["near", "far", "2^64", "10^30"])
-@pytest.mark.parametrize("mode", FORM_MODES)
+@pytest.mark.parametrize("mode", FORM_MODES + ["blend"])
 def test_clean_form_sweeps_build_no_row_maxima(mode, rng, monkeypatch):
     # every span's peak is read off its end terms or, for a concave form,
     # off its rectangle in closed form: a clean sweep builds no segments,
-    # and its report is the one read off the segments
+    # and its report is the one read off the segments. The blend lemma at
+    # the constant lambdas BLEND_LAMBDAS checks 8 pairs per pair of range
+    sweep, checks = SWEEPS.get(mode), 1
+    if mode == "blend":
+        sweep, checks = lambda rng: verify_lemmas(rng, [], BLEND_LAMBDAS), 8
     built = []
     segments = maxima._maxima
 
@@ -929,13 +936,13 @@ def test_clean_form_sweeps_build_no_row_maxima(mode, rng, monkeypatch):
         return segments(e, span)
 
     monkeypatch.setattr(maxima, "_maxima", counted)
-    report = SWEEPS[mode](rng)
+    report = sweep(rng)
     assert report.ok and built == []
-    assert report.pairs_checked == rng.grid_count()
+    assert report.pairs_checked == checks * rng.grid_count()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maxima, "_span_peak",
                       lambda e, span: maxima._peak(segments(e, span)))
-        assert same_report(SWEEPS[mode](rng), report)
+        assert same_report(sweep(rng), report)
 
 
 # weight rows for high-band and high-deep (period 11) whose forms pass 0 in
@@ -1120,13 +1127,13 @@ _FAR_ODD = (208701017831, 208701017870, (0, 208701017830, 1),
 @example(drawn=((-12, 8, 0, 4, 0, 0), _FAR_ODD))
 @example(drawn=((-4, 0, 4, 0, 0, -2), _FAR_EVEN))
 @example(drawn=((-4, 0, 0, 2, 0, 0), _FAR_ODD))
-# 2a = -6 and 2*c2 = -10 divide no b1 = 7: the segments give the peak
+# 2a = -6 and 2*c2 = -10 divide no b1 = 7: a row's best l repeats with
+# period 6 in k
 @example(drawn=((-3, 5, 7, 0, 2, -5), (0, 30, (0, -5, 1), (0, 20, 1))))
 @example(drawn=((-3, 5, 7, 0, 2, -5), _FAR_EVEN))
 def test_concave_rectangle_peak_is_the_rectangle_maximum(drawn):
-    # a concave form's peak on a rectangle is read in closed form where b1
-    # is 0, c2 >= 0, or 2a or 2*c2 divides b1, and off its segments only
-    # otherwise; either way it is the peak of the segments and the largest
+    # a concave form's peak on a rectangle is read in closed form whatever
+    # its coefficients; it is the peak of the segments and the largest
     # doubled value of any pair, on the rectangle and on each of its rows
     # and columns
     entry, span = drawn
@@ -1134,8 +1141,7 @@ def test_concave_rectangle_peak_is_the_rectangle_maximum(drawn):
     a, b0, b1, c0, c1, c2 = entry
     peak = maxima._span_peak(entry, span)
     assert peak == maxima._peak(maxima._maxima(entry, span))
-    closed = not b1 or c2 >= 0 or not b1 % (2 * a) or not b1 % (2 * c2)
-    assert (maxima._rectangle_peak(entry, k0, k1, l0, l1) is None) != closed
+    assert maxima._rectangle_peak(entry, k0, k1, l0, l1) == peak
     if k1 - k0 < 40 and l1 - l0 < 40:
         grid = {(k, l): a * l * l + (b0 + b1 * k) * l + c0 + (c1 + c2 * k) * k
                 for k in range(k0, k1 + 1) for l in range(l0, l1 + 1)}
@@ -1617,6 +1623,23 @@ def test_capped_lemma_reports_are_prefixes(wrong_weights):
         assert capped.violations_total == full.violations_total
 
 
+def test_lemmas_reject_repeated_values():
+    # a theta or lambda given twice, as equal values in any spelling, would
+    # count its triples or pairs twice under one tally key
+    rng = RangeSpec.square(10)
+    half, twin = Fraction(1, 2), Fraction(2, 4)
+    for thetas, lambdas in (([1, Fraction(1)], []),
+                            ([Fraction(-1, 2), "-2/4"], [0]),
+                            ([], [half, twin]), ([0], [1, per_pair(1)]),
+                            ([1, Fraction(1)], [half, twin])):
+        with pytest.raises(ValueError, match="repeated"):
+            verify_lemmas(rng, thetas, lambdas)
+    report = verify_lemmas(rng, [1, -1], [Fraction(1, 2), Fraction(1, 3)])
+    assert report.per_case["lemma1:theta=1"].pairs == 1000
+    assert report.per_case["lemma2-nonpositive:lambda=1/2"].pairs == 100
+    assert report.pairs_checked == 2 * 1000 + 4 * 100
+
+
 def test_lemma_sweep_rejects_bad_lambda():
     with pytest.raises(ValueError):
         verify_lemmas(RangeSpec.square(10), thetas=[0], lambdas=[Fraction(3, 2)])
@@ -1686,6 +1709,31 @@ def test_blend_lemma_flags_match_scalar(monkeypatch):
                            max_violations=200)
     assert same_report(vector, replace(scalar, engine="vector"))
     assert len(vector.violations) == 200
+
+
+def test_blend_lemma_walks_only_the_rows_that_flag(wrong_weights,
+                                                  walked_rows):
+    # a constant lambda's blend reads its peaks off the cell regions and
+    # walks only the rows whose largest blended value passes 0, each once
+    # and in order: of the 60 rows here, not row 1, and for lambda < 1 only
+    # the even rows past 18
+    rng = RangeSpec(1, 60, 1, 16)
+    for lam in BLEND_LAMBDAS:
+        full = verify_lemmas(rng, [], [per_pair(lam)], max_violations=10**6)
+        walked_rows.clear()
+        report = verify_lemmas(rng, [], [lam], max_violations=10**6)
+        assert same_report(report, replace(full, engine="vector"))
+        assert walked_rows == sorted({v.x for v in full.violations})
+        assert 0 < len(walked_rows) < 60
+    # two lambdas under a cap that ends mid-row
+    lambdas, cap = [Fraction(1, 3), Fraction(1, 2)], 100
+    scalar = [per_pair(v) for v in lambdas]
+    assert ends_mid_row(verify_lemmas(rng, [], scalar, max_violations=10**6),
+                        cap)
+    assert same_report(verify_lemmas(rng, [], lambdas, max_violations=cap),
+                       replace(verify_lemmas(rng, [], scalar,
+                                             max_violations=cap),
+                               engine="vector"))
 
 
 # === condition coverage ===
